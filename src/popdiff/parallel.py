@@ -1,4 +1,12 @@
-"""Bounded thread fan-out for independent simulations.
+"""Bounded thread fan-out; no popdiff computation calls it any more.
+
+Monte Carlo draws are solved in batches by
+``forward.simulate_deterministic_batch``, which measured faster than
+fanning single draws out over threads.  The module stays only because
+the benchmark harness still refers to it by name: ``perfbench/run.py``
+imports ``worker_count`` and ``perfbench/tracing.py`` wraps
+``thread_map``.  The next change to the benchmark deletes this module
+together with those two references.
 
 POPDIFF_THREADS caps the worker count; results always come back in input
 order, so parallel runs are bit-identical to serial ones.

@@ -1,10 +1,14 @@
 """Credible bands for the predicted output trajectory.
 
 Bands are pointwise empirical quantiles over single-q trajectories
-simulated at parameter draws from the fitted distribution.  Each sample
-re-solves the deterministic model instead of evaluating the tensor-basis
-population state pointwise in q; at these problem sizes the re-solve is
-cheap and avoids reading a mean-square-integrable state at a point.
+simulated at parameter draws from the fitted distribution.  The
+trajectories come from the single-q model itself, not from the
+tensor-basis population state read pointwise in q, which would read a
+mean-square-integrable state at a point.
+``forward.simulate_deterministic_batch`` solves a block of draws at once
+(one stacked exponential, one vectorized recursion); the per-draw solver
+``simulate_deterministic`` gives the same trajectories up to rounding and
+is the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -14,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import RhoParams, sample_array
-from .forward import population_system, simulate, simulate_deterministic
+from .forward import population_system, simulate, simulate_deterministic_batch
 from .grid import GridSpec
-from .parallel import thread_map
 
 
 @dataclass
@@ -42,8 +45,7 @@ def sample_trajectories(
 ) -> np.ndarray:
     """(nsamples, steps+1) single-q outputs at draws from the rho-law."""
     qs = sample_array(rho, nsamples, seed)
-    runs = thread_map(lambda q: simulate_deterministic(q, spec.n, spec.tau, u), qs)
-    return np.asarray(runs)
+    return simulate_deterministic_batch(qs, spec.n, spec.tau, u)
 
 
 def credible_band(

@@ -5,15 +5,17 @@ import scipy.linalg
 from conftest import pulse_input, smooth_pulse_input
 
 from popdiff.assembly import assemble
-from popdiff.density import RhoParams
-from popdiff.errors import SimulationDivergenceError
+from popdiff.density import RhoParams, sample_array
+from popdiff.errors import ConditioningError, SimulationDivergenceError
 from popdiff.forward import (
+    BATCH_DRAWS,
     Episode,
     deterministic_system,
     population_system,
     population_vs_montecarlo,
     simulate,
     simulate_deterministic,
+    simulate_deterministic_batch,
 )
 from popdiff.grid import GridSpec, eta_mass_matrix, eta_stiffness_matrix
 from popdiff.sampled import SampledSystem, build_sampled
@@ -117,6 +119,66 @@ class TestDeterministic:
     def test_rejects_nonpositive_diffusivity(self):
         with pytest.raises(ValueError):
             simulate_deterministic((0.0, 1.0), 4, 0.1, np.zeros(3))
+
+
+class TestDeterministicBatch:
+    # 300 draws: one full block of BATCH_DRAWS and a partial one.
+    NDRAWS = 300
+
+    @pytest.fixture
+    def draws(self, rho_smooth):
+        assert self.NDRAWS % BATCH_DRAWS != 0
+        return sample_array(rho_smooth, self.NDRAWS, seed=4)
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_matches_per_draw_solver(self, draws, n):
+        tau = 1 / 12
+        u = pulse_input(120, tau)
+        batch = simulate_deterministic_batch(draws, n, tau, u)
+        looped = np.array([simulate_deterministic(q, n, tau, u) for q in draws])
+        assert batch.shape == looped.shape == (self.NDRAWS, 121)
+        # Relative to each draw's largest output: early outputs are tiny
+        # (the input has not diffused to the surface yet) and carry only
+        # absolute rounding.
+        rel = np.abs(batch - looped).max(axis=1) / np.abs(looped).max(axis=1)
+        assert rel.max() <= 1e-12
+
+    def test_zero_input_gives_exact_zeros(self, draws):
+        y = simulate_deterministic_batch(draws, 8, 1 / 12, np.zeros(30))
+        assert y.shape == (self.NDRAWS, 31)
+        np.testing.assert_array_equal(y, 0.0)
+
+    def test_empty_input_gives_initial_output(self, draws):
+        y = simulate_deterministic_batch(draws, 8, 1 / 12, np.zeros(0))
+        assert y.shape == (self.NDRAWS, 1)
+        np.testing.assert_array_equal(y, 0.0)
+
+    @pytest.mark.parametrize("q1", [0.0, -0.5])
+    def test_rejects_nonpositive_diffusivity(self, draws, q1):
+        bad = draws.copy()
+        bad[BATCH_DRAWS + 3, 0] = q1
+        with pytest.raises(ValueError):
+            simulate_deterministic_batch(bad, 4, 0.1, np.zeros(3))
+
+    def test_nan_input_diverges(self, draws):
+        u = pulse_input(24, 1 / 12)
+        u[10] = np.nan
+        with pytest.raises(SimulationDivergenceError):
+            simulate_deterministic_batch(draws, 4, 1 / 12, u)
+
+    def test_overflowing_exponential_is_a_conditioning_error(self, draws):
+        bad = draws.copy()
+        bad[5, 0] = 1e300
+        with pytest.raises(ConditioningError):
+            simulate_deterministic_batch(bad, 4, 0.1, np.ones(3))
+
+    def test_output_linear_in_q2(self, draws):
+        tau = 1 / 12
+        u = pulse_input(60, tau)
+        doubled = draws * np.array([1.0, 2.0])
+        y = simulate_deterministic_batch(draws, 8, tau, u)
+        y2 = simulate_deterministic_batch(doubled, 8, tau, u)
+        np.testing.assert_allclose(y2, 2 * y, rtol=1e-14, atol=1e-14 * np.abs(y).max())
 
 
 class TestPopulationVsMonteCarlo:

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import pulse_input
 
-from popdiff.density import RhoParams
+from popdiff.density import RhoParams, sample_array
 from popdiff.forward import simulate_deterministic
 from popdiff.grid import GridSpec
 from popdiff.uncertainty import credible_band, sample_trajectories
@@ -77,6 +77,23 @@ class TestCredibleBand:
             band = credible_band(rho, band_spec, band_input, nsamples=400, seed=5)
             widths.append(band.width.max())
         assert widths[0] > widths[1] > widths[2]
+
+    def test_band_equals_quantiles_of_per_draw_solves(self, rho_smooth, band_spec, band_input):
+        # Pins the batched band to the path it replaced: per-draw
+        # simulate_deterministic at the same draws, then np.quantile.
+        nsamples, seed, level = 300, 8, 0.75
+        band = credible_band(rho_smooth, band_spec, band_input,
+                             level=level, nsamples=nsamples, seed=seed)
+        looped = np.array([
+            simulate_deterministic(q, band_spec.n, band_spec.tau, band_input)
+            for q in sample_array(rho_smooth, nsamples, seed)
+        ])
+        lo = (1.0 - level) / 2.0
+        scale = np.abs(looped).max()
+        np.testing.assert_allclose(band.lower, np.quantile(looped, lo, axis=0),
+                                   rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_allclose(band.upper, np.quantile(looped, 1.0 - lo, axis=0),
+                                   rtol=1e-12, atol=1e-12 * scale)
 
     def test_validation(self, rho_smooth, band_spec, band_input):
         with pytest.raises(ValueError):
