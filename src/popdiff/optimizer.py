@@ -26,6 +26,11 @@ Termination status:
 * ``line-search-failure``: neither the quasi-Newton nor the steepest-
   descent direction gave a cost decrease;
 * ``degenerate-density``: the starting point itself was vetoed.
+
+The per-episode single-q fits behind ``initialize`` do not use this
+search: their output is linear in the gain, so ``fit_deterministic``
+solves for the gain in closed form and searches q1 alone (variable
+projection, Golub & Pereyra 1973).
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ import numpy as np
 
 from .density import L_FLOOR, QPoint, RhoParams
 from .errors import DegenerateDensityError, PopdiffError
-from .forward import Episode, simulate_deterministic
+from .forward import Episode, simulate_deterministic, simulate_deterministic_batch
 from .grid import Q1_FLOOR, GridSpec
 from .objective import cost as objective_cost
 from .objective import gradient_adjoint, gradient_fd
@@ -278,7 +283,79 @@ def fit(
     )
 
 
-# ------------------------------------------------------------ deterministic 2-D
+# ------------------------------------------------- single-q variable projection
+
+# Log-spaced q1 grid on which fit_deterministic brackets the profile
+# minimum, six decades around the diffusivities of interest (about 0.1-2);
+# a minimum at either end raises, it is never clipped.
+Q1_GRID = np.logspace(-3.0, 3.0, 25)
+# Relative q1 tolerance floor: below it the profile's rounding noise dominates.
+_SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
+_GOLDEN = 0.3819660112501051  # (3 - sqrt(5)) / 2
+_BRENT_MAX_ITER = 100
+
+
+def _project_gain(g: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best gains q2 >= 0 and profile costs ||q2 g - y||^2 for rows of g."""
+    gy = g @ y
+    gg = np.einsum("kt,kt->k", g, g)
+    # A zero row has gy = 0 too, so it gets q2 = 0 and cost ||y||^2.
+    q2 = np.maximum(gy, 0.0) / np.where(gg > 0, gg, 1.0)
+    r = q2[:, None] * g - y
+    return q2, np.einsum("kt,kt->k", r, r)
+
+
+def _brent(f, a: float, b: float, x: float, fx: float, tol: float):
+    """Minimize f on (a, b) from an interior x with f(x) = fx (Brent 1973).
+
+    Parabolic steps through the three best points, golden-section steps
+    when those fail, no step shorter than ``tol``; stops once the bracket
+    around the best point is within about ``2 tol`` of it.  Returns the
+    best point evaluated and its value.
+    """
+    w = v = x
+    fw = fv = fx
+    d = e = 0.0
+    for _ in range(_BRENT_MAX_ITER):
+        m = 0.5 * (a + b)
+        if abs(x - m) <= 2.0 * tol - 0.5 * (b - a):
+            break
+        golden = True
+        if abs(e) > tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                e, d = d, p / q
+                golden = False
+                if x + d - a < 2.0 * tol or b - (x + d) < 2.0 * tol:
+                    d = tol if m > x else -tol
+        if golden:
+            e = (a if x >= m else b) - x
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= tol else (tol if d > 0 else -tol))
+        fu = f(u)
+        if fu <= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx
+
 
 def fit_deterministic(
     episode: Episode,
@@ -286,39 +363,53 @@ def fit_deterministic(
     init: QPoint | tuple = QPoint(1.0, 1.0),
     options: FitOptions | None = None,
 ) -> tuple[QPoint, float]:
-    """Least-squares fit of a single (q1, q2) to one episode.
+    """Least-squares fit of a single (q1, q2 >= 0) to one episode.
 
-    Gradients by central differences (two parameters only); lower bounds
-    q1 >= diffusivity floor, q2 >= 0.
+    The output is linear in the gain, y = q2 g(q1) with g the output at
+    q2 = 1, so for each q1 the best gain has the closed form
+    q2* = max(<g, y> / <g, g>, 0) and the fit is a 1-D search of the
+    profile cost ||q2* g(q1) - y||^2 (variable projection).  The profile
+    is evaluated on ``Q1_GRID`` with one batched solve; a bounded Brent
+    search in log q1 then refines the best grid point inside the bracket
+    of its two neighbours.
+
+    Of ``options`` only ``xtol`` applies, as the relative tolerance on q1,
+    floored at sqrt(machine epsilon).  When the best grid point is an end
+    of ``Q1_GRID`` the minimum is not bracketed and PopdiffError is
+    raised (``initialize`` then falls back to its default box).  When the
+    best response is identically zero (zero input, or data with no
+    positive correlation to any grid response) q1 is not determined:
+    ``init`` is returned, with q2 = 0 in the second case, and the cost is
+    ||y||^2.
     """
     opt = options or FitOptions()
-    q_init = np.array(
-        [init.q1, init.q2] if isinstance(init, QPoint) else init, dtype=float
-    )
+    q1_init, q2_init = (init.q1, init.q2) if isinstance(init, QPoint) else init
+    y = episode.y_obs
+    grid = np.column_stack([Q1_GRID, np.ones_like(Q1_GRID)])
+    g_grid = simulate_deterministic_batch(grid, spec.n, spec.tau, episode.u)
+    q2_grid, c_grid = _project_gain(g_grid, y)
+    if not q2_grid.any():
+        q2 = float(q2_init) if not g_grid.any() else 0.0
+        return QPoint(float(q1_init), q2), float(y @ y)
+    i = int(np.argmin(c_grid))
+    if i in (0, len(Q1_GRID) - 1):
+        raise PopdiffError(
+            f"profile minimum at q1 = {Q1_GRID[i]:g}, the end of the q1 grid: "
+            "q1 is not bracketed"
+        )
 
-    def fun(q):
-        y = simulate_deterministic(q, spec.n, spec.tau, episode.u)
-        r = y - episode.y_obs
-        return float(r @ r)
+    gains = {}
 
-    def fun_grad(q):
-        c = fun(q)
-        g = np.empty(2)
-        for k in range(2):
-            h = 1e-6 * (1 + abs(q[k]))
-            up, dn = q.copy(), q.copy()
-            up[k] += h
-            dn[k] = max(dn[k] - h, (Q1_FLOOR if k == 0 else 0.0))
-            g[k] = (fun(up) - fun(dn)) / (up[k] - dn[k])
-        return c, g
+    def profile(s):
+        g = simulate_deterministic((np.exp(s), 1.0), spec.n, spec.tau, episode.u)
+        q2, c = _project_gain(g[None], y)
+        gains[s] = float(q2[0])
+        return float(c[0])
 
-    def project(q):
-        return np.maximum(q, [Q1_FLOOR, 0.0])
-
-    core = minimize_bfgs(fun, fun_grad, q_init, project,
-                         opt.gtol, opt.xtol, opt.max_iter, opt.max_backtracks,
-                         opt.step_cap)
-    return QPoint(float(core.x[0]), float(core.x[1])), core.cost
+    s0 = float(np.log(Q1_GRID[i]))
+    s, c = _brent(profile, float(np.log(Q1_GRID[i - 1])), float(np.log(Q1_GRID[i + 1])),
+                  s0, profile(s0), max(opt.xtol, _SQRT_EPS))
+    return QPoint(float(np.exp(s)), gains[s]), c
 
 
 DEFAULT_BOX = (0.1, 2.0, 0.1, 2.0)
@@ -332,11 +423,15 @@ def initialize(
 ) -> RhoParams:
     """Moment-based starting point from per-episode deterministic fits.
 
-    Each episode is fit on its own; the means of the fitted pairs seed
-    the location, the fitted spread (plus a 10% margin) seeds the box,
-    and the spreads start independent with standard deviation one sixth
-    of the box edge.  If any per-episode fit fails, the configured
-    default box is used instead and a warning is issued.
+    Each episode is fit on its own by ``fit_deterministic`` (closed-form
+    gain, 1-D search in q1; of ``options`` only ``xtol`` and ``gap_min``
+    apply); the means of the fitted pairs seed the location, the fitted
+    spread (plus a margin of 10% or ``gap_min``) seeds the box, and the
+    spreads start independent with standard deviation one sixth of the
+    box edge.  If any per-episode fit fails (raises PopdiffError, for
+    instance because its q1 minimum lies beyond the q1 grid, or is not
+    finite), the configured default box is used instead and a warning is
+    issued.
     """
     if len(episodes) < 2:
         raise ValueError("moment initialization needs at least 2 episodes")

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +79,30 @@ class TestFitResultContract:
         trace = payload["trace"]
         costs = [row[1] for row in trace]
         assert all(b < a for a, b in zip(costs, costs[1:]))
+
+
+class TestMomentInitialization:
+    def test_fit_without_init_rho_starts_from_moments(self, golden_paths, tmp_path):
+        # The only CLI path through optimizer.initialize: init_mode = moment
+        # (the default) and no --init-rho.
+        config = tmp_path / "moment.txt"
+        config.write_text(
+            "n = 4\nm1 = 2\nm2 = 2\ntau = 0.08333333333333333\nmax_iter = 5\n"
+            "seed = 3\nsynth_episodes = 3\npulse_duration_h = 5.0\n"
+            "init_mode = moment\n"
+        )
+        assert main(["synth", str(config), golden_paths["rho"],
+                     "--out-dir", str(tmp_path / "data")]) == 0
+        episodes = sorted(str(p) for p in (tmp_path / "data").glob("synth-*.csv"))
+        assert len(episodes) == 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a fallback to the default box warns
+            code = main(["fit", str(config), *episodes, "--out-dir", str(tmp_path / "fit")])
+        assert code == 0
+        payload = json.loads((tmp_path / "fit" / "fit_result.json").read_text())
+        assert payload["status"] in {"converged", "stalled-step", "max-iterations",
+                                     "line-search-failure", "degenerate-density"}
+        assert payload["config_echo"]["init_mode"] == "moment"
 
 
 class TestSynth:

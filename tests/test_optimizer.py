@@ -1,15 +1,23 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from conftest import pulse_input, truncated_moments
 
 import popdiff.optimizer as optimizer_mod
 from popdiff.errors import PopdiffError
 from popdiff.density import QPoint, RhoParams
-from popdiff.forward import Episode, population_system, simulate, simulate_deterministic
+from popdiff.forward import (
+    Episode,
+    population_system,
+    simulate,
+    simulate_deterministic,
+    simulate_deterministic_batch,
+)
 from popdiff.grid import GridSpec
 from popdiff.objective import cost, gradient_adjoint
 from popdiff.optimizer import (
+    Q1_GRID,
     FitOptions,
     chain_gradient,
     fit,
@@ -194,6 +202,76 @@ class TestFitDeterministic:
         q_two, _ = fit_deterministic(Episode("x2", spec_small.tau, u, 2 * y), spec_small)
         assert q_two.q2 == pytest.approx(2 * q_one.q2, rel=1e-3)
         assert q_two.q1 == pytest.approx(q_one.q1, rel=1e-3)
+
+
+    @staticmethod
+    def noisy_episode(spec, q=(0.65, 1.2), steps=60, seed=7):
+        u = pulse_input(steps, spec.tau)
+        y = simulate_deterministic(q, spec.n, spec.tau, u)
+        y = y + 0.01 * np.random.default_rng(seed).standard_normal(y.shape)
+        return Episode("noisy", spec.tau, u, y)
+
+    @staticmethod
+    def profile(ep, spec, q1):
+        """||q2* g - y||^2 at the closed-form gain q2* >= 0, g the output at q2 = 1."""
+        g = simulate_deterministic((q1, 1.0), spec.n, spec.tau, ep.u)
+        q2 = max(g @ ep.y_obs / (g @ g), 0.0)
+        r = q2 * g - ep.y_obs
+        return float(r @ r)
+
+    def test_cost_is_the_profile_minimum(self, spec_small):
+        ep = self.noisy_episode(spec_small)
+        q_hat, c = fit_deterministic(ep, spec_small)
+        assert c == pytest.approx(self.profile(ep, spec_small, q_hat.q1), rel=1e-12)
+        for q1 in [*Q1_GRID, q_hat.q1 * (1 - 1e-4), q_hat.q1 * (1 + 1e-4)]:
+            assert c <= self.profile(ep, spec_small, q1), q1
+
+    def test_gain_is_optimal_for_the_fitted_q1(self, spec_small):
+        ep = self.noisy_episode(spec_small)
+        q_hat, c = fit_deterministic(ep, spec_small)
+        for factor in (1 - 1e-6, 1 + 1e-6):
+            y = simulate_deterministic((q_hat.q1, q_hat.q2 * factor), spec_small.n,
+                                       spec_small.tau, ep.u)
+            r = y - ep.y_obs
+            assert c <= r @ r, factor
+
+    def test_anticorrelated_data_give_zero_gain(self, spec_small):
+        # -g(0.65) is not anticorrelated with every response: the model's
+        # slow-diffusion outputs (q1 below about 0.03 here) dip below zero,
+        # and the fit gives them a positive gain.  So take the data with
+        # the largest margin t such that <g, y> <= -t for every grid
+        # response g, under |y| <= 1.
+        u = pulse_input(40, spec_small.tau)
+        grid = np.column_stack([Q1_GRID, np.ones_like(Q1_GRID)])
+        g = simulate_deterministic_batch(grid, spec_small.n, spec_small.tau, u)
+        steps = g.shape[1]
+        lp = linprog(np.r_[np.zeros(steps), -1.0],
+                     A_ub=np.hstack([g, np.ones((len(g), 1))]), b_ub=np.zeros(len(g)),
+                     bounds=[(-1.0, 1.0)] * steps + [(None, 1.0)])
+        y = lp.x[:steps]
+        assert lp.status == 0 and (g @ y).max() < -1e-3
+        q_hat, c = fit_deterministic(Episode("neg", spec_small.tau, u, y), spec_small,
+                                     init=QPoint(0.8, 0.9))
+        assert q_hat.q2 == 0.0
+        assert q_hat.q1 == 0.8  # q1 is not determined by a zero response
+        assert c == y @ y
+
+    @pytest.mark.parametrize("q1_true", [Q1_GRID[0] / 10, Q1_GRID[-1] * 10])
+    def test_minimum_beyond_the_grid_raises(self, spec_small, q1_true):
+        # A minimum at an end of the q1 grid is not bracketed: the fit
+        # raises rather than return the clipped end point, so initialize
+        # falls back to its default box with a warning.
+        u = pulse_input(40, spec_small.tau)
+        y = simulate_deterministic((q1_true, 1.2), spec_small.n, spec_small.tau, u)
+        ep = Episode("far", spec_small.tau, u, y)
+        with pytest.raises(PopdiffError, match="not bracketed"):
+            fit_deterministic(ep, spec_small)
+        with pytest.warns(UserWarning, match="falling back"):
+            initialize([ep, ep], spec_small)
+
+    def test_repeat_calls_are_bit_identical(self, spec_small):
+        ep = self.noisy_episode(spec_small)
+        assert fit_deterministic(ep, spec_small) == fit_deterministic(ep, spec_small)
 
 
 class TestInitialize:
