@@ -8,7 +8,7 @@ bivariate normal parameter law to pooled episode data by adjoint-
 gradient least squares and reports credible bands for predicted outputs.
 """
 
-from .assembly import AssembledOperators, assemble, assemble_grad
+from .assembly import AssembledOperators, assemble
 from .density import (
     QPoint,
     RhoParams,
@@ -67,7 +67,6 @@ __all__ = [
     "SimulationDivergenceError",
     "SingularOperatorError",
     "assemble",
-    "assemble_grad",
     "build_sampled",
     "build_sensitivities",
     "cost",

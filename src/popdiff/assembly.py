@@ -48,9 +48,9 @@ DEFAULT_CELL_QUAD_ORDER = 8
 class AssembledOperators:
     """Weighted mass/stiffness blocks plus input/output functionals.
 
-    Matrices are stored per cell; ``M`` and ``K`` materialize the dense
-    block-diagonal form on demand.  Gradient tensors are present only
-    when assembled with ``with_grad=True``.
+    Matrices are stored per cell as (ncells, b, b) stacks, the only form
+    any layer reads.  Gradient tensors are present only when assembled
+    with ``with_grad=True``.
     """
 
     block_size: int
@@ -69,52 +69,10 @@ class AssembledOperators:
     def dim(self) -> int:
         return self.block_size * self.ncells
 
-    @property
-    def M(self) -> np.ndarray:
-        return blocks_to_dense(self.M_blocks)
-
-    @property
-    def K(self) -> np.ndarray:
-        return blocks_to_dense(self.K_blocks)
-
-    @property
-    def dM(self) -> np.ndarray:
-        return np.stack([blocks_to_dense(b) for b in self.dM_blocks])
-
-    @property
-    def dK(self) -> np.ndarray:
-        return np.stack([blocks_to_dense(b) for b in self.dK_blocks])
-
-    @classmethod
-    def from_dense(cls, M, K, Bvec, Cvec, dM=None, dK=None, dB=None, dC=None):
-        """Wrap dense matrices as a single block (surrogate systems, tests)."""
-        M = np.atleast_2d(np.asarray(M, dtype=float))
-        return cls(
-            block_size=M.shape[0],
-            ncells=1,
-            M_blocks=M[None],
-            K_blocks=np.atleast_2d(np.asarray(K, dtype=float))[None],
-            Bvec=np.atleast_1d(np.asarray(Bvec, dtype=float)),
-            Cvec=np.atleast_1d(np.asarray(Cvec, dtype=float)),
-            f_min=np.inf,
-            dM_blocks=None if dM is None else np.asarray(dM, dtype=float)[:, None],
-            dK_blocks=None if dK is None else np.asarray(dK, dtype=float)[:, None],
-            dB=None if dB is None else np.asarray(dB, dtype=float),
-            dC=None if dC is None else np.asarray(dC, dtype=float),
-        )
-
 
 def _flat_cells(arr: np.ndarray) -> np.ndarray:
     """Flatten trailing (m1, m2) axes to the cell index c = (j1-1) + m1*(j2-1)."""
     return np.moveaxis(arr, -2, -1).reshape(*arr.shape[:-2], -1)
-
-
-def blocks_to_dense(blocks: np.ndarray) -> np.ndarray:
-    ncells, b, _ = blocks.shape
-    out = np.zeros((ncells * b, ncells * b))
-    for c in range(ncells):
-        out[c * b:(c + 1) * b, c * b:(c + 1) * b] = blocks[c]
-    return out
 
 
 def _axis_nodes(lo: float, hi: float, m: int, order: int):
@@ -269,13 +227,3 @@ def assemble(
         ops.dC[:, idx0] = dw
     return ops
 
-
-def assemble_grad(
-    spec: GridSpec,
-    rho: RhoParams,
-    quad_order: int = DEFAULT_CELL_QUAD_ORDER,
-    norm_quad_order: int = DEFAULT_NORM_QUAD_ORDER,
-):
-    """Dense parameter-derivative tensors (dM, dK, dB, dC)."""
-    ops = assemble(spec, rho, quad_order, norm_quad_order, with_grad=True)
-    return ops.dM, ops.dK, ops.dB, ops.dC

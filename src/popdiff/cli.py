@@ -138,7 +138,7 @@ def _cmd_bands(args) -> int:
     episode = _load_scaled_episodes([args.episode], cfg)[0]
     band = credible_band(
         rho, cfg.spec, episode.u, cfg.band_level, cfg.band_nsamples,
-        cfg.band_seed, cfg.cell_quad_order,
+        cfg.band_seed, cfg.cell_quad_order, cfg.norm_quad_order,
     )
     dataio.atomic_write_text(args.out, dataio.band_csv(cfg.tau, band))
     print(f"wrote {args.out}")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -224,8 +225,7 @@ class RunConfig:
     xtol: float = 1e-9
     max_iter: int = 200
     gap_min: float = 1e-3
-    grad_method: str = "adjoint"     # adjoint | finite-difference
-    fd_step: float = 1e-6
+    fd_step: float = 1e-6            # gradcheck's finite-difference step
     init_mode: str = "moment"        # moment | explicit
     default_box: tuple = (0.1, 2.0, 0.1, 2.0)
     q1_max: float = 10.0
@@ -256,10 +256,10 @@ class RunConfig:
             raise ConfigError(f"scaling must be none|paper, got {self.scaling!r}")
         if self.init_mode not in ("moment", "explicit"):
             raise ConfigError(f"init_mode must be moment|explicit, got {self.init_mode!r}")
-        if self.grad_method not in ("adjoint", "finite-difference"):
-            raise ConfigError(f"grad_method must be adjoint|finite-difference")
         if self.synth_mode not in ("population", "episode"):
-            raise ConfigError(f"synth_mode must be population|episode")
+            raise ConfigError(
+                f"synth_mode must be population|episode, got {self.synth_mode!r}"
+            )
         if len(self.default_box) != 4:
             raise ConfigError("default_box needs 4 entries (a1, b1, a2, b2)")
         if len(self.nu_levels) < 1:
@@ -274,7 +274,7 @@ class RunConfig:
         return FitOptions(
             gtol=self.gtol, xtol=self.xtol, max_iter=self.max_iter,
             quad_order=self.cell_quad_order, norm_quad_order=self.norm_quad_order,
-            gap_min=self.gap_min, method=self.grad_method, fd_step=self.fd_step,
+            gap_min=self.gap_min,
         )
 
     @property
@@ -304,6 +304,8 @@ def _coerce(name: str, raw: str, kind):
         if kind is tuple:
             parts = [p for p in raw.split(",") if p.strip()]
             nums = [float(p) for p in parts]
+            if not all(math.isfinite(v) for v in nums):
+                raise ValueError("non-finite entry")
             return tuple(int(v) if v == int(v) else v for v in nums)
     except ValueError as exc:
         raise ConfigError(f"bad value for {name}: {raw!r}") from exc

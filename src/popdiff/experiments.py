@@ -21,7 +21,7 @@ from .density import RhoParams
 from .errors import PopdiffError
 from .forward import Episode
 from .grid import GridSpec
-from .optimizer import FitOptions, fit, initialize
+from .optimizer import FitOptions, fit
 
 DISCLAIMER = (
     "numerical trend evidence only; nothing here is a proof of the "
@@ -74,14 +74,14 @@ def consistency_trend(
     steps0: int = 24,
     pulse_spec: PulseSpec | None = None,
     fit_options: FitOptions | None = None,
-    init: str = "truth",
 ) -> TrendReport:
     """Estimator error in the mean against growing data volume.
 
     Level k uses nu_levels[k] episodes, sampling interval tau/2^k, and
     steps0*2^k samples per episode, so every level covers the same
-    horizon.  Errors are medians over seeds of |mu_hat - mu0|; failed
-    fits are recorded and excluded from the median.
+    horizon.  Every fit starts at the truth rho0.  Errors are medians over
+    seeds of |mu_hat - mu0|; failed fits are recorded and excluded from
+    the median.
     """
     if len(nu_levels) < 3:
         raise ValueError("need at least 3 levels for a trend")
@@ -102,15 +102,14 @@ def consistency_trend(
         for s in range(seeds):
             cell = {
                 "level": nu, "seed": s, "tau": tau_k,
-                "steps": steps0 * 2**k, "noise_sigma": noise_sigma, "init": init,
+                "steps": steps0 * 2**k, "noise_sigma": noise_sigma, "init": "truth",
             }
             try:
                 episodes = generate_synthetic(
                     rho0, spec_k, nu, noise_sigma, seed=1000 * k + s,
                     pulse_spec=pulses, mode="population",
                 )
-                start = rho0 if init == "truth" else initialize(episodes, spec_k)
-                result = fit(episodes, spec_k, start, fit_options)
+                result = fit(episodes, spec_k, rho0, fit_options)
                 err = _mu_error(result.rho_hat, rho0)
                 cell.update(status=result.status, error=err)
                 level_errors.append(err)
@@ -129,24 +128,22 @@ def refinement_trend(
     specs: list[GridSpec],
     episodes: list[Episode],
     fit_options: FitOptions | None = None,
-    init: RhoParams | None = None,
 ) -> TrendReport:
     """Distance of fitted parameters to the finest-grid fit.
 
-    All grids see the same episodes; the error at each level is the
-    Euclidean distance of the full parameter vector from the fit at the
-    finest grid (zero there by construction).
+    All grids see the same episodes and every fit starts at rho0; the
+    error at each level is the Euclidean distance of the full parameter
+    vector from the fit at the finest grid (zero there by construction).
     """
     if len(specs) < 3:
         raise ValueError("need at least 3 nested grids")
     dims = [s.dim for s in specs]
     if any(b <= a for a, b in zip(dims, dims[1:])):
         raise ValueError("grids must be strictly refining")
-    start = init if init is not None else rho0
     fits = []
     cells = []
     for spec in specs:
-        result = fit(episodes, spec, start, fit_options)
+        result = fit(episodes, spec, rho0, fit_options)
         fits.append(result.rho_hat)
         cells.append({
             "level": spec.dim, "n": spec.n, "m1": spec.m1, "m2": spec.m2,

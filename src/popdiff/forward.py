@@ -104,11 +104,11 @@ def deterministic_operators(q, n: int) -> AssembledOperators:
     bvec[n] = q2
     cvec = np.zeros(n + 1)
     cvec[0] = 1.0
-    return AssembledOperators.from_dense(
-        M=eta_mass_matrix(n),
-        K=e00 + q1 * eta_stiffness_matrix(n),
-        Bvec=bvec,
-        Cvec=cvec,
+    return AssembledOperators(
+        block_size=n + 1, ncells=1,
+        M_blocks=eta_mass_matrix(n)[None],
+        K_blocks=(e00 + q1 * eta_stiffness_matrix(n))[None],
+        Bvec=bvec, Cvec=cvec, f_min=np.inf,
     )
 
 

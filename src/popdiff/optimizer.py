@@ -45,7 +45,12 @@ from .errors import DegenerateDensityError, PopdiffError
 from .forward import Episode, simulate_deterministic, simulate_deterministic_batch
 from .grid import Q1_FLOOR, GridSpec
 from .objective import cost as objective_cost
-from .objective import gradient_adjoint, gradient_fd
+from .objective import gradient_adjoint
+
+# Line search: at most this many halvings, from a first trial step of at
+# most this norm in working coordinates.
+MAX_BACKTRACKS = 45
+STEP_CAP = 1.0
 
 
 @dataclass
@@ -53,13 +58,9 @@ class FitOptions:
     gtol: float = 1e-6
     xtol: float = 1e-9
     max_iter: int = 200
-    max_backtracks: int = 45
-    step_cap: float = 1.0  # largest first-trial step norm in working coords
     quad_order: int = 8
     norm_quad_order: int = 24
     gap_min: float = 1e-3
-    method: str = "adjoint"  # or "finite-difference"
-    fd_step: float = 1e-6
 
 
 @dataclass
@@ -89,7 +90,7 @@ class CoreResult:
 
 
 def minimize_bfgs(fun, fun_grad, x0, project, gtol=1e-6, xtol=1e-9,
-                  max_iter=200, max_backtracks=45, step_cap=1.0) -> CoreResult:
+                  max_iter=200) -> CoreResult:
     """Projected-backtracking quasi-Newton descent on any dimension.
 
     ``fun`` returns the cost, ``fun_grad`` the (cost, gradient) pair;
@@ -116,8 +117,8 @@ def minimize_bfgs(fun, fun_grad, x0, project, gtol=1e-6, xtol=1e-9,
 
     def line_search(d):
         nonlocal n_cost
-        alpha = min(1.0, step_cap / max(float(np.linalg.norm(d)), 1e-300))
-        for _ in range(max_backtracks):
+        alpha = min(1.0, STEP_CAP / max(float(np.linalg.norm(d)), 1e-300))
+        for _ in range(MAX_BACKTRACKS):
             x_try = project(x + alpha * d)
             step = x_try - x
             if step.any():
@@ -256,18 +257,12 @@ def fit(
 
     def fun_grad(z):
         rho = working_to_rho(z, opt.gap_min)
-        if opt.method == "finite-difference":
-            report = gradient_fd(rho, spec, episodes, opt.fd_step,
-                                 opt.quad_order, opt.norm_quad_order)
-        else:
-            report = gradient_adjoint(rho, spec, episodes,
-                                      opt.quad_order, opt.norm_quad_order)
+        report = gradient_adjoint(rho, spec, episodes, opt.quad_order, opt.norm_quad_order)
         return report.cost, chain_gradient(report.grad, z)
 
     z0 = rho_to_working(init, opt.gap_min)
     core = minimize_bfgs(fun, fun_grad, z0, _project_working,
-                         opt.gtol, opt.xtol, opt.max_iter, opt.max_backtracks,
-                         opt.step_cap)
+                         opt.gtol, opt.xtol, opt.max_iter)
     if core.status == "degenerate-density" or not core.trace:
         rho_hat = init
     elif len(core.trace) == 1:

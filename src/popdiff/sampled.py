@@ -8,14 +8,15 @@ collapse exactly to the recursion x_{j+1} = Ahat x_j + Bhat u_j with
     Agen = -M^{-1} K,
 
 and the output stays the assembled functional, y_j = Chat . x_j.  All
-matrices inherit the per-cell block-diagonal structure, so exponentials
-and solves run block by block.
+matrices inherit the per-cell block-diagonal structure, so every
+operator is a (ncells, b, b) stack and each factorization, solve,
+product and exponential below acts on a whole stack at once.
 
 Sensitivities: differentiating M Agen = -K gives
 dAgen = -M^{-1}(dK + dM Agen); the pair (Ahat, dAhat) then comes from the
 exponential of the block-augmented matrix [[Agen, dAgen], [0, Agen]],
-computed one parameter at a time, and dBhat follows from the product rule
-on the closed form.
+computed one parameter at a time for all cells, and dBhat follows from
+the product rule on the closed form.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .assembly import AssembledOperators, blocks_to_dense
+from .assembly import AssembledOperators
 from .errors import ConditioningError, SingularOperatorError
 
 
@@ -52,52 +53,39 @@ class SampledSystem:
     def n_params(self) -> int:
         return 0 if self.dA_blocks is None else self.dA_blocks.shape[0]
 
-    @property
-    def Ahat(self) -> np.ndarray:
-        return blocks_to_dense(self.A_blocks)
-
-    @property
-    def Agen(self) -> np.ndarray:
-        return blocks_to_dense(self.Agen_blocks)
-
-    @property
-    def dAhat(self) -> np.ndarray:
-        return np.stack([blocks_to_dense(b) for b in self.dA_blocks])
-
     def spectral_radius(self) -> float:
-        return max(
-            float(np.abs(np.linalg.eigvals(block)).max()) for block in self.A_blocks
-        )
+        return float(np.abs(np.linalg.eigvals(self.A_blocks)).max())
 
 
 def augmented_expm(gen: np.ndarray, direction: np.ndarray, tau: float):
-    """Exponential of [[gen, direction], [0, gen]] * tau.
+    """Exponential of [[gen, direction], [0, gen]] * tau, slice by slice.
 
-    Returns (upper_right, lower_right): the sensitivity of exp(gen*tau)
-    in the given direction and exp(gen*tau) itself.
+    ``gen`` and ``direction`` are (..., b, b) stacks.  Returns
+    (upper_right, lower_right): the sensitivity of exp(gen*tau) in the
+    given direction and exp(gen*tau) itself.  A slice whose direction is
+    zero gets an exactly zero sensitivity.
     """
-    b = gen.shape[0]
-    if not direction.any():
-        return np.zeros((b, b)), scipy.linalg.expm(gen * tau)
-    aug = np.zeros((2 * b, 2 * b))
-    aug[:b, :b] = gen
-    aug[:b, b:] = direction
-    aug[b:, b:] = gen
+    b = gen.shape[-1]
+    aug = np.zeros(gen.shape[:-2] + (2 * b, 2 * b))
+    aug[..., :b, :b] = gen
+    aug[..., :b, b:] = direction
+    aug[..., b:, b:] = gen
     big = scipy.linalg.expm(aug * tau)
-    return big[:b, b:], big[b:, b:]
+    upper = big[..., :b, b:]
+    upper[~direction.any(axis=(-2, -1))] = 0.0
+    return upper, big[..., b:, b:]
 
 
-def _cho_factors(ops: AssembledOperators):
-    factors = []
-    for c, block in enumerate(ops.M_blocks):
-        try:
-            factors.append(scipy.linalg.cho_factor(block))
-        except scipy.linalg.LinAlgError as exc:
-            raise SingularOperatorError(
-                f"mass block {c} is not positive definite (cell weight "
-                f"{block.max():.3e}); cannot factorize"
-            ) from exc
-    return factors
+def _cho_factor(ops: AssembledOperators):
+    """Cholesky factors of every mass block, for batched ``cho_solve``."""
+    try:
+        factor, _ = scipy.linalg.cho_factor(ops.M_blocks)
+    except scipy.linalg.LinAlgError as exc:
+        raise SingularOperatorError(
+            f"a mass block is not positive definite (smallest cell weight "
+            f"{ops.M_blocks.max(axis=(1, 2)).min():.3e}); cannot factorize"
+        ) from exc
+    return factor, False
 
 
 def build_sampled(ops: AssembledOperators, tau: float) -> SampledSystem:
@@ -105,66 +93,60 @@ def build_sampled(ops: AssembledOperators, tau: float) -> SampledSystem:
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
     b = ops.block_size
-    factors = _cho_factors(ops)
-    bvec = ops.Bvec.reshape(ops.ncells, b)
-
-    A_blocks = np.empty_like(ops.M_blocks)
-    Agen_blocks = np.empty_like(ops.M_blocks)
-    Bhat = np.empty((ops.ncells, b))
-    for c in range(ops.ncells):
-        gen = -scipy.linalg.cho_solve(factors[c], ops.K_blocks[c])
-        ahat = scipy.linalg.expm(gen * tau)
-        if not np.all(np.isfinite(ahat)):
-            raise ConditioningError(f"matrix exponential overflowed in cell {c}")
-        beta = scipy.linalg.cho_solve(factors[c], bvec[c])
-        try:
-            Bhat[c] = (ahat - np.eye(b)) @ np.linalg.solve(gen, beta)
-        except np.linalg.LinAlgError as exc:
-            raise SingularOperatorError(f"generator block {c} singular") from exc
-        Agen_blocks[c] = gen
-        A_blocks[c] = ahat
+    # One solve for [K | Bvec]: each batched scipy.linalg call costs tens
+    # of microseconds of Python, which the single-q fits pay per call.
+    rhs = np.concatenate([ops.K_blocks, ops.Bvec.reshape(ops.ncells, b, 1)], axis=-1)
+    sol = scipy.linalg.cho_solve(_cho_factor(ops), rhs)
+    # cho_solve hands back Fortran-ordered slices; the products that read
+    # the stored generator round as on C-ordered blocks.
+    gen = np.ascontiguousarray(-sol[..., :b])
+    beta = sol[..., b:]
+    ahat = scipy.linalg.expm(gen * tau)
+    finite = np.isfinite(ahat).all(axis=(1, 2))
+    if not finite.all():
+        raise ConditioningError(
+            f"matrix exponential overflowed in cell {int(np.argmin(finite))}"
+        )
+    try:
+        x = np.linalg.solve(gen, beta)
+    except np.linalg.LinAlgError as exc:
+        raise SingularOperatorError("a generator block is singular") from exc
+    Bhat = (ahat - np.eye(b)) @ x
     return SampledSystem(
         block_size=b, ncells=ops.ncells, tau=tau,
-        A_blocks=A_blocks, Agen_blocks=Agen_blocks,
+        A_blocks=ahat, Agen_blocks=gen,
         Bhat=Bhat.reshape(-1), Chat=ops.Cvec.copy(),
     )
 
 
 def build_sensitivities(ops: AssembledOperators, sys: SampledSystem) -> SampledSystem:
-    """Fill dAhat, dBhat, dChat on ``sys`` from the gradient tensors of ``ops``.
+    """Fill dA_blocks, dBhat, dChat on ``sys`` from the gradient tensors of ``ops``.
 
-    One augmented exponential per (parameter, cell); memory stays at a
-    single doubled block.
+    One stacked augmented exponential per parameter; memory stays at a
+    single (ncells, 2b, 2b) stack.
     """
     if ops.dM_blocks is None:
         raise ValueError("operators were assembled without gradients")
     b = ops.block_size
     n_params = ops.dM_blocks.shape[0]
-    factors = _cho_factors(ops)
-    bvec = ops.Bvec.reshape(ops.ncells, b)
-    dbvec = ops.dB.reshape(n_params, ops.ncells, b)
-    eye = np.eye(b)
+    factor = _cho_factor(ops)
+    gen = sys.Agen_blocks
+    beta = scipy.linalg.cho_solve(factor, ops.Bvec.reshape(ops.ncells, b, 1))
+    dbvec = ops.dB.reshape(n_params, ops.ncells, b, 1)
+    gen_lu = scipy.linalg.lu_factor(gen)
+    x = scipy.linalg.lu_solve(gen_lu, beta)
+    ahat_minus_eye = sys.A_blocks - np.eye(b)
 
     dA_blocks = np.empty((n_params, ops.ncells, b, b))
-    dBhat = np.empty((n_params, ops.ncells, b))
-    for c in range(ops.ncells):
-        gen = sys.Agen_blocks[c]
-        ahat = sys.A_blocks[c]
-        beta = scipy.linalg.cho_solve(factors[c], bvec[c])
-        gen_lu = scipy.linalg.lu_factor(gen)
-        x = scipy.linalg.lu_solve(gen_lu, beta)
-        for k in range(n_params):
-            dgen = -scipy.linalg.cho_solve(
-                factors[c], ops.dK_blocks[k, c] + ops.dM_blocks[k, c] @ gen
-            )
-            dahat, _ = augmented_expm(gen, dgen, sys.tau)
-            dbeta = scipy.linalg.cho_solve(
-                factors[c], dbvec[k, c] - ops.dM_blocks[k, c] @ beta
-            )
-            dA_blocks[k, c] = dahat
-            dBhat[k, c] = dahat @ x + (ahat - eye) @ scipy.linalg.lu_solve(
-                gen_lu, dbeta - dgen @ x
-            )
+    dBhat = np.empty((n_params, ops.ncells, b, 1))
+    for k in range(n_params):
+        dgen = -scipy.linalg.cho_solve(factor, ops.dK_blocks[k] + ops.dM_blocks[k] @ gen)
+        dahat, _ = augmented_expm(gen, dgen, sys.tau)
+        dbeta = scipy.linalg.cho_solve(factor, dbvec[k] - ops.dM_blocks[k] @ beta)
+        dA_blocks[k] = dahat
+        dBhat[k] = dahat @ x + ahat_minus_eye @ scipy.linalg.lu_solve(
+            gen_lu, dbeta - dgen @ x
+        )
     sys.dA_blocks = dA_blocks
     sys.dBhat = dBhat.reshape(n_params, -1)
     sys.dChat = ops.dC.copy()

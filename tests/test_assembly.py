@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from conftest import random_rho, truncated_moments
 
-from popdiff.assembly import AssembledOperators, assemble, assemble_grad
+from popdiff.assembly import assemble
 from popdiff.density import RhoParams
 from popdiff.errors import DegenerateDensityError
 from popdiff.grid import GridSpec, eta_mass_matrix, eta_stiffness_matrix
@@ -22,9 +23,9 @@ class TestAssembleValues:
         spec = GridSpec(n=1, m1=1, m2=1, tau=0.1)
         ops = assemble(spec, nearly_uniform_rho())
         np.testing.assert_allclose(
-            ops.M, [[1 / 3, 1 / 6], [1 / 6, 1 / 3]], rtol=1e-5
+            block_diag(*ops.M_blocks), [[1 / 3, 1 / 6], [1 / 6, 1 / 3]], rtol=1e-5
         )
-        np.testing.assert_allclose(ops.K, [[3, -2], [-2, 2]], rtol=1e-5)
+        np.testing.assert_allclose(block_diag(*ops.K_blocks), [[3, -2], [-2, 2]], rtol=1e-5)
         np.testing.assert_allclose(ops.Bvec, [0, 1], atol=1e-5)
         np.testing.assert_allclose(ops.Cvec, [1, 0], atol=1e-5)
 
@@ -52,8 +53,9 @@ class TestAssembleValues:
         spec = GridSpec(n=5, m1=3, m2=2, tau=0.1)
         for _ in range(5):
             ops = assemble(spec, random_rho(rng))
-            np.testing.assert_allclose(ops.M, ops.M.T, atol=1e-15)
-            np.testing.assert_allclose(ops.K, ops.K.T, atol=1e-13)
+            M, K = block_diag(*ops.M_blocks), block_diag(*ops.K_blocks)
+            np.testing.assert_allclose(M, M.T, atol=1e-15)
+            np.testing.assert_allclose(K, K.T, atol=1e-13)
 
     def test_cell_weights_sum_to_one(self, rho_smooth):
         spec = GridSpec(n=3, m1=4, m2=4, tau=0.1)
@@ -64,7 +66,7 @@ class TestAssembleValues:
     def test_block_diagonal_exact_zeros(self, rho_smooth):
         spec = GridSpec(n=2, m1=2, m2=3, tau=0.1)
         ops = assemble(spec, rho_smooth)
-        M = ops.M
+        M = block_diag(*ops.M_blocks)
         b = spec.block_size
         for c in range(spec.ncells):
             for c2 in range(spec.ncells):
@@ -78,8 +80,9 @@ class TestAssembleValues:
         for _ in range(10):
             ops = assemble(spec, random_rho(rng))
             v = rng.standard_normal(spec.dim)
-            assert v @ ops.K @ v >= -1e-12
-            assert v @ (ops.K + ops.M) @ v > 0
+            M, K = block_diag(*ops.M_blocks), block_diag(*ops.K_blocks)
+            assert v @ K @ v >= -1e-12
+            assert v @ (K + M) @ v > 0
 
     def test_refinement_consistency_uniform(self):
         # Sibling fine cells must reproduce the coarse weights when the
@@ -111,8 +114,8 @@ def fd_operators(spec, rho, k, h, quad_order=8):
     ops_up = assemble(spec, RhoParams.from_array(up), quad_order)
     ops_dn = assemble(spec, RhoParams.from_array(dn), quad_order)
     return (
-        (ops_up.M - ops_dn.M) / (2 * h),
-        (ops_up.K - ops_dn.K) / (2 * h),
+        (block_diag(*ops_up.M_blocks) - block_diag(*ops_dn.M_blocks)) / (2 * h),
+        (block_diag(*ops_up.K_blocks) - block_diag(*ops_dn.K_blocks)) / (2 * h),
         (ops_up.Bvec - ops_dn.Bvec) / (2 * h),
         (ops_up.Cvec - ops_dn.Cvec) / (2 * h),
     )
@@ -124,7 +127,10 @@ class TestAssembleGrad:
         spec = GridSpec(n=3, m1=3, m2=2, tau=0.1)
         for _ in range(3):
             rho = random_rho(rng)
-            dM, dK, dB, dC = assemble_grad(spec, rho)
+            ops = assemble(spec, rho, with_grad=True)
+            dM = [block_diag(*blocks) for blocks in ops.dM_blocks]
+            dK = [block_diag(*blocks) for blocks in ops.dK_blocks]
+            dB, dC = ops.dB, ops.dC
             base = rho.as_array()
             for k in range(9):
                 h = 1e-6 * (1 + abs(base[k]))
@@ -155,10 +161,3 @@ class TestAssembleGrad:
             ops.dK_blocks[4, 0], dmean * eta_stiffness_matrix(2), rtol=1e-6, atol=1e-9
         )
 
-
-class TestFromDense:
-    def test_scalar_surrogate_round_trip(self):
-        ops = AssembledOperators.from_dense(M=[[2.0]], K=[[1.0]], Bvec=[3.0], Cvec=[1.0])
-        assert ops.dim == 1
-        np.testing.assert_allclose(ops.M, [[2.0]])
-        np.testing.assert_allclose(ops.K, [[1.0]])

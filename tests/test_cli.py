@@ -149,6 +149,15 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "DegenerateDensityError"
 
+    def test_non_finite_config_entry_is_usage_error(self, golden_paths, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("default_box = 0.1, inf, 0.1, 2.0\n")
+        code = main(["fit", str(bad), golden_paths["episode"], "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "default_box" in err["message"]
+
     def test_explicit_init_requires_rho(self, golden_paths, tmp_path, capsys):
         code = main(["fit", golden_paths["config"], golden_paths["episode"],
                      "--out-dir", str(tmp_path)])
@@ -170,3 +179,21 @@ class TestScaling:
         rows = out.read_text().splitlines()[2:]
         observed = np.array([float(r.split(",")[2]) for r in rows])
         assert observed.max() == pytest.approx(1.0)
+
+
+class TestQuadratureOrders:
+    def test_bands_mean_equals_simulate_at_configured_norm_order(self, golden_paths,
+                                                                 tmp_path):
+        # Both center lines are the population output at the configured
+        # orders; a non-default norm_quad_order must reach both commands.
+        config = tmp_path / "order.txt"
+        config.write_text((GOLDEN / "config.txt").read_text() + "norm_quad_order = 4\n")
+        sim, bands = tmp_path / "sim.csv", tmp_path / "bands.csv"
+        assert main(["simulate", str(config), golden_paths["rho"],
+                     golden_paths["episode"], "--out", str(sim)]) == 0
+        assert main(["bands", str(config), golden_paths["rho"],
+                     golden_paths["episode"], "--out", str(bands)]) == 0
+        predicted = [row.split(",")[1] for row in sim.read_text().splitlines()[2:]]
+        mean = [row.split(",")[2] for row in bands.read_text().splitlines()[2:]]
+        assert len(predicted) == len(mean) > 1
+        assert mean == predicted

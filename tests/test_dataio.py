@@ -203,6 +203,19 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config("n = four")
 
+    @pytest.mark.parametrize("entry", ["inf", "-inf", "nan"])
+    def test_non_finite_tuple_entry_rejected(self, entry):
+        with pytest.raises(ConfigError, match="default_box"):
+            parse_config(f"default_box = 0.1, {entry}, 0.1, 2.0")
+
+    def test_bad_synth_mode_names_value(self):
+        with pytest.raises(ConfigError, match="'loud'"):
+            parse_config("synth_mode = loud")
+
+    def test_removed_grad_method_key_rejected(self):
+        with pytest.raises(ConfigError, match="unknown key 'grad_method'"):
+            parse_config("grad_method = adjoint")
+
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("scaling = loud")

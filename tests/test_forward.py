@@ -72,7 +72,7 @@ class TestSimulate:
         sys = population_system(rho_smooth, spec_small)
         u = pulse_input(20, spec_small.tau)
         y, states = simulate(sys, u, return_states=True)
-        A, B, C = sys.Ahat, sys.Bhat, sys.Chat
+        A, B, C = scipy.linalg.block_diag(*sys.A_blocks), sys.Bhat, sys.Chat
         x = np.zeros(sys.dim)
         for j in range(len(u)):
             assert y[j] == pytest.approx(C @ x, abs=1e-13)
