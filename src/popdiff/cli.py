@@ -77,7 +77,7 @@ def _cmd_fit(args) -> int:
     )
     dataio.atomic_write_text(out_dir / "cost_trace.csv", dataio.trace_csv(result))
     print(f"status={result.status} cost={result.cost:.6e} "
-          f"iterations={len(result.cost_trace) - 1}")
+          f"iterations={max(len(result.cost_trace) - 1, 0)}")
     return 0
 
 

@@ -371,7 +371,8 @@ def fit_result_json(result: FitResult, config: RunConfig, seed: int) -> str:
         "rho_hat": rho_to_dict(result.rho_hat),
         "sigma": sigma_from_l(result.rho_hat).tolist(),
         "status": result.status,
-        "cost": result.cost,
+        # JSON has no Infinity: a vetoed start (no finite cost) writes null.
+        "cost": result.cost if math.isfinite(result.cost) else None,
         "trace": [list(row) for row in result.cost_trace],
         "config_echo": config.echo(),
         "seed": seed,

@@ -1,15 +1,15 @@
-"""Forward simulation: the population system and the single-q oracle.
+"""Forward simulation: the population system and the single-q model.
 
-The single-q (deterministic) solver is the ground-truth reference the
-population layer is checked against: the population output equals the
-density-weighted expectation of single-q outputs, so a Monte Carlo mean
-over parameter draws must converge to the population trajectory.
-
-Monte Carlo draws go through ``simulate_deterministic_batch``: every draw
-shares the mass matrix, its generator is affine in q1 and its output is
-linear in q2, so one stacked exponential and one vectorized recursion
-serve a whole block of draws.  ``simulate_deterministic`` stays the
-per-draw reference that the batch is tested against.
+The single-q model has one solver, ``simulate_deterministic_batch``: every
+draw shares the mass matrix, its generator is affine in q1 and its output
+is linear in q2, so one stacked exponential and one vectorized recursion
+serve a whole block of draws.  ``simulate_deterministic`` is its one-draw
+case.  The population system is assembled independently (tensor
+Galerkin), and with piecewise-constant cells its output is exactly the
+density-weighted mixture of single-q outputs, sum_c w2_c g(w1_c/w_c) with
+g the output at q2 = 1; the tests hold each solver to the other through
+that identity.  A Monte Carlo mean over parameter draws converges to the
+population trajectory.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .assembly import AssembledOperators, assemble
-from .density import QPoint, RhoParams, sample_array
+from .assembly import assemble
+from .density import RhoParams, _as_point, sample_array
 from .errors import ConditioningError, SimulationDivergenceError, SingularOperatorError
 from .grid import GridSpec, eta_mass_matrix, eta_stiffness_matrix
 from .sampled import SampledSystem, build_sampled
@@ -93,32 +93,9 @@ def simulate(sys: SampledSystem, u: np.ndarray, return_states: bool = False):
     return (y, states) if return_states else y
 
 
-def deterministic_operators(q, n: int) -> AssembledOperators:
-    """Single-q operators on the hat basis alone (no parameter cells)."""
-    q1, q2 = (q.q1, q.q2) if isinstance(q, QPoint) else (float(q[0]), float(q[1]))
-    if not q1 > 0:
-        raise ValueError(f"diffusivity q1 must be positive, got {q1}")
-    e00 = np.zeros((n + 1, n + 1))
-    e00[0, 0] = 1.0
-    bvec = np.zeros(n + 1)
-    bvec[n] = q2
-    cvec = np.zeros(n + 1)
-    cvec[0] = 1.0
-    return AssembledOperators(
-        block_size=n + 1, ncells=1,
-        M_blocks=eta_mass_matrix(n)[None],
-        K_blocks=(e00 + q1 * eta_stiffness_matrix(n))[None],
-        Bvec=bvec, Cvec=cvec, f_min=np.inf,
-    )
-
-
-def deterministic_system(q, n: int, tau: float) -> SampledSystem:
-    return build_sampled(deterministic_operators(q, n), tau)
-
-
 def simulate_deterministic(q, n: int, tau: float, u: np.ndarray) -> np.ndarray:
     """Output of the single-q model for one input sequence."""
-    return simulate(deterministic_system(q, n, tau), u)
+    return simulate_deterministic_batch(np.array([_as_point(q)]), n, tau, u)[0]
 
 
 def simulate_deterministic_batch(
@@ -126,9 +103,8 @@ def simulate_deterministic_batch(
 ) -> np.ndarray:
     """(len(qs), len(u)+1) single-q outputs for the draws ``qs`` (rows q1, q2).
 
-    Same model as ``simulate_deterministic``: the generator of draw i is
-    G0 + q1_i G1 with G0 = -M^{-1} e0 e0^T and G1 = -M^{-1} K_eta, and
-    Bhat_i = q2_i (Ahat_i - I) gen_i^{-1} M^{-1} e_n.
+    The generator of draw i is G0 + q1_i G1 with G0 = -M^{-1} e0 e0^T and
+    G1 = -M^{-1} K_eta, and Bhat_i = q2_i (Ahat_i - I) gen_i^{-1} M^{-1} e_n.
     """
     qs = np.asarray(qs, dtype=float)
     if qs.ndim != 2 or qs.shape[1] != 2:

@@ -73,15 +73,25 @@ def cost(
     """Sum of squared residuals over all episodes, j = 0 included."""
     _check_episodes(spec, episodes)
     sys = _system(rho, spec, quad_order, norm_quad_order, False, check_gamma)
+    return _episode_costs(sys, episodes)[0]
+
+
+def _episode_costs(sys: SampledSystem, episodes: list[Episode]):
+    """Total and per-episode squared residuals; a divergence names its episode."""
+    # An explicit running sum, not sum(): from Python 3.12 on sum() of
+    # floats is compensated and would round the total differently.
     total = 0.0
+    per_episode = []
     for ep in episodes:
         try:
             y = simulate(sys, ep.u)
         except SimulationDivergenceError as exc:
             raise SimulationDivergenceError(f"episode {ep.id}: {exc}") from exc
         r = y - ep.y_obs
-        total += float(r @ r)
-    return total
+        c = float(r @ r)
+        total += c
+        per_episode.append((ep.id, c))
+    return total, per_episode
 
 
 def episode_cost_and_gradient(sys: SampledSystem, u: np.ndarray, y_obs: np.ndarray):
@@ -170,13 +180,7 @@ def gradient_fd(
         raise ValueError(f"step must be positive, got {step}")
     _check_episodes(spec, episodes)
     sys = _system(rho, spec, quad_order, norm_quad_order, False, check_gamma)
-    total = 0.0
-    per_episode = []
-    for ep in episodes:
-        r = simulate(sys, ep.u) - ep.y_obs
-        c = float(r @ r)
-        total += c
-        per_episode.append((ep.id, c))
+    total, per_episode = _episode_costs(sys, episodes)
 
     base = rho.as_array()
     grad = np.empty(9)

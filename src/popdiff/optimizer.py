@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import L_FLOOR, QPoint, RhoParams
+from .density import L_FLOOR, QPoint, RhoParams, _as_point
 from .errors import DegenerateDensityError, PopdiffError
 from .forward import Episode, simulate_deterministic, simulate_deterministic_batch
 from .grid import Q1_FLOOR, GridSpec
@@ -378,14 +378,14 @@ def fit_deterministic(
     ||y||^2.
     """
     opt = options or FitOptions()
-    q1_init, q2_init = (init.q1, init.q2) if isinstance(init, QPoint) else init
+    q1_init, q2_init = _as_point(init)
     y = episode.y_obs
     grid = np.column_stack([Q1_GRID, np.ones_like(Q1_GRID)])
     g_grid = simulate_deterministic_batch(grid, spec.n, spec.tau, episode.u)
     q2_grid, c_grid = _project_gain(g_grid, y)
     if not q2_grid.any():
-        q2 = float(q2_init) if not g_grid.any() else 0.0
-        return QPoint(float(q1_init), q2), float(y @ y)
+        q2 = q2_init if not g_grid.any() else 0.0
+        return QPoint(q1_init, q2), float(y @ y)
     i = int(np.argmin(c_grid))
     if i in (0, len(Q1_GRID) - 1):
         raise PopdiffError(

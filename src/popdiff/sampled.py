@@ -93,8 +93,8 @@ def build_sampled(ops: AssembledOperators, tau: float) -> SampledSystem:
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
     b = ops.block_size
-    # One solve for [K | Bvec]: each batched scipy.linalg call costs tens
-    # of microseconds of Python, which the single-q fits pay per call.
+    # One solve for [K | Bvec] rather than two: scipy.linalg's batched
+    # calls loop over the cells in Python, a fixed cost paid per call.
     rhs = np.concatenate([ops.K_blocks, ops.Bvec.reshape(ops.ncells, b, 1)], axis=-1)
     sol = scipy.linalg.cho_solve(_cho_factor(ops), rhs)
     # cho_solve hands back Fortran-ordered slices; the products that read

@@ -5,10 +5,9 @@ simulated at parameter draws from the fitted distribution.  The
 trajectories come from the single-q model itself, not from the
 tensor-basis population state read pointwise in q, which would read a
 mean-square-integrable state at a point.
-``forward.simulate_deterministic_batch`` solves a block of draws at once
-(one stacked exponential, one vectorized recursion); the per-draw solver
-``simulate_deterministic`` gives the same trajectories up to rounding and
-is the reference the tests compare against.
+All draws go through ``forward.simulate_deterministic_batch``, the one
+single-q solver (one stacked exponential and one vectorized recursion per
+block of draws).
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ import pytest
 from conftest import golden_mismatches
 
 from popdiff.cli import main
-from popdiff.dataio import load_episode, write_rho_json
+from popdiff.dataio import load_episode, rho_to_dict, write_rho_json
 from popdiff.density import RhoParams
 
 GOLDEN = Path(__file__).parent / "goldens"
@@ -79,6 +79,25 @@ class TestFitResultContract:
         trace = payload["trace"]
         costs = [row[1] for row in trace]
         assert all(b < a for a, b in zip(costs, costs[1:]))
+
+    def test_vetoed_start_writes_strict_json(self, golden_paths, tmp_path, capsys):
+        # The density floor vetoes this start, so the fit has no finite cost.
+        start = RhoParams(0.15, 1.6, 0.2, 2.2, 9.0, 9.0, 0.1, 0.0, 0.1)
+        write_rho_json(start, tmp_path / "start.json")
+        code = main(["fit", golden_paths["config"], golden_paths["episode"],
+                     "--init-rho", str(tmp_path / "start.json"),
+                     "--out-dir", str(tmp_path)])
+        assert code == 0
+        assert "iterations=0" in capsys.readouterr().out
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        payload = json.loads((tmp_path / "fit_result.json").read_text(),
+                             parse_constant=reject)
+        assert payload["status"] == "degenerate-density"
+        assert payload["rho_hat"] == rho_to_dict(start)
+        assert payload["cost"] is None
 
 
 class TestMomentInitialization:

@@ -4,13 +4,12 @@ import scipy.linalg
 
 from conftest import pulse_input, smooth_pulse_input
 
-from popdiff.assembly import assemble
-from popdiff.density import RhoParams, sample_array
+from popdiff.assembly import _cell_moments, _flat_cells
+from popdiff.density import QPoint, RhoParams, sample_array
 from popdiff.errors import ConditioningError, SimulationDivergenceError
 from popdiff.forward import (
     BATCH_DRAWS,
     Episode,
-    deterministic_system,
     population_system,
     population_vs_montecarlo,
     simulate,
@@ -120,6 +119,28 @@ class TestDeterministic:
         with pytest.raises(ValueError):
             simulate_deterministic((0.0, 1.0), 4, 0.1, np.zeros(3))
 
+    @pytest.mark.parametrize("tau", [0.0, -0.1])
+    def test_rejects_nonpositive_tau(self, tau):
+        with pytest.raises(ValueError):
+            simulate_deterministic((0.8, 1.2), 4, tau, np.ones(3))
+
+    def test_overflowing_exponential_is_a_conditioning_error(self):
+        with pytest.raises(ConditioningError):
+            simulate_deterministic((1e300, 1.0), 4, 0.1, np.ones(3))
+
+    def test_nan_input_diverges(self):
+        u = pulse_input(24, 1 / 12)
+        u[10] = np.nan
+        with pytest.raises(SimulationDivergenceError):
+            simulate_deterministic((0.8, 1.2), 4, 1 / 12, u)
+
+    def test_qpoint_and_tuple_agree(self):
+        u = pulse_input(36, 1 / 12)
+        np.testing.assert_array_equal(
+            simulate_deterministic(QPoint(0.8, 1.2), 8, 1 / 12, u),
+            simulate_deterministic((0.8, 1.2), 8, 1 / 12, u),
+        )
+
 
 class TestDeterministicBatch:
     # 300 draws: one full block of BATCH_DRAWS and a partial one.
@@ -132,6 +153,8 @@ class TestDeterministicBatch:
 
     @pytest.mark.parametrize("n", [4, 8, 16])
     def test_matches_per_draw_solver(self, draws, n):
+        # Each draw solved alone must match its row of the blocked solve:
+        # checks the slicing into BATCH_DRAWS blocks and the partial block.
         tau = 1 / 12
         u = pulse_input(120, tau)
         batch = simulate_deterministic_batch(draws, n, tau, u)
@@ -179,6 +202,24 @@ class TestDeterministicBatch:
         y = simulate_deterministic_batch(draws, 8, tau, u)
         y2 = simulate_deterministic_batch(doubled, 8, tau, u)
         np.testing.assert_allclose(y2, 2 * y, rtol=1e-14, atol=1e-14 * np.abs(y).max())
+
+
+class TestCellMixture:
+    # With piecewise-constant cells the population output is exactly the
+    # mixture sum_c w2_c g(w1_c / w_c) of single-q outputs at q2 = 1; the
+    # tensor-Galerkin assembly and the batched single-q solver share no
+    # code, so each is the other's oracle.
+    @pytest.mark.parametrize("n,m1,m2", [(4, 1, 1), (4, 2, 2), (6, 3, 2),
+                                         (8, 4, 4), (16, 8, 8)])
+    def test_population_is_the_cell_mixture(self, rho_smooth, n, m1, m2):
+        spec = GridSpec(n=n, m1=m1, m2=m2, tau=1 / 12)
+        u = pulse_input(60, spec.tau)
+        pop = simulate(population_system(rho_smooth, spec), u)
+        moments, _, _ = _cell_moments(spec, rho_smooth, 8, 24, with_grad=False)
+        w, w1, w2 = _flat_cells(moments)
+        nodes = np.column_stack([w1 / w, np.ones_like(w)])
+        mixture = w2 @ simulate_deterministic_batch(nodes, n, spec.tau, u)
+        assert np.abs(pop - mixture).max() <= 1e-12 * np.abs(pop).max()
 
 
 class TestPopulationVsMonteCarlo:

@@ -4,7 +4,7 @@ import pytest
 from conftest import pulse_input, random_rho
 
 from popdiff.density import RhoParams
-from popdiff.errors import DegenerateDensityError
+from popdiff.errors import DegenerateDensityError, SimulationDivergenceError
 from popdiff.forward import Episode, population_system, simulate
 from popdiff.grid import GridSpec
 from popdiff.objective import (
@@ -195,3 +195,11 @@ class TestGradientFd:
         spec, rho, episodes = fit_setup
         with pytest.raises(ValueError):
             gradient_fd(rho, spec, episodes, step=0.0)
+
+    @pytest.mark.parametrize("fn", [cost, gradient_adjoint, gradient_fd])
+    def test_divergence_names_the_episode(self, rho_smooth, spec_small, fn):
+        # gradcheck reports the error message; it has to say which episode.
+        big = Episode("big", spec_small.tau, np.full(400, 1.7e308), np.zeros(401))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(SimulationDivergenceError, match="^episode big: "):
+            fn(rho_smooth, spec_small, [big])

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -321,3 +326,30 @@ class TestInitialize:
             rho = initialize(episodes, spec_small, default_box=(0.1, 2.0, 0.1, 2.0))
         assert (rho.a1, rho.b1, rho.a2, rho.b2) == (0.1, 2.0, 0.1, 2.0)
         assert rho.mu1 == pytest.approx(1.05)
+
+
+# Runs in a fresh interpreter: this module itself imports scipy.optimize.
+NO_SCIPY_OPTIMIZE = """
+import sys
+import popdiff
+from popdiff.dataio import generate_synthetic
+
+rho = popdiff.RhoParams(0.2, 1.4, 0.3, 2.0, 0.7, 1.1, 0.18, 0.05, 0.25)
+spec = popdiff.GridSpec(n=4, m1=2, m2=2, tau=1 / 12)
+episodes = generate_synthetic(rho, spec, 3, 0.01, 1, mode="episode")
+init = popdiff.initialize(episodes, spec)
+popdiff.fit(episodes, spec, init, popdiff.FitOptions(max_iter=2))
+popdiff.credible_band(init, spec, episodes[0].u, nsamples=100)
+popdiff.gradient_fd(init, spec, episodes)
+print("scipy.optimize" in sys.modules)
+"""
+
+
+def test_library_never_imports_scipy_optimize():
+    # Importing scipy.optimize costs about 0.3 s and 20 MB of start-up.
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run([sys.executable, "-c", NO_SCIPY_OPTIMIZE],
+                         env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"

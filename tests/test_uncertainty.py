@@ -79,8 +79,8 @@ class TestCredibleBand:
         assert widths[0] > widths[1] > widths[2]
 
     def test_band_equals_quantiles_of_per_draw_solves(self, rho_smooth, band_spec, band_input):
-        # Pins the batched band to the path it replaced: per-draw
-        # simulate_deterministic at the same draws, then np.quantile.
+        # Pins the band to its definition: every draw solved on its own
+        # by simulate_deterministic, then np.quantile at each time.
         nsamples, seed, level = 300, 8, 0.75
         band = credible_band(rho_smooth, band_spec, band_input,
                              level=level, nsamples=nsamples, seed=seed)
