@@ -1,0 +1,74 @@
+#!/usr/bin/env python3
+"""Bit-identity digests of the benchmark workloads' outputs.
+
+For each workload of ``perfbench/workloads.py`` this prints the first 16
+hex digits of ``workloads.digest`` over:
+
+* the fit from ``START`` (``rho_hat`` and the cost trace), with its
+  status, iteration count and cost/gradient evaluation counts;
+* ``gradient_adjoint`` (cost and gradient) at ``START`` and at ``RHO``;
+* ``initialize`` on the fit episodes;
+* ``credible_band`` on the band input of seed 1, at ``RHO`` or at the
+  fit's ``rho_hat`` as the workload's rounds place it.
+
+A refactoring that must not change one bit of output leaves every digest
+unchanged.  Digests depend on the BLAS kernel, so compare two commits on
+one machine; no test pins them.  Run from the repository root:
+
+    python3 scripts/digests.py [--workload NAME ...]
+"""
+
+import argparse
+import pathlib
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import popdiff  # noqa: E402
+import workloads  # noqa: E402
+
+BAND_SEED = 1
+
+
+def short(*arrays) -> str:
+    return workloads.digest(*arrays)[:16]
+
+
+def report(w) -> list[str]:
+    spec = w.fit.spec
+    episodes = workloads.fit_episodes(w)
+    result = popdiff.fit(episodes, spec, workloads.START, workloads.FIT_OPTIONS)
+    fit = workloads._fit_result(result)
+    lines = [
+        f"fit {short(fit['rho_hat'], fit['cost_trace'])} {fit['status']} "
+        f"iterations={fit['iterations']} cost_evals={fit['cost_evals']} "
+        f"grad_evals={fit['grad_evals']}"
+    ]
+    for label, rho in (("START", workloads.START), ("RHO", workloads.RHO)):
+        adj = popdiff.gradient_adjoint(rho, spec, episodes)
+        lines.append(f"gradient_adjoint@{label} {short(adj.cost, adj.grad)}")
+    lines.append(f"initialize {short(popdiff.initialize(episodes, spec).as_array())}")
+    at = workloads.RHO if w.band_at_truth else result.rho_hat
+    band = popdiff.credible_band(at, w.band_spec,
+                                 workloads.band_input(w, BAND_SEED), w.level,
+                                 w.nsamples, BAND_SEED)
+    lines.append(f"credible_band@seed{BAND_SEED} "
+                 f"{short(band.lower, band.upper, band.mean_output)}")
+    return lines
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workload", action="append", choices=list(workloads.WORKLOADS),
+                    help="workload to digest (repeatable; default: all)")
+    args = ap.parse_args(argv)
+    for name in args.workload or list(workloads.WORKLOADS):
+        for line in report(workloads.WORKLOADS[name]):
+            print(f"{name} {line}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -28,7 +28,14 @@ class ConditioningError(PopdiffError):
 
 
 class SimulationDivergenceError(PopdiffError):
-    """The discrete-time state recursion produced non-finite values."""
+    """The discrete-time state recursion produced non-finite values.
+
+    ``rows`` lists the diverged rows of a stacked simulation, in order.
+    """
+
+    def __init__(self, message: str, rows: list[int] | None = None):
+        self.rows = rows or []
+        super().__init__(message)
 
 
 class EpisodeParseError(PopdiffError, ValueError):

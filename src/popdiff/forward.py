@@ -69,27 +69,35 @@ class Episode:
 def simulate(sys: SampledSystem, u: np.ndarray, return_states: bool = False):
     """Run the affine recursion from x0 = 0; output at j = 0..len(u).
 
-    With ``return_states`` the full state trajectory comes back too (the
-    adjoint pass consumes it).
+    ``u`` is one input sequence (mu,) or a stack (E, mu) of equal-length
+    ones, which run as one recursion; the outputs are then (E, mu+1) and
+    row e equals the one-sequence call on ``u[e]`` bit for bit.  With
+    ``return_states`` the full state trajectory comes back too, (mu+1, dim)
+    or (E, mu+1, dim) (the adjoint pass consumes it).  A non-finite output
+    or state raises SimulationDivergenceError, whose ``rows`` names the
+    stack rows that diverged.
     """
     u = np.asarray(u, dtype=float)
-    mu = u.shape[0]
-    b = sys.block_size
-    bhat = sys.Bhat.reshape(sys.ncells, b)
-    x = np.zeros((sys.ncells, b))
-    y = np.empty(mu + 1)
-    states = np.zeros((mu + 1, sys.dim)) if return_states else None
-    chat = sys.Chat
-    for j in range(mu):
-        y[j] = chat @ x.reshape(-1)
-        if return_states:
-            states[j] = x.reshape(-1)
-        x = np.einsum("cij,cj->ci", sys.A_blocks, x) + bhat * u[j]
-    y[mu] = chat @ x.reshape(-1)
-    if return_states:
-        states[mu] = x.reshape(-1)
-    if not np.all(np.isfinite(y)) or not np.all(np.isfinite(x)):
-        raise SimulationDivergenceError("state recursion produced non-finite values")
+    us = u if u.ndim == 2 else u[None]
+    count, mu = us.shape
+    bhat = sys.Bhat.reshape(sys.ncells, sys.block_size)
+    states = np.empty((count, mu + 1, sys.ncells, sys.block_size))
+    x = states[:, 0] = np.zeros((count, sys.ncells, sys.block_size))
+    # A diverging run overflows to inf and then NaN; the check below
+    # reports it, so NumPy's warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(mu):
+            x = states[:, j + 1] = (np.einsum("cij,ecj->eci", sys.A_blocks, x)
+                                    + bhat * us[:, j, None, None])
+        states = states.reshape(count, mu + 1, sys.dim)
+        # vecdot rounds each output as chat @ x does: one dot per state.
+        y = np.vecdot(states, sys.Chat)
+    bad = ~(np.isfinite(y).all(axis=1) & np.isfinite(x).all(axis=(1, 2)))
+    if bad.any():
+        raise SimulationDivergenceError("state recursion produced non-finite values",
+                                        rows=np.flatnonzero(bad).tolist())
+    if u.ndim == 1:
+        y, states = y[0], states[0]
     return (y, states) if return_states else y
 
 

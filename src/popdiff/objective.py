@@ -18,10 +18,23 @@ coordinate selector, which is what the residual gradient requires for a
 dense output functional.  The number of backward passes is independent
 of the number of parameters; a central finite-difference twin serves as
 the permanent cross-check oracle.
+
+``evaluate`` is the one evaluation: it applies the density veto,
+assembles and samples the system once and runs all episodes of one
+input length as one stacked forward recursion.  It returns the cost and
+a ``gradient`` function that reuses that forward pass: it assembles only
+the derivative tensors (``with_grad`` changes no bit of the operators),
+adds the sensitivities to the same sampled system and runs one stacked
+backward recursion.  Each episode's contractions and the sum over
+episodes stay per episode, in list order, so the results equal a
+one-episode-at-a-time loop bit for bit.  ``cost``, ``gradient_adjoint``
+and ``gradient_fd`` call it; ``optimizer.fit`` calls it directly and
+asks for the gradient only at accepted points.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,14 +65,82 @@ def _check_episodes(spec: GridSpec, episodes: list[Episode]) -> None:
             )
 
 
-def _system(rho, spec, quad_order, norm_quad_order, with_grad, check_gamma):
+@dataclass
+class Evaluation:
+    """Cost at one parameter point, with its gradient on demand.
+
+    ``gradient()`` reuses the forward pass that gave ``cost``: it adds the
+    parameter sensitivities to the same sampled system and runs the
+    backward recursion over the stored states.
+    """
+
+    cost: float
+    per_episode: list[tuple[str, float]]
+    gradient: Callable[[], CostReport]
+
+
+def evaluate(
+    rho: RhoParams,
+    spec: GridSpec,
+    episodes: list[Episode],
+    quad_order: int = 8,
+    norm_quad_order: int = 24,
+    check_gamma: bool = True,
+) -> Evaluation:
+    """Cost of ``rho`` over all episodes from one forward pass.
+
+    The density floor is checked, the system assembled and sampled once,
+    and the episodes of each input length run as one stacked recursion.
+    A divergence names the first diverging episode in list order.
+    """
+    _check_episodes(spec, episodes)
     floor = gamma_floor(rho.box) if check_gamma else None
-    ops = assemble(spec, rho, quad_order, norm_quad_order,
-                   with_grad=with_grad, gamma_floor=floor)
-    sys = build_sampled(ops, spec.tau)
-    if with_grad:
+    sys = build_sampled(
+        assemble(spec, rho, quad_order, norm_quad_order, gamma_floor=floor), spec.tau
+    )
+    by_length: dict[int, list[int]] = {}
+    for i, ep in enumerate(episodes):
+        by_length.setdefault(ep.steps, []).append(i)
+    runs = []  # (episode indices, inputs, residuals, states) per length
+    diverged = []
+    for idx in by_length.values():
+        us = np.stack([episodes[i].u for i in idx])
+        try:
+            y, states = simulate(sys, us, return_states=True)
+        except SimulationDivergenceError as exc:
+            diverged.append((idx[exc.rows[0]], exc))
+            continue
+        runs.append((idx, us, y - np.stack([episodes[i].y_obs for i in idx]), states))
+    if diverged:
+        i, exc = min(diverged, key=lambda d: d[0])
+        raise SimulationDivergenceError(f"episode {episodes[i].id}: {exc}") from exc
+
+    costs = [0.0] * len(episodes)
+    for idx, _, resid, _ in runs:
+        for i, r in zip(idx, resid):
+            costs[i] = float(r @ r)
+    # An explicit running sum, not sum(): from Python 3.12 on sum() of
+    # floats is compensated and would round the total differently.
+    total = 0.0
+    for c in costs:
+        total += c
+    per_episode = [(ep.id, c) for ep, c in zip(episodes, costs)]
+
+    def gradient() -> CostReport:
+        ops = assemble(spec, rho, quad_order, norm_quad_order, with_grad=True)
         build_sensitivities(ops, sys)
-    return sys
+        grads = [None] * len(episodes)
+        for idx, us, resid, states in runs:
+            for i, g in zip(idx, _adjoint(sys, us, resid, states)):
+                grads[i] = g
+        grad = np.zeros(sys.n_params)
+        for g in grads:
+            grad += g
+        if not np.all(np.isfinite(grad)):
+            raise PopdiffError("adjoint gradient is not finite")
+        return CostReport(cost=total, grad=grad, per_episode=per_episode, method="adjoint")
+
+    return Evaluation(total, per_episode, gradient)
 
 
 def cost(
@@ -71,27 +152,41 @@ def cost(
     check_gamma: bool = True,
 ) -> float:
     """Sum of squared residuals over all episodes, j = 0 included."""
-    _check_episodes(spec, episodes)
-    sys = _system(rho, spec, quad_order, norm_quad_order, False, check_gamma)
-    return _episode_costs(sys, episodes)[0]
+    return evaluate(rho, spec, episodes, quad_order, norm_quad_order, check_gamma).cost
 
 
-def _episode_costs(sys: SampledSystem, episodes: list[Episode]):
-    """Total and per-episode squared residuals; a divergence names its episode."""
-    # An explicit running sum, not sum(): from Python 3.12 on sum() of
-    # floats is compensated and would round the total differently.
-    total = 0.0
-    per_episode = []
-    for ep in episodes:
-        try:
-            y = simulate(sys, ep.u)
-        except SimulationDivergenceError as exc:
-            raise SimulationDivergenceError(f"episode {ep.id}: {exc}") from exc
-        r = y - ep.y_obs
-        c = float(r @ r)
-        total += c
-        per_episode.append((ep.id, c))
-    return total, per_episode
+def _adjoint(sys: SampledSystem, us: np.ndarray, resid: np.ndarray, states: np.ndarray):
+    """Parameter gradients of a stack of equal-length episodes.
+
+    ``us`` (E, mu) are the inputs, ``resid`` (E, mu+1) the residuals and
+    ``states`` (E, mu+1, dim) the forward states; one backward recursion
+    serves the whole stack, and each episode's gradient is contracted on
+    its own, so it equals the one-episode computation bit for bit.
+    """
+    count, mu = us.shape
+    ncells, b = sys.ncells, sys.block_size
+    chat = sys.Chat.reshape(ncells, b)
+    xb = states.reshape(count, mu + 1, ncells, b)
+    zetas = np.empty((count, mu, ncells, b))
+    if mu > 0:
+        zeta = zetas[:, mu - 1] = 2.0 * resid[:, mu, None, None] * chat
+        for j in range(mu - 1, 0, -1):
+            zeta = zetas[:, j - 1] = (np.einsum("cji,ecj->eci", sys.A_blocks, zeta)
+                                      + 2.0 * resid[:, j, None, None] * chat)
+    grads = []
+    for e in range(count):
+        # Contractions shared by every parameter: state/adjoint outer
+        # products per cell, input-weighted adjoint sum, residual-weighted
+        # state sum.
+        outer = np.einsum("jcb,jcd->cbd", zetas[e], xb[e, :mu])
+        input_sum = np.einsum("jcb,j->cb", zetas[e], us[e])
+        resid_sum = 2.0 * np.einsum("j,jcb->cb", resid[e], xb[e])
+        grads.append(
+            np.einsum("kcbd,cbd->k", sys.dA_blocks, outer)
+            + sys.dBhat @ input_sum.reshape(-1)
+            + sys.dChat @ resid_sum.reshape(-1)
+        )
+    return grads
 
 
 def episode_cost_and_gradient(sys: SampledSystem, u: np.ndarray, y_obs: np.ndarray):
@@ -103,40 +198,10 @@ def episode_cost_and_gradient(sys: SampledSystem, u: np.ndarray, y_obs: np.ndarr
     """
     if sys.dA_blocks is None:
         raise ValueError("system has no sensitivity tensors")
+    u = np.asarray(u, dtype=float)
     y, states = simulate(sys, u, return_states=True)
     r = y - np.asarray(y_obs, dtype=float)
-    c = float(r @ r)
-
-    mu = len(u)
-    ncells, b = sys.ncells, sys.block_size
-    forcing = 2.0 * r[:, None] * sys.Chat[None, :]
-    xb = states.reshape(mu + 1, ncells, b)
-
-    if mu > 0:
-        zetas = np.empty((mu, ncells, b))
-        zeta = forcing[mu].reshape(ncells, b)
-        zetas[mu - 1] = zeta
-        for j in range(mu - 1, 0, -1):
-            zeta = np.einsum("cji,cj->ci", sys.A_blocks, zeta) + forcing[j].reshape(
-                ncells, b
-            )
-            zetas[j - 1] = zeta
-        # Contractions shared by every parameter: state/adjoint outer
-        # products per cell, input-weighted adjoint sum, residual-weighted
-        # state sum.
-        outer = np.einsum("jcb,jcd->cbd", zetas, xb[:mu])
-        input_sum = np.einsum("jcb,j->cb", zetas, np.asarray(u, dtype=float))
-    else:
-        outer = np.zeros((ncells, b, b))
-        input_sum = np.zeros((ncells, b))
-    resid_sum = 2.0 * np.einsum("j,jcb->cb", r, xb)
-
-    grad = (
-        np.einsum("kcbd,cbd->k", sys.dA_blocks, outer)
-        + sys.dBhat @ input_sum.reshape(-1)
-        + sys.dChat @ resid_sum.reshape(-1)
-    )
-    return c, grad
+    return float(r @ r), _adjoint(sys, u[None], r[None], states[None])[0]
 
 
 def gradient_adjoint(
@@ -147,23 +212,9 @@ def gradient_adjoint(
     norm_quad_order: int = 24,
     check_gamma: bool = True,
 ) -> CostReport:
-    """Cost plus full gradient with one forward/backward pass per episode."""
-    _check_episodes(spec, episodes)
-    sys = _system(rho, spec, quad_order, norm_quad_order, True, check_gamma)
-    total = 0.0
-    grad = np.zeros(sys.n_params)
-    per_episode = []
-    for ep in episodes:
-        try:
-            c, g = episode_cost_and_gradient(sys, ep.u, ep.y_obs)
-        except SimulationDivergenceError as exc:
-            raise SimulationDivergenceError(f"episode {ep.id}: {exc}") from exc
-        total += c
-        grad += g
-        per_episode.append((ep.id, c))
-    if not np.all(np.isfinite(grad)):
-        raise PopdiffError("adjoint gradient is not finite")
-    return CostReport(cost=total, grad=grad, per_episode=per_episode, method="adjoint")
+    """Cost plus full gradient from one forward and one backward pass."""
+    return evaluate(rho, spec, episodes, quad_order, norm_quad_order,
+                    check_gamma).gradient()
 
 
 def gradient_fd(
@@ -178,9 +229,7 @@ def gradient_fd(
     """Central finite differences of the cost, component by component."""
     if not step > 0:
         raise ValueError(f"step must be positive, got {step}")
-    _check_episodes(spec, episodes)
-    sys = _system(rho, spec, quad_order, norm_quad_order, False, check_gamma)
-    total, per_episode = _episode_costs(sys, episodes)
+    at = evaluate(rho, spec, episodes, quad_order, norm_quad_order, check_gamma)
 
     base = rho.as_array()
     grad = np.empty(9)
@@ -194,5 +243,5 @@ def gradient_fd(
         c_dn = cost(RhoParams.from_array(dn), spec, episodes,
                     quad_order, norm_quad_order, check_gamma)
         grad[k] = (c_up - c_dn) / (2 * h)
-    return CostReport(cost=total, grad=grad, per_episode=per_episode,
+    return CostReport(cost=at.cost, grad=grad, per_episode=at.per_episode,
                       method="finite-difference")

@@ -11,8 +11,12 @@ Search directions come from a Powell-damped BFGS matrix on the working
 coordinates; the backtracking line search accepts a step only when the
 cost strictly decreases, and any model-layer failure (degenerate
 density, singular operator, divergence) just fails the trial step so the
-search can shorten it.  There is no randomness anywhere: identical
-inputs give identical traces.
+search can shorten it.  ``minimize_bfgs`` takes one ``evaluate(x)``
+returning ``(cost, gradient_fn)``: each trial point is evaluated once,
+and the gradient function of the start and of each accepted trial is
+called, so the accepted point is never assembled or simulated again.
+A rejected trial's evaluation is dropped before the next one.  There is
+no randomness anywhere: identical inputs give identical traces.
 
 Termination status:
 
@@ -44,8 +48,7 @@ from .density import L_FLOOR, QPoint, RhoParams, _as_point
 from .errors import DegenerateDensityError, PopdiffError
 from .forward import Episode, simulate_deterministic, simulate_deterministic_batch
 from .grid import Q1_FLOOR, GridSpec
-from .objective import cost as objective_cost
-from .objective import gradient_adjoint
+from .objective import evaluate as evaluate_objective
 
 # Line search: at most this many halvings, from a first trial step of at
 # most this norm in working coordinates.
@@ -89,24 +92,29 @@ class CoreResult:
     n_grad_evals: int
 
 
-def minimize_bfgs(fun, fun_grad, x0, project, gtol=1e-6, xtol=1e-9,
+def minimize_bfgs(evaluate, x0, project, gtol=1e-6, xtol=1e-9,
                   max_iter=200) -> CoreResult:
     """Projected-backtracking quasi-Newton descent on any dimension.
 
-    ``fun`` returns the cost, ``fun_grad`` the (cost, gradient) pair;
-    either may raise PopdiffError to veto a trial point (the search then
-    shortens the step).  When the quasi-Newton direction fails its whole
-    line search, the curvature model is discarded and one steepest-
-    descent line search is attempted before giving up.
+    ``evaluate(x)`` returns the cost at x and a function of no arguments
+    that returns the gradient there; it may raise PopdiffError to veto a
+    trial point (the search then shortens the step).  The gradient
+    function is called only at the start and at each accepted point, so
+    an evaluation that keeps its forward pass never repeats it.  When the
+    quasi-Newton direction fails its whole line search, the curvature
+    model is discarded and one steepest-descent line search is attempted
+    before giving up.
     """
     n = x0.size
     x = project(np.asarray(x0, dtype=float))
     n_cost = n_grad = 0
     try:
-        c, g = fun_grad(x)
-        n_grad += 1
+        c, gradient = evaluate(x)
     except DegenerateDensityError:
         return CoreResult(x, np.inf, [], "degenerate-density", n_cost, n_grad + 1)
+    g = gradient()
+    n_grad += 1
+    del gradient  # holds the start's forward pass
     trace = [(0, c, float(np.linalg.norm(g)), 0.0)]
     B = np.eye(n)
     scaled = False
@@ -116,7 +124,7 @@ def minimize_bfgs(fun, fun_grad, x0, project, gtol=1e-6, xtol=1e-9,
         return float(np.linalg.norm(x - project(x - g))) < gtol * (1 + abs(c))
 
     def line_search(d):
-        nonlocal n_cost
+        nonlocal n_cost, n_grad
         alpha = min(1.0, STEP_CAP / max(float(np.linalg.norm(d)), 1e-300))
         for _ in range(MAX_BACKTRACKS):
             x_try = project(x + alpha * d)
@@ -124,11 +132,15 @@ def minimize_bfgs(fun, fun_grad, x0, project, gtol=1e-6, xtol=1e-9,
             if step.any():
                 n_cost += 1
                 try:
-                    c_try = fun(x_try)
-                    if c_try < c:
-                        return x_try, c_try, step
+                    c_try, gradient = evaluate(x_try)
                 except PopdiffError:
                     pass
+                else:
+                    if c_try < c:
+                        g_try = gradient()
+                        n_grad += 1
+                        return x_try, c_try, step, g_try
+                    del gradient  # drop this trial's forward pass before the next
             alpha *= 0.5
         return None
 
@@ -155,9 +167,7 @@ def minimize_bfgs(fun, fun_grad, x0, project, gtol=1e-6, xtol=1e-9,
             status = "line-search-failure"
             break
 
-        x_new, c_new, s = accepted
-        c_probe, g_new = fun_grad(x_new)
-        n_grad += 1
+        x_new, c_new, s, g_new = accepted
         y = g_new - g
         sy = s @ y
         if not scaled and sy > 0:
@@ -251,17 +261,13 @@ def fit(
     """Minimize the pooled cost over all nine parameters."""
     opt = options or FitOptions()
 
-    def fun(z):
-        rho = working_to_rho(z, opt.gap_min)
-        return objective_cost(rho, spec, episodes, opt.quad_order, opt.norm_quad_order)
-
-    def fun_grad(z):
-        rho = working_to_rho(z, opt.gap_min)
-        report = gradient_adjoint(rho, spec, episodes, opt.quad_order, opt.norm_quad_order)
-        return report.cost, chain_gradient(report.grad, z)
+    def evaluate(z):
+        trial = evaluate_objective(working_to_rho(z, opt.gap_min), spec, episodes,
+                                   opt.quad_order, opt.norm_quad_order)
+        return trial.cost, lambda: chain_gradient(trial.gradient().grad, z)
 
     z0 = rho_to_working(init, opt.gap_min)
-    core = minimize_bfgs(fun, fun_grad, z0, _project_working,
+    core = minimize_bfgs(evaluate, z0, _project_working,
                          opt.gtol, opt.xtol, opt.max_iter)
     if core.status == "degenerate-density" or not core.trace:
         rho_hat = init

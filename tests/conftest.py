@@ -96,6 +96,42 @@ def smooth_pulse_input(steps: int, tau: float, center_h: float = 2.0,
     return height * 0.5 * (1 + np.cos(np.pi * z)) * (np.abs(z) < 1.0)
 
 
+# ------------------------------------------------- per-episode references
+
+def loop_simulate(sys, u):
+    """One episode, one step at a time: the recursion and readout that
+    ``forward.simulate`` stacks.  Same arithmetic, so equal bit for bit."""
+    b = sys.block_size
+    bhat = sys.Bhat.reshape(sys.ncells, b)
+    x = np.zeros((sys.ncells, b))
+    states = [x.reshape(-1)]
+    for uj in u:
+        x = np.einsum("cij,cj->ci", sys.A_blocks, x) + bhat * uj
+        states.append(x.reshape(-1))
+    return np.array([sys.Chat @ s for s in states]), np.array(states)
+
+
+def loop_cost_and_gradient(sys, u, y_obs):
+    """One episode's cost and adjoint gradient, one step at a time, on a
+    system carrying sensitivity tensors."""
+    y, states = loop_simulate(sys, u)
+    r = y - y_obs
+    mu, ncells, b = len(u), sys.ncells, sys.block_size
+    forcing = 2.0 * r[:, None] * sys.Chat[None, :]
+    xb = states.reshape(mu + 1, ncells, b)
+    zetas = np.empty((mu, ncells, b))
+    zeta = zetas[mu - 1] = forcing[mu].reshape(ncells, b)
+    for j in range(mu - 1, 0, -1):
+        zeta = np.einsum("cji,cj->ci", sys.A_blocks, zeta) + forcing[j].reshape(ncells, b)
+        zetas[j - 1] = zeta
+    outer = np.einsum("jcb,jcd->cbd", zetas, xb[:mu])
+    input_sum = np.einsum("jcb,j->cb", zetas, u)
+    resid_sum = 2.0 * np.einsum("j,jcb->cb", r, xb)
+    grad = (np.einsum("kcbd,cbd->k", sys.dA_blocks, outer)
+            + sys.dBhat @ input_sum.reshape(-1) + sys.dChat @ resid_sum.reshape(-1))
+    return float(r @ r), grad
+
+
 # ------------------------------------------------------------------ goldens
 
 # A float literal as repr() and json.dumps() write it: it has a decimal

@@ -139,6 +139,23 @@ class TestAssembleGrad:
                     scale = max(np.linalg.norm(fd), 1e-10)
                     assert np.linalg.norm(an - fd) / scale < 1e-5, (k, rho)
 
+    @pytest.mark.parametrize("n, m", [(4, 2), (8, 4), (16, 8)])
+    def test_operators_do_not_depend_on_with_grad(self, n, m):
+        # The objective samples the cost pass's operators and takes only the
+        # derivative tensors from a with_grad assembly; that is exact only
+        # because with_grad leaves every bit of the operators unchanged.
+        spec = GridSpec(n=n, m1=m, m2=m, tau=1 / 12)
+        rng = np.random.default_rng(n)
+        rhos = [RhoParams(0.2, 1.4, 0.3, 2.0, 0.7, 1.1, 0.18, 0.05, 0.25),
+                RhoParams(0.15, 1.6, 0.25, 2.1, 0.9, 0.9, 0.22, 0.0, 0.27)]
+        rhos += [random_rho(rng) for _ in range(38)]
+        for rho in rhos:
+            plain = assemble(spec, rho)
+            full = assemble(spec, rho, with_grad=True)
+            for name in ("M_blocks", "K_blocks", "Bvec", "Cvec", "f_min"):
+                np.testing.assert_array_equal(getattr(full, name), getattr(plain, name),
+                                              err_msg=f"{name} at {rho}")
+
     def test_mass_derivative_zero_for_whole_box_cell(self):
         # Single cell spanning the box: its weight is identically one, so
         # matched quadrature orders give an exactly zero mu-derivative.

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import pulse_input, smooth_pulse_input
+from conftest import loop_simulate, pulse_input, smooth_pulse_input
 
 from popdiff.assembly import _cell_moments, _flat_cells
 from popdiff.density import QPoint, RhoParams, sample_array
@@ -83,6 +83,42 @@ class TestSimulate:
         sys = scalar_system(2.0, 1.0)
         with pytest.raises(SimulationDivergenceError):
             simulate(sys, np.ones(1200))
+
+    def test_stack_rows_equal_single_calls(self, rho_smooth):
+        spec = GridSpec(n=8, m1=4, m2=4, tau=1 / 12)
+        sys = population_system(rho_smooth, spec)
+        us = np.random.default_rng(3).uniform(0.0, 1.0, (5, 40))
+        y = simulate(sys, us)
+        y_with_states, states = simulate(sys, us, return_states=True)
+        assert y.shape == (5, 41) and states.shape == (5, 41, sys.dim)
+        np.testing.assert_array_equal(y_with_states, y)
+        for e, u in enumerate(us):
+            y_one, states_one = simulate(sys, u, return_states=True)
+            np.testing.assert_array_equal(simulate(sys, u), y[e])
+            np.testing.assert_array_equal(y_one, y[e])
+            np.testing.assert_array_equal(states_one, states[e])
+            y_loop, states_loop = loop_simulate(sys, u)
+            np.testing.assert_array_equal(y_one, y_loop)
+            np.testing.assert_array_equal(states_one, states_loop)
+
+    def test_divergence_names_the_stack_rows(self):
+        sys = scalar_system(2.0, 1.0)
+        us = np.zeros((3, 1200))
+        us[1] = 1.0
+        us[2, 5] = 1.0
+        with pytest.raises(SimulationDivergenceError) as info:
+            simulate(sys, us)
+        assert info.value.rows == [1, 2]
+
+    @pytest.mark.filterwarnings("error")
+    def test_divergence_raises_no_numpy_warning(self, rho_smooth, spec_small):
+        # Overflow, then inf - inf: only the error may surface.
+        sys = population_system(rho_smooth, spec_small)
+        for u in (np.full(400, 1.7e308), np.full((2, 400), 1.7e308)):
+            with pytest.raises(SimulationDivergenceError):
+                simulate(sys, u)
+        with pytest.raises(SimulationDivergenceError):
+            simulate(scalar_system(2.0, 1.0), np.ones(1200))
 
 
 class TestDeterministic:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import pulse_input, random_rho
+from conftest import loop_cost_and_gradient, pulse_input, random_rho
 
+from popdiff.assembly import assemble
 from popdiff.density import RhoParams
 from popdiff.errors import DegenerateDensityError, SimulationDivergenceError
 from popdiff.forward import Episode, population_system, simulate
@@ -13,7 +14,7 @@ from popdiff.objective import (
     gradient_adjoint,
     gradient_fd,
 )
-from popdiff.sampled import SampledSystem
+from popdiff.sampled import SampledSystem, build_sampled, build_sensitivities
 
 
 def make_episodes(rho_true, spec, n_episodes=2, steps=40, noise=0.02, seed=0):
@@ -118,6 +119,35 @@ class TestGradientAdjoint:
                 )
                 assert (np.abs(adj.grad - fd.grad) / denom).max() < 1e-5
 
+    def test_ragged_episodes_equal_per_episode_loops(self, rho_smooth):
+        # Equal-length episodes share one stacked recursion; each episode's
+        # cost and gradient still equal a one-step-at-a-time loop over that
+        # episode alone, bit for bit, summed in episode order.
+        spec = GridSpec(n=5, m1=3, m2=2, tau=1 / 12)
+        truth = RhoParams(0.25, 1.3, 0.35, 1.9, 0.75, 1.05, 0.16, 0.03, 0.22)
+        pool = make_episodes(truth, spec, n_episodes=5, steps=45, seed=4)
+        episodes = [Episode(ep.id, ep.tau, ep.u[:steps], ep.y_obs[:steps + 1])
+                    for ep, steps in zip(pool, (30, 45, 30, 12, 45))]
+        ops = assemble(spec, rho_smooth, with_grad=True)
+        sys = build_sensitivities(ops, build_sampled(ops, spec.tau))
+        total, grad = 0.0, np.zeros(9)
+        per_episode = []
+        for ep in episodes:
+            c, g = loop_cost_and_gradient(sys, ep.u, ep.y_obs)
+            total += c
+            grad += g
+            per_episode.append((ep.id, c))
+        report = gradient_adjoint(rho_smooth, spec, episodes)
+        assert report.cost == total
+        assert report.per_episode == per_episode
+        np.testing.assert_array_equal(report.grad, grad)
+        assert cost(rho_smooth, spec, episodes) == total
+        for ep in episodes:
+            c, g = episode_cost_and_gradient(sys, ep.u, ep.y_obs)
+            c_loop, g_loop = loop_cost_and_gradient(sys, ep.u, ep.y_obs)
+            assert c == c_loop
+            np.testing.assert_array_equal(g, g_loop)
+
     def test_episode_order_invariance(self, fit_setup):
         spec, rho, episodes = fit_setup
         fwd = gradient_adjoint(rho, spec, episodes)
@@ -156,9 +186,6 @@ class TestGradientAdjoint:
         assert g[0] == pytest.approx(expected_grad, rel=1e-12)
 
     def test_dummy_parameter_has_exactly_zero_gradient(self, fit_setup):
-        from popdiff.assembly import assemble
-        from popdiff.sampled import build_sampled, build_sensitivities
-
         spec, rho, episodes = fit_setup
         ops = assemble(spec, rho, with_grad=True)
         sys = build_sensitivities(ops, build_sampled(ops, spec.tau))
@@ -199,7 +226,14 @@ class TestGradientFd:
     @pytest.mark.parametrize("fn", [cost, gradient_adjoint, gradient_fd])
     def test_divergence_names_the_episode(self, rho_smooth, spec_small, fn):
         # gradcheck reports the error message; it has to say which episode.
-        big = Episode("big", spec_small.tau, np.full(400, 1.7e308), np.zeros(401))
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(SimulationDivergenceError, match="^episode big: "):
+        def episode(name, steps, height):
+            return Episode(name, spec_small.tau, np.full(steps, height), np.zeros(steps + 1))
+
+        big = episode("big", 400, 1.7e308)
+        with pytest.raises(SimulationDivergenceError, match="^episode big: "):
             fn(rho_smooth, spec_small, [big])
+        # The second of three diverges.  So does the third, which runs in
+        # one stack with the first: the error still names the second.
+        trio = [episode("ok", 20, 1.0), big, episode("late", 20, 1.7e308)]
+        with pytest.raises(SimulationDivergenceError, match="^episode big: "):
+            fn(rho_smooth, spec_small, trio)

@@ -9,6 +9,7 @@ from scipy.optimize import linprog
 
 from conftest import pulse_input, truncated_moments
 
+import popdiff.objective as objective_mod
 import popdiff.optimizer as optimizer_mod
 from popdiff.errors import PopdiffError
 from popdiff.density import QPoint, RhoParams
@@ -104,6 +105,32 @@ class TestFit:
         assert all(b < a for a, b in zip(costs, costs[1:]))
         assert result.cost <= costs[0]
 
+    def test_one_forward_pass_per_trial_point(self, spec_small, monkeypatch):
+        # Each trial point that passes the density veto is sampled once; the
+        # gradient at an accepted point reuses that system and only adds
+        # the derivative tensors.
+        assembled, sampled = [], []
+        real_assemble, real_build_sampled = objective_mod.assemble, objective_mod.build_sampled
+
+        def counting_assemble(*args, **kwargs):
+            ops = real_assemble(*args, **kwargs)
+            assembled.append(kwargs.get("with_grad", False))
+            return ops
+
+        def counting_build_sampled(*args, **kwargs):
+            sampled.append(1)
+            return real_build_sampled(*args, **kwargs)
+
+        monkeypatch.setattr(objective_mod, "assemble", counting_assemble)
+        monkeypatch.setattr(objective_mod, "build_sampled", counting_build_sampled)
+        rho0 = RhoParams(0.25, 1.3, 0.35, 1.9, 0.75, 1.05, 0.16, 0.03, 0.22)
+        episodes = synthetic_population_episodes(rho0, spec_small, 3, 36, 0.01, seed=3)
+        init = RhoParams(0.15, 1.6, 0.2, 2.1, 0.9, 0.9, 0.25, 0.0, 0.3)
+        result = fit(episodes, spec_small, init, FitOptions(max_iter=10))
+        assert len(result.cost_trace) > 1
+        assert len(sampled) == assembled.count(False)
+        assert assembled.count(True) == result.n_grad_evals == len(result.cost_trace)
+
     def test_determinism(self, spec_small):
         rho0 = RhoParams(0.25, 1.3, 0.35, 1.9, 0.75, 1.05, 0.16, 0.03, 0.22)
         episodes = synthetic_population_episodes(rho0, spec_small, 2, 24, 0.01, seed=4)
@@ -155,31 +182,41 @@ class TestMinimizeStatus:
         # f = x0 + x1^2 with x0 < 0 vetoed by the model layer, not by
         # the projection: the line search halves its steps against the
         # veto until one falls below xtol, with |g| still about 1.
-        def fun(x):
+        def evaluate(x):
             if x[0] < 0:
                 raise PopdiffError("vetoed")
-            return x[0] + x[1] ** 2
+            return x[0] + x[1] ** 2, lambda: np.array([1.0, 2 * x[1]])
 
-        def fun_grad(x):
-            return fun(x), np.array([1.0, 2 * x[1]])
-
-        result = minimize_bfgs(fun, fun_grad, np.array([1.0, 1.0]), lambda x: x)
+        result = minimize_bfgs(evaluate, np.array([1.0, 1.0]), lambda x: x)
         assert result.status == "stalled-step"
         assert result.trace[-1][2] > 1.0
 
     def test_minimum_on_a_bound_is_converged(self):
         # f = (x0 + 1)^2 + 10 (x1 - 2)^2 with x0 >= 0 by projection: the
         # minimum (0, 2) has gradient (2, 0), whose projection vanishes.
-        def fun(x):
-            return (x[0] + 1) ** 2 + 10 * (x[1] - 2) ** 2
+        def evaluate(x):
+            return ((x[0] + 1) ** 2 + 10 * (x[1] - 2) ** 2,
+                    lambda: np.array([2 * (x[0] + 1), 20 * (x[1] - 2)]))
 
-        def fun_grad(x):
-            return fun(x), np.array([2 * (x[0] + 1), 20 * (x[1] - 2)])
-
-        result = minimize_bfgs(fun, fun_grad, np.array([1.0, 0.0]),
+        result = minimize_bfgs(evaluate, np.array([1.0, 0.0]),
                                lambda x: np.maximum(x, [0.0, -np.inf]))
         assert result.status == "converged"
         np.testing.assert_allclose(result.x, [0.0, 2.0], atol=1e-6)
+
+    def test_gradient_only_at_the_start_and_accepted_points(self):
+        # A cost evaluation is counted per trial, a gradient per accepted
+        # point plus the start; rejected trials never call theirs.
+        called = []
+
+        def evaluate(x):
+            c = float(np.sum((x - 3.0) ** 2))
+            return c, lambda: called.append(c) or 2 * (x - 3.0)
+
+        result = minimize_bfgs(evaluate, np.zeros(3), lambda x: x, max_iter=20)
+        assert result.status == "converged"
+        assert result.n_grad_evals == len(called) == len(result.trace)
+        assert called == [row[1] for row in result.trace]
+        assert result.n_cost_evals >= len(result.trace) - 1
 
 
 class TestFitDeterministic:
