@@ -15,7 +15,13 @@ A refactoring that must not change one bit of output leaves every digest
 unchanged.  Digests depend on the BLAS kernel, so compare two commits on
 one machine; no test pins them.  Run from the repository root:
 
-    python3 scripts/digests.py [--workload NAME ...]
+    python3 scripts/digests.py [--workload NAME ...] [--expect FILE]
+
+With ``--expect`` each output line is compared to the line of the same
+workload and quantity in a saved run; lines the file does not hold are
+not compared, so a file of only the ``fit`` and ``gradient_adjoint``
+lines checks those.  Every line that differs is named and the exit
+status is 1.
 """
 
 import argparse
@@ -63,11 +69,29 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", action="append", choices=list(workloads.WORKLOADS),
                     help="workload to digest (repeatable; default: all)")
+    ap.add_argument("--expect", type=pathlib.Path,
+                    help="saved output to compare with; exit 1 on any difference")
     args = ap.parse_args(argv)
+    expected = {}
+    if args.expect:
+        for line in filter(None, args.expect.read_text().splitlines()):
+            name, what, rest = line.split(" ", 2)
+            expected[name, what] = rest
+    compared, differ = 0, []
     for name in args.workload or list(workloads.WORKLOADS):
         for line in report(workloads.WORKLOADS[name]):
             print(f"{name} {line}", flush=True)
-    return 0
+            what, rest = line.split(" ", 1)
+            if (name, what) in expected:
+                compared += 1
+                if expected[name, what] != rest:
+                    differ.append(f"{name} {what}: expected {expected[name, what]}, "
+                                  f"got {rest}")
+    for d in differ:
+        print(f"DIFFERS {d}", file=sys.stderr)
+    if args.expect:
+        print(f"{compared} lines compared, {len(differ)} differ", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

@@ -69,8 +69,9 @@ def load_episode(path, tau: float, brac_scale: float = 1.0,
 
     Both channels are linearly interpolated onto {0, tau, ..., T} where T
     is the last time common to both channels; the input channel is read
-    at interval left endpoints (zero-order hold).  Channel values are
-    divided by the given reference scales.
+    at interval left endpoints (zero-order hold).  Both channels must
+    start at or before 0.  Channel values are divided by the given
+    reference scales.
     """
     path = Path(path)
     times: dict[str, list[float]] = {c: [] for c in _CHANNELS}
@@ -110,13 +111,11 @@ def load_episode(path, tau: float, brac_scale: float = 1.0,
         if len(times[channel]) < 2:
             raise EpisodeParseError(f"channel {channel!r} needs at least 2 rows",
                                     str(path), len(lines))
+        # Interpolating back to t = 0 would invent samples before the first.
+        if times[channel][0] > 0:
+            raise IngestionError(f"{path}: channel {channel!r} starts after "
+                                 f"t = 0, at {times[channel][0]} h")
     t_end = min(times["brac"][-1], times["tac"][-1])
-    t_start = max(times["brac"][0], times["tac"][0])
-    if t_start > t_end:
-        raise IngestionError(
-            f"{path}: channel time ranges do not overlap "
-            f"(brac ends {times['brac'][-1]}, tac ends {times['tac'][-1]})"
-        )
     steps = int(np.floor(t_end / tau + 1e-9))
     if steps < 1:
         raise IngestionError(f"{path}: common range shorter than one interval")

@@ -12,6 +12,7 @@ re-run in isolation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,7 @@ DISCLAIMER = (
 class TrendReport:
     axis: str                     # "nu" or "N"
     levels: list[int]
-    errors: list[float]           # median over seeds per level
+    errors: list[float]           # median over seeds per level; inf: no data
     monotone: bool
     cells: list[dict]             # per-cell provenance and results
 
@@ -47,18 +48,25 @@ class TrendReport:
         payload = {
             "axis": self.axis,
             "levels": self.levels,
-            "errors": self.errors,
+            # JSON has no Infinity: a level without a successful fit, or a
+            # fit without a finite cost, writes null.
+            "errors": [_null_if_not_finite(e) for e in self.errors],
             "monotone": self.monotone,
-            "cells": self.cells,
+            "cells": [{k: _null_if_not_finite(v) for k, v in cell.items()}
+                      for cell in self.cells],
             "note": DISCLAIMER,
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
     def to_csv(self) -> str:
         rows = [TREND_SCHEMA, f"# {DISCLAIMER}", "level,median_error"]
         for level, err in zip(self.levels, self.errors):
             rows.append(f"{level},{err!r}")
         return "\n".join(rows) + "\n"
+
+
+def _null_if_not_finite(value):
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _mu_error(rho_hat: RhoParams, rho0: RhoParams) -> float:
@@ -81,7 +89,8 @@ def consistency_trend(
     steps0*2^k samples per episode, so every level covers the same
     horizon.  Every fit starts at the truth rho0.  Errors are medians over
     seeds of |mu_hat - mu0|; failed fits are recorded and excluded from
-    the median.
+    the median.  A level with no successful fit has error inf, and the
+    trend is then not monotone: there is no evidence at that level.
     """
     if len(nu_levels) < 3:
         raise ValueError("need at least 3 levels for a trend")
@@ -118,7 +127,8 @@ def consistency_trend(
             cells.append(cell)
         medians.append(float(np.median(level_errors)) if level_errors else np.inf)
 
-    monotone = all(b <= a for a, b in zip(medians, medians[1:]))
+    monotone = (all(map(math.isfinite, medians))
+                and all(b <= a for a, b in zip(medians, medians[1:])))
     return TrendReport(axis="nu", levels=nu_levels, errors=medians,
                        monotone=monotone, cells=cells)
 

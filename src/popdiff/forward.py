@@ -1,15 +1,15 @@
 """Forward simulation: the population system and the single-q model.
 
-The single-q model has one solver, ``simulate_deterministic_batch``: every
-draw shares the mass matrix, its generator is affine in q1 and its output
-is linear in q2, so one stacked exponential and one vectorized recursion
-serve a whole block of draws.  ``simulate_deterministic`` is its one-draw
-case.  The population system is assembled independently (tensor
-Galerkin), and with piecewise-constant cells its output is exactly the
-density-weighted mixture of single-q outputs, sum_c w2_c g(w1_c/w_c) with
-g the output at q2 = 1; the tests hold each solver to the other through
-that identity.  A Monte Carlo mean over parameter draws converges to the
-population trajectory.
+Both are one block-diagonal recursion x[j+1] = Ahat x[j] + bhat u[j] from
+x[0] = 0, implemented once in ``linear_recursion`` (the adjoint in
+``objective`` runs it backward on Ahat^T).  The population system has one
+block per density cell.  The single-q model is the same system with a
+point mass: ``simulate_deterministic_batch`` gives each draw one block, so
+one stacked zero-order hold and one recursion serve a block of draws;
+``simulate_deterministic`` is its one-draw case.  With piecewise-constant
+cells the population output is exactly the mixture sum_c w2_c g(w1_c/w_c)
+of single-q outputs at q2 = 1, and a Monte Carlo mean over draws
+converges to it.
 """
 
 from __future__ import annotations
@@ -21,12 +21,12 @@ import scipy.linalg
 
 from .assembly import assemble
 from .density import RhoParams, _as_point, sample_array
-from .errors import ConditioningError, SimulationDivergenceError, SingularOperatorError
+from .errors import SimulationDivergenceError
 from .grid import GridSpec, eta_mass_matrix, eta_stiffness_matrix
-from .sampled import SampledSystem, build_sampled
+from .sampled import SampledSystem, build_sampled, zero_order_hold
 
 # Draws per stacked exponential and recursion in simulate_deterministic_batch;
-# keeps the (draws, n+1, n+1) work arrays small.
+# keeps the (draws, n+1, n+1) work arrays and the states small.
 BATCH_DRAWS = 256
 
 
@@ -42,7 +42,6 @@ class Episode:
     tau: float
     u: np.ndarray
     y_obs: np.ndarray
-    x0_zero: bool = True
 
     def __post_init__(self):
         self.u = np.asarray(self.u, dtype=float)
@@ -58,12 +57,30 @@ class Episode:
             raise ValueError(f"episode {self.id}: non-finite samples")
         if np.any(self.u < 0):
             raise ValueError(f"episode {self.id}: negative input values")
-        if not self.x0_zero:
-            raise ValueError("nonzero initial states are not modeled")
 
     @property
     def steps(self) -> int:
         return self.u.shape[0]
+
+
+def linear_recursion(A: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """States (E, mu+1, C, k) of x[j+1] = A x[j] + b s[j] from x[0] = 0.
+
+    ``A`` (C, k, k) and ``b`` (C, k) are stacks of blocks; the E scalar
+    sequences ``s`` (E, mu) run as one recursion.  This is popdiff's one
+    loop over time steps; callers check the states for divergence.
+    """
+    count, mu = s.shape
+    states = np.empty((count, mu + 1) + b.shape)
+    states[:, 0] = 0.0
+    # The forcing b s[j] is written first, one product for all steps, and
+    # each step adds A x[j] onto it in place.
+    np.multiply(b, s[:, :, None, None], out=states[:, 1:])
+    steps = states.swapaxes(0, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x, nxt in zip(steps[:-1], steps[1:]):
+            nxt += np.einsum("cij,ecj->eci", A, x)
+    return states
 
 
 def simulate(sys: SampledSystem, u: np.ndarray, return_states: bool = False):
@@ -79,20 +96,12 @@ def simulate(sys: SampledSystem, u: np.ndarray, return_states: bool = False):
     """
     u = np.asarray(u, dtype=float)
     us = u if u.ndim == 2 else u[None]
-    count, mu = us.shape
-    bhat = sys.Bhat.reshape(sys.ncells, sys.block_size)
-    states = np.empty((count, mu + 1, sys.ncells, sys.block_size))
-    x = states[:, 0] = np.zeros((count, sys.ncells, sys.block_size))
-    # A diverging run overflows to inf and then NaN; the check below
-    # reports it, so NumPy's warnings would only repeat it.
+    states = linear_recursion(sys.A_blocks, sys.Bhat.reshape(sys.ncells, -1), us)
+    states = states.reshape(len(us), -1, sys.dim)
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(mu):
-            x = states[:, j + 1] = (np.einsum("cij,ecj->eci", sys.A_blocks, x)
-                                    + bhat * us[:, j, None, None])
-        states = states.reshape(count, mu + 1, sys.dim)
         # vecdot rounds each output as chat @ x does: one dot per state.
         y = np.vecdot(states, sys.Chat)
-    bad = ~(np.isfinite(y).all(axis=1) & np.isfinite(x).all(axis=(1, 2)))
+    bad = ~(np.isfinite(y).all(axis=1) & np.isfinite(states[:, -1]).all(axis=1))
     if bad.any():
         raise SimulationDivergenceError("state recursion produced non-finite values",
                                         rows=np.flatnonzero(bad).tolist())
@@ -111,49 +120,32 @@ def simulate_deterministic_batch(
 ) -> np.ndarray:
     """(len(qs), len(u)+1) single-q outputs for the draws ``qs`` (rows q1, q2).
 
-    The generator of draw i is G0 + q1_i G1 with G0 = -M^{-1} e0 e0^T and
-    G1 = -M^{-1} K_eta, and Bhat_i = q2_i (Ahat_i - I) gen_i^{-1} M^{-1} e_n.
+    Each draw is one block of the population recursion with a point mass:
+    its generator is G0 + q1 G1 with G0 = -M^{-1} e0 e0^T and
+    G1 = -M^{-1} K_eta, its input column M^{-1} e_n, and its output q2
+    times state 0.
     """
     qs = np.asarray(qs, dtype=float)
     if qs.ndim != 2 or qs.shape[1] != 2:
         raise ValueError(f"draws must have shape (count, 2), got {qs.shape}")
     if not np.all(qs[:, 0] > 0):
         raise ValueError(f"diffusivity q1 must be positive, got {qs[:, 0].min()}")
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau}")
     u = np.asarray(u, dtype=float)
-    b = n + 1
-    mass = scipy.linalg.cho_factor(eta_mass_matrix(n))
-    e00 = np.zeros((b, b))
-    e00[0, 0] = 1.0
-    g0 = -scipy.linalg.cho_solve(mass, e00)
-    g1 = -scipy.linalg.cho_solve(mass, eta_stiffness_matrix(n))
-    beta = scipy.linalg.cho_solve(mass, np.eye(b)[n])
-    eye = np.eye(b)
+    # One solve: each scipy.linalg call has a fixed cost, paid per call.
+    eye = np.eye(n + 1)
+    sol = scipy.linalg.cho_solve(scipy.linalg.cho_factor(eta_mass_matrix(n)),
+                                 np.column_stack([eye[0], eta_stiffness_matrix(n), eye[n]]))
+    g0, g1, beta = -np.outer(sol[:, 0], eye[0]), -sol[:, 1:-1], sol[:, -1:]
 
     y = np.empty((qs.shape[0], u.shape[0] + 1))
     for start in range(0, qs.shape[0], BATCH_DRAWS):
         q1, q2 = qs[start:start + BATCH_DRAWS].T
-        gen = g0 + q1[:, None, None] * g1
-        ahat = scipy.linalg.expm(gen * tau)
-        finite = np.isfinite(ahat).all(axis=(1, 2))
-        if not finite.all():
-            raise ConditioningError(
-                f"matrix exponential overflowed at q1 = {q1[~finite][0]}"
-            )
-        try:
-            x = np.linalg.solve(gen, beta[:, None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise SingularOperatorError("single-q generator singular") from exc
-        bhat = q2[:, None] * np.einsum("kij,kj->ki", ahat - eye, x)
-        state = np.zeros((len(q1), b))
-        out = y[start:start + BATCH_DRAWS]
-        for j, uj in enumerate(u):
-            out[:, j] = state[:, 0]
-            state = np.einsum("kij,kj->ki", ahat, state) + bhat * uj
-        out[:, -1] = state[:, 0]
-        if not np.all(np.isfinite(out)) or not np.all(np.isfinite(state)):
+        ahat, bhat = zero_order_hold(g0 + q1[:, None, None] * g1, beta, tau)
+        states = linear_recursion(ahat, bhat[..., 0], u[None])[0]
+        out = y[start:start + BATCH_DRAWS] = q2[:, None] * states[:, :, 0].T
+        if not np.all(np.isfinite(out)) or not np.all(np.isfinite(states[-1])):
             raise SimulationDivergenceError("state recursion produced non-finite values")
+        del states  # before the next block's states are allocated
     return y
 
 

@@ -3,7 +3,7 @@
 The cost is the plain sum of squared residuals between the population
 output and the observations, every sample weighted equally and no
 regularization term.  The gradient comes from one backward (adjoint)
-recursion per episode:
+recursion per episode (``forward.linear_recursion`` on Ahat^T):
 
     zeta_mu = w_mu,   zeta_{j-1} = Ahat^T zeta_j + w_{j-1},
     w_j = 2 (Chat . x_j - y_obs_j) Chat^T,
@@ -42,7 +42,7 @@ import numpy as np
 from .assembly import assemble
 from .density import RhoParams, gamma_floor
 from .errors import PopdiffError, SimulationDivergenceError
-from .forward import Episode, simulate
+from .forward import Episode, linear_recursion, simulate
 from .grid import GridSpec
 from .sampled import SampledSystem, build_sampled, build_sensitivities
 
@@ -85,7 +85,6 @@ def evaluate(
     episodes: list[Episode],
     quad_order: int = 8,
     norm_quad_order: int = 24,
-    check_gamma: bool = True,
 ) -> Evaluation:
     """Cost of ``rho`` over all episodes from one forward pass.
 
@@ -94,10 +93,8 @@ def evaluate(
     A divergence names the first diverging episode in list order.
     """
     _check_episodes(spec, episodes)
-    floor = gamma_floor(rho.box) if check_gamma else None
-    sys = build_sampled(
-        assemble(spec, rho, quad_order, norm_quad_order, gamma_floor=floor), spec.tau
-    )
+    ops = assemble(spec, rho, quad_order, norm_quad_order, gamma_floor=gamma_floor(rho.box))
+    sys = build_sampled(ops, spec.tau)
     by_length: dict[int, list[int]] = {}
     for i, ep in enumerate(episodes):
         by_length.setdefault(ep.steps, []).append(i)
@@ -149,10 +146,9 @@ def cost(
     episodes: list[Episode],
     quad_order: int = 8,
     norm_quad_order: int = 24,
-    check_gamma: bool = True,
 ) -> float:
     """Sum of squared residuals over all episodes, j = 0 included."""
-    return evaluate(rho, spec, episodes, quad_order, norm_quad_order, check_gamma).cost
+    return evaluate(rho, spec, episodes, quad_order, norm_quad_order).cost
 
 
 def _adjoint(sys: SampledSystem, us: np.ndarray, resid: np.ndarray, states: np.ndarray):
@@ -167,12 +163,10 @@ def _adjoint(sys: SampledSystem, us: np.ndarray, resid: np.ndarray, states: np.n
     ncells, b = sys.ncells, sys.block_size
     chat = sys.Chat.reshape(ncells, b)
     xb = states.reshape(count, mu + 1, ncells, b)
-    zetas = np.empty((count, mu, ncells, b))
-    if mu > 0:
-        zeta = zetas[:, mu - 1] = 2.0 * resid[:, mu, None, None] * chat
-        for j in range(mu - 1, 0, -1):
-            zeta = zetas[:, j - 1] = (np.einsum("cji,ecj->eci", sys.A_blocks, zeta)
-                                      + 2.0 * resid[:, j, None, None] * chat)
+    # zeta_mu, ..., zeta_1 are the forward recursion run backward in time
+    # on Ahat^T, forced by 2 r_mu, ..., 2 r_1; zetas[:, j - 1] is zeta_j.
+    back = linear_recursion(np.swapaxes(sys.A_blocks, 1, 2), chat, 2.0 * resid[:, :0:-1])
+    zetas = back[:, :0:-1]
     grads = []
     for e in range(count):
         # Contractions shared by every parameter: state/adjoint outer
@@ -210,11 +204,9 @@ def gradient_adjoint(
     episodes: list[Episode],
     quad_order: int = 8,
     norm_quad_order: int = 24,
-    check_gamma: bool = True,
 ) -> CostReport:
     """Cost plus full gradient from one forward and one backward pass."""
-    return evaluate(rho, spec, episodes, quad_order, norm_quad_order,
-                    check_gamma).gradient()
+    return evaluate(rho, spec, episodes, quad_order, norm_quad_order).gradient()
 
 
 def gradient_fd(
@@ -224,12 +216,11 @@ def gradient_fd(
     step: float = 1e-6,
     quad_order: int = 8,
     norm_quad_order: int = 24,
-    check_gamma: bool = True,
 ) -> CostReport:
     """Central finite differences of the cost, component by component."""
     if not step > 0:
         raise ValueError(f"step must be positive, got {step}")
-    at = evaluate(rho, spec, episodes, quad_order, norm_quad_order, check_gamma)
+    at = evaluate(rho, spec, episodes, quad_order, norm_quad_order)
 
     base = rho.as_array()
     grad = np.empty(9)
@@ -238,10 +229,8 @@ def gradient_fd(
         up, dn = base.copy(), base.copy()
         up[k] += h
         dn[k] -= h
-        c_up = cost(RhoParams.from_array(up), spec, episodes,
-                    quad_order, norm_quad_order, check_gamma)
-        c_dn = cost(RhoParams.from_array(dn), spec, episodes,
-                    quad_order, norm_quad_order, check_gamma)
+        c_up = cost(RhoParams.from_array(up), spec, episodes, quad_order, norm_quad_order)
+        c_dn = cost(RhoParams.from_array(dn), spec, episodes, quad_order, norm_quad_order)
         grad[k] = (c_up - c_dn) / (2 * h)
     return CostReport(cost=at.cost, grad=grad, per_episode=at.per_episode,
                       method="finite-difference")

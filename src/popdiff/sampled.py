@@ -88,10 +88,29 @@ def _cho_factor(ops: AssembledOperators):
     return factor, False
 
 
-def build_sampled(ops: AssembledOperators, tau: float) -> SampledSystem:
-    """Discrete-time operators from assembled ones; tau > 0."""
+def zero_order_hold(gen: np.ndarray, beta: np.ndarray, tau: float):
+    """(Ahat, Bhat) of x' = gen x + beta u with u held over each interval tau.
+
+    ``gen`` is a (..., b, b) stack and ``beta`` a (..., b, 1) stack that
+    broadcasts against it; Ahat = exp(gen tau), Bhat = (Ahat - I) gen^{-1} beta.
+    """
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
+    ahat = scipy.linalg.expm(gen * tau)
+    finite = np.isfinite(ahat).all(axis=(-2, -1))
+    if not finite.all():
+        raise ConditioningError(
+            f"matrix exponential overflowed in block {int(np.argmin(finite))}"
+        )
+    try:
+        x = np.linalg.solve(gen, beta)
+    except np.linalg.LinAlgError as exc:
+        raise SingularOperatorError("a generator block is singular") from exc
+    return ahat, (ahat - np.eye(gen.shape[-1])) @ x
+
+
+def build_sampled(ops: AssembledOperators, tau: float) -> SampledSystem:
+    """Discrete-time operators from assembled ones; tau > 0."""
     b = ops.block_size
     # One solve for [K | Bvec] rather than two: scipy.linalg's batched
     # calls loop over the cells in Python, a fixed cost paid per call.
@@ -101,21 +120,11 @@ def build_sampled(ops: AssembledOperators, tau: float) -> SampledSystem:
     # the stored generator round as on C-ordered blocks.
     gen = np.ascontiguousarray(-sol[..., :b])
     beta = sol[..., b:]
-    ahat = scipy.linalg.expm(gen * tau)
-    finite = np.isfinite(ahat).all(axis=(1, 2))
-    if not finite.all():
-        raise ConditioningError(
-            f"matrix exponential overflowed in cell {int(np.argmin(finite))}"
-        )
-    try:
-        x = np.linalg.solve(gen, beta)
-    except np.linalg.LinAlgError as exc:
-        raise SingularOperatorError("a generator block is singular") from exc
-    Bhat = (ahat - np.eye(b)) @ x
+    ahat, bhat = zero_order_hold(gen, beta, tau)
     return SampledSystem(
         block_size=b, ncells=ops.ncells, tau=tau,
         A_blocks=ahat, Agen_blocks=gen,
-        Bhat=Bhat.reshape(-1), Chat=ops.Cvec.copy(),
+        Bhat=bhat.reshape(-1), Chat=ops.Cvec.copy(),
     )
 
 

@@ -113,6 +113,17 @@ class TestLoadEpisode:
         with pytest.raises(IngestionError):
             load_episode(f, 0.25)
 
+    @pytest.mark.parametrize("late", ["brac", "tac"])
+    def test_channel_starting_after_zero_rejected(self, tmp_path, late):
+        # Interpolation would hold the first sample back to t = 0 and
+        # invent input or observations that never happened.
+        rows = {c: [f"0.0,{c},0.5", f"3.0,{c},0.5"] for c in ("brac", "tac")}
+        rows[late][0] = f"2.0,{late},0.5"
+        f = tmp_path / "late.csv"
+        write_raw(f, rows["brac"] + rows["tac"])
+        with pytest.raises(IngestionError, match=late):
+            load_episode(f, 0.25)
+
     def test_needs_two_rows_per_channel(self, tmp_path):
         f = tmp_path / "short.csv"
         write_raw(f, ["0.0,brac,0.1", "1.0,brac,0.1", "0.5,tac,0.1"])

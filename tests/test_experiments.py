@@ -1,13 +1,23 @@
 import json
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from popdiff import experiments
 from popdiff.dataio import PulseSpec, generate_synthetic
 from popdiff.density import RhoParams
+from popdiff.errors import PopdiffError
 from popdiff.experiments import TrendReport, consistency_trend, refinement_trend
 from popdiff.grid import GridSpec
 from popdiff.optimizer import FitOptions
+
+
+def strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
 
 
 @pytest.fixture
@@ -66,6 +76,21 @@ class TestConsistencyTrend:
         )
         assert max(report.errors) < 1e-6
 
+    def test_levels_without_a_fit_are_not_evidence(self, rho0, monkeypatch):
+        def failing_fit(*args, **kwargs):
+            raise PopdiffError("fit failed")
+        monkeypatch.setattr(experiments, "fit", failing_fit)
+        spec = GridSpec(n=2, m1=1, m2=1, tau=1 / 6)
+        report = consistency_trend(
+            rho0, spec, nu_levels=[2, 3, 4], seeds=5, noise_sigma=0.0,
+            steps0=6, pulse_spec=PulseSpec(duration_h=1.0, width_h=(0.2, 0.5)),
+        )
+        assert report.errors == [math.inf] * 3
+        assert report.monotone is False
+        payload = strict_json(report.to_json())
+        assert payload["errors"] == [None, None, None]
+        assert payload["monotone"] is False
+
     def test_level_and_seed_validation(self, rho0, spec_small):
         with pytest.raises(ValueError):
             consistency_trend(rho0, spec_small, [2, 4], 5, 0.01)
@@ -101,6 +126,18 @@ class TestRefinementTrend:
         a = refinement_trend(rho0, specs, episodes, FitOptions(max_iter=25))
         b = refinement_trend(rho0, specs, episodes, FitOptions(max_iter=25))
         assert a.errors == b.errors
+
+    def test_non_finite_cost_writes_null(self, rho0, monkeypatch):
+        def vetoed_fit(episodes, spec, init, options=None):
+            return SimpleNamespace(rho_hat=init, status="degenerate-density",
+                                   cost=math.inf)
+        monkeypatch.setattr(experiments, "fit", vetoed_fit)
+        specs = [GridSpec(2, 1, 1, 1 / 6), GridSpec(3, 2, 2, 1 / 6),
+                 GridSpec(4, 2, 2, 1 / 6)]
+        report = refinement_trend(rho0, specs, [])
+        payload = strict_json(report.to_json())
+        assert [cell["cost"] for cell in payload["cells"]] == [None, None, None]
+        assert payload["errors"] == [0.0, 0.0, 0.0]
 
     def test_requires_nested_grids(self, rho0, spec_small):
         with pytest.raises(ValueError):
