@@ -7,6 +7,8 @@ hex digits of ``workloads.digest`` over:
 * the fit from ``START`` (``rho_hat`` and the cost trace), with its
   status, iteration count and cost/gradient evaluation counts;
 * ``gradient_adjoint`` (cost and gradient) at ``START`` and at ``RHO``;
+* ``build_sensitivities`` at ``START`` (``dA_blocks`` and ``dBhat``), so a
+  change in the sensitivity layer is named directly;
 * ``initialize`` on the fit episodes;
 * ``credible_band`` on the band input of seed 1, at ``RHO`` or at the
   fit's ``rho_hat`` as the workload's rounds place it.
@@ -55,6 +57,9 @@ def report(w) -> list[str]:
     for label, rho in (("START", workloads.START), ("RHO", workloads.RHO)):
         adj = popdiff.gradient_adjoint(rho, spec, episodes)
         lines.append(f"gradient_adjoint@{label} {short(adj.cost, adj.grad)}")
+    ops = popdiff.assemble(spec, workloads.START, with_grad=True)
+    sens = popdiff.build_sensitivities(ops, popdiff.build_sampled(ops, spec.tau))
+    lines.append(f"build_sensitivities@START {short(sens.dA_blocks, sens.dBhat)}")
     lines.append(f"initialize {short(popdiff.initialize(episodes, spec).as_array())}")
     at = workloads.RHO if w.band_at_truth else result.rho_hat
     band = popdiff.credible_band(at, w.band_spec,

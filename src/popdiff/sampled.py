@@ -15,8 +15,10 @@ product and exponential below acts on a whole stack at once.
 Sensitivities: differentiating M Agen = -K gives
 dAgen = -M^{-1}(dK + dM Agen); the pair (Ahat, dAhat) then comes from the
 exponential of the block-augmented matrix [[Agen, dAgen], [0, Agen]],
-computed one parameter at a time for all cells, and dBhat follows from
-the product rule on the closed form.
+taken for all cells at once, one parameter per call, and dBhat follows
+from the product rule on the closed form.  The solves are shared: all
+parameters go through one Cholesky solve and one LU solve, since
+scipy.linalg's batched calls pay a fixed Python cost per slice.
 """
 
 from __future__ import annotations
@@ -131,31 +133,49 @@ def build_sampled(ops: AssembledOperators, tau: float) -> SampledSystem:
 def build_sensitivities(ops: AssembledOperators, sys: SampledSystem) -> SampledSystem:
     """Fill dA_blocks, dBhat, dChat on ``sys`` from the gradient tensors of ``ops``.
 
-    One stacked augmented exponential per parameter; memory stays at a
-    single (ncells, 2b, 2b) stack.
+    All parameters share one ``cho_solve`` (their right-hand sides side by
+    side as columns) and one ``lu_solve`` (a stack over parameters); the
+    exponentials stay one stacked augmented ``expm`` per parameter.
+    Beyond the results, the shared solve holds the (ncells, b, P, b+1)
+    right-hand side and scipy's stacked solution of that size, and each
+    exponential one (ncells, 2b, 2b) stack.
     """
     if ops.dM_blocks is None:
         raise ValueError("operators were assembled without gradients")
-    b = ops.block_size
+    b, ncells = ops.block_size, ops.ncells
     n_params = ops.dM_blocks.shape[0]
     factor = _cho_factor(ops)
     gen = sys.Agen_blocks
-    beta = scipy.linalg.cho_solve(factor, ops.Bvec.reshape(ops.ncells, b, 1))
-    dbvec = ops.dB.reshape(n_params, ops.ncells, b, 1)
+    beta = scipy.linalg.cho_solve(factor, ops.Bvec.reshape(ncells, b, 1))
+    dbvec = ops.dB.reshape(n_params, ncells, b)
     gen_lu = scipy.linalg.lu_factor(gen)
     x = scipy.linalg.lu_solve(gen_lu, beta)
-    ahat_minus_eye = sys.A_blocks - np.eye(b)
 
-    dA_blocks = np.empty((n_params, ops.ncells, b, b))
-    dBhat = np.empty((n_params, ops.ncells, b, 1))
+    # Column block k holds [dK_k + dM_k gen | dB_k - dM_k beta].  A solve
+    # with many right-hand sides rounds each column as a solve of it alone.
+    rhs = np.empty((ncells, b, n_params, b + 1))
+    blocks = np.moveaxis(rhs, 2, 0)
+    np.add(ops.dK_blocks, ops.dM_blocks @ gen, out=blocks[..., :b])
+    np.subtract(dbvec, (ops.dM_blocks @ beta)[..., 0], out=blocks[..., b])
+    sol = scipy.linalg.cho_solve(factor, rhs.reshape(ncells, b, -1))
+    del rhs, blocks
+    # After the sign flip column block k is [dgen_k | dbeta_k], kept in the
+    # layout the solve returns: dgen @ x rounds as on one solve per parameter.
+    sol = sol.reshape(ncells, b, n_params, b + 1)
+    np.negative(sol[..., :b], out=sol[..., :b])
+
+    # C-contiguous, as the adjoint's contraction over it rounds by layout.
+    dA_blocks = np.empty((n_params, ncells, b, b))
+    resid = np.empty((n_params, ncells, b, 1))
     for k in range(n_params):
-        dgen = -scipy.linalg.cho_solve(factor, ops.dK_blocks[k] + ops.dM_blocks[k] @ gen)
-        dahat, _ = augmented_expm(gen, dgen, sys.tau)
-        dbeta = scipy.linalg.cho_solve(factor, dbvec[k] - ops.dM_blocks[k] @ beta)
-        dA_blocks[k] = dahat
-        dBhat[k] = dahat @ x + ahat_minus_eye @ scipy.linalg.lu_solve(
-            gen_lu, dbeta - dgen @ x
-        )
+        dgen = sol[:, :, k, :b]
+        dA_blocks[k], _ = augmented_expm(gen, dgen, sys.tau)
+        np.subtract(sol[:, :, k, b:], dgen @ x, out=resid[k])
+    del sol
+    # One right-hand side per slice: folded into columns the LU solve
+    # would round differently.
+    y = scipy.linalg.lu_solve(gen_lu, resid)
+    dBhat = dA_blocks @ x + (sys.A_blocks - np.eye(b)) @ y
     sys.dA_blocks = dA_blocks
     sys.dBhat = dBhat.reshape(n_params, -1)
     sys.dChat = ops.dC.copy()

@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from popdiff.density import RhoParams
 from popdiff.grid import GridSpec
@@ -97,6 +98,40 @@ def smooth_pulse_input(steps: int, tau: float, center_h: float = 2.0,
 
 
 # ------------------------------------------------- per-episode references
+
+def per_cell_reference(ops, tau):
+    """The sampled operators and sensitivities one cell at a time, with
+    2-D calls only: the loop that the whole-stack code replaced."""
+    b, ncells = ops.block_size, ops.ncells
+    n_params = ops.dM_blocks.shape[0]
+    bvec = ops.Bvec.reshape(ncells, b)
+    dbvec = ops.dB.reshape(n_params, ncells, b)
+    A = np.empty((ncells, b, b))
+    Agen = np.empty((ncells, b, b))
+    Bhat = np.empty((ncells, b))
+    dA = np.empty((n_params, ncells, b, b))
+    dBhat = np.empty((n_params, ncells, b))
+    for c in range(ncells):
+        factor = scipy.linalg.cho_factor(ops.M_blocks[c])
+        Agen[c] = -scipy.linalg.cho_solve(factor, ops.K_blocks[c])
+        gen = Agen[c]
+        A[c] = scipy.linalg.expm(gen * tau)
+        beta = scipy.linalg.cho_solve(factor, bvec[c])
+        Bhat[c] = (A[c] - np.eye(b)) @ np.linalg.solve(gen, beta)
+        gen_lu = scipy.linalg.lu_factor(gen)
+        x = scipy.linalg.lu_solve(gen_lu, beta)
+        for k in range(n_params):
+            dgen = -scipy.linalg.cho_solve(
+                factor, ops.dK_blocks[k, c] + ops.dM_blocks[k, c] @ gen
+            )
+            aug = np.block([[gen, dgen], [np.zeros((b, b)), gen]])
+            dA[k, c] = scipy.linalg.expm(aug * tau)[:b, b:] if dgen.any() else 0.0
+            dbeta = scipy.linalg.cho_solve(factor, dbvec[k, c] - ops.dM_blocks[k, c] @ beta)
+            dBhat[k, c] = dA[k, c] @ x + (A[c] - np.eye(b)) @ scipy.linalg.lu_solve(
+                gen_lu, dbeta - dgen @ x
+            )
+    return A, Agen, Bhat.reshape(-1), dA, dBhat.reshape(n_params, -1)
+
 
 def loop_simulate(sys, u):
     """One episode, one step at a time: the recursion and readout that

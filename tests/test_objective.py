@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import loop_cost_and_gradient, pulse_input, random_rho
+from conftest import loop_cost_and_gradient, per_cell_reference, pulse_input, random_rho
 
 from popdiff.assembly import assemble
 from popdiff.density import RhoParams
@@ -145,6 +145,30 @@ class TestGradientAdjoint:
             c_loop, g_loop = loop_cost_and_gradient(sys, ep.u, ep.y_obs)
             assert c == c_loop
             np.testing.assert_array_equal(g, g_loop)
+
+    def test_equals_loops_on_fresh_reference_arrays(self, rho_smooth):
+        # The loops read per_cell_reference's fresh C-contiguous arrays, not
+        # the system the objective built, so a change in the memory layout
+        # of the stored sensitivities shows: a strided dA_blocks rounds the
+        # gradient's contraction over it differently at n = 16.
+        spec = GridSpec(n=16, m1=2, m2=2, tau=1 / 12)
+        truth = RhoParams(0.25, 1.3, 0.35, 1.9, 0.75, 1.05, 0.16, 0.03, 0.22)
+        episodes = make_episodes(truth, spec, n_episodes=3, steps=40, seed=2)
+        ops = assemble(spec, rho_smooth, with_grad=True)
+        A, Agen, Bhat, dA, dBhat = per_cell_reference(ops, spec.tau)
+        sys = SampledSystem(
+            block_size=ops.block_size, ncells=ops.ncells, tau=spec.tau,
+            A_blocks=A, Agen_blocks=Agen, Bhat=Bhat, Chat=ops.Cvec.copy(),
+            dA_blocks=dA, dBhat=dBhat, dChat=ops.dC.copy(),
+        )
+        total, grad = 0.0, np.zeros(9)
+        for ep in episodes:
+            c, g = loop_cost_and_gradient(sys, ep.u, ep.y_obs)
+            total += c
+            grad += g
+        report = gradient_adjoint(rho_smooth, spec, episodes)
+        assert report.cost == total
+        np.testing.assert_array_equal(report.grad, grad)
 
     def test_episode_order_invariance(self, fit_setup):
         spec, rho, episodes = fit_setup

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.linalg import block_diag
 
-from conftest import random_rho
+from conftest import per_cell_reference, random_rho
 
 from popdiff.assembly import AssembledOperators, assemble
 from popdiff.errors import SingularOperatorError
@@ -124,51 +126,18 @@ class TestAugmentedExpm:
         np.testing.assert_allclose(upper, frechet, rtol=1e-10, atol=1e-12)
 
 
-def per_cell_reference(ops, tau):
-    """The sampled operators and sensitivities one cell at a time, with
-    2-D calls only: the loop that the whole-stack code replaced."""
-    b, ncells = ops.block_size, ops.ncells
-    n_params = ops.dM_blocks.shape[0]
-    bvec = ops.Bvec.reshape(ncells, b)
-    dbvec = ops.dB.reshape(n_params, ncells, b)
-    A = np.empty((ncells, b, b))
-    Agen = np.empty((ncells, b, b))
-    Bhat = np.empty((ncells, b))
-    dA = np.empty((n_params, ncells, b, b))
-    dBhat = np.empty((n_params, ncells, b))
-    for c in range(ncells):
-        factor = scipy.linalg.cho_factor(ops.M_blocks[c])
-        Agen[c] = -scipy.linalg.cho_solve(factor, ops.K_blocks[c])
-        gen = Agen[c]
-        A[c] = scipy.linalg.expm(gen * tau)
-        beta = scipy.linalg.cho_solve(factor, bvec[c])
-        Bhat[c] = (A[c] - np.eye(b)) @ np.linalg.solve(gen, beta)
-        gen_lu = scipy.linalg.lu_factor(gen)
-        x = scipy.linalg.lu_solve(gen_lu, beta)
-        for k in range(n_params):
-            dgen = -scipy.linalg.cho_solve(
-                factor, ops.dK_blocks[k, c] + ops.dM_blocks[k, c] @ gen
-            )
-            aug = np.block([[gen, dgen], [np.zeros((b, b)), gen]])
-            dA[k, c] = scipy.linalg.expm(aug * tau)[:b, b:] if dgen.any() else 0.0
-            dbeta = scipy.linalg.cho_solve(factor, dbvec[k, c] - ops.dM_blocks[k, c] @ beta)
-            dBhat[k, c] = dA[k, c] @ x + (A[c] - np.eye(b)) @ scipy.linalg.lu_solve(
-                gen_lu, dbeta - dgen @ x
-            )
-    return A, Agen, Bhat.reshape(-1), dA, dBhat.reshape(n_params, -1)
-
-
 class TestSensitivities:
     def build(self, rho, spec):
         ops = assemble(spec, rho, with_grad=True)
         sys = build_sampled(ops, spec.tau)
         return ops, build_sensitivities(ops, sys)
 
-    def test_stack_equals_per_cell_reference(self, rho_smooth):
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_stack_equals_per_cell_reference(self, rho_smooth, n):
         # Same arithmetic on the same blocks: bit-identical, not just close.
         # At n = 16 a generator stored in Fortran order changes the
         # rounding of dM @ gen; at n <= 12 it does not.
-        spec = GridSpec(n=16, m1=2, m2=2, tau=1 / 12)
+        spec = GridSpec(n=n, m1=2, m2=2, tau=1 / 12)
         ops, sys = self.build(rho_smooth, spec)
         A, Agen, Bhat, dA, dBhat = per_cell_reference(ops, spec.tau)
         np.testing.assert_array_equal(sys.A_blocks, A)
@@ -176,6 +145,30 @@ class TestSensitivities:
         np.testing.assert_array_equal(sys.Bhat, Bhat)
         np.testing.assert_array_equal(sys.dA_blocks, dA)
         np.testing.assert_array_equal(sys.dBhat, dBhat)
+
+    @pytest.mark.parametrize("n_params", [1, 4, 9])
+    def test_parameters_share_each_solve_call(self, rho_smooth, spec_small,
+                                              monkeypatch, n_params):
+        # scipy.linalg's batched calls loop over the slices in Python, so one
+        # solve per parameter would pay that overhead n_params times.  The
+        # parameters share the calls, and sharing changes no bit.
+        ops, full = self.build(rho_smooth, spec_small)
+        sub = dataclasses.replace(
+            ops, dM_blocks=ops.dM_blocks[:n_params], dK_blocks=ops.dK_blocks[:n_params],
+            dB=ops.dB[:n_params], dC=ops.dC[:n_params],
+        )
+        sys = build_sampled(sub, spec_small.tau)
+        calls = {"cho_solve": 0, "lu_solve": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(scipy.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(scipy.linalg, name, counted)
+        build_sensitivities(sub, sys)
+        assert calls["cho_solve"] <= 2
+        assert calls["lu_solve"] <= 2
+        np.testing.assert_array_equal(sys.dA_blocks, full.dA_blocks[:n_params])
+        np.testing.assert_array_equal(sys.dBhat, full.dBhat[:n_params])
 
     def test_dchat_is_assembled_gradient(self, rho_smooth, spec_small):
         ops, sys = self.build(rho_smooth, spec_small)
