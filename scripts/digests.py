@@ -6,6 +6,8 @@ hex digits of ``workloads.digest`` over:
 
 * the fit from ``START`` (``rho_hat`` and the cost trace), with its
   status, iteration count and cost/gradient evaluation counts;
+* the cost at ``START`` and at ``RHO`` (total and per episode), so a
+  change that must leave the forward pass alone shows that it did;
 * ``gradient_adjoint`` (cost and gradient) at ``START`` and at ``RHO``;
 * ``build_sensitivities`` at ``START`` (``dA_blocks`` and ``dBhat``), so a
   change in the sensitivity layer is named directly;
@@ -56,6 +58,7 @@ def report(w) -> list[str]:
     ]
     for label, rho in (("START", workloads.START), ("RHO", workloads.RHO)):
         adj = popdiff.gradient_adjoint(rho, spec, episodes)
+        lines.append(f"cost@{label} {short(adj.cost, [c for _, c in adj.per_episode])}")
         lines.append(f"gradient_adjoint@{label} {short(adj.cost, adj.grad)}")
     ops = popdiff.assemble(spec, workloads.START, with_grad=True)
     sens = popdiff.build_sensitivities(ops, popdiff.build_sampled(ops, spec.tau))

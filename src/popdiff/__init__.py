@@ -36,7 +36,7 @@ from .forward import (
     simulate,
     simulate_deterministic,
 )
-from .grid import GridSpec, MultiIndex, QBox, flat_index, hat_eval, multi_index, qcell_bounds
+from .grid import GridSpec, QBox
 from .objective import CostReport, cost, gradient_adjoint, gradient_fd
 from .optimizer import FitOptions, FitResult, fit, fit_deterministic, initialize
 from .sampled import SampledSystem, build_sampled, build_sensitivities
@@ -58,7 +58,6 @@ __all__ = [
     "GridSpec",
     "IngestionError",
     "InvalidParameterError",
-    "MultiIndex",
     "PopdiffError",
     "QBox",
     "QPoint",
@@ -75,16 +74,12 @@ __all__ = [
     "eval_density",
     "fit",
     "fit_deterministic",
-    "flat_index",
     "gradient_adjoint",
     "gradient_fd",
-    "hat_eval",
     "initialize",
-    "multi_index",
     "normalization",
     "population_system",
     "population_vs_montecarlo",
-    "qcell_bounds",
     "sample",
     "sigma_from_l",
     "simulate",

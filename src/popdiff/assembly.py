@@ -49,7 +49,8 @@ class AssembledOperators:
     """Weighted mass/stiffness blocks plus input/output functionals.
 
     Matrices are stored per cell as (ncells, b, b) stacks, the only form
-    any layer reads.  Gradient tensors are present only when assembled
+    any layer reads.  ``moments`` holds the cell moments (w, w1, w2) that
+    fix every block.  The derivatives are present only when assembled
     with ``with_grad=True``.
     """
 
@@ -60,10 +61,12 @@ class AssembledOperators:
     Bvec: np.ndarray                # (dim,)
     Cvec: np.ndarray                # (dim,)
     f_min: float
-    dM_blocks: np.ndarray | None = None   # (9, ncells, b, b)
-    dK_blocks: np.ndarray | None = None
-    dB: np.ndarray | None = None          # (9, dim)
-    dC: np.ndarray | None = None
+    moments: np.ndarray             # (3, ncells)
+    dmoments: np.ndarray | None = None    # (3, 9, ncells)
+    # (9, ncells, b, b), dw times M_eta.  No layer of popdiff reads it; it
+    # stays for perfbench/tracing.py, which counts parameters by its
+    # leading axis.
+    dM_blocks: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -201,7 +204,8 @@ def assemble(
     e00 = np.zeros((b, b))
     e00[0, 0] = 1.0
 
-    w, w1, w2 = _flat_cells(moments)
+    moments = _flat_cells(moments)
+    w, w1, w2 = moments
 
     M_blocks = w[:, None, None] * meta
     K_blocks = w[:, None, None] * e00 + w1[:, None, None] * keta
@@ -215,15 +219,10 @@ def assemble(
     ops = AssembledOperators(
         block_size=b, ncells=spec.ncells,
         M_blocks=M_blocks, K_blocks=K_blocks, Bvec=Bvec, Cvec=Cvec,
-        f_min=f_min,
+        f_min=f_min, moments=moments,
     )
     if with_grad:
-        dw, dw1, dw2 = _flat_cells(grads)
-        ops.dM_blocks = dw[:, :, None, None] * meta
-        ops.dK_blocks = dw[:, :, None, None] * e00 + dw1[:, :, None, None] * keta
-        ops.dB = np.zeros((9, dim))
-        ops.dB[:, idx0 + n] = dw2
-        ops.dC = np.zeros((9, dim))
-        ops.dC[:, idx0] = dw
+        ops.dmoments = _flat_cells(grads)
+        ops.dM_blocks = ops.dmoments[0, :, :, None, None] * meta
     return ops
 

@@ -17,13 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .assembly import assemble
 from .density import RhoParams, _as_point, sample_array
 from .errors import SimulationDivergenceError
-from .grid import GridSpec, eta_mass_matrix, eta_stiffness_matrix
-from .sampled import SampledSystem, build_sampled, zero_order_hold
+from .grid import GridSpec
+from .sampled import SampledSystem, build_sampled, eta_operators, zero_order_hold
 
 # Draws per stacked exponential and recursion in simulate_deterministic_batch;
 # keeps the (draws, n+1, n+1) work arrays and the states small.
@@ -121,9 +120,8 @@ def simulate_deterministic_batch(
     """(len(qs), len(u)+1) single-q outputs for the draws ``qs`` (rows q1, q2).
 
     Each draw is one block of the population recursion with a point mass:
-    its generator is G0 + q1 G1 with G0 = -M^{-1} e0 e0^T and
-    G1 = -M^{-1} K_eta, its input column M^{-1} e_n, and its output q2
-    times state 0.
+    its generator is G0 + q1 G1 and its input column beta_eta (see
+    ``sampled.eta_operators``), and its output q2 times state 0.
     """
     qs = np.asarray(qs, dtype=float)
     if qs.ndim != 2 or qs.shape[1] != 2:
@@ -131,11 +129,7 @@ def simulate_deterministic_batch(
     if not np.all(qs[:, 0] > 0):
         raise ValueError(f"diffusivity q1 must be positive, got {qs[:, 0].min()}")
     u = np.asarray(u, dtype=float)
-    # One solve: each scipy.linalg call has a fixed cost, paid per call.
-    eye = np.eye(n + 1)
-    sol = scipy.linalg.cho_solve(scipy.linalg.cho_factor(eta_mass_matrix(n)),
-                                 np.column_stack([eye[0], eta_stiffness_matrix(n), eye[n]]))
-    g0, g1, beta = -np.outer(sol[:, 0], eye[0]), -sol[:, 1:-1], sol[:, -1:]
+    g0, g1, beta = eta_operators(n)
 
     y = np.empty((qs.shape[0], u.shape[0] + 1))
     for start in range(0, qs.shape[0], BATCH_DRAWS):

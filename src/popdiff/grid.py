@@ -1,11 +1,11 @@
-"""Tensor-product approximation space and index bookkeeping.
+"""Tensor-product approximation space: grid, parameter box, depth matrices.
 
 The state space is spanned by products of linear "pup tent" splines in the
 depth variable eta (uniform mesh on [0, 1] with n subintervals) and
 piecewise-constant indicators over a uniform m1 x m2 partition of the
-parameter box [a1, b1] x [a2, b2].  Basis functions are enumerated by a
-flat index that runs eta-fastest, which keeps the block of coefficients
-belonging to one parameter cell contiguous: the bilinear form never
+parameter box [a1, b1] x [a2, b2].  Basis function (j, j1, j2) sits at
+flat position j + (n+1) c with cell number c = (j1-1) + m1 (j2-1), so the
+coefficients of one parameter cell are contiguous: the bilinear form never
 couples distinct cells, so all assembled operators are block-diagonal
 with m1*m2 blocks of size n+1.
 """
@@ -80,70 +80,6 @@ class QBox:
             raise ValueError(
                 f"box {self} exceeds global bounds q1 <= {q1_max}, q2 <= {q2_max}"
             )
-
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """(j, j1, j2) with its flat position; j indexes eta nodes, j1/j2 cells."""
-
-    j: int
-    j1: int
-    j2: int
-    flat: int
-
-
-def hat_eval(j: int, n: int, eta: float) -> float:
-    """Value of the j-th linear hat function on the uniform n-mesh at eta.
-
-    Support is [(j-1)/n, (j+1)/n] clipped to [0, 1], height 1 at j/n.
-    """
-    if not 0 <= j <= n:
-        raise ValueError(f"hat index {j} out of range [0, {n}]")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta = {eta} outside [0, 1]")
-    return max(0.0, 1.0 - n * abs(eta - j / n))
-
-
-def qcell_bounds(axis: int, j_i: int, box: QBox, m_i: int) -> tuple[float, float]:
-    """Bounds of the j_i-th uniform cell along parameter axis 1 or 2."""
-    if axis == 1:
-        lo, hi = box.a1, box.b1
-    elif axis == 2:
-        lo, hi = box.a2, box.b2
-    else:
-        raise ValueError(f"axis must be 1 or 2, got {axis}")
-    if not 1 <= j_i <= m_i:
-        raise ValueError(f"cell index {j_i} out of range [1, {m_i}]")
-    width = (hi - lo) / m_i
-    return (lo + width * (j_i - 1), lo + width * j_i)
-
-
-def flat_index(j: int, j1: int, j2: int, spec: GridSpec) -> int:
-    """Flat position of (j, j1, j2): eta-fastest, then q1 cells, then q2."""
-    if not 0 <= j <= spec.n:
-        raise ValueError(f"eta index {j} out of range [0, {spec.n}]")
-    if not 1 <= j1 <= spec.m1:
-        raise ValueError(f"q1 cell index {j1} out of range [1, {spec.m1}]")
-    if not 1 <= j2 <= spec.m2:
-        raise ValueError(f"q2 cell index {j2} out of range [1, {spec.m2}]")
-    return j + (spec.n + 1) * ((j1 - 1) + spec.m1 * (j2 - 1))
-
-
-def multi_index(flat: int, spec: GridSpec) -> MultiIndex:
-    """Inverse of :func:`flat_index`."""
-    if not 0 <= flat < spec.dim:
-        raise ValueError(f"flat index {flat} out of range [0, {spec.dim})")
-    j = flat % (spec.n + 1)
-    cell = flat // (spec.n + 1)
-    j1 = cell % spec.m1 + 1
-    j2 = cell // spec.m1 + 1
-    return MultiIndex(j=j, j1=j1, j2=j2, flat=flat)
-
-
-def cell_index(j1: int, j2: int, spec: GridSpec) -> int:
-    """Contiguous cell number of (j1, j2); block c occupies rows
-    [c*(n+1), (c+1)*(n+1))."""
-    return (j1 - 1) + spec.m1 * (j2 - 1)
 
 
 def eta_mass_matrix(n: int) -> np.ndarray:

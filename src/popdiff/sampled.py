@@ -12,13 +12,18 @@ matrices inherit the per-cell block-diagonal structure, so every
 operator is a (ncells, b, b) stack and each factorization, solve,
 product and exponential below acts on a whole stack at once.
 
-Sensitivities: differentiating M Agen = -K gives
-dAgen = -M^{-1}(dK + dM Agen); the pair (Ahat, dAhat) then comes from the
-exponential of the block-augmented matrix [[Agen, dAgen], [0, Agen]],
-taken for all cells at once, one parameter per call, and dBhat follows
-from the product rule on the closed form.  The solves are shared: all
-parameters go through one Cholesky solve and one LU solve, since
-scipy.linalg's batched calls pay a fixed Python cost per slice.
+Sensitivities: cell c's blocks are w_c M_eta, w_c e0 e0^T + w1_c K_eta
+and w2_c e_n, so its generator is G0 + r_c G1 and its input column
+s_c beta_eta, with r_c = w1_c / w_c and s_c = w2_c / w_c.  Every
+parameter moves the cell only through the moments (w_c, w1_c, w2_c):
+
+    dAhat_c = dr_c S_c,         S_c = dAhat_c / dr_c,
+    dBhat_c = dr_c t_c + ds_c v_c,
+
+where S_c is the upper-right block of the exponential of the augmented
+matrix [[Agen_c, G1], [0, Agen_c]] tau (Van Loan 1978), one stacked
+exponential for all cells and parameters, and t_c, v_c follow from the
+product rule on the closed form of Bhat.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import scipy.linalg
 
 from .assembly import AssembledOperators
 from .errors import ConditioningError, SingularOperatorError
+from .grid import eta_mass_matrix, eta_stiffness_matrix
 
 
 @dataclass
@@ -59,13 +65,23 @@ class SampledSystem:
         return float(np.abs(np.linalg.eigvals(self.A_blocks)).max())
 
 
+def eta_operators(n: int):
+    """(G0, G1, beta_eta) of the depth model: a point mass at q has the
+    generator G0 + q1 G1 and the input column q2 beta_eta, with
+    G0 = -M_eta^{-1} e0 e0^T, G1 = -M_eta^{-1} K_eta and
+    beta_eta = M_eta^{-1} e_n, all from one solve."""
+    eye = np.eye(n + 1)
+    sol = scipy.linalg.cho_solve(scipy.linalg.cho_factor(eta_mass_matrix(n)),
+                                 np.column_stack([eye[0], eta_stiffness_matrix(n), eye[n]]))
+    return -np.outer(sol[:, 0], eye[0]), -sol[:, 1:-1], sol[:, -1:]
+
+
 def augmented_expm(gen: np.ndarray, direction: np.ndarray, tau: float):
     """Exponential of [[gen, direction], [0, gen]] * tau, slice by slice.
 
-    ``gen`` and ``direction`` are (..., b, b) stacks.  Returns
-    (upper_right, lower_right): the sensitivity of exp(gen*tau) in the
-    given direction and exp(gen*tau) itself.  A slice whose direction is
-    zero gets an exactly zero sensitivity.
+    ``gen`` is a (..., b, b) stack and ``direction`` one that broadcasts
+    against it.  Returns (upper_right, lower_right): the sensitivity of
+    exp(gen*tau) in the given direction and exp(gen*tau) itself.
     """
     b = gen.shape[-1]
     aug = np.zeros(gen.shape[:-2] + (2 * b, 2 * b))
@@ -73,9 +89,7 @@ def augmented_expm(gen: np.ndarray, direction: np.ndarray, tau: float):
     aug[..., :b, b:] = direction
     aug[..., b:, b:] = gen
     big = scipy.linalg.expm(aug * tau)
-    upper = big[..., :b, b:]
-    upper[~direction.any(axis=(-2, -1))] = 0.0
-    return upper, big[..., b:, b:]
+    return big[..., :b, b:], big[..., b:, b:]
 
 
 def _cho_factor(ops: AssembledOperators):
@@ -131,52 +145,36 @@ def build_sampled(ops: AssembledOperators, tau: float) -> SampledSystem:
 
 
 def build_sensitivities(ops: AssembledOperators, sys: SampledSystem) -> SampledSystem:
-    """Fill dA_blocks, dBhat, dChat on ``sys`` from the gradient tensors of ``ops``.
+    """Fill dA_blocks, dBhat, dChat on ``sys`` from the moment derivatives of ``ops``.
 
-    All parameters share one ``cho_solve`` (their right-hand sides side by
-    side as columns) and one ``lu_solve`` (a stack over parameters); the
-    exponentials stay one stacked augmented ``expm`` per parameter.
-    Beyond the results, the shared solve holds the (ncells, b, P, b+1)
-    right-hand side and scipy's stacked solution of that size, and each
-    exponential one (ncells, 2b, 2b) stack.
+    Each parameter k moves cell c through dr = (dw1 - r dw) / w and
+    ds = (dw2 - s dw) / w alone, so all parameters share one stacked
+    exponential, S_c = dAhat_c / dr, and two generator solves.  With
+    x_c = s_c gen_c^{-1} beta_eta, the input sensitivity is
+    dBhat_c = dr t_c + ds v_c, where v_c = (Ahat_c - I) gen_c^{-1} beta_eta
+    and t_c = S_c x_c - (Ahat_c - I) gen_c^{-1} G1 x_c.
     """
-    if ops.dM_blocks is None:
+    if ops.dmoments is None:
         raise ValueError("operators were assembled without gradients")
-    b, ncells = ops.block_size, ops.ncells
-    n_params = ops.dM_blocks.shape[0]
-    factor = _cho_factor(ops)
-    gen = sys.Agen_blocks
-    beta = scipy.linalg.cho_solve(factor, ops.Bvec.reshape(ncells, b, 1))
-    dbvec = ops.dB.reshape(n_params, ncells, b)
-    gen_lu = scipy.linalg.lu_factor(gen)
-    x = scipy.linalg.lu_solve(gen_lu, beta)
+    b = ops.block_size
+    _, g1, beta = eta_operators(b - 1)
+    w, w1, w2 = ops.moments
+    dw, dw1, dw2 = ops.dmoments
+    r, s = w1 / w, w2 / w
+    dr = (dw1 - r * dw) / w
+    ds = (dw2 - s * dw) / w
 
-    # Column block k holds [dK_k + dM_k gen | dB_k - dM_k beta].  A solve
-    # with many right-hand sides rounds each column as a solve of it alone.
-    rhs = np.empty((ncells, b, n_params, b + 1))
-    blocks = np.moveaxis(rhs, 2, 0)
-    np.add(ops.dK_blocks, ops.dM_blocks @ gen, out=blocks[..., :b])
-    np.subtract(dbvec, (ops.dM_blocks @ beta)[..., 0], out=blocks[..., b])
-    sol = scipy.linalg.cho_solve(factor, rhs.reshape(ncells, b, -1))
-    del rhs, blocks
-    # After the sign flip column block k is [dgen_k | dbeta_k], kept in the
-    # layout the solve returns: dgen @ x rounds as on one solve per parameter.
-    sol = sol.reshape(ncells, b, n_params, b + 1)
-    np.negative(sol[..., :b], out=sol[..., :b])
+    gen = sys.Agen_blocks
+    sens, _ = augmented_expm(gen, g1, sys.tau)
+    a_minus_eye = sys.A_blocks - np.eye(b)
+    z = np.linalg.solve(gen, beta)
+    v = a_minus_eye @ z
+    x = s[:, None, None] * z
+    t = sens @ x - a_minus_eye @ np.linalg.solve(gen, g1 @ x)
 
     # C-contiguous, as the adjoint's contraction over it rounds by layout.
-    dA_blocks = np.empty((n_params, ncells, b, b))
-    resid = np.empty((n_params, ncells, b, 1))
-    for k in range(n_params):
-        dgen = sol[:, :, k, :b]
-        dA_blocks[k], _ = augmented_expm(gen, dgen, sys.tau)
-        np.subtract(sol[:, :, k, b:], dgen @ x, out=resid[k])
-    del sol
-    # One right-hand side per slice: folded into columns the LU solve
-    # would round differently.
-    y = scipy.linalg.lu_solve(gen_lu, resid)
-    dBhat = dA_blocks @ x + (sys.A_blocks - np.eye(b)) @ y
-    sys.dA_blocks = dA_blocks
-    sys.dBhat = dBhat.reshape(n_params, -1)
-    sys.dChat = ops.dC.copy()
+    sys.dA_blocks = dr[:, :, None, None] * sens
+    sys.dBhat = (dr[:, :, None] * t[..., 0] + ds[:, :, None] * v[..., 0]).reshape(len(dr), -1)
+    sys.dChat = np.zeros_like(sys.dBhat)
+    sys.dChat[:, ::b] = dw  # Chat holds w_c at each block's state 0
     return sys

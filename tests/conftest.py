@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 from popdiff.density import RhoParams
-from popdiff.grid import GridSpec
+from popdiff.grid import GridSpec, QBox, eta_mass_matrix, eta_stiffness_matrix
 
 
 def random_rho(rng: np.random.Generator) -> RhoParams:
@@ -66,6 +66,46 @@ def truncated_moments(rho: RhoParams, order: int = 48):
     return mean, cov
 
 
+# ---------------------------------------------------------- index oracles
+
+def hat_eval(j: int, n: int, eta: float) -> float:
+    """Value of the j-th linear hat function on the uniform n-mesh at eta.
+
+    Support is [(j-1)/n, (j+1)/n] clipped to [0, 1], height 1 at j/n.
+    """
+    if not 0 <= j <= n:
+        raise ValueError(f"hat index {j} out of range [0, {n}]")
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta = {eta} outside [0, 1]")
+    return max(0.0, 1.0 - n * abs(eta - j / n))
+
+
+def qcell_bounds(axis: int, j_i: int, box: QBox, m_i: int) -> tuple[float, float]:
+    """Bounds of the j_i-th uniform cell along parameter axis 1 or 2."""
+    if axis == 1:
+        lo, hi = box.a1, box.b1
+    elif axis == 2:
+        lo, hi = box.a2, box.b2
+    else:
+        raise ValueError(f"axis must be 1 or 2, got {axis}")
+    if not 1 <= j_i <= m_i:
+        raise ValueError(f"cell index {j_i} out of range [1, {m_i}]")
+    width = (hi - lo) / m_i
+    return (lo + width * (j_i - 1), lo + width * j_i)
+
+
+def flat_index(j: int, j1: int, j2: int, spec: GridSpec) -> int:
+    """Flat position of basis function (j, j1, j2): eta-fastest, then q1
+    cells, then q2 cells."""
+    if not 0 <= j <= spec.n:
+        raise ValueError(f"eta index {j} out of range [0, {spec.n}]")
+    if not 1 <= j1 <= spec.m1:
+        raise ValueError(f"q1 cell index {j1} out of range [1, {spec.m1}]")
+    if not 1 <= j2 <= spec.m2:
+        raise ValueError(f"q2 cell index {j2} out of range [1, {spec.m2}]")
+    return j + (spec.n + 1) * ((j1 - 1) + spec.m1 * (j2 - 1))
+
+
 @pytest.fixture
 def rho_smooth() -> RhoParams:
     """Canonical moderate-spread parameter vector used by many tests."""
@@ -101,11 +141,20 @@ def smooth_pulse_input(steps: int, tau: float, center_h: float = 2.0,
 
 def per_cell_reference(ops, tau):
     """The sampled operators and sensitivities one cell at a time, with
-    2-D calls only: the loop that the whole-stack code replaced."""
+    2-D calls only.  The sensitivities take one solve and one augmented
+    exponential per parameter direction dK + dM Agen, with dM, dK and dB
+    built from the moment derivatives: the algorithm that the rank-one
+    form in ``build_sensitivities`` replaced."""
     b, ncells = ops.block_size, ops.ncells
-    n_params = ops.dM_blocks.shape[0]
+    n_params = ops.dmoments.shape[1]
     bvec = ops.Bvec.reshape(ncells, b)
-    dbvec = ops.dB.reshape(n_params, ncells, b)
+    meta, keta = eta_mass_matrix(b - 1), eta_stiffness_matrix(b - 1)
+    e00, en = np.zeros((b, b)), np.zeros(b)
+    e00[0, 0] = en[-1] = 1.0
+    dw, dw1, dw2 = (d[:, :, None, None] for d in ops.dmoments)
+    dM = dw * meta
+    dK = dw * e00 + dw1 * keta
+    dbvec = dw2[..., 0] * en
     A = np.empty((ncells, b, b))
     Agen = np.empty((ncells, b, b))
     Bhat = np.empty((ncells, b))
@@ -122,11 +171,11 @@ def per_cell_reference(ops, tau):
         x = scipy.linalg.lu_solve(gen_lu, beta)
         for k in range(n_params):
             dgen = -scipy.linalg.cho_solve(
-                factor, ops.dK_blocks[k, c] + ops.dM_blocks[k, c] @ gen
+                factor, dK[k, c] + dM[k, c] @ gen
             )
             aug = np.block([[gen, dgen], [np.zeros((b, b)), gen]])
             dA[k, c] = scipy.linalg.expm(aug * tau)[:b, b:] if dgen.any() else 0.0
-            dbeta = scipy.linalg.cho_solve(factor, dbvec[k, c] - ops.dM_blocks[k, c] @ beta)
+            dbeta = scipy.linalg.cho_solve(factor, dbvec[k, c] - dM[k, c] @ beta)
             dBhat[k, c] = dA[k, c] @ x + (A[c] - np.eye(b)) @ scipy.linalg.lu_solve(
                 gen_lu, dbeta - dgen @ x
             )

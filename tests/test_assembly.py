@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from conftest import random_rho, truncated_moments
+from conftest import flat_index, qcell_bounds, random_rho, truncated_moments
 
 from popdiff.assembly import assemble
-from popdiff.density import RhoParams
+from popdiff.density import RhoParams, normalization, phi_values
 from popdiff.errors import DegenerateDensityError
 from popdiff.grid import GridSpec, eta_mass_matrix, eta_stiffness_matrix
 
@@ -97,6 +97,31 @@ class TestAssembleValues:
         assert sib.sum() == pytest.approx(wc.sum(), rel=1e-12)
         np.testing.assert_allclose(sib, wc, rtol=1e-10)
 
+    def test_cells_follow_the_flat_index(self, rho_smooth):
+        # Cell (j1, j2) holds the density's moments (1, q1, q2) over
+        # qcell_bounds' rectangle, at the position flat_index gives; the
+        # output functional reads them at eta node 0, the input at node n.
+        # Oracle: a 24-node Gauss rule per cell axis; assembly uses 8, so
+        # they agree to 1e-8 relative; distinct cells differ by far more.
+        spec = GridSpec(n=2, m1=3, m2=2, tau=0.1)
+        ops = assemble(spec, rho_smooth)
+        x, w = np.polynomial.legendre.leggauss(24)
+        norm = normalization(rho_smooth)
+        for j2 in range(1, spec.m2 + 1):
+            for j1 in range(1, spec.m1 + 1):
+                (lo1, hi1), (lo2, hi2) = (qcell_bounds(axis, j, rho_smooth.box, m)
+                                          for axis, j, m in ((1, j1, spec.m1),
+                                                             (2, j2, spec.m2)))
+                q1 = 0.5 * (lo1 + hi1) + 0.5 * (hi1 - lo1) * x
+                q2 = 0.5 * (lo2 + hi2) + 0.5 * (hi2 - lo2) * x
+                f = phi_values(q1[:, None], q2[None, :], rho_smooth) / norm
+                w1, w2 = 0.5 * (hi1 - lo1) * w, 0.5 * (hi2 - lo2) * w
+                c = (j1 - 1) + spec.m1 * (j2 - 1)
+                expected = [w1 @ f @ w2, (w1 * q1) @ f @ w2, w1 @ f @ (w2 * q2)]
+                np.testing.assert_allclose(ops.moments[:, c], expected, rtol=1e-7)
+                assert ops.Cvec[flat_index(0, j1, j2, spec)] == ops.moments[0, c]
+                assert ops.Bvec[flat_index(spec.n, j1, j2, spec)] == ops.moments[2, c]
+
     def test_gamma_floor_rejection(self):
         spec = GridSpec(n=1, m1=2, m2=2, tau=0.1)
         rho = RhoParams(0.5, 1.5, 0.5, 1.5, 0.75, 0.75, 0.02, 0.0, 0.02)
@@ -106,19 +131,14 @@ class TestAssembleValues:
         assert ops.f_min < 1e-10
 
 
-def fd_operators(spec, rho, k, h, quad_order=8):
+def fd_moments(spec, rho, k, h, quad_order=8):
     base = rho.as_array()
     up, dn = base.copy(), base.copy()
     up[k] += h
     dn[k] -= h
-    ops_up = assemble(spec, RhoParams.from_array(up), quad_order)
-    ops_dn = assemble(spec, RhoParams.from_array(dn), quad_order)
-    return (
-        (block_diag(*ops_up.M_blocks) - block_diag(*ops_dn.M_blocks)) / (2 * h),
-        (block_diag(*ops_up.K_blocks) - block_diag(*ops_dn.K_blocks)) / (2 * h),
-        (ops_up.Bvec - ops_dn.Bvec) / (2 * h),
-        (ops_up.Cvec - ops_dn.Cvec) / (2 * h),
-    )
+    m_up = assemble(spec, RhoParams.from_array(up), quad_order).moments
+    m_dn = assemble(spec, RhoParams.from_array(dn), quad_order).moments
+    return (m_up - m_dn) / (2 * h)
 
 
 class TestAssembleGrad:
@@ -128,16 +148,14 @@ class TestAssembleGrad:
         for _ in range(3):
             rho = random_rho(rng)
             ops = assemble(spec, rho, with_grad=True)
-            dM = [block_diag(*blocks) for blocks in ops.dM_blocks]
-            dK = [block_diag(*blocks) for blocks in ops.dK_blocks]
-            dB, dC = ops.dB, ops.dC
             base = rho.as_array()
             for k in range(9):
                 h = 1e-6 * (1 + abs(base[k]))
-                fdM, fdK, fdB, fdC = fd_operators(spec, rho, k, h)
-                for an, fd in [(dM[k], fdM), (dK[k], fdK), (dB[k], fdB), (dC[k], fdC)]:
-                    scale = max(np.linalg.norm(fd), 1e-10)
-                    assert np.linalg.norm(an - fd) / scale < 1e-5, (k, rho)
+                fd = fd_moments(spec, rho, k, h)
+                for i in range(3):
+                    an = ops.dmoments[i, k]
+                    scale = max(np.linalg.norm(fd[i]), 1e-10)
+                    assert np.linalg.norm(an - fd[i]) / scale < 1e-5, (i, k, rho)
 
     @pytest.mark.parametrize("n, m", [(4, 2), (8, 4), (16, 8)])
     def test_operators_do_not_depend_on_with_grad(self, n, m):
@@ -152,7 +170,7 @@ class TestAssembleGrad:
         for rho in rhos:
             plain = assemble(spec, rho)
             full = assemble(spec, rho, with_grad=True)
-            for name in ("M_blocks", "K_blocks", "Bvec", "Cvec", "f_min"):
+            for name in ("M_blocks", "K_blocks", "Bvec", "Cvec", "f_min", "moments"):
                 np.testing.assert_array_equal(getattr(full, name), getattr(plain, name),
                                               err_msg=f"{name} at {rho}")
 
@@ -162,11 +180,11 @@ class TestAssembleGrad:
         spec = GridSpec(n=2, m1=1, m2=1, tau=0.1)
         rho = RhoParams(0.3, 1.1, 0.3, 1.1, 0.7, 0.7, 0.15, 0.0, 0.15)
         ops = assemble(spec, rho, quad_order=24, norm_quad_order=24, with_grad=True)
-        np.testing.assert_allclose(ops.dM_blocks[4], 0.0, atol=1e-12)
-        np.testing.assert_allclose(ops.dM_blocks[5], 0.0, atol=1e-12)
+        np.testing.assert_allclose(ops.dmoments[0, 4:6], 0.0, atol=1e-12)
 
     def test_stiffness_derivative_tracks_truncated_mean(self):
-        # For one cell, dK/dmu1 = K_eta * d E[q1] / dmu1.
+        # For one cell w = 1, so dK/dmu1 = dw e0 e0^T + dw1 K_eta is
+        # K_eta * d E[q1] / dmu1.
         spec = GridSpec(n=2, m1=1, m2=1, tau=0.1)
         rho = RhoParams(0.3, 1.1, 0.3, 1.1, 0.7, 0.7, 0.15, 0.0, 0.15)
         ops = assemble(spec, rho, quad_order=24, norm_quad_order=24, with_grad=True)
@@ -174,7 +192,7 @@ class TestAssembleGrad:
         up = RhoParams.from_array(rho.as_array() + h * np.eye(9)[4])
         dn = RhoParams.from_array(rho.as_array() - h * np.eye(9)[4])
         dmean = (truncated_moments(up)[0][0] - truncated_moments(dn)[0][0]) / (2 * h)
-        np.testing.assert_allclose(
-            ops.dK_blocks[4, 0], dmean * eta_stiffness_matrix(2), rtol=1e-6, atol=1e-9
-        )
+        dw, dw1, _ = ops.dmoments[:, 4, 0]
+        dK = dw * np.diag([1.0, 0.0, 0.0]) + dw1 * eta_stiffness_matrix(2)
+        np.testing.assert_allclose(dK, dmean * eta_stiffness_matrix(2), rtol=1e-6, atol=1e-9)
 

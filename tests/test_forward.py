@@ -4,7 +4,7 @@ import scipy.linalg
 
 from conftest import loop_simulate, pulse_input, smooth_pulse_input
 
-from popdiff.assembly import _cell_moments, _flat_cells
+from popdiff.assembly import assemble
 from popdiff.density import QPoint, RhoParams, sample_array
 from popdiff.errors import ConditioningError, SimulationDivergenceError
 from popdiff.forward import (
@@ -297,8 +297,7 @@ class TestCellMixture:
         spec = GridSpec(n=n, m1=m1, m2=m2, tau=1 / 12)
         u = pulse_input(60, spec.tau)
         pop = simulate(population_system(rho_smooth, spec), u)
-        moments, _, _ = _cell_moments(spec, rho_smooth, 8, 24, with_grad=False)
-        w, w1, w2 = _flat_cells(moments)
+        w, w1, w2 = assemble(spec, rho_smooth).moments
         nodes = np.column_stack([w1 / w, np.ones_like(w)])
         mixture = w2 @ simulate_deterministic_batch(nodes, n, spec.tau, u)
         assert np.abs(pop - mixture).max() <= 1e-12 * np.abs(pop).max()

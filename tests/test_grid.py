@@ -3,16 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from popdiff.grid import (
-    GridSpec,
-    QBox,
-    eta_mass_matrix,
-    eta_stiffness_matrix,
-    flat_index,
-    hat_eval,
-    multi_index,
-    qcell_bounds,
-)
+from conftest import flat_index, hat_eval, qcell_bounds
+
+from popdiff.grid import GridSpec, QBox, eta_mass_matrix, eta_stiffness_matrix
+
+
+# hat_eval, qcell_bounds and flat_index are test oracles kept in conftest:
+# the first for the depth mass matrix (TestEtaMatrices), the other two for
+# where assembly puts each cell (test_assembly.py).
 
 
 class TestHatEval:
@@ -122,8 +120,8 @@ class TestFlatIndex:
             for j1 in range(1, m1 + 1):
                 for j in range(n + 1):
                     flat = flat_index(j, j1, j2, spec)
-                    mi = multi_index(flat, spec)
-                    assert (mi.j, mi.j1, mi.j2, mi.flat) == (j, j1, j2, flat)
+                    cell, j_back = divmod(flat, spec.n + 1)
+                    assert (j_back, cell % m1 + 1, cell // m1 + 1) == (j, j1, j2)
                     seen.add(flat)
         assert seen == set(range(spec.dim))
 
