@@ -4,6 +4,8 @@
 For each workload of ``perfbench/workloads.py`` this prints the first 16
 hex digits of ``workloads.digest`` over:
 
+* the fit data (every episode's ``y_obs``), which the population system
+  generates, so a change in its rounding shows here first;
 * the fit from ``START`` (``rho_hat`` and the cost trace), with its
   status, iteration count and cost/gradient evaluation counts;
 * the cost at ``START`` and at ``RHO`` (total and per episode), so a
@@ -13,7 +15,9 @@ hex digits of ``workloads.digest`` over:
   change in the sensitivity layer is named directly;
 * ``initialize`` on the fit episodes;
 * ``credible_band`` on the band input of seed 1, at ``RHO`` or at the
-  fit's ``rho_hat`` as the workload's rounds place it.
+  fit's ``rho_hat`` as the workload's rounds place it;
+* ``simulate_deterministic_batch`` on that input for a fixed set of
+  draws from ``RHO``, so the single-q path is seen apart from the fit.
 
 A refactoring that must not change one bit of output leaves every digest
 unchanged.  Digests depend on the BLAS kernel, so compare two commits on
@@ -38,8 +42,11 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import popdiff  # noqa: E402
 import workloads  # noqa: E402
+from popdiff.density import sample_array  # noqa: E402
+from popdiff.forward import simulate_deterministic_batch  # noqa: E402
 
 BAND_SEED = 1
+SINGLE_Q_DRAWS = 200
 
 
 def short(*arrays) -> str:
@@ -52,9 +59,10 @@ def report(w) -> list[str]:
     result = popdiff.fit(episodes, spec, workloads.START, workloads.FIT_OPTIONS)
     fit = workloads._fit_result(result)
     lines = [
+        f"data {short(*(ep.y_obs for ep in episodes))}",
         f"fit {short(fit['rho_hat'], fit['cost_trace'])} {fit['status']} "
         f"iterations={fit['iterations']} cost_evals={fit['cost_evals']} "
-        f"grad_evals={fit['grad_evals']}"
+        f"grad_evals={fit['grad_evals']}",
     ]
     for label, rho in (("START", workloads.START), ("RHO", workloads.RHO)):
         adj = popdiff.gradient_adjoint(rho, spec, episodes)
@@ -65,11 +73,13 @@ def report(w) -> list[str]:
     lines.append(f"build_sensitivities@START {short(sens.dA_blocks, sens.dBhat)}")
     lines.append(f"initialize {short(popdiff.initialize(episodes, spec).as_array())}")
     at = workloads.RHO if w.band_at_truth else result.rho_hat
-    band = popdiff.credible_band(at, w.band_spec,
-                                 workloads.band_input(w, BAND_SEED), w.level,
-                                 w.nsamples, BAND_SEED)
+    u = workloads.band_input(w, BAND_SEED)
+    band = popdiff.credible_band(at, w.band_spec, u, w.level, w.nsamples, BAND_SEED)
     lines.append(f"credible_band@seed{BAND_SEED} "
                  f"{short(band.lower, band.upper, band.mean_output)}")
+    draws = sample_array(workloads.RHO, SINGLE_Q_DRAWS, BAND_SEED)
+    single_q = simulate_deterministic_batch(draws, w.band_spec.n, w.band_spec.tau, u)
+    lines.append(f"single_q@RHO {short(single_q)}")
     return lines
 
 

@@ -1,4 +1,4 @@
-"""Density-weighted Galerkin operators on the tensor-product space.
+"""Density moments of the tensor-product Galerkin discretization.
 
 For basis elements hat_j(eta) * indicator_cell(q), entries coupling
 distinct parameter cells vanish, so every operator is block-diagonal with
@@ -11,7 +11,9 @@ one (n+1) x (n+1) block per cell.  Within cell c the blocks reduce to
 
 with the density moments w_c = int_c f, w1_c = int_c q1 f and
 w2_c = int_c q2 f over the cell, computed with per-cell Gauss-Legendre
-quadrature.
+quadrature.  The moments fix every block, so they are all that
+``assemble`` returns; ``sampled.build_sampled`` turns them into the
+sampled system without forming the blocks.
 
 Parameter derivatives of the moments: mean/Cholesky components
 differentiate the integrand; support components additionally move the
@@ -39,27 +41,22 @@ from .density import (
     phi_with_grads,
 )
 from .errors import DegenerateDensityError
-from .grid import GridSpec, eta_mass_matrix, eta_stiffness_matrix
+from .grid import GridSpec, eta_mass_matrix
 
 DEFAULT_CELL_QUAD_ORDER = 8
 
 
 @dataclass
 class AssembledOperators:
-    """Weighted mass/stiffness blocks plus input/output functionals.
+    """The cell moments that fix every Galerkin block.
 
-    Matrices are stored per cell as (ncells, b, b) stacks, the only form
-    any layer reads.  ``moments`` holds the cell moments (w, w1, w2) that
-    fix every block.  The derivatives are present only when assembled
-    with ``with_grad=True``.
+    ``moments`` holds (w, w1, w2) per cell and ``f_min`` the smallest
+    density value at a quadrature node.  The derivatives are present
+    only when assembled with ``with_grad=True``.
     """
 
     block_size: int
     ncells: int
-    M_blocks: np.ndarray            # (ncells, b, b)
-    K_blocks: np.ndarray            # (ncells, b, b)
-    Bvec: np.ndarray                # (dim,)
-    Cvec: np.ndarray                # (dim,)
     f_min: float
     moments: np.ndarray             # (3, ncells)
     dmoments: np.ndarray | None = None    # (3, 9, ncells)
@@ -67,10 +64,6 @@ class AssembledOperators:
     # stays for perfbench/tracing.py, which counts parameters by its
     # leading axis.
     dM_blocks: np.ndarray | None = None
-
-    @property
-    def dim(self) -> int:
-        return self.block_size * self.ncells
 
 
 def _flat_cells(arr: np.ndarray) -> np.ndarray:
@@ -197,32 +190,12 @@ def assemble(
             f"operational floor {gamma_floor:.3e}; iterate rejected"
         )
 
-    n = spec.n
-    b = spec.block_size
-    meta = eta_mass_matrix(n)
-    keta = eta_stiffness_matrix(n)
-    e00 = np.zeros((b, b))
-    e00[0, 0] = 1.0
-
-    moments = _flat_cells(moments)
-    w, w1, w2 = moments
-
-    M_blocks = w[:, None, None] * meta
-    K_blocks = w[:, None, None] * e00 + w1[:, None, None] * keta
-    dim = b * spec.ncells
-    idx0 = np.arange(spec.ncells) * b
-    Bvec = np.zeros(dim)
-    Bvec[idx0 + n] = w2
-    Cvec = np.zeros(dim)
-    Cvec[idx0] = w
-
     ops = AssembledOperators(
-        block_size=b, ncells=spec.ncells,
-        M_blocks=M_blocks, K_blocks=K_blocks, Bvec=Bvec, Cvec=Cvec,
-        f_min=f_min, moments=moments,
+        block_size=spec.block_size, ncells=spec.ncells,
+        f_min=f_min, moments=_flat_cells(moments),
     )
     if with_grad:
         ops.dmoments = _flat_cells(grads)
-        ops.dM_blocks = ops.dmoments[0, :, :, None, None] * meta
+        ops.dM_blocks = ops.dmoments[0, :, :, None, None] * eta_mass_matrix(spec.n)
     return ops
 

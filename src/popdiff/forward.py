@@ -2,14 +2,15 @@
 
 Both are one block-diagonal recursion x[j+1] = Ahat x[j] + bhat u[j] from
 x[0] = 0, implemented once in ``linear_recursion`` (the adjoint in
-``objective`` runs it backward on Ahat^T).  The population system has one
-block per density cell.  The single-q model is the same system with a
-point mass: ``simulate_deterministic_batch`` gives each draw one block, so
-one stacked zero-order hold and one recursion serve a block of draws;
-``simulate_deterministic`` is its one-draw case.  With piecewise-constant
-cells the population output is exactly the mixture sum_c w2_c g(w1_c/w_c)
-of single-q outputs at q2 = 1, and a Monte Carlo mean over draws
-converges to it.
+``objective`` runs it backward on Ahat^T).  Both are built by one
+stacked zero-order hold of point-mass generators G0 + q1 G1.  The
+population system has one block per density cell, the point mass at
+q1 = w1_c / w_c (``sampled.build_sampled``).  The single-q model gives each
+draw one block: ``simulate_deterministic_batch`` serves a block of draws
+with one hold and one recursion, and ``simulate_deterministic`` is its
+one-draw case.  So the population output is exactly the mixture
+sum_c w2_c g(w1_c/w_c) of single-q outputs at q2 = 1, and a Monte Carlo
+mean over draws converges to it.
 """
 
 from __future__ import annotations

@@ -290,8 +290,11 @@ def fit(
 # minimum, six decades around the diffusivities of interest (about 0.1-2);
 # a minimum at either end raises, it is never clipped.
 Q1_GRID = np.logspace(-3.0, 3.0, 25)
-# Relative q1 tolerance floor: below it the profile's rounding noise dominates.
-_SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
+# Relative q1 tolerance floor.  The profile cost is flat to second order at
+# its minimum, so a finer search buys no accuracy: its steps would compare
+# costs that differ by rounding, and its number of solves would follow the
+# last bits of the outputs.
+_Q1_RTOL = 1e-6
 _GOLDEN = 0.3819660112501051  # (3 - sqrt(5)) / 2
 _BRENT_MAX_ITER = 100
 
@@ -375,9 +378,9 @@ def fit_deterministic(
     of its two neighbours.
 
     Of ``options`` only ``xtol`` applies, as the relative tolerance on q1,
-    floored at sqrt(machine epsilon).  When the best grid point is an end
-    of ``Q1_GRID`` the minimum is not bracketed and PopdiffError is
-    raised (``initialize`` then falls back to its default box).  When the
+    floored at 1e-6 (``_Q1_RTOL``).  When the best grid point is an end of
+    ``Q1_GRID`` the minimum is not bracketed and PopdiffError is raised
+    (``initialize`` then falls back to its default box).  When the
     best response is identically zero (zero input, or data with no
     positive correlation to any grid response) q1 is not determined:
     ``init`` is returned, with q2 = 0 in the second case, and the cost is
@@ -409,7 +412,7 @@ def fit_deterministic(
 
     s0 = float(np.log(Q1_GRID[i]))
     s, c = _brent(profile, float(np.log(Q1_GRID[i - 1])), float(np.log(Q1_GRID[i + 1])),
-                  s0, profile(s0), max(opt.xtol, _SQRT_EPS))
+                  s0, profile(s0), max(opt.xtol, _Q1_RTOL))
     return QPoint(float(np.exp(s)), gains[s]), c
 
 

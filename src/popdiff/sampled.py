@@ -1,21 +1,23 @@
 """Sampled-time system construction and its parameter sensitivities.
 
-With zero-order-hold input at interval tau, the continuous dynamics
-collapse exactly to the recursion x_{j+1} = Ahat x_j + Bhat u_j with
+Cell c's Galerkin blocks are M_c = w_c M_eta, K_c = w_c e0 e0^T +
+w1_c K_eta, B_c = w2_c e_n and C_c = w_c e_0, so M_c^{-1} K_c and
+M_c^{-1} B_c depend on the moments only through r_c = w1_c / w_c and
+s_c = w2_c / w_c: the cell is the point-mass system at q1 = r_c, with
+generator Agen_c = G0 + r_c G1, input column s_c beta_eta and output w_c
+times state 0 (G0, G1 and beta_eta from ``eta_operators``).  With
+zero-order-hold input at interval tau the dynamics collapse exactly to
+the recursion x_{j+1} = Ahat x_j + Bhat u_j, y_j = Chat . x_j, with
 
-    Ahat = exp(Agen * tau),
-    Bhat = (Ahat - I) Agen^{-1} (M^{-1} Bvec),
-    Agen = -M^{-1} K,
+    Ahat_c = exp(Agen_c tau),
+    Bhat_c = s_c (Ahat_c - I) Agen_c^{-1} beta_eta,
 
-and the output stays the assembled functional, y_j = Chat . x_j.  All
-matrices inherit the per-cell block-diagonal structure, so every
-operator is a (ncells, b, b) stack and each factorization, solve,
-product and exponential below acts on a whole stack at once.
+one stacked hold for all cells, the same ``zero_order_hold`` that the
+single-q draws of ``forward.simulate_deterministic_batch`` use.  Every
+operator is a (ncells, b, b) stack.
 
-Sensitivities: cell c's blocks are w_c M_eta, w_c e0 e0^T + w1_c K_eta
-and w2_c e_n, so its generator is G0 + r_c G1 and its input column
-s_c beta_eta, with r_c = w1_c / w_c and s_c = w2_c / w_c.  Every
-parameter moves the cell only through the moments (w_c, w1_c, w2_c):
+Sensitivities: every parameter moves cell c only through the moments
+(w_c, w1_c, w2_c):
 
     dAhat_c = dr_c S_c,         S_c = dAhat_c / dr_c,
     dBhat_c = dr_c t_c + ds_c v_c,
@@ -92,18 +94,6 @@ def augmented_expm(gen: np.ndarray, direction: np.ndarray, tau: float):
     return big[..., :b, b:], big[..., b:, b:]
 
 
-def _cho_factor(ops: AssembledOperators):
-    """Cholesky factors of every mass block, for batched ``cho_solve``."""
-    try:
-        factor, _ = scipy.linalg.cho_factor(ops.M_blocks)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularOperatorError(
-            f"a mass block is not positive definite (smallest cell weight "
-            f"{ops.M_blocks.max(axis=(1, 2)).min():.3e}); cannot factorize"
-        ) from exc
-    return factor, False
-
-
 def zero_order_hold(gen: np.ndarray, beta: np.ndarray, tau: float):
     """(Ahat, Bhat) of x' = gen x + beta u with u held over each interval tau.
 
@@ -126,21 +116,28 @@ def zero_order_hold(gen: np.ndarray, beta: np.ndarray, tau: float):
 
 
 def build_sampled(ops: AssembledOperators, tau: float) -> SampledSystem:
-    """Discrete-time operators from assembled ones; tau > 0."""
+    """Discrete-time operators from the cell moments; tau > 0.
+
+    Cell c is the point-mass system at q1 = r_c: generator G0 + r_c G1,
+    input column s_c beta_eta and output w_c times state 0, the blocks
+    that ``forward.simulate_deterministic_batch`` builds for a draw.
+    """
+    w, w1, w2 = ops.moments
+    if not np.all(w > 0):
+        raise SingularOperatorError(
+            f"a cell has no mass (smallest cell weight {w.min():.3e}); "
+            "its mass block is singular"
+        )
     b = ops.block_size
-    # One solve for [K | Bvec] rather than two: scipy.linalg's batched
-    # calls loop over the cells in Python, a fixed cost paid per call.
-    rhs = np.concatenate([ops.K_blocks, ops.Bvec.reshape(ops.ncells, b, 1)], axis=-1)
-    sol = scipy.linalg.cho_solve(_cho_factor(ops), rhs)
-    # cho_solve hands back Fortran-ordered slices; the products that read
-    # the stored generator round as on C-ordered blocks.
-    gen = np.ascontiguousarray(-sol[..., :b])
-    beta = sol[..., b:]
+    g0, g1, beta = eta_operators(b - 1)
+    gen = g0 + (w1 / w)[:, None, None] * g1
     ahat, bhat = zero_order_hold(gen, beta, tau)
+    chat = np.zeros((ops.ncells, b))
+    chat[:, 0] = w
     return SampledSystem(
         block_size=b, ncells=ops.ncells, tau=tau,
         A_blocks=ahat, Agen_blocks=gen,
-        Bhat=bhat.reshape(-1), Chat=ops.Cvec.copy(),
+        Bhat=((w2 / w)[:, None] * bhat[..., 0]).reshape(-1), Chat=chat.reshape(-1),
     )
 
 

@@ -139,15 +139,36 @@ def smooth_pulse_input(steps: int, tau: float, center_h: float = 2.0,
 
 # ------------------------------------------------- per-episode references
 
+def galerkin_blocks(ops):
+    """The tensor-Galerkin operators of ``ops`` as (ncells, b, b) stacks and
+    flat vectors: cell c's blocks are M_c = w_c M_eta,
+    K_c = w_c e0 e0^T + w1_c K_eta, B_c = w2_c e_n and C_c = w_c e_0.
+    Returns (M_blocks, K_blocks, Bvec, Cvec)."""
+    b, ncells = ops.block_size, ops.ncells
+    w, w1, w2 = ops.moments
+    e00 = np.zeros((b, b))
+    e00[0, 0] = 1.0
+    M = w[:, None, None] * eta_mass_matrix(b - 1)
+    K = w[:, None, None] * e00 + w1[:, None, None] * eta_stiffness_matrix(b - 1)
+    Bvec, Cvec = np.zeros((ncells, b)), np.zeros((ncells, b))
+    Bvec[:, -1] = w2
+    Cvec[:, 0] = w
+    return M, K, Bvec.reshape(-1), Cvec.reshape(-1)
+
+
 def per_cell_reference(ops, tau):
     """The sampled operators and sensitivities one cell at a time, with
-    2-D calls only.  The sensitivities take one solve and one augmented
-    exponential per parameter direction dK + dM Agen, with dM, dK and dB
-    built from the moment derivatives: the algorithm that the rank-one
-    form in ``build_sensitivities`` replaced."""
+    2-D calls only, from ``galerkin_blocks``: each mass block is
+    Cholesky-factorized, the generator is -M_c^{-1} K_c and the input
+    column M_c^{-1} B_c.  The sensitivities take one solve and one
+    augmented exponential per parameter direction dK + dM Agen, with dM,
+    dK and dB built from the moment derivatives: the algorithm that the
+    point-mass form in ``build_sampled`` and ``build_sensitivities``
+    replaced."""
     b, ncells = ops.block_size, ops.ncells
     n_params = ops.dmoments.shape[1]
-    bvec = ops.Bvec.reshape(ncells, b)
+    M_blocks, K_blocks, Bvec, _ = galerkin_blocks(ops)
+    bvec = Bvec.reshape(ncells, b)
     meta, keta = eta_mass_matrix(b - 1), eta_stiffness_matrix(b - 1)
     e00, en = np.zeros((b, b)), np.zeros(b)
     e00[0, 0] = en[-1] = 1.0
@@ -161,8 +182,8 @@ def per_cell_reference(ops, tau):
     dA = np.empty((n_params, ncells, b, b))
     dBhat = np.empty((n_params, ncells, b))
     for c in range(ncells):
-        factor = scipy.linalg.cho_factor(ops.M_blocks[c])
-        Agen[c] = -scipy.linalg.cho_solve(factor, ops.K_blocks[c])
+        factor = scipy.linalg.cho_factor(M_blocks[c])
+        Agen[c] = -scipy.linalg.cho_solve(factor, K_blocks[c])
         gen = Agen[c]
         A[c] = scipy.linalg.expm(gen * tau)
         beta = scipy.linalg.cho_solve(factor, bvec[c])

@@ -243,7 +243,10 @@ def test_criterion_09_sampled_operator_identities():
     ops = assemble(spec, RHO_TRUE)
     sys = build_sampled(ops, spec.tau)
 
-    beta = np.linalg.solve(scipy.linalg.block_diag(*ops.M_blocks), ops.Bvec)
+    from conftest import galerkin_blocks
+
+    M_blocks, _, Bvec, _ = galerkin_blocks(ops)
+    beta = np.linalg.solve(scipy.linalg.block_diag(*M_blocks), Bvec)
     agen = scipy.linalg.block_diag(*sys.Agen_blocks)
     x, w = np.polynomial.legendre.leggauss(64)
     s = 0.5 * spec.tau * (x + 1)

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from conftest import flat_index, qcell_bounds, random_rho, truncated_moments
+from conftest import flat_index, galerkin_blocks, qcell_bounds, random_rho, truncated_moments
 
 from popdiff.assembly import assemble
 from popdiff.density import RhoParams, normalization, phi_values
 from popdiff.errors import DegenerateDensityError
 from popdiff.grid import GridSpec, eta_mass_matrix, eta_stiffness_matrix
+from popdiff.sampled import build_sampled
 
 
 def nearly_uniform_rho(box=(1.5, 2.5, 0.5, 1.5), sigma=1e3):
@@ -21,13 +22,13 @@ class TestAssembleValues:
     def test_uniform_density_closed_form(self):
         # Uniform f on [1.5,2.5]x[0.5,1.5]: unit mass, E[q1]=2, E[q2]=1.
         spec = GridSpec(n=1, m1=1, m2=1, tau=0.1)
-        ops = assemble(spec, nearly_uniform_rho())
+        M_blocks, K_blocks, Bvec, Cvec = galerkin_blocks(assemble(spec, nearly_uniform_rho()))
         np.testing.assert_allclose(
-            block_diag(*ops.M_blocks), [[1 / 3, 1 / 6], [1 / 6, 1 / 3]], rtol=1e-5
+            block_diag(*M_blocks), [[1 / 3, 1 / 6], [1 / 6, 1 / 3]], rtol=1e-5
         )
-        np.testing.assert_allclose(block_diag(*ops.K_blocks), [[3, -2], [-2, 2]], rtol=1e-5)
-        np.testing.assert_allclose(ops.Bvec, [0, 1], atol=1e-5)
-        np.testing.assert_allclose(ops.Cvec, [1, 0], atol=1e-5)
+        np.testing.assert_allclose(block_diag(*K_blocks), [[3, -2], [-2, 2]], rtol=1e-5)
+        np.testing.assert_allclose(Bvec, [0, 1], atol=1e-5)
+        np.testing.assert_allclose(Cvec, [1, 0], atol=1e-5)
 
     def test_concentrated_density_leaves_off_cells_empty(self):
         # Nearly all mass in cell (1,1) of a 2x2 partition; the peak is
@@ -35,38 +36,37 @@ class TestAssembleValues:
         # rule (order 48 per axis).
         spec = GridSpec(n=2, m1=2, m2=2, tau=0.1)
         rho = RhoParams(0.5, 1.5, 0.5, 1.5, 0.75, 0.75, 0.02, 0.0, 0.02)
-        ops = assemble(spec, rho, quad_order=48, norm_quad_order=96)
-        w = ops.Cvec[::spec.block_size]
+        M_blocks, K_blocks, _, Cvec = galerkin_blocks(
+            assemble(spec, rho, quad_order=48, norm_quad_order=96))
+        w = Cvec[::spec.block_size]
         assert w[0] == pytest.approx(1.0, abs=1e-9)
         assert np.abs(w[1:]).max() < 1e-10
         for c in range(1, 4):
-            assert np.abs(ops.M_blocks[c]).max() < 1e-10
-            assert np.abs(ops.K_blocks[c]).max() < 1e-10
+            assert np.abs(M_blocks[c]).max() < 1e-10
+            assert np.abs(K_blocks[c]).max() < 1e-10
         # Default order also leaves off cells empty even though the
         # on-cell weight is then quadrature-limited.
-        ops8 = assemble(spec, rho)
+        M8_blocks = galerkin_blocks(assemble(spec, rho))[0]
         for c in range(1, 4):
-            assert np.abs(ops8.M_blocks[c]).max() < 1e-10
+            assert np.abs(M8_blocks[c]).max() < 1e-10
 
     def test_symmetry(self):
         rng = np.random.default_rng(0)
         spec = GridSpec(n=5, m1=3, m2=2, tau=0.1)
         for _ in range(5):
-            ops = assemble(spec, random_rho(rng))
-            M, K = block_diag(*ops.M_blocks), block_diag(*ops.K_blocks)
+            M_blocks, K_blocks, _, _ = galerkin_blocks(assemble(spec, random_rho(rng)))
+            M, K = block_diag(*M_blocks), block_diag(*K_blocks)
             np.testing.assert_allclose(M, M.T, atol=1e-15)
             np.testing.assert_allclose(K, K.T, atol=1e-13)
 
     def test_cell_weights_sum_to_one(self, rho_smooth):
         spec = GridSpec(n=3, m1=4, m2=4, tau=0.1)
-        ops = assemble(spec, rho_smooth)
-        total = ops.Cvec.sum()
+        total = galerkin_blocks(assemble(spec, rho_smooth))[3].sum()
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_block_diagonal_exact_zeros(self, rho_smooth):
         spec = GridSpec(n=2, m1=2, m2=3, tau=0.1)
-        ops = assemble(spec, rho_smooth)
-        M = block_diag(*ops.M_blocks)
+        M = block_diag(*galerkin_blocks(assemble(spec, rho_smooth))[0])
         b = spec.block_size
         for c in range(spec.ncells):
             for c2 in range(spec.ncells):
@@ -78,9 +78,9 @@ class TestAssembleValues:
         rng = np.random.default_rng(4)
         spec = GridSpec(n=4, m1=2, m2=2, tau=0.1)
         for _ in range(10):
-            ops = assemble(spec, random_rho(rng))
+            M_blocks, K_blocks, _, _ = galerkin_blocks(assemble(spec, random_rho(rng)))
             v = rng.standard_normal(spec.dim)
-            M, K = block_diag(*ops.M_blocks), block_diag(*ops.K_blocks)
+            M, K = block_diag(*M_blocks), block_diag(*K_blocks)
             assert v @ K @ v >= -1e-12
             assert v @ (K + M) @ v > 0
 
@@ -88,10 +88,10 @@ class TestAssembleValues:
         # Sibling fine cells must reproduce the coarse weights when the
         # density is (numerically) constant.
         rho = nearly_uniform_rho(sigma=3e5)
-        coarse = assemble(GridSpec(n=1, m1=2, m2=2, tau=0.1), rho)
-        fine = assemble(GridSpec(n=1, m1=4, m2=4, tau=0.1), rho)
-        wc = coarse.Cvec[::2].reshape(2, 2, order="F")
-        wf = fine.Cvec[::2].reshape(4, 4, order="F")
+        coarse = galerkin_blocks(assemble(GridSpec(n=1, m1=2, m2=2, tau=0.1), rho))[3]
+        fine = galerkin_blocks(assemble(GridSpec(n=1, m1=4, m2=4, tau=0.1), rho))[3]
+        wc = coarse[::2].reshape(2, 2, order="F")
+        wf = fine[::2].reshape(4, 4, order="F")
         sib = wf.reshape(2, 2, 2, 2, order="F").sum(axis=(1, 3))
         # reshape above groups (fine1 pairs, fine2 pairs); verify via sums
         assert sib.sum() == pytest.approx(wc.sum(), rel=1e-12)
@@ -105,6 +105,8 @@ class TestAssembleValues:
         # they agree to 1e-8 relative; distinct cells differ by far more.
         spec = GridSpec(n=2, m1=3, m2=2, tau=0.1)
         ops = assemble(spec, rho_smooth)
+        Bvec = galerkin_blocks(ops)[2]
+        Chat = build_sampled(ops, spec.tau).Chat
         x, w = np.polynomial.legendre.leggauss(24)
         norm = normalization(rho_smooth)
         for j2 in range(1, spec.m2 + 1):
@@ -119,8 +121,8 @@ class TestAssembleValues:
                 c = (j1 - 1) + spec.m1 * (j2 - 1)
                 expected = [w1 @ f @ w2, (w1 * q1) @ f @ w2, w1 @ f @ (w2 * q2)]
                 np.testing.assert_allclose(ops.moments[:, c], expected, rtol=1e-7)
-                assert ops.Cvec[flat_index(0, j1, j2, spec)] == ops.moments[0, c]
-                assert ops.Bvec[flat_index(spec.n, j1, j2, spec)] == ops.moments[2, c]
+                assert Chat[flat_index(0, j1, j2, spec)] == ops.moments[0, c]
+                assert Bvec[flat_index(spec.n, j1, j2, spec)] == ops.moments[2, c]
 
     def test_gamma_floor_rejection(self):
         spec = GridSpec(n=1, m1=2, m2=2, tau=0.1)
@@ -162,6 +164,7 @@ class TestAssembleGrad:
         # The objective samples the cost pass's operators and takes only the
         # derivative tensors from a with_grad assembly; that is exact only
         # because with_grad leaves every bit of the operators unchanged.
+        # The moments fix every operator block.
         spec = GridSpec(n=n, m1=m, m2=m, tau=1 / 12)
         rng = np.random.default_rng(n)
         rhos = [RhoParams(0.2, 1.4, 0.3, 2.0, 0.7, 1.1, 0.18, 0.05, 0.25),
@@ -170,7 +173,7 @@ class TestAssembleGrad:
         for rho in rhos:
             plain = assemble(spec, rho)
             full = assemble(spec, rho, with_grad=True)
-            for name in ("M_blocks", "K_blocks", "Bvec", "Cvec", "f_min", "moments"):
+            for name in ("f_min", "moments"):
                 np.testing.assert_array_equal(getattr(full, name), getattr(plain, name),
                                               err_msg=f"{name} at {rho}")
 

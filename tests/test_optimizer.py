@@ -311,6 +311,28 @@ class TestFitDeterministic:
         with pytest.warns(UserWarning, match="falling back"):
             initialize([ep, ep], spec_small)
 
+    def test_solve_count_does_not_follow_last_bits(self, spec_small, monkeypatch):
+        # The Brent search stops at 1e-6 relative in q1, above the level
+        # where the profile costs differ by rounding only.  On these data a
+        # search to sqrt(eps) took 11 solves, and 17 after a 1e-14 change.
+        ep = self.noisy_episode(spec_small, seed=5)
+        rng = np.random.default_rng(105)
+        nudged = Episode("nudged", ep.tau, ep.u,
+                         ep.y_obs * (1 + 1e-14 * rng.standard_normal(ep.y_obs.shape)))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return simulate_deterministic(*args)
+
+        monkeypatch.setattr(optimizer_mod, "simulate_deterministic", counted)
+        counts = []
+        for episode in (ep, nudged):
+            calls.clear()
+            fit_deterministic(episode, spec_small)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
     def test_repeat_calls_are_bit_identical(self, spec_small):
         ep = self.noisy_episode(spec_small)
         assert fit_deterministic(ep, spec_small) == fit_deterministic(ep, spec_small)

@@ -5,29 +5,27 @@ import pytest
 import scipy.linalg
 from scipy.linalg import block_diag
 
-from conftest import per_cell_reference, random_rho
+from conftest import galerkin_blocks, per_cell_reference, random_rho
 
-from popdiff.assembly import AssembledOperators, assemble
+from popdiff import forward
+from popdiff.assembly import assemble
 from popdiff.errors import SingularOperatorError
 from popdiff.grid import GridSpec
-from popdiff.sampled import augmented_expm, build_sampled, build_sensitivities, eta_operators
-
-
-def scalar_ops(m=1.0, k=1.0, b=1.0, c=1.0):
-    return AssembledOperators(
-        block_size=1, ncells=1, M_blocks=np.array([[[m]]], dtype=float),
-        K_blocks=np.array([[[k]]], dtype=float), Bvec=np.array([b], dtype=float),
-        Cvec=np.array([c], dtype=float), f_min=np.inf,
-        moments=np.full((3, 1), np.nan),  # build_sampled reads the blocks only
-    )
+from popdiff.sampled import (
+    augmented_expm,
+    build_sampled,
+    build_sensitivities,
+    eta_operators,
+    zero_order_hold,
+)
 
 
 class TestBuildSampled:
     def test_scalar_closed_form(self):
-        sys = build_sampled(scalar_ops(), tau=np.log(2.0))
-        np.testing.assert_allclose(block_diag(*sys.Agen_blocks), [[-1.0]])
-        np.testing.assert_allclose(block_diag(*sys.A_blocks), [[0.5]], rtol=1e-14)
-        np.testing.assert_allclose(sys.Bhat, [0.5], rtol=1e-14)
+        # x' = -x + u held over tau = ln 2: Ahat = 1/2, Bhat = 1 - 1/2.
+        ahat, bhat = zero_order_hold(np.array([[-1.0]]), np.array([[1.0]]), np.log(2.0))
+        np.testing.assert_allclose(ahat, [[0.5]], rtol=1e-14)
+        np.testing.assert_allclose(bhat, [[0.5]], rtol=1e-14)
 
     def test_tau_to_zero_limits(self, rho_smooth, spec_small):
         ops = assemble(spec_small, rho_smooth)
@@ -39,7 +37,8 @@ class TestBuildSampled:
         # Oracle: 64-node Gauss-Legendre of exp(Agen s) beta over [0, tau].
         ops = assemble(spec_small, rho_smooth)
         sys = build_sampled(ops, tau=spec_small.tau)
-        beta = np.linalg.solve(block_diag(*ops.M_blocks), ops.Bvec)
+        M_blocks, _, Bvec, _ = galerkin_blocks(ops)
+        beta = np.linalg.solve(block_diag(*M_blocks), Bvec)
         agen = block_diag(*sys.Agen_blocks)
         x, w = np.polynomial.legendre.leggauss(64)
         s = 0.5 * spec_small.tau * (x + 1)
@@ -65,14 +64,38 @@ class TestBuildSampled:
             sys = build_sampled(assemble(spec, random_rho(rng)), spec.tau)
             assert sys.spectral_radius() < 1.0
 
-    def test_zero_mass_block_raises(self):
-        ops = scalar_ops(m=0.0)
+    def test_zero_mass_block_raises(self, rho_smooth, spec_small):
+        ops = assemble(spec_small, rho_smooth)
+        ops.moments[0, 1] = 0.0
         with pytest.raises(SingularOperatorError):
             build_sampled(ops, tau=0.5)
 
-    def test_tau_validation(self):
+    def test_tau_validation(self, rho_smooth, spec_small):
         with pytest.raises(ValueError):
-            build_sampled(scalar_ops(), tau=0.0)
+            build_sampled(assemble(spec_small, rho_smooth), tau=0.0)
+
+    @pytest.mark.parametrize("n, m", [(4, 2), (8, 4), (16, 8)])
+    def test_cells_are_the_single_q_blocks(self, rho_smooth, monkeypatch, n, m):
+        # Cell c is the point mass at q1 = r_c = w1_c / w_c: the population
+        # and the single-q draws share one generator and one hold, bit for bit.
+        spec = GridSpec(n=n, m1=m, m2=m, tau=1 / 12)
+        ops = assemble(spec, rho_smooth)
+        sys = build_sampled(ops, spec.tau)
+        held = []
+
+        def recording(gen, beta, tau):
+            held.append((gen, *zero_order_hold(gen, beta, tau)))
+            return held[-1][1:]
+
+        monkeypatch.setattr(forward, "zero_order_hold", recording)
+        w, w1, _ = ops.moments
+        forward.simulate_deterministic_batch(np.column_stack([w1 / w, np.ones_like(w)]),
+                                             n, spec.tau, np.ones(3))
+        (gen, ahat, bhat), = held
+        np.testing.assert_array_equal(sys.Agen_blocks, gen)
+        np.testing.assert_array_equal(sys.A_blocks, ahat)
+        s = ops.moments[2] / w
+        np.testing.assert_array_equal(sys.Bhat, (s[:, None] * bhat[..., 0]).reshape(-1))
 
 
 class TestAugmentedExpm:
@@ -120,17 +143,14 @@ class TestSensitivities:
 
     @pytest.mark.parametrize("n", [4, 8, 16])
     def test_stack_equals_per_cell_reference(self, rho_smooth, n):
-        # The operators: same arithmetic on the same blocks, so bit-identical.
-        # The sensitivities: the reference solves and exponentiates nine
-        # directions per cell, so they agree to rounding.
+        # The reference factorizes every Galerkin mass block and solves
+        # nine directions per cell; both agree with it to rounding.
         spec = GridSpec(n=n, m1=2, m2=2, tau=1 / 12)
         ops, sys = self.build(rho_smooth, spec)
         A, Agen, Bhat, dA, dBhat = per_cell_reference(ops, spec.tau)
-        np.testing.assert_array_equal(sys.A_blocks, A)
-        np.testing.assert_array_equal(sys.Agen_blocks, Agen)
-        np.testing.assert_array_equal(sys.Bhat, Bhat)
-        assert np.abs(sys.dA_blocks - dA).max() <= 1e-12 * np.abs(dA).max()
-        assert np.abs(sys.dBhat - dBhat).max() <= 1e-12 * np.abs(dBhat).max()
+        for got, want in ((sys.A_blocks, A), (sys.Agen_blocks, Agen), (sys.Bhat, Bhat),
+                          (sys.dA_blocks, dA), (sys.dBhat, dBhat)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("n_params", [1, 4, 9])
     def test_parameters_share_each_solve_call(self, rho_smooth, spec_small,
