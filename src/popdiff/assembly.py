@@ -60,10 +60,15 @@ class AssembledOperators:
     f_min: float
     moments: np.ndarray             # (3, ncells)
     dmoments: np.ndarray | None = None    # (3, 9, ncells)
-    # (9, ncells, b, b), dw times M_eta.  No layer of popdiff reads it; it
-    # stays for perfbench/tracing.py, which counts parameters by its
-    # leading axis.
-    dM_blocks: np.ndarray | None = None
+
+    @property
+    def dM_blocks(self) -> np.ndarray | None:
+        """(9, ncells, b, b) mass-block derivatives dw times M_eta, built on
+        access.  No layer of popdiff reads them; perfbench/tracing.py
+        counts parameters by their leading axis."""
+        if self.dmoments is None:
+            return None
+        return self.dmoments[0, :, :, None, None] * eta_mass_matrix(self.block_size - 1)
 
 
 def _flat_cells(arr: np.ndarray) -> np.ndarray:
@@ -196,6 +201,5 @@ def assemble(
     )
     if with_grad:
         ops.dmoments = _flat_cells(grads)
-        ops.dM_blocks = ops.dmoments[0, :, :, None, None] * eta_mass_matrix(spec.n)
     return ops
 

@@ -4,13 +4,14 @@ Both are one block-diagonal recursion x[j+1] = Ahat x[j] + bhat u[j] from
 x[0] = 0, implemented once in ``linear_recursion`` (the adjoint in
 ``objective`` runs it backward on Ahat^T).  Both are built by one
 stacked zero-order hold of point-mass generators G0 + q1 G1.  The
-population system has one block per density cell, the point mass at
-q1 = w1_c / w_c (``sampled.build_sampled``).  The single-q model gives each
-draw one block: ``simulate_deterministic_batch`` serves a block of draws
-with one hold and one recursion, and ``simulate_deterministic`` is its
-one-draw case.  So the population output is exactly the mixture
-sum_c w2_c g(w1_c/w_c) of single-q outputs at q2 = 1, and a Monte Carlo
-mean over draws converges to it.
+population system has one block per density cell, the point mass at the
+node nu_c = w1_c / w_c, and reads its state 0 with the weight
+omega_c = w2_c (``sampled.build_sampled``): the output is the quadrature
+rule sum_c omega_c g(nu_c) of single-q outputs at q2 = 1.  The single-q
+model gives each draw one block: ``simulate_deterministic_batch`` serves
+a block of draws with one hold and one recursion, and
+``simulate_deterministic`` is its one-draw case.  A Monte Carlo mean
+over draws converges to the population output.
 """
 
 from __future__ import annotations
@@ -89,19 +90,18 @@ def simulate(sys: SampledSystem, u: np.ndarray, return_states: bool = False):
     ``u`` is one input sequence (mu,) or a stack (E, mu) of equal-length
     ones, which run as one recursion; the outputs are then (E, mu+1) and
     row e equals the one-sequence call on ``u[e]`` bit for bit.  With
-    ``return_states`` the full state trajectory comes back too, (mu+1, dim)
-    or (E, mu+1, dim) (the adjoint pass consumes it).  A non-finite output
-    or state raises SimulationDivergenceError, whose ``rows`` names the
-    stack rows that diverged.
+    ``return_states`` the per-block state trajectory comes back too,
+    (mu+1, ncells, b) or (E, mu+1, ncells, b) (the adjoint pass consumes
+    it).  A non-finite output or state raises SimulationDivergenceError,
+    whose ``rows`` names the stack rows that diverged.
     """
     u = np.asarray(u, dtype=float)
     us = u if u.ndim == 2 else u[None]
-    states = linear_recursion(sys.A_blocks, sys.Bhat.reshape(sys.ncells, -1), us)
-    states = states.reshape(len(us), -1, sys.dim)
+    states = linear_recursion(sys.A_blocks, sys.bhat, us)
     with np.errstate(over="ignore", invalid="ignore"):
-        # vecdot rounds each output as chat @ x does: one dot per state.
-        y = np.vecdot(states, sys.Chat)
-    bad = ~(np.isfinite(y).all(axis=1) & np.isfinite(states[:, -1]).all(axis=1))
+        # vecdot rounds each output as weights @ x[:, 0] does: one dot per state.
+        y = np.vecdot(states[..., 0], sys.weights)
+    bad = ~(np.isfinite(y).all(axis=1) & np.isfinite(states[:, -1]).all(axis=(1, 2)))
     if bad.any():
         raise SimulationDivergenceError("state recursion produced non-finite values",
                                         rows=np.flatnonzero(bad).tolist())

@@ -2,22 +2,23 @@
 
 The cost is the plain sum of squared residuals between the population
 output and the observations, every sample weighted equally and no
-regularization term.  The gradient comes from one backward (adjoint)
-recursion per episode (``forward.linear_recursion`` on Ahat^T):
+regularization term.  The population output y_j = sum_c omega_c x_{c,j,0}
+is a quadrature rule over the nodes nu_c (``sampled``), and every
+parameter reaches it only through (nu, omega).  The gradient comes from
+one backward (adjoint) recursion per episode (``forward.linear_recursion``
+on Ahat^T), forced by the residuals at each node's state 0:
 
-    zeta_mu = w_mu,   zeta_{j-1} = Ahat^T zeta_j + w_{j-1},
-    w_j = 2 (Chat . x_j - y_obs_j) Chat^T,
+    zeta_mu = f_mu,   zeta_{j-1} = Ahat^T zeta_j + f_{j-1},
+    f_{c,j} = 2 (y_j - y_obs_j) omega_c e_0,
 
-after which
+after which, per node,
 
-    dJ/drho_k = sum_j zeta_j^T (dAhat_k x_{j-1} + dBhat_k u_{j-1})
-              + sum_j 2 (Chat . x_j - y_obs_j) (dChat_k . x_j).
+    dJ/dnu_c    = sum_j zeta_{c,j}^T (dAhat_c/dnu x_{c,j-1} + dbhat_c/dnu u_{j-1}),
+    dJ/domega_c = sum_j 2 (y_j - y_obs_j) x_{c,j,0},
 
-The forcing uses the full functional Chat^T rather than a first-
-coordinate selector, which is what the residual gradient requires for a
-dense output functional.  The number of backward passes is independent
-of the number of parameters; a central finite-difference twin serves as
-the permanent cross-check oracle.
+and dJ/drho = dnodes @ dJ/dnu + dweights @ dJ/domega.  The number of
+backward passes is independent of the number of parameters; a central
+finite-difference twin serves as the permanent cross-check oracle.
 
 ``evaluate`` is the one evaluation: it applies the density veto,
 assembles and samples the system once and runs all episodes of one
@@ -155,43 +156,38 @@ def _adjoint(sys: SampledSystem, us: np.ndarray, resid: np.ndarray, states: np.n
     """Parameter gradients of a stack of equal-length episodes.
 
     ``us`` (E, mu) are the inputs, ``resid`` (E, mu+1) the residuals and
-    ``states`` (E, mu+1, dim) the forward states; one backward recursion
-    serves the whole stack, and each episode's gradient is contracted on
-    its own, so it equals the one-episode computation bit for bit.
+    ``states`` (E, mu+1, ncells, b) the forward states; one backward
+    recursion serves the whole stack, and each episode's gradient is
+    contracted on its own, so it equals the one-episode computation bit
+    for bit.
     """
-    count, mu = us.shape
-    ncells, b = sys.ncells, sys.block_size
-    chat = sys.Chat.reshape(ncells, b)
-    xb = states.reshape(count, mu + 1, ncells, b)
+    mu = us.shape[1]
+    readout = np.zeros((sys.ncells, sys.block_size))
+    readout[:, 0] = sys.weights
     # zeta_mu, ..., zeta_1 are the forward recursion run backward in time
     # on Ahat^T, forced by 2 r_mu, ..., 2 r_1; zetas[:, j - 1] is zeta_j.
-    back = linear_recursion(np.swapaxes(sys.A_blocks, 1, 2), chat, 2.0 * resid[:, :0:-1])
+    back = linear_recursion(np.swapaxes(sys.A_blocks, 1, 2), readout, 2.0 * resid[:, :0:-1])
     zetas = back[:, :0:-1]
     grads = []
-    for e in range(count):
-        # Contractions shared by every parameter: state/adjoint outer
-        # products per cell, input-weighted adjoint sum, residual-weighted
-        # state sum.
-        outer = np.einsum("jcb,jcd->cbd", zetas[e], xb[e, :mu])
-        input_sum = np.einsum("jcb,j->cb", zetas[e], us[e])
-        resid_sum = 2.0 * np.einsum("j,jcb->cb", resid[e], xb[e])
-        grads.append(
-            np.einsum("kcbd,cbd->k", sys.dA_blocks, outer)
-            + sys.dBhat @ input_sum.reshape(-1)
-            + sys.dChat @ resid_sum.reshape(-1)
-        )
+    for zeta, x, u, r in zip(zetas, states, us, resid):
+        outer = np.einsum("jcb,jcd->cbd", zeta, x[:mu])
+        input_sum = np.einsum("jcb,j->cb", zeta, u)
+        g_node = (np.einsum("cbd,cbd->c", sys.dA_dnode, outer)
+                  + np.einsum("cb,cb->c", sys.dbhat_dnode, input_sum))
+        g_weight = 2.0 * (r @ x[:, :, 0])
+        grads.append(sys.dnodes @ g_node + sys.dweights @ g_weight)
     return grads
 
 
 def episode_cost_and_gradient(sys: SampledSystem, u: np.ndarray, y_obs: np.ndarray):
     """Cost and parameter gradient of one episode via the adjoint recursion.
 
-    The system must carry sensitivity tensors; the gradient length
-    follows their leading axis, so surrogate systems with any parameter
-    count work.
+    The system must carry node and weight sensitivities; the gradient
+    length follows the leading axis of ``dnodes`` and ``dweights``, so
+    surrogate systems with any parameter count work.
     """
-    if sys.dA_blocks is None:
-        raise ValueError("system has no sensitivity tensors")
+    if sys.dnodes is None:
+        raise ValueError("system has no sensitivities")
     u = np.asarray(u, dtype=float)
     y, states = simulate(sys, u, return_states=True)
     r = y - np.asarray(y_obs, dtype=float)

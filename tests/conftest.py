@@ -205,36 +205,35 @@ def per_cell_reference(ops, tau):
 
 def loop_simulate(sys, u):
     """One episode, one step at a time: the recursion and readout that
-    ``forward.simulate`` stacks.  Same arithmetic, so equal bit for bit."""
-    b = sys.block_size
-    bhat = sys.Bhat.reshape(sys.ncells, b)
-    x = np.zeros((sys.ncells, b))
-    states = [x.reshape(-1)]
+    ``forward.simulate`` stacks.  Same arithmetic, so equal bit for bit.
+    Returns the outputs and the (mu+1, ncells, b) states."""
+    x = np.zeros((sys.ncells, sys.block_size))
+    states = [x]
     for uj in u:
-        x = np.einsum("cij,cj->ci", sys.A_blocks, x) + bhat * uj
-        states.append(x.reshape(-1))
-    return np.array([sys.Chat @ s for s in states]), np.array(states)
+        x = np.einsum("cij,cj->ci", sys.A_blocks, x) + sys.bhat * uj
+        states.append(x)
+    return np.array([x[:, 0] @ sys.weights for x in states]), np.array(states)
 
 
 def loop_cost_and_gradient(sys, u, y_obs):
     """One episode's cost and adjoint gradient, one step at a time, on a
-    system carrying sensitivity tensors."""
+    system carrying node and weight sensitivities."""
     y, states = loop_simulate(sys, u)
     r = y - y_obs
-    mu, ncells, b = len(u), sys.ncells, sys.block_size
-    forcing = 2.0 * r[:, None] * sys.Chat[None, :]
-    xb = states.reshape(mu + 1, ncells, b)
-    zetas = np.empty((mu, ncells, b))
-    zeta = zetas[mu - 1] = forcing[mu].reshape(ncells, b)
+    mu = len(u)
+    readout = np.zeros((sys.ncells, sys.block_size))
+    readout[:, 0] = sys.weights
+    zetas = np.empty((mu,) + readout.shape)
+    zeta = zetas[mu - 1] = 2.0 * r[mu] * readout
     for j in range(mu - 1, 0, -1):
-        zeta = np.einsum("cji,cj->ci", sys.A_blocks, zeta) + forcing[j].reshape(ncells, b)
+        zeta = np.einsum("cji,cj->ci", sys.A_blocks, zeta) + 2.0 * r[j] * readout
         zetas[j - 1] = zeta
-    outer = np.einsum("jcb,jcd->cbd", zetas, xb[:mu])
+    outer = np.einsum("jcb,jcd->cbd", zetas, states[:mu])
     input_sum = np.einsum("jcb,j->cb", zetas, u)
-    resid_sum = 2.0 * np.einsum("j,jcb->cb", r, xb)
-    grad = (np.einsum("kcbd,cbd->k", sys.dA_blocks, outer)
-            + sys.dBhat @ input_sum.reshape(-1) + sys.dChat @ resid_sum.reshape(-1))
-    return float(r @ r), grad
+    g_node = (np.einsum("cbd,cbd->c", sys.dA_dnode, outer)
+              + np.einsum("cb,cb->c", sys.dbhat_dnode, input_sum))
+    g_weight = 2.0 * (r @ states[:, :, 0])
+    return float(r @ r), sys.dnodes @ g_node + sys.dweights @ g_weight
 
 
 # ------------------------------------------------------------------ goldens

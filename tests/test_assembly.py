@@ -99,14 +99,15 @@ class TestAssembleValues:
 
     def test_cells_follow_the_flat_index(self, rho_smooth):
         # Cell (j1, j2) holds the density's moments (1, q1, q2) over
-        # qcell_bounds' rectangle, at the position flat_index gives; the
-        # output functional reads them at eta node 0, the input at node n.
+        # qcell_bounds' rectangle, at the position flat_index gives: the
+        # block holding eta node 0 is read with that cell's weight w2, and
+        # the Galerkin input sits at node n.
         # Oracle: a 24-node Gauss rule per cell axis; assembly uses 8, so
         # they agree to 1e-8 relative; distinct cells differ by far more.
         spec = GridSpec(n=2, m1=3, m2=2, tau=0.1)
         ops = assemble(spec, rho_smooth)
         Bvec = galerkin_blocks(ops)[2]
-        Chat = build_sampled(ops, spec.tau).Chat
+        weights = build_sampled(ops, spec.tau).weights
         x, w = np.polynomial.legendre.leggauss(24)
         norm = normalization(rho_smooth)
         for j2 in range(1, spec.m2 + 1):
@@ -121,7 +122,8 @@ class TestAssembleValues:
                 c = (j1 - 1) + spec.m1 * (j2 - 1)
                 expected = [w1 @ f @ w2, (w1 * q1) @ f @ w2, w1 @ f @ (w2 * q2)]
                 np.testing.assert_allclose(ops.moments[:, c], expected, rtol=1e-7)
-                assert Chat[flat_index(0, j1, j2, spec)] == ops.moments[0, c]
+                block = flat_index(0, j1, j2, spec) // spec.block_size
+                assert weights[block] == ops.moments[2, c]
                 assert Bvec[flat_index(spec.n, j1, j2, spec)] == ops.moments[2, c]
 
     def test_gamma_floor_rejection(self):

@@ -20,12 +20,12 @@ from popdiff.grid import GridSpec, eta_mass_matrix, eta_stiffness_matrix
 from popdiff.sampled import SampledSystem, build_sampled
 
 
-def scalar_system(ahat, bhat, chat=1.0, tau=1.0):
+def scalar_system(ahat, bhat, weight=1.0, tau=1.0):
     return SampledSystem(
         block_size=1, ncells=1, tau=tau,
         A_blocks=np.array([[[ahat]]]),
         Agen_blocks=np.array([[[np.log(ahat) / tau if ahat > 0 else -1.0]]]),
-        Bhat=np.array([bhat]), Chat=np.array([chat]),
+        bhat=np.array([[bhat]]), weights=np.array([weight]),
     )
 
 
@@ -71,11 +71,14 @@ class TestSimulate:
         sys = population_system(rho_smooth, spec_small)
         u = pulse_input(20, spec_small.tau)
         y, states = simulate(sys, u, return_states=True)
-        A, B, C = scipy.linalg.block_diag(*sys.A_blocks), sys.Bhat, sys.Chat
+        A, B = scipy.linalg.block_diag(*sys.A_blocks), sys.bhat.reshape(-1)
+        C = np.zeros((sys.ncells, sys.block_size))
+        C[:, 0] = sys.weights
+        C = C.reshape(-1)
         x = np.zeros(sys.dim)
         for j in range(len(u)):
             assert y[j] == pytest.approx(C @ x, abs=1e-13)
-            np.testing.assert_allclose(states[j], x, atol=1e-13)
+            np.testing.assert_allclose(states[j].reshape(-1), x, atol=1e-13)
             x = A @ x + B * u[j]
         assert y[-1] == pytest.approx(C @ x, abs=1e-13)
 
@@ -90,7 +93,7 @@ class TestSimulate:
         us = np.random.default_rng(3).uniform(0.0, 1.0, (5, 40))
         y = simulate(sys, us)
         y_with_states, states = simulate(sys, us, return_states=True)
-        assert y.shape == (5, 41) and states.shape == (5, 41, sys.dim)
+        assert y.shape == (5, 41) and states.shape == (5, 41, sys.ncells, sys.block_size)
         np.testing.assert_array_equal(y_with_states, y)
         for e, u in enumerate(us):
             y_one, states_one = simulate(sys, u, return_states=True)

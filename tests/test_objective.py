@@ -14,7 +14,13 @@ from popdiff.objective import (
     gradient_adjoint,
     gradient_fd,
 )
-from popdiff.sampled import SampledSystem, build_sampled, build_sensitivities
+from popdiff.sampled import (
+    SampledSystem,
+    build_sampled,
+    build_sensitivities,
+    eta_operators,
+    zero_order_hold,
+)
 
 
 def make_episodes(rho_true, spec, n_episodes=2, steps=40, noise=0.02, seed=0):
@@ -149,17 +155,17 @@ class TestGradientAdjoint:
     def test_equals_loops_on_fresh_reference_arrays(self, rho_smooth):
         # The loops read fresh C-contiguous copies of the sampled system and
         # its sensitivities, not the system the objective built, so a change
-        # in the memory layout of the stored arrays shows: a strided
-        # dA_blocks rounds the gradient's contraction over it differently
-        # at n = 16.
+        # in the memory layout of the stored arrays shows: a dA_dnode left as
+        # a strided view of the augmented exponential rounds the gradient's
+        # contraction over it differently at n = 16.
         spec = GridSpec(n=16, m1=2, m2=2, tau=1 / 12)
         truth = RhoParams(0.25, 1.3, 0.35, 1.9, 0.75, 1.05, 0.16, 0.03, 0.22)
         episodes = make_episodes(truth, spec, n_episodes=3, steps=40, seed=2)
         ops = assemble(spec, rho_smooth, with_grad=True)
         sens = build_sensitivities(ops, build_sampled(ops, spec.tau))
         fresh = {name: np.array(getattr(sens, name), order="C")
-                 for name in ("A_blocks", "Agen_blocks", "Bhat", "Chat",
-                              "dA_blocks", "dBhat", "dChat")}
+                 for name in ("A_blocks", "Agen_blocks", "bhat", "weights",
+                              "dA_dnode", "dbhat_dnode", "dnodes", "dweights")}
         sys = SampledSystem(block_size=ops.block_size, ncells=ops.ncells, tau=spec.tau,
                             **fresh)
         total, grad = 0.0, np.zeros(9)
@@ -180,17 +186,18 @@ class TestGradientAdjoint:
         assert dict(fwd.per_episode) == pytest.approx(dict(rev.per_episode))
 
     def test_scalar_surrogate_hand_derived(self):
-        # One parameter a entering through Ahat = exp(a tau); input gain
-        # and output map held fixed.  Three-step episode, closed form.
+        # One parameter a, the node, entering through Ahat = exp(a tau);
+        # input gain and readout weight held fixed.  Three-step episode,
+        # closed form.
         tau, a, b = 0.25, -1.3, 0.4
         ahat = np.exp(a * tau)
         sys = SampledSystem(
             block_size=1, ncells=1, tau=tau,
             A_blocks=np.array([[[ahat]]]),
             Agen_blocks=np.array([[[a]]]),
-            Bhat=np.array([b]), Chat=np.array([1.0]),
-            dA_blocks=np.array([[[[tau * ahat]]]]),
-            dBhat=np.array([[0.0]]), dChat=np.array([[0.0]]),
+            bhat=np.array([[b]]), weights=np.array([1.0]),
+            dA_dnode=np.array([[[tau * ahat]]]), dbhat_dnode=np.array([[0.0]]),
+            dnodes=np.array([[1.0]]), dweights=np.array([[0.0]]),
         )
         u = np.array([1.0, 0.6, 0.2])
         y_obs = np.array([0.0, 0.1, 0.3, 0.2])
@@ -212,13 +219,51 @@ class TestGradientAdjoint:
         spec, rho, episodes = fit_setup
         ops = assemble(spec, rho, with_grad=True)
         sys = build_sensitivities(ops, build_sampled(ops, spec.tau))
-        zero_block = np.zeros((1,) + sys.dA_blocks.shape[1:])
-        sys.dA_blocks = np.concatenate([sys.dA_blocks, zero_block])
-        sys.dBhat = np.vstack([sys.dBhat, np.zeros(sys.dim)])
-        sys.dChat = np.vstack([sys.dChat, np.zeros(sys.dim)])
+        sys.dnodes = np.vstack([sys.dnodes, np.zeros(sys.ncells)])
+        sys.dweights = np.vstack([sys.dweights, np.zeros(sys.ncells)])
         _, g = episode_cost_and_gradient(sys, episodes[0].u, episodes[0].y_obs)
         assert g.shape == (10,)
         assert g[9] == 0.0
+
+
+class TestNodeWeightContract:
+    @pytest.mark.parametrize("moved", ["nodes", "weights"])
+    def test_gradient_is_the_node_or_weight_derivative(self, fit_setup, moved):
+        # The gradient reaches the parameters only through the nodes nu_c
+        # and the weights omega_c: with dnodes (or dweights) the identity
+        # and the other zero, the adjoint returns dJ/dnu (or dJ/domega).
+        # Oracle: central differences of the cost with the hold rebuilt at
+        # the moved nodes.
+        spec, rho, episodes = fit_setup
+        ep = episodes[0]
+        ops = assemble(spec, rho, with_grad=True)
+        w, w1, w2 = ops.moments
+        sys = build_sensitivities(ops, build_sampled(ops, spec.tau))
+        eye, zero = np.eye(spec.ncells), np.zeros((spec.ncells,) * 2)
+        sys.dnodes, sys.dweights = (eye, zero) if moved == "nodes" else (zero, eye)
+        _, g = episode_cost_and_gradient(sys, ep.u, ep.y_obs)
+
+        g0, g1, beta = eta_operators(spec.n)
+
+        def cost_at(point):
+            nodes, weights = point
+            gen = g0 + nodes[:, None, None] * g1
+            ahat, bhat = zero_order_hold(gen, beta, spec.tau)
+            moved_sys = SampledSystem(spec.block_size, spec.ncells, spec.tau, ahat, gen,
+                                      bhat[..., 0], weights)
+            r = simulate(moved_sys, ep.u) - ep.y_obs
+            return float(r @ r)
+
+        base = np.stack([w1 / w, w2])
+        k = 0 if moved == "nodes" else 1
+        fd = np.empty(spec.ncells)
+        for c in range(spec.ncells):
+            h = 1e-6 * base[k, c]
+            up, dn = base.copy(), base.copy()
+            up[k, c] += h
+            dn[k, c] -= h
+            fd[c] = (cost_at(up) - cost_at(dn)) / (2 * h)
+        assert np.abs(g - fd).max() <= 1e-6 * np.abs(fd).max()
 
 
 class TestGradientFd:

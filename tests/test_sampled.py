@@ -31,7 +31,7 @@ class TestBuildSampled:
         ops = assemble(spec_small, rho_smooth)
         sys = build_sampled(ops, tau=1e-10)
         np.testing.assert_allclose(block_diag(*sys.A_blocks), np.eye(sys.dim), atol=1e-8)
-        np.testing.assert_allclose(sys.Bhat, 0.0, atol=1e-8)
+        np.testing.assert_allclose(sys.bhat, 0.0, atol=1e-8)
 
     def test_bhat_matches_quadrature(self, rho_smooth, spec_small):
         # Oracle: 64-node Gauss-Legendre of exp(Agen s) beta over [0, tau].
@@ -46,8 +46,10 @@ class TestBuildSampled:
         oracle = sum(
             wi * (scipy.linalg.expm(agen * si) @ beta) for si, wi in zip(s, ws)
         )
-        err = np.linalg.norm(sys.Bhat - oracle) / np.linalg.norm(oracle)
-        assert err < 1e-9
+        # The Galerkin input column is s_c = w2_c / w_c times the node's.
+        w, _, w2 = ops.moments
+        err = np.linalg.norm(((w2 / w)[:, None] * sys.bhat).reshape(-1) - oracle)
+        assert err / np.linalg.norm(oracle) < 1e-9
 
     def test_semigroup_property(self, rho_smooth, spec_small):
         ops = assemble(spec_small, rho_smooth)
@@ -94,8 +96,31 @@ class TestBuildSampled:
         (gen, ahat, bhat), = held
         np.testing.assert_array_equal(sys.Agen_blocks, gen)
         np.testing.assert_array_equal(sys.A_blocks, ahat)
-        s = ops.moments[2] / w
-        np.testing.assert_array_equal(sys.Bhat, (s[:, None] * bhat[..., 0]).reshape(-1))
+        np.testing.assert_array_equal(sys.bhat, bhat[..., 0])
+        np.testing.assert_array_equal(sys.weights, ops.moments[2])
+
+
+class TestEtaOperators:
+    def test_one_factorization_per_n(self, rho_smooth, spec_small, monkeypatch):
+        # Every build_sampled, build_sensitivities and single-q batch at one
+        # n shares one factorization of the depth mass matrix.
+        calls = []
+
+        def counted(*args, _real=scipy.linalg.cho_factor, **kwargs):
+            calls.append(args[0].shape)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", counted)
+        eta_operators.cache_clear()
+        first = eta_operators(spec_small.n)
+        ops = assemble(spec_small, rho_smooth, with_grad=True)
+        build_sensitivities(ops, build_sampled(ops, spec_small.tau))
+        forward.simulate_deterministic_batch(np.array([[0.8, 1.2]]), spec_small.n,
+                                             spec_small.tau, np.ones(3))
+        assert calls == [(spec_small.block_size,) * 2]
+        for cached, again in zip(first, eta_operators(spec_small.n)):
+            assert cached is again
+            assert not cached.flags.writeable
 
 
 class TestAugmentedExpm:
@@ -144,12 +169,23 @@ class TestSensitivities:
     @pytest.mark.parametrize("n", [4, 8, 16])
     def test_stack_equals_per_cell_reference(self, rho_smooth, n):
         # The reference factorizes every Galerkin mass block and solves
-        # nine directions per cell; both agree with it to rounding.
+        # nine directions per cell.  Its input column is s_c = w2_c / w_c
+        # times the node's, and its sensitivities follow by the chain rule
+        # through the node nu_c and s_c; both agree with it to rounding.
         spec = GridSpec(n=n, m1=2, m2=2, tau=1 / 12)
         ops, sys = self.build(rho_smooth, spec)
         A, Agen, Bhat, dA, dBhat = per_cell_reference(ops, spec.tau)
-        for got, want in ((sys.A_blocks, A), (sys.Agen_blocks, Agen), (sys.Bhat, Bhat),
-                          (sys.dA_blocks, dA), (sys.dBhat, dBhat)):
+        w, _, w2 = ops.moments
+        dw, _, dw2 = ops.dmoments
+        s = w2 / w
+        ds = (dw2 - s * dw) / w
+        galerkin_bhat = s[:, None] * sys.bhat
+        galerkin_dbhat = (ds[:, :, None] * sys.bhat
+                          + (s * sys.dnodes)[:, :, None] * sys.dbhat_dnode)
+        dA_k = sys.dnodes[:, :, None, None] * sys.dA_dnode
+        for got, want in ((sys.A_blocks, A), (sys.Agen_blocks, Agen),
+                          (galerkin_bhat.reshape(-1), Bhat), (dA_k, dA),
+                          (galerkin_dbhat.reshape(len(ds), -1), dBhat)):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("n_params", [1, 4, 9])
@@ -159,8 +195,7 @@ class TestSensitivities:
         # them share one stacked exponential in the one direction G1, and
         # the parameter count changes no bit of any parameter's result.
         ops, full = self.build(rho_smooth, spec_small)
-        sub = dataclasses.replace(ops, dmoments=ops.dmoments[:, :n_params],
-                                  dM_blocks=ops.dM_blocks[:n_params])
+        sub = dataclasses.replace(ops, dmoments=ops.dmoments[:, :n_params])
         sys = build_sampled(sub, spec_small.tau)
         calls = {"expm": 0, "lu_solve": 0}
         for name in calls:
@@ -170,15 +205,21 @@ class TestSensitivities:
             monkeypatch.setattr(scipy.linalg, name, counted)
         build_sensitivities(sub, sys)
         assert calls == {"expm": 1, "lu_solve": 0}
-        np.testing.assert_array_equal(sys.dA_blocks, full.dA_blocks[:n_params])
-        np.testing.assert_array_equal(sys.dBhat, full.dBhat[:n_params])
+        np.testing.assert_array_equal(sys.dA_dnode, full.dA_dnode)
+        np.testing.assert_array_equal(sys.dbhat_dnode, full.dbhat_dnode)
+        np.testing.assert_array_equal(sys.dnodes, full.dnodes[:n_params])
+        np.testing.assert_array_equal(sys.dweights, full.dweights[:n_params])
 
-    def test_dchat_is_assembled_gradient(self, rho_smooth, spec_small):
-        # Chat holds the cell masses w_c at each block's state 0.
+    def test_node_and_weight_derivatives_are_assembled_gradients(self, rho_smooth,
+                                                                 spec_small):
+        # The weights are the moments w2_c and the nodes w1_c / w_c, so
+        # their derivatives come from the assembled moment derivatives.
         ops, sys = self.build(rho_smooth, spec_small)
-        dchat = sys.dChat.reshape(9, spec_small.ncells, spec_small.block_size)
-        np.testing.assert_array_equal(dchat[:, :, 0], ops.dmoments[0])
-        assert np.all(dchat[:, :, 1:] == 0.0)
+        w, w1, _ = ops.moments
+        dw, dw1, dw2 = ops.dmoments
+        np.testing.assert_array_equal(sys.dweights, dw2)
+        np.testing.assert_array_equal(sys.dnodes, (dw1 - (w1 / w) * dw) / w)
+        assert sys.n_params == 9
 
     def test_matches_finite_differences(self, rho_smooth):
         from popdiff.density import RhoParams
@@ -194,12 +235,16 @@ class TestSensitivities:
             sys_up = build_sampled(assemble(spec, RhoParams.from_array(up)), spec.tau)
             sys_dn = build_sampled(assemble(spec, RhoParams.from_array(dn)), spec.tau)
             fdA = (block_diag(*sys_up.A_blocks) - block_diag(*sys_dn.A_blocks)) / (2 * h)
-            fdB = (sys_up.Bhat - sys_dn.Bhat) / (2 * h)
-            dA = block_diag(*sys.dA_blocks[k])
+            fdB = (sys_up.bhat - sys_dn.bhat) / (2 * h)
+            fdW = (sys_up.weights - sys_dn.weights) / (2 * h)
+            dA = block_diag(*(sys.dnodes[k, :, None, None] * sys.dA_dnode))
+            dB = sys.dnodes[k, :, None] * sys.dbhat_dnode
             errA = np.linalg.norm(dA - fdA) / max(np.linalg.norm(fdA), 1e-10)
-            errB = np.linalg.norm(sys.dBhat[k] - fdB) / max(np.linalg.norm(fdB), 1e-10)
+            errB = np.linalg.norm(dB - fdB) / max(np.linalg.norm(fdB), 1e-10)
+            errW = np.linalg.norm(sys.dweights[k] - fdW) / max(np.linalg.norm(fdW), 1e-10)
             assert errA < 1e-5, k
             assert errB < 1e-5, k
+            assert errW < 1e-5, k
 
     def test_requires_gradient_tensors(self, rho_smooth, spec_small):
         ops = assemble(spec_small, rho_smooth)

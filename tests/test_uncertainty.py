@@ -109,6 +109,7 @@ class TestPointwiseEvaluationComparison:
         # re-solving must agree with that readout as cells shrink.
         from conftest import truncated_moments
 
+        from popdiff.assembly import assemble
         from popdiff.forward import population_system, simulate
 
         rho = RhoParams(0.5, 0.9, 0.9, 1.3, 0.7, 1.1, 0.08, 0.0, 0.08)
@@ -117,8 +118,10 @@ class TestPointwiseEvaluationComparison:
         sys = population_system(rho, spec)
         _, states = simulate(sys, u, return_states=True)
         # Pointwise readout at any q in the single cell: eta = 0
-        # coefficient of that cell's block.
-        readout = states[:, 0]
+        # coefficient of that cell's block, whose input column is the
+        # node's scaled by the conditional mean s = w2 / w of q2.
+        w, _, w2 = assemble(spec, rho).moments
+        readout = (w2 / w)[0] * states[:, 0, 0]
         mean, _ = truncated_moments(rho)
         resolved = simulate_deterministic(mean, spec.n, spec.tau, u)
         np.testing.assert_allclose(readout, resolved, atol=2e-3)
