@@ -25,12 +25,20 @@ unchanged.  Digests depend on the BLAS kernel, so compare two commits on
 one machine; no test pins them.  Run from the repository root:
 
     python3 scripts/digests.py [--workload NAME ...] [--expect FILE]
+                               [--save FILE.npz] [--against FILE.npz]
 
 With ``--expect`` each output line is compared to the line of the same
 workload and quantity in a saved run; lines the file does not hold are
 not compared, so a file of only the ``fit`` and ``gradient_adjoint``
 lines checks those.  Every line that differs is named and the exit
 status is 1.
+
+A change that moves rounding changes digests, and then the size of the
+move is what matters.  ``--save`` stores the arrays that each line
+hashes; ``--against`` reads such a file (written by another commit) and
+prints, per workload and quantity, the worst deviation of any hashed
+array relative to that array's largest magnitude in the file.  It only
+reports: the exit status does not depend on it.
 """
 
 import argparse
@@ -41,6 +49,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+import numpy as np  # noqa: E402
 import popdiff  # noqa: E402
 import workloads  # noqa: E402
 from popdiff.density import sample_array  # noqa: E402
@@ -54,35 +63,49 @@ def short(*arrays) -> str:
     return workloads.digest(*arrays)[:16]
 
 
-def report(w) -> list[str]:
+def report(w) -> list[tuple[str, str, list]]:
+    """(quantity, rest of the line, hashed arrays) for each output line."""
     spec = w.fit.spec
     episodes = workloads.fit_episodes(w)
     result = popdiff.fit(episodes, spec, workloads.START, workloads.FIT_OPTIONS)
     fit = workloads._fit_result(result)
-    lines = [
-        f"data {short(*(ep.y_obs for ep in episodes))}",
-        f"fit {short(fit['rho_hat'], fit['cost_trace'])} {fit['status']} "
-        f"iterations={fit['iterations']} cost_evals={fit['cost_evals']} "
-        f"grad_evals={fit['grad_evals']}",
-    ]
+    lines = []
+
+    def line(what, *arrays, tail=""):
+        lines.append((what, f"{short(*arrays)}{tail}", list(arrays)))
+
+    line("data", *(ep.y_obs for ep in episodes))
+    line("fit", fit["rho_hat"], fit["cost_trace"],
+         tail=f" {fit['status']} iterations={fit['iterations']} "
+              f"cost_evals={fit['cost_evals']} grad_evals={fit['grad_evals']}")
     for label, rho in (("START", workloads.START), ("RHO", workloads.RHO)):
         adj = popdiff.gradient_adjoint(rho, spec, episodes)
-        lines.append(f"cost@{label} {short(adj.cost, [c for _, c in adj.per_episode])}")
-        lines.append(f"gradient_adjoint@{label} {short(adj.cost, adj.grad)}")
+        line(f"cost@{label}", adj.cost, [c for _, c in adj.per_episode])
+        line(f"gradient_adjoint@{label}", adj.cost, adj.grad)
     ops = popdiff.assemble(spec, workloads.START, with_grad=True)
     sens = popdiff.build_sensitivities(ops, popdiff.build_sampled(ops, spec.tau))
-    lines.append(f"build_sensitivities@START "
-                 f"{short(sens.dA_dnode, sens.dbhat_dnode, sens.dnodes, sens.dweights)}")
-    lines.append(f"initialize {short(popdiff.initialize(episodes, spec).as_array())}")
+    line("build_sensitivities@START",
+         sens.dA_dnode, sens.dbhat_dnode, sens.dnodes, sens.dweights)
+    line("initialize", popdiff.initialize(episodes, spec).as_array())
     at = workloads.RHO if w.band_at_truth else result.rho_hat
     u = workloads.band_input(w, BAND_SEED)
     band = popdiff.credible_band(at, w.band_spec, u, w.level, w.nsamples, BAND_SEED)
-    lines.append(f"credible_band@seed{BAND_SEED} "
-                 f"{short(band.lower, band.upper, band.mean_output)}")
+    line(f"credible_band@seed{BAND_SEED}", band.lower, band.upper, band.mean_output)
     draws = sample_array(workloads.RHO, SINGLE_Q_DRAWS, BAND_SEED)
-    single_q = simulate_deterministic_batch(draws, w.band_spec.n, w.band_spec.tau, u)
-    lines.append(f"single_q@RHO {short(single_q)}")
+    line("single_q@RHO", simulate_deterministic_batch(draws, w.band_spec.n,
+                                                      w.band_spec.tau, u))
     return lines
+
+
+def deviation(got, saved) -> str:
+    """Worst |got - saved| relative to max|saved| over one line's arrays."""
+    worst = 0.0
+    for a, b in zip(got, saved):
+        if a.shape != b.shape:
+            return f"shape {a.shape} against {b.shape}"
+        scale = np.abs(b).max(initial=0.0)
+        worst = max(worst, np.abs(a - b).max(initial=0.0) / (scale if scale > 0 else 1.0))
+    return f"{worst:.2e}"
 
 
 def main(argv=None) -> int:
@@ -91,7 +114,13 @@ def main(argv=None) -> int:
                     help="workload to digest (repeatable; default: all)")
     ap.add_argument("--expect", type=pathlib.Path,
                     help="saved output to compare with; exit 1 on any difference")
+    ap.add_argument("--save", type=pathlib.Path,
+                    help="store the hashed arrays in this .npz file")
+    ap.add_argument("--against", type=pathlib.Path,
+                    help="print the worst deviation from the arrays in this .npz file")
     args = ap.parse_args(argv)
+    saved = dict(np.load(args.against)) if args.against else {}
+    arrays = {}
     expected = {}
     if args.expect:
         for line in filter(None, args.expect.read_text().splitlines()):
@@ -99,14 +128,21 @@ def main(argv=None) -> int:
             expected[name, what] = rest
     compared, differ = 0, []
     for name in args.workload or list(workloads.WORKLOADS):
-        for line in report(workloads.WORKLOADS[name]):
-            print(f"{name} {line}", flush=True)
-            what, rest = line.split(" ", 1)
+        for what, rest, hashed in report(workloads.WORKLOADS[name]):
+            print(f"{name} {what} {rest}", flush=True)
+            hashed = [np.asarray(a, dtype=float) for a in hashed]
+            keys = [f"{name} {what} {i}" for i in range(len(hashed))]
+            arrays.update(zip(keys, hashed))
+            if all(k in saved for k in keys):
+                dev = deviation(hashed, [saved[k] for k in keys])
+                print(f"DEVIATION {name} {what}: {dev}", file=sys.stderr)
             if (name, what) in expected:
                 compared += 1
                 if expected[name, what] != rest:
                     differ.append(f"{name} {what}: expected {expected[name, what]}, "
                                   f"got {rest}")
+    if args.save:
+        np.savez(args.save, **arrays)
     for d in differ:
         print(f"DIFFERS {d}", file=sys.stderr)
     if args.expect:

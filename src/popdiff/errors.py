@@ -28,7 +28,7 @@ class ConditioningError(PopdiffError):
 
 
 class SimulationDivergenceError(PopdiffError):
-    """The discrete-time state recursion produced non-finite values.
+    """The simulated output is not finite.
 
     ``rows`` lists the diverged rows of a stacked simulation, in order.
     """

@@ -1,15 +1,16 @@
 """Forward simulation: the population system and the single-q model.
 
-Both are one block-diagonal recursion x[j+1] = Ahat x[j] + bhat u[j] from
-x[0] = 0, implemented once in ``linear_recursion`` (the adjoint in
-``objective`` runs it backward on Ahat^T).  Both are built by one
-stacked zero-order hold of point-mass generators G0 + q1 G1.  The
+Both are block-diagonal recursions x[j+1] = Ahat x[j] + bhat u[j] from
+x[0] = 0, built by one stacked zero-order hold of point-mass generators
+G0 + q1 G1, and both are linear and time-invariant: the output is the
+input convolved with the impulse response e0^T Ahat^k bhat, which
+``impulse_response`` forms by doubling, with no loop over time.  The
 population system has one block per density cell, the point mass at the
-node nu_c = w1_c / w_c, and reads its state 0 with the weight
-omega_c = w2_c (``sampled.build_sampled``): the output is the quadrature
-rule sum_c omega_c g(nu_c) of single-q outputs at q2 = 1.  The single-q
+node nu_c = w1_c / w_c, read at state 0 with the weight omega_c = w2_c
+(``sampled.build_sampled``): its response is the quadrature rule
+h = sum_c omega_c g_c of single-q responses at q2 = 1.  The single-q
 model gives each draw one block: ``simulate_deterministic_batch`` serves
-a block of draws with one hold and one recursion, and
+a block of draws with one hold and one doubling, and
 ``simulate_deterministic`` is its one-draw case.  A Monte Carlo mean
 over draws converges to the population output.
 """
@@ -26,9 +27,9 @@ from .errors import SimulationDivergenceError
 from .grid import GridSpec
 from .sampled import SampledSystem, build_sampled, eta_operators, zero_order_hold
 
-# Draws per stacked exponential and recursion in simulate_deterministic_batch;
-# keeps the (draws, n+1, n+1) work arrays and the states small.
-BATCH_DRAWS = 256
+# Draws per stacked exponential and impulse response in
+# simulate_deterministic_batch; keeps the (draws, mu, n+1) responses small.
+BATCH_DRAWS = 128
 
 
 @dataclass
@@ -64,50 +65,72 @@ class Episode:
         return self.u.shape[0]
 
 
-def linear_recursion(A: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """States (E, mu+1, C, k) of x[j+1] = A x[j] + b s[j] from x[0] = 0.
+def impulse_response(A: np.ndarray, b: np.ndarray, count: int) -> np.ndarray:
+    """(..., count, k) array of A^j b for j < count, for stacks of blocks.
 
-    ``A`` (C, k, k) and ``b`` (C, k) are stacks of blocks; the E scalar
-    sequences ``s`` (E, mu) run as one recursion.  This is popdiff's one
-    loop over time steps; callers check the states for divergence.
+    Doubling: each step extends v_0..v_{m-1} by v_{m+i} = A^m v_i (one
+    batched matmul) and squares A^m.  Every step extends by a full m into
+    a buffer of the next power of two, so v_j does not depend on count.
     """
-    count, mu = s.shape
-    states = np.empty((count, mu + 1) + b.shape)
-    states[:, 0] = 0.0
-    # The forcing b s[j] is written first, one product for all steps, and
-    # each step adds A x[j] onto it in place.
-    np.multiply(b, s[:, :, None, None], out=states[:, 1:])
-    steps = states.swapaxes(0, 1)
+    size = 1 << max(count - 1, 0).bit_length()  # the next power of two
+    out = np.empty(b.shape[:-1] + (size, b.shape[-1]))
+    out[..., 0, :] = b
+    power, m = A, 1
     with np.errstate(over="ignore", invalid="ignore"):
-        for x, nxt in zip(steps[:-1], steps[1:]):
-            nxt += np.einsum("cij,ecj->eci", A, x)
-    return states
+        while m < count:
+            np.matmul(out[..., :m, :], np.swapaxes(power, -1, -2), out=out[..., m:2 * m, :])
+            m *= 2
+            if m < count:
+                power = power @ power
+    return out[..., :count, :]
 
 
-def simulate(sys: SampledSystem, u: np.ndarray, return_states: bool = False):
-    """Run the affine recursion from x0 = 0; output at j = 0..len(u).
+def convolve(g: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(rows, mu+1) outputs y[0] = 0, y[j+1] = sum_{i<=j} g[j-i] u[i] of
+    (mu,) or (rows, mu) ``g`` and ``u``, one ``np.convolve`` per row.  A
+    non-finite g[k] (a diverged response) enters y[j+1] only through a
+    nonzero u[j-k], as in the recursion: zero input gives exact zeros."""
+    g, u = np.broadcast_arrays(np.atleast_2d(g), np.atleast_2d(u))
+    rows, mu = g.shape
+    y = np.zeros((rows, mu + 1))
+    finite = np.isfinite(g).all(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for out, gr, ur, ok in zip(y[:, 1:], g, u, finite) if mu else ():
+            if ok:
+                out[:] = np.convolve(gr, ur)[:mu]
+            else:
+                bad = ~np.isfinite(gr)
+                out[:] = np.convolve(np.where(bad, 0.0, gr), ur)[:mu]
+                out[np.convolve(bad, ur != 0)[:mu]] = np.inf
+    return y
 
-    ``u`` is one input sequence (mu,) or a stack (E, mu) of equal-length
-    ones, which run as one recursion; the outputs are then (E, mu+1) and
-    row e equals the one-sequence call on ``u[e]`` bit for bit.  With
-    ``return_states`` the per-block state trajectory comes back too,
-    (mu+1, ncells, b) or (E, mu+1, ncells, b) (the adjoint pass consumes
-    it).  A non-finite output or state raises SimulationDivergenceError,
-    whose ``rows`` names the stack rows that diverged.
+
+def responses(sys: SampledSystem, count: int):
+    """Node responses g (count, ncells), g[k, c] = e0^T Ahat_c^k bhat_c,
+    and the population response h = g @ omega, one dot per k, so that
+    h[k] does not depend on ``count``."""
+    g = np.ascontiguousarray(impulse_response(sys.A_blocks, sys.bhat, count)[..., 0].T)
+    return g, np.vecdot(g, sys.weights)
+
+
+def simulate(sys: SampledSystem, u: np.ndarray, h: np.ndarray | None = None):
+    """Population output at j = 0..len(u): the response ``h`` (at least
+    len(u) long; from ``responses`` when None) convolved with ``u``.
+
+    ``u`` is one input sequence (mu,) or a stack (E, mu); the output is
+    then (E, mu+1) and row e equals the one-sequence call on ``u[e]`` bit
+    for bit.  A non-finite output raises SimulationDivergenceError, whose
+    ``rows`` names the stack rows that diverged.
     """
     u = np.asarray(u, dtype=float)
     us = u if u.ndim == 2 else u[None]
-    states = linear_recursion(sys.A_blocks, sys.bhat, us)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # vecdot rounds each output as weights @ x[:, 0] does: one dot per state.
-        y = np.vecdot(states[..., 0], sys.weights)
-    bad = ~(np.isfinite(y).all(axis=1) & np.isfinite(states[:, -1]).all(axis=(1, 2)))
+    mu = us.shape[1]
+    y = convolve((responses(sys, mu)[1] if h is None else h)[:mu], us)
+    bad = ~np.isfinite(y).all(axis=1)
     if bad.any():
-        raise SimulationDivergenceError("state recursion produced non-finite values",
+        raise SimulationDivergenceError("output is not finite",
                                         rows=np.flatnonzero(bad).tolist())
-    if u.ndim == 1:
-        y, states = y[0], states[0]
-    return (y, states) if return_states else y
+    return y if u.ndim == 2 else y[0]
 
 
 def simulate_deterministic(q, n: int, tau: float, u: np.ndarray) -> np.ndarray:
@@ -120,9 +143,10 @@ def simulate_deterministic_batch(
 ) -> np.ndarray:
     """(len(qs), len(u)+1) single-q outputs for the draws ``qs`` (rows q1, q2).
 
-    Each draw is one block of the population recursion with a point mass:
+    Each draw is one block of the population system with a point mass:
     its generator is G0 + q1 G1 and its input column beta_eta (see
-    ``sampled.eta_operators``), and its output q2 times state 0.
+    ``sampled.eta_operators``).  Its output q2 (g * u) is the impulse
+    response g of state 0 convolved with the input.
     """
     qs = np.asarray(qs, dtype=float)
     if qs.ndim != 2 or qs.shape[1] != 2:
@@ -136,11 +160,11 @@ def simulate_deterministic_batch(
     for start in range(0, qs.shape[0], BATCH_DRAWS):
         q1, q2 = qs[start:start + BATCH_DRAWS].T
         ahat, bhat = zero_order_hold(g0 + q1[:, None, None] * g1, beta, tau)
-        states = linear_recursion(ahat, bhat[..., 0], u[None])[0]
-        out = y[start:start + BATCH_DRAWS] = q2[:, None] * states[:, :, 0].T
-        if not np.all(np.isfinite(out)) or not np.all(np.isfinite(states[-1])):
-            raise SimulationDivergenceError("state recursion produced non-finite values")
-        del states  # before the next block's states are allocated
+        # No name holds the responses, so they are freed before the next block's.
+        out = y[start:start + BATCH_DRAWS] = q2[:, None] * convolve(
+            impulse_response(ahat, bhat[..., 0], u.shape[0])[..., 0], u)
+        if not np.all(np.isfinite(out)):
+            raise SimulationDivergenceError("output is not finite")
     return y
 
 

@@ -2,35 +2,29 @@
 
 The cost is the plain sum of squared residuals between the population
 output and the observations, every sample weighted equally and no
-regularization term.  The population output y_j = sum_c omega_c x_{c,j,0}
-is a quadrature rule over the nodes nu_c (``sampled``), and every
-parameter reaches it only through (nu, omega).  The gradient comes from
-one backward (adjoint) recursion per episode (``forward.linear_recursion``
-on Ahat^T), forced by the residuals at each node's state 0:
+regularization term.  An episode's output is its input convolved with
+the population response h = sum_c omega_c g_c, where g_c[k] =
+e0^T Ahat_c^k bhat_c is node c's response (``forward.responses``).  With
+q[k] = sum_e sum_j 2 (y_{e,j} - y_obs_{e,j}) u_{e,j-1-k}, the
+cross-correlation of residual and input over all episodes, each node gives
 
-    zeta_mu = f_mu,   zeta_{j-1} = Ahat^T zeta_j + f_{j-1},
-    f_{c,j} = 2 (y_j - y_obs_j) omega_c e_0,
+    dJ/domega_c = g_c . q,    dJ/dnu_c = omega_c (dg_c/dnu) . q,
 
-after which, per node,
-
-    dJ/dnu_c    = sum_j zeta_{c,j}^T (dAhat_c/dnu x_{c,j-1} + dbhat_c/dnu u_{j-1}),
-    dJ/domega_c = sum_j 2 (y_j - y_obs_j) x_{c,j,0},
-
-and dJ/drho = dnodes @ dJ/dnu + dweights @ dJ/domega.  The number of
-backward passes is independent of the number of parameters; a central
-finite-difference twin serves as the permanent cross-check oracle.
+where dg_c/dnu is state 0 of the upper half of the impulse response of
+[[Ahat_c, dAhat_c/dnu], [0, Ahat_c]] forced by [dbhat_c/dnu; bhat_c].
+Then dJ/drho = dnodes @ dJ/dnu + dweights @ dJ/domega: no backward pass
+and no stored states.  A central finite-difference twin serves as the
+permanent cross-check oracle.
 
 ``evaluate`` is the one evaluation: it applies the density veto,
-assembles and samples the system once and runs all episodes of one
-input length as one stacked forward recursion.  It returns the cost and
-a ``gradient`` function that reuses that forward pass: it assembles only
-the derivative tensors (``with_grad`` changes no bit of the operators),
-adds the sensitivities to the same sampled system and runs one stacked
-backward recursion.  Each episode's contractions and the sum over
-episodes stay per episode, in list order, so the results equal a
-one-episode-at-a-time loop bit for bit.  ``cost``, ``gradient_adjoint``
-and ``gradient_fd`` call it; ``optimizer.fit`` calls it directly and
-asks for the gradient only at accepted points.
+assembles and samples the system once and forms the responses once, for
+the longest episode.  Its ``gradient`` function reuses them: it
+assembles only the derivative tensors (``with_grad`` changes no bit of
+the operators) and adds the sensitivities to the same sampled system.
+An episode's output and cost do not depend, bit for bit, on the
+episodes evaluated with it.  ``cost``, ``gradient_adjoint`` and
+``gradient_fd`` call it; ``optimizer.fit`` calls it directly and asks
+for the gradient only at accepted points.
 """
 
 from __future__ import annotations
@@ -43,7 +37,7 @@ import numpy as np
 from .assembly import assemble
 from .density import RhoParams, gamma_floor
 from .errors import PopdiffError, SimulationDivergenceError
-from .forward import Episode, linear_recursion, simulate
+from .forward import Episode, impulse_response, responses, simulate
 from .grid import GridSpec
 from .sampled import SampledSystem, build_sampled, build_sensitivities
 
@@ -68,12 +62,8 @@ def _check_episodes(spec: GridSpec, episodes: list[Episode]) -> None:
 
 @dataclass
 class Evaluation:
-    """Cost at one parameter point, with its gradient on demand.
-
-    ``gradient()`` reuses the forward pass that gave ``cost``: it adds the
-    parameter sensitivities to the same sampled system and runs the
-    backward recursion over the stored states.
-    """
+    """Cost at one parameter point, with its gradient on demand; the
+    gradient reuses the forward pass that gave ``cost``."""
 
     cost: float
     per_episode: list[tuple[str, float]]
@@ -89,34 +79,31 @@ def evaluate(
 ) -> Evaluation:
     """Cost of ``rho`` over all episodes from one forward pass.
 
-    The density floor is checked, the system assembled and sampled once,
-    and the episodes of each input length run as one stacked recursion.
-    A divergence names the first diverging episode in list order.
+    The episodes of each input length run as one stacked ``simulate``
+    call.  A divergence names the first diverging episode in list order.
     """
     _check_episodes(spec, episodes)
     ops = assemble(spec, rho, quad_order, norm_quad_order, gamma_floor=gamma_floor(rho.box))
     sys = build_sampled(ops, spec.tau)
+    g, h = responses(sys, max(ep.steps for ep in episodes))
     by_length: dict[int, list[int]] = {}
     for i, ep in enumerate(episodes):
         by_length.setdefault(ep.steps, []).append(i)
-    runs = []  # (episode indices, inputs, residuals, states) per length
+    resid = [None] * len(episodes)
     diverged = []
     for idx in by_length.values():
-        us = np.stack([episodes[i].u for i in idx])
         try:
-            y, states = simulate(sys, us, return_states=True)
+            y = simulate(sys, np.stack([episodes[i].u for i in idx]), h)
         except SimulationDivergenceError as exc:
             diverged.append((idx[exc.rows[0]], exc))
             continue
-        runs.append((idx, us, y - np.stack([episodes[i].y_obs for i in idx]), states))
+        for i, y_i in zip(idx, y):
+            resid[i] = y_i - episodes[i].y_obs
     if diverged:
         i, exc = min(diverged, key=lambda d: d[0])
         raise SimulationDivergenceError(f"episode {episodes[i].id}: {exc}") from exc
 
-    costs = [0.0] * len(episodes)
-    for idx, _, resid, _ in runs:
-        for i, r in zip(idx, resid):
-            costs[i] = float(r @ r)
+    costs = [float(r @ r) for r in resid]
     # An explicit running sum, not sum(): from Python 3.12 on sum() of
     # floats is compensated and would round the total differently.
     total = 0.0
@@ -127,13 +114,7 @@ def evaluate(
     def gradient() -> CostReport:
         ops = assemble(spec, rho, quad_order, norm_quad_order, with_grad=True)
         build_sensitivities(ops, sys)
-        grads = [None] * len(episodes)
-        for idx, us, resid, states in runs:
-            for i, g in zip(idx, _adjoint(sys, us, resid, states)):
-                grads[i] = g
-        grad = np.zeros(sys.n_params)
-        for g in grads:
-            grad += g
+        grad = _gradient(sys, g, [(ep.u, r) for ep, r in zip(episodes, resid)])
         if not np.all(np.isfinite(grad)):
             raise PopdiffError("adjoint gradient is not finite")
         return CostReport(cost=total, grad=grad, per_episode=per_episode, method="adjoint")
@@ -152,35 +133,24 @@ def cost(
     return evaluate(rho, spec, episodes, quad_order, norm_quad_order).cost
 
 
-def _adjoint(sys: SampledSystem, us: np.ndarray, resid: np.ndarray, states: np.ndarray):
-    """Parameter gradients of a stack of equal-length episodes.
-
-    ``us`` (E, mu) are the inputs, ``resid`` (E, mu+1) the residuals and
-    ``states`` (E, mu+1, ncells, b) the forward states; one backward
-    recursion serves the whole stack, and each episode's gradient is
-    contracted on its own, so it equals the one-episode computation bit
-    for bit.
-    """
-    mu = us.shape[1]
-    readout = np.zeros((sys.ncells, sys.block_size))
-    readout[:, 0] = sys.weights
-    # zeta_mu, ..., zeta_1 are the forward recursion run backward in time
-    # on Ahat^T, forced by 2 r_mu, ..., 2 r_1; zetas[:, j - 1] is zeta_j.
-    back = linear_recursion(np.swapaxes(sys.A_blocks, 1, 2), readout, 2.0 * resid[:, :0:-1])
-    zetas = back[:, :0:-1]
-    grads = []
-    for zeta, x, u, r in zip(zetas, states, us, resid):
-        outer = np.einsum("jcb,jcd->cbd", zeta, x[:mu])
-        input_sum = np.einsum("jcb,j->cb", zeta, u)
-        g_node = (np.einsum("cbd,cbd->c", sys.dA_dnode, outer)
-                  + np.einsum("cb,cb->c", sys.dbhat_dnode, input_sum))
-        g_weight = 2.0 * (r @ x[:, :, 0])
-        grads.append(sys.dnodes @ g_node + sys.dweights @ g_weight)
-    return grads
+def _gradient(sys: SampledSystem, g: np.ndarray, episodes) -> np.ndarray:
+    """Parameter gradient from the node responses ``g`` (count, ncells) and
+    the (input, residual) pairs ``episodes``, none longer than count."""
+    count = g.shape[0]
+    xcorr = np.zeros(count)
+    for u, r in episodes:
+        mu = len(u)
+        xcorr[:mu] += np.correlate(2.0 * r[1:], u, "full")[mu - 1:] if mu else 0.0
+    aug = np.block([[sys.A_blocks, sys.dA_dnode], [np.zeros_like(sys.A_blocks), sys.A_blocks]])
+    forcing = np.concatenate([sys.dbhat_dnode, sys.bhat], axis=1)
+    tangent = impulse_response(aug, forcing, count)[..., 0]
+    g_node = sys.weights * (tangent @ xcorr)
+    g_weight = xcorr @ g
+    return sys.dnodes @ g_node + sys.dweights @ g_weight
 
 
 def episode_cost_and_gradient(sys: SampledSystem, u: np.ndarray, y_obs: np.ndarray):
-    """Cost and parameter gradient of one episode via the adjoint recursion.
+    """Cost and parameter gradient of one episode, as ``evaluate`` forms them.
 
     The system must carry node and weight sensitivities; the gradient
     length follows the leading axis of ``dnodes`` and ``dweights``, so
@@ -189,9 +159,9 @@ def episode_cost_and_gradient(sys: SampledSystem, u: np.ndarray, y_obs: np.ndarr
     if sys.dnodes is None:
         raise ValueError("system has no sensitivities")
     u = np.asarray(u, dtype=float)
-    y, states = simulate(sys, u, return_states=True)
-    r = y - np.asarray(y_obs, dtype=float)
-    return float(r @ r), _adjoint(sys, u[None], r[None], states[None])[0]
+    g, h = responses(sys, len(u))
+    r = simulate(sys, u, h) - np.asarray(y_obs, dtype=float)
+    return float(r @ r), _gradient(sys, g, [(u, r)])
 
 
 def gradient_adjoint(
@@ -201,7 +171,7 @@ def gradient_adjoint(
     quad_order: int = 8,
     norm_quad_order: int = 24,
 ) -> CostReport:
-    """Cost plus full gradient from one forward and one backward pass."""
+    """Cost plus full gradient from one forward pass and one contraction."""
     return evaluate(rho, spec, episodes, quad_order, norm_quad_order).gradient()
 
 

@@ -4,26 +4,24 @@ Cell c's Galerkin blocks are M_c = w_c M_eta, K_c = w_c e0 e0^T +
 w1_c K_eta, B_c = w2_c e_n and C_c = w_c e_0, so the cell is exactly the
 single-q system at the node nu_c = w1_c / w_c, read with the weight
 omega_c = w2_c: the population output is the quadrature rule
-
-    y = sum_c omega_c g(nu_c),
-
-where g(q1) is state 0 of the point mass at q1 with unit input gain
-(generator G0 + q1 G1 and input column beta_eta from ``eta_operators``).
-With zero-order-hold input at interval tau each node collapses exactly
-to the recursion x_{j+1} = Ahat x_j + bhat u_j, with
+y = sum_c omega_c g(nu_c), where g(q1) is state 0 of the point mass at
+q1 with unit input gain (generator G0 + q1 G1 and input column beta_eta
+from ``eta_operators``).  With zero-order-hold input at interval tau
+each node collapses exactly to x_{j+1} = Ahat x_j + bhat u_j, with
 
     Ahat_c = exp(Agen_c tau),   Agen_c = G0 + nu_c G1,
     bhat_c = (Ahat_c - I) Agen_c^{-1} beta_eta,
 
-one stacked hold for all nodes, the same ``zero_order_hold`` that the
-single-q draws of ``forward.simulate_deterministic_batch`` use.
+one stacked hold for all nodes, as ``zero_order_hold`` forms it for the
+single-q draws of ``forward.simulate_deterministic_batch``.
 
 Sensitivities: every parameter reaches the output only through the
 nodes and weights, so the system stores the per-node derivatives
 dAhat_c/dnu and dbhat_c/dnu once and the (P, ncells) Jacobians dnu/drho
 and domega/drho.  dAhat_c/dnu is the upper-right block of the
-exponential of the augmented matrix [[Agen_c, G1], [0, Agen_c]] tau (Van
-Loan 1978), one stacked exponential for all nodes.
+exponential of [[Agen_c, G1], [0, Agen_c]] tau (Van Loan 1978), one
+stacked exponential for all nodes; dbhat_c/dnu reuses the hold's
+Agen_c^{-1} beta_eta.
 """
 
 from __future__ import annotations
@@ -50,6 +48,7 @@ class SampledSystem:
     Agen_blocks: np.ndarray     # (ncells, b, b) blocks of the generator
     bhat: np.ndarray            # (ncells, b) input column of each node
     weights: np.ndarray         # (ncells,) readout weight of each node's state 0
+    gen_inv_beta: np.ndarray | None = None  # (ncells, b, 1) Agen^{-1} beta_eta, from the hold
     dA_dnode: np.ndarray | None = None      # (ncells, b, b)
     dbhat_dnode: np.ndarray | None = None   # (ncells, b)
     dnodes: np.ndarray | None = None        # (P, ncells)
@@ -99,12 +98,8 @@ def augmented_expm(gen: np.ndarray, direction: np.ndarray, tau: float):
     return big[..., :b, b:], big[..., b:, b:]
 
 
-def zero_order_hold(gen: np.ndarray, beta: np.ndarray, tau: float):
-    """(Ahat, Bhat) of x' = gen x + beta u with u held over each interval tau.
-
-    ``gen`` is a (..., b, b) stack and ``beta`` a (..., b, 1) stack that
-    broadcasts against it; Ahat = exp(gen tau), Bhat = (Ahat - I) gen^{-1} beta.
-    """
+def _exp_and_solve(gen: np.ndarray, beta: np.ndarray, tau: float):
+    """(exp(gen tau), gen^{-1} beta): the two factors of the zero-order hold."""
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
     ahat = scipy.linalg.expm(gen * tau)
@@ -114,9 +109,18 @@ def zero_order_hold(gen: np.ndarray, beta: np.ndarray, tau: float):
             f"matrix exponential overflowed in block {int(np.argmin(finite))}"
         )
     try:
-        x = np.linalg.solve(gen, beta)
+        return ahat, np.linalg.solve(gen, beta)
     except np.linalg.LinAlgError as exc:
         raise SingularOperatorError("a generator block is singular") from exc
+
+
+def zero_order_hold(gen: np.ndarray, beta: np.ndarray, tau: float):
+    """(Ahat, Bhat) of x' = gen x + beta u with u held over each interval tau.
+
+    ``gen`` is a (..., b, b) stack and ``beta`` a (..., b, 1) stack that
+    broadcasts against it; Ahat = exp(gen tau), Bhat = (Ahat - I) gen^{-1} beta.
+    """
+    ahat, x = _exp_and_solve(gen, beta, tau)
     return ahat, (ahat - np.eye(gen.shape[-1])) @ x
 
 
@@ -137,10 +141,12 @@ def build_sampled(ops: AssembledOperators, tau: float) -> SampledSystem:
     b = ops.block_size
     g0, g1, beta = eta_operators(b - 1)
     gen = g0 + (w1 / w)[:, None, None] * g1
-    ahat, bhat = zero_order_hold(gen, beta, tau)
+    # zero_order_hold, keeping gen^{-1} beta_eta for build_sensitivities.
+    ahat, x = _exp_and_solve(gen, beta, tau)
+    bhat = (ahat - np.eye(b)) @ x
     return SampledSystem(
         block_size=b, ncells=ops.ncells, tau=tau,
-        A_blocks=ahat, Agen_blocks=gen, bhat=bhat[..., 0], weights=w2,
+        A_blocks=ahat, Agen_blocks=gen, bhat=bhat[..., 0], weights=w2, gen_inv_beta=x,
     )
 
 
@@ -148,21 +154,21 @@ def build_sensitivities(ops: AssembledOperators, sys: SampledSystem) -> SampledS
     """Fill the node and weight sensitivities of ``sys`` from ``ops``.
 
     Per node: dA_dnode = S_c, the augmented-exponential derivative of
-    Ahat_c in the direction G1, and, with z_c = gen_c^{-1} beta_eta,
+    Ahat_c in the direction G1, and, with z_c = gen_c^{-1} beta_eta (kept
+    by ``build_sampled``, not solved again),
     dbhat_dnode = S_c z_c - (Ahat_c - I) gen_c^{-1} G1 z_c.  Per
     parameter: dnodes = (dw1 - nu dw) / w and dweights = dw2, from the
     moment derivatives.
     """
     if ops.dmoments is None:
         raise ValueError("operators were assembled without gradients")
-    _, g1, beta = eta_operators(ops.block_size - 1)
+    g1 = eta_operators(ops.block_size - 1)[1]
     w, w1, _ = ops.moments
     dw, dw1, dw2 = ops.dmoments
 
-    gen = sys.Agen_blocks
+    gen, z = sys.Agen_blocks, sys.gen_inv_beta
     sens, _ = augmented_expm(gen, g1, sys.tau)
-    z = np.linalg.solve(gen, beta)
-    # C-contiguous, as the adjoint's contraction over it rounds by layout.
+    # A copy, so that the (ncells, 2b, 2b) exponential is not kept alive.
     sys.dA_dnode = np.ascontiguousarray(sens)
     sys.dbhat_dnode = (sens @ z - (sys.A_blocks - np.eye(ops.block_size))
                        @ np.linalg.solve(gen, g1 @ z))[..., 0]

@@ -6,7 +6,7 @@ trajectories come from the single-q model itself, not from the
 tensor-basis population state read pointwise in q, which would read a
 mean-square-integrable state at a point.
 All draws go through ``forward.simulate_deterministic_batch``, the one
-single-q solver (one stacked exponential and one vectorized recursion per
+single-q solver (one stacked exponential and one impulse response per
 block of draws).
 """
 

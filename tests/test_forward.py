@@ -10,14 +10,16 @@ from popdiff.errors import ConditioningError, SimulationDivergenceError
 from popdiff.forward import (
     BATCH_DRAWS,
     Episode,
+    impulse_response,
     population_system,
     population_vs_montecarlo,
+    responses,
     simulate,
     simulate_deterministic,
     simulate_deterministic_batch,
 )
 from popdiff.grid import GridSpec, eta_mass_matrix, eta_stiffness_matrix
-from popdiff.sampled import SampledSystem, build_sampled
+from popdiff.sampled import SampledSystem, build_sampled, eta_operators, zero_order_hold
 
 
 def scalar_system(ahat, bhat, weight=1.0, tau=1.0):
@@ -68,19 +70,36 @@ class TestSimulate:
         np.testing.assert_allclose(y_shifted[shift:], y, atol=1e-14)
 
     def test_blockwise_matches_dense_recursion(self, rho_smooth, spec_small):
+        # The convolution against the dense block-diagonal recursion x[j+1] =
+        # A x[j] + B u[j], read by C: equal to rounding, not bit for bit.
         sys = population_system(rho_smooth, spec_small)
         u = pulse_input(20, spec_small.tau)
-        y, states = simulate(sys, u, return_states=True)
+        y = simulate(sys, u)
         A, B = scipy.linalg.block_diag(*sys.A_blocks), sys.bhat.reshape(-1)
         C = np.zeros((sys.ncells, sys.block_size))
         C[:, 0] = sys.weights
         C = C.reshape(-1)
         x = np.zeros(sys.dim)
-        for j in range(len(u)):
-            assert y[j] == pytest.approx(C @ x, abs=1e-13)
-            np.testing.assert_allclose(states[j].reshape(-1), x, atol=1e-13)
-            x = A @ x + B * u[j]
-        assert y[-1] == pytest.approx(C @ x, abs=1e-13)
+        dense = [C @ x]
+        for uj in u:
+            x = A @ x + B * uj
+            dense.append(C @ x)
+        assert np.abs(y - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    def test_impulse_response_does_not_depend_on_count(self, rho_smooth, spec_small):
+        # Doubling extends by full powers of two, so entry j is the same
+        # computation for every count (bit for bit), and it equals the
+        # dense powers A^j b to rounding.
+        sys = population_system(rho_smooth, spec_small)
+        long = impulse_response(sys.A_blocks, sys.bhat, 45)
+        for count in (0, 1, 2, 3, 20, 32, 33):
+            np.testing.assert_array_equal(impulse_response(sys.A_blocks, sys.bhat, count),
+                                          long[:, :count])
+        dense = np.empty_like(long)
+        for c, (a, b) in enumerate(zip(sys.A_blocks, sys.bhat)):
+            for j in range(long.shape[1]):
+                dense[c, j] = np.linalg.matrix_power(a, j) @ b
+        assert np.abs(long - dense).max() <= 1e-12 * np.abs(dense).max()
 
     def test_divergence_guard(self):
         sys = scalar_system(2.0, 1.0)
@@ -88,21 +107,43 @@ class TestSimulate:
             simulate(sys, np.ones(1200))
 
     def test_stack_rows_equal_single_calls(self, rho_smooth):
+        # Each row is its own convolution with one response, and h[k] does
+        # not depend on the response's length: bit for bit.
         spec = GridSpec(n=8, m1=4, m2=4, tau=1 / 12)
         sys = population_system(rho_smooth, spec)
         us = np.random.default_rng(3).uniform(0.0, 1.0, (5, 40))
         y = simulate(sys, us)
-        y_with_states, states = simulate(sys, us, return_states=True)
-        assert y.shape == (5, 41) and states.shape == (5, 41, sys.ncells, sys.block_size)
-        np.testing.assert_array_equal(y_with_states, y)
+        assert y.shape == (5, 41)
+        np.testing.assert_array_equal(simulate(sys, us, responses(sys, 75)[1]), y)
         for e, u in enumerate(us):
-            y_one, states_one = simulate(sys, u, return_states=True)
             np.testing.assert_array_equal(simulate(sys, u), y[e])
-            np.testing.assert_array_equal(y_one, y[e])
-            np.testing.assert_array_equal(states_one, states[e])
-            y_loop, states_loop = loop_simulate(sys, u)
-            np.testing.assert_array_equal(y_one, y_loop)
-            np.testing.assert_array_equal(states_one, states_loop)
+
+    def test_stack_rows_match_loop(self, rho_smooth):
+        spec = GridSpec(n=8, m1=4, m2=4, tau=1 / 12)
+        sys = population_system(rho_smooth, spec)
+        us = np.random.default_rng(3).uniform(0.0, 1.0, (5, 40))
+        y = simulate(sys, us)
+        for e, u in enumerate(us):
+            y_loop, _ = loop_simulate(sys, u)
+            assert np.abs(y[e] - y_loop).max() <= 1e-12 * np.abs(y_loop).max()
+
+    @pytest.mark.parametrize("q1", [1e-3, 50.0])
+    def test_long_horizon_matches_loop(self, q1):
+        # 2400 steps: the doubling's highest power is A^2048.  A slow node
+        # (the input has barely reached the surface) and a fast one.
+        n, tau = 8, 1 / 12
+        g0, g1, beta = eta_operators(n)
+        gen = (g0 + q1 * g1)[None]
+        ahat, bhat = zero_order_hold(gen, beta, tau)
+        sys = SampledSystem(block_size=n + 1, ncells=1, tau=tau, A_blocks=ahat,
+                            Agen_blocks=gen, bhat=bhat[..., 0], weights=np.array([1.0]))
+        u = np.random.default_rng(5).uniform(0.0, 1.0, 2400)
+        y_loop, _ = loop_simulate(sys, u)
+        scale = np.abs(y_loop).max()
+        assert scale > 0
+        assert np.abs(simulate(sys, u) - y_loop).max() <= 1e-12 * scale
+        single_q = simulate_deterministic_batch(np.array([[q1, 1.0]]), n, tau, u)[0]
+        assert np.abs(single_q - y_loop).max() <= 1e-12 * scale
 
     def test_divergence_names_the_stack_rows(self):
         sys = scalar_system(2.0, 1.0)
@@ -182,7 +223,7 @@ class TestDeterministic:
 
 
 class TestDeterministicBatch:
-    # 300 draws: one full block of BATCH_DRAWS and a partial one.
+    # 300 draws: full blocks of BATCH_DRAWS and a partial one.
     NDRAWS = 300
 
     @pytest.fixture

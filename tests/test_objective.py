@@ -123,59 +123,89 @@ class TestGradientAdjoint:
                 )
                 assert (np.abs(adj.grad - fd.grad) / denom).max() < 1e-5
 
-    def test_ragged_episodes_equal_per_episode_loops(self, rho_smooth):
-        # Equal-length episodes share one stacked recursion; each episode's
-        # cost and gradient still equal a one-step-at-a-time loop over that
-        # episode alone, bit for bit, summed in episode order.
-        spec = GridSpec(n=5, m1=3, m2=2, tau=1 / 12)
+    @staticmethod
+    def ragged_episodes(spec):
         truth = RhoParams(0.25, 1.3, 0.35, 1.9, 0.75, 1.05, 0.16, 0.03, 0.22)
         pool = make_episodes(truth, spec, n_episodes=5, steps=45, seed=4)
-        episodes = [Episode(ep.id, ep.tau, ep.u[:steps], ep.y_obs[:steps + 1])
-                    for ep, steps in zip(pool, (30, 45, 30, 12, 45))]
+        return [Episode(ep.id, ep.tau, ep.u[:steps], ep.y_obs[:steps + 1])
+                for ep, steps in zip(pool, (30, 45, 30, 12, 45))]
+
+    def test_ragged_episode_costs_do_not_depend_on_stacking(self, rho_smooth):
+        # Equal-length episodes share one stacked call and all share the
+        # longest episode's responses; each episode's cost still equals
+        # its cost evaluated alone, bit for bit, summed in episode order.
+        spec = GridSpec(n=5, m1=3, m2=2, tau=1 / 12)
+        episodes = self.ragged_episodes(spec)
         ops = assemble(spec, rho_smooth, with_grad=True)
         sys = build_sensitivities(ops, build_sampled(ops, spec.tau))
-        total, grad = 0.0, np.zeros(9)
-        per_episode = []
+        total, per_episode = 0.0, []
         for ep in episodes:
-            c, g = loop_cost_and_gradient(sys, ep.u, ep.y_obs)
+            c = cost(rho_smooth, spec, [ep])
+            assert episode_cost_and_gradient(sys, ep.u, ep.y_obs)[0] == c
             total += c
-            grad += g
             per_episode.append((ep.id, c))
         report = gradient_adjoint(rho_smooth, spec, episodes)
         assert report.cost == total
         assert report.per_episode == per_episode
-        np.testing.assert_array_equal(report.grad, grad)
         assert cost(rho_smooth, spec, episodes) == total
-        for ep in episodes:
-            c, g = episode_cost_and_gradient(sys, ep.u, ep.y_obs)
-            c_loop, g_loop = loop_cost_and_gradient(sys, ep.u, ep.y_obs)
-            assert c == c_loop
-            np.testing.assert_array_equal(g, g_loop)
 
-    def test_equals_loops_on_fresh_reference_arrays(self, rho_smooth):
-        # The loops read fresh C-contiguous copies of the sampled system and
-        # its sensitivities, not the system the objective built, so a change
-        # in the memory layout of the stored arrays shows: a dA_dnode left as
-        # a strided view of the augmented exponential rounds the gradient's
-        # contraction over it differently at n = 16.
-        spec = GridSpec(n=16, m1=2, m2=2, tau=1 / 12)
-        truth = RhoParams(0.25, 1.3, 0.35, 1.9, 0.75, 1.05, 0.16, 0.03, 0.22)
-        episodes = make_episodes(truth, spec, n_episodes=3, steps=40, seed=2)
+    def test_ragged_episodes_match_per_episode_loops(self, rho_smooth):
+        # Against the one-step-at-a-time forward and adjoint loops: costs
+        # to rounding, gradients within 1e-8 relative per component.
+        spec = GridSpec(n=5, m1=3, m2=2, tau=1 / 12)
+        episodes = self.ragged_episodes(spec)
         ops = assemble(spec, rho_smooth, with_grad=True)
+        sys = build_sensitivities(ops, build_sampled(ops, spec.tau))
+        total, grad = 0.0, np.zeros(9)
+        for ep in episodes:
+            c_loop, g_loop = loop_cost_and_gradient(sys, ep.u, ep.y_obs)
+            total += c_loop
+            grad += g_loop
+            c, g = episode_cost_and_gradient(sys, ep.u, ep.y_obs)
+            assert c == pytest.approx(c_loop, rel=1e-12)
+            np.testing.assert_allclose(g, g_loop, rtol=1e-8, atol=0)
+        report = gradient_adjoint(rho_smooth, spec, episodes)
+        assert report.cost == pytest.approx(total, rel=1e-12)
+        np.testing.assert_allclose(report.grad, grad, rtol=1e-8, atol=0)
+
+    @staticmethod
+    def fresh_copies(rho, spec):
+        ops = assemble(spec, rho, with_grad=True)
         sens = build_sensitivities(ops, build_sampled(ops, spec.tau))
         fresh = {name: np.array(getattr(sens, name), order="C")
                  for name in ("A_blocks", "Agen_blocks", "bhat", "weights",
                               "dA_dnode", "dbhat_dnode", "dnodes", "dweights")}
-        sys = SampledSystem(block_size=ops.block_size, ncells=ops.ncells, tau=spec.tau,
-                            **fresh)
+        return sens, SampledSystem(block_size=ops.block_size, ncells=ops.ncells,
+                                   tau=spec.tau, **fresh)
+
+    def test_gradient_on_fresh_reference_arrays(self, rho_smooth):
+        # Fresh C-contiguous copies of the sampled system and its
+        # sensitivities give the same cost and gradient, bit for bit: the
+        # contraction does not follow the stored arrays' memory layout.
+        spec = GridSpec(n=16, m1=2, m2=2, tau=1 / 12)
+        truth = RhoParams(0.25, 1.3, 0.35, 1.9, 0.75, 1.05, 0.16, 0.03, 0.22)
+        episodes = make_episodes(truth, spec, n_episodes=3, steps=40, seed=2)
+        sens, sys = self.fresh_copies(rho_smooth, spec)
+        for ep in episodes:
+            c, g = episode_cost_and_gradient(sys, ep.u, ep.y_obs)
+            c_built, g_built = episode_cost_and_gradient(sens, ep.u, ep.y_obs)
+            assert c == c_built
+            np.testing.assert_array_equal(g, g_built)
+
+    def test_matches_loops_on_fresh_reference_arrays(self, rho_smooth):
+        # The loops read fresh copies, not the system the objective built.
+        spec = GridSpec(n=16, m1=2, m2=2, tau=1 / 12)
+        truth = RhoParams(0.25, 1.3, 0.35, 1.9, 0.75, 1.05, 0.16, 0.03, 0.22)
+        episodes = make_episodes(truth, spec, n_episodes=3, steps=40, seed=2)
+        _, sys = self.fresh_copies(rho_smooth, spec)
         total, grad = 0.0, np.zeros(9)
         for ep in episodes:
             c, g = loop_cost_and_gradient(sys, ep.u, ep.y_obs)
             total += c
             grad += g
         report = gradient_adjoint(rho_smooth, spec, episodes)
-        assert report.cost == total
-        np.testing.assert_array_equal(report.grad, grad)
+        assert report.cost == pytest.approx(total, rel=1e-12)
+        np.testing.assert_allclose(report.grad, grad, rtol=1e-8, atol=0)
 
     def test_episode_order_invariance(self, fit_setup):
         spec, rho, episodes = fit_setup

@@ -116,12 +116,13 @@ class TestPointwiseEvaluationComparison:
         u = pulse_input(24, band_spec.tau)
         spec = GridSpec(n=band_spec.n, m1=1, m2=1, tau=band_spec.tau)
         sys = population_system(rho, spec)
-        _, states = simulate(sys, u, return_states=True)
         # Pointwise readout at any q in the single cell: eta = 0
         # coefficient of that cell's block, whose input column is the
-        # node's scaled by the conditional mean s = w2 / w of q2.
-        w, _, w2 = assemble(spec, rho).moments
-        readout = (w2 / w)[0] * states[:, 0, 0]
+        # node's scaled by the conditional mean s = w2 / w of q2.  The
+        # output reads that coefficient with the weight w2, so the
+        # readout is the output over w.
+        w, _, _ = assemble(spec, rho).moments
+        readout = simulate(sys, u) / w[0]
         mean, _ = truncated_moments(rho)
         resolved = simulate_deterministic(mean, spec.n, spec.tau, u)
         np.testing.assert_allclose(readout, resolved, atol=2e-3)
