@@ -11,9 +11,9 @@ hex digits of ``workloads.digest`` over:
 * the cost at ``START`` and at ``RHO`` (total and per episode), so a
   change that must leave the forward pass alone shows that it did;
 * ``gradient_adjoint`` (cost and gradient) at ``START`` and at ``RHO``;
-* ``build_sensitivities`` at ``START`` (``dA_dnode``, ``dbhat_dnode``,
-  ``dnodes`` and ``dweights``), so a change in the sensitivity layer is
-  named directly;
+* ``build_sensitivities`` at ``START`` (the tangent hold ``tangent_A``
+  and ``tangent_b``, ``dnodes`` and ``dweights``), so a change in the
+  sensitivity layer is named directly;
 * ``initialize`` on the fit episodes;
 * ``credible_band`` on the band input of seed 1, at ``RHO`` or at the
   fit's ``rho_hat`` as the workload's rounds place it;
@@ -85,7 +85,7 @@ def report(w) -> list[tuple[str, str, list]]:
     ops = popdiff.assemble(spec, workloads.START, with_grad=True)
     sens = popdiff.build_sensitivities(ops, popdiff.build_sampled(ops, spec.tau))
     line("build_sensitivities@START",
-         sens.dA_dnode, sens.dbhat_dnode, sens.dnodes, sens.dweights)
+         sens.tangent_A, sens.tangent_b, sens.dnodes, sens.dweights)
     line("initialize", popdiff.initialize(episodes, spec).as_array())
     at = workloads.RHO if w.band_at_truth else result.rho_hat
     u = workloads.band_input(w, BAND_SEED)

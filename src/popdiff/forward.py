@@ -1,18 +1,18 @@
 """Forward simulation: the population system and the single-q model.
 
 Both are block-diagonal recursions x[j+1] = Ahat x[j] + bhat u[j] from
-x[0] = 0, built by one stacked zero-order hold of point-mass generators
-G0 + q1 G1, and both are linear and time-invariant: the output is the
-input convolved with the impulse response e0^T Ahat^k bhat, which
-``impulse_response`` forms by doubling, with no loop over time.  The
-population system has one block per density cell, the point mass at the
-node nu_c = w1_c / w_c, read at state 0 with the weight omega_c = w2_c
-(``sampled.build_sampled``): its response is the quadrature rule
-h = sum_c omega_c g_c of single-q responses at q2 = 1.  The single-q
-model gives each draw one block: ``simulate_deterministic_batch`` serves
-a block of draws with one hold and one doubling, and
-``simulate_deterministic`` is its one-draw case.  A Monte Carlo mean
-over draws converges to the population output.
+x[0] = 0, built by one stacked ``sampled.point_mass_hold`` of the
+point-mass generators G0 + q1 G1, and both are linear and time-invariant:
+the output is the input convolved with the impulse response
+e0^T Ahat^k bhat, which ``impulse_response`` forms by doubling, with no
+loop over time.  The population system has one block per density cell,
+the point mass at the node nu_c = w1_c / w_c, read at state 0 with the
+weight omega_c = w2_c (``sampled.build_sampled``): its response is the
+quadrature rule h = sum_c omega_c g_c of single-q responses at q2 = 1.
+The single-q model gives each draw one block:
+``simulate_deterministic_batch`` serves a block of draws with one hold
+and one doubling, and ``simulate_deterministic`` is its one-draw case.
+A Monte Carlo mean over draws converges to the population output.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .assembly import assemble
 from .density import RhoParams, _as_point, sample_array
 from .errors import SimulationDivergenceError
 from .grid import GridSpec
-from .sampled import SampledSystem, build_sampled, eta_operators, zero_order_hold
+from .sampled import SampledSystem, build_sampled, point_mass_hold
 
 # Draws per stacked exponential and impulse response in
 # simulate_deterministic_batch; keeps the (draws, mu, n+1) responses small.
@@ -50,6 +50,9 @@ class Episode:
         self.y_obs = np.asarray(self.y_obs, dtype=float)
         if not self.tau > 0:
             raise ValueError(f"episode {self.id}: tau must be positive")
+        if self.u.ndim != 1:
+            raise ValueError(f"episode {self.id}: u must be one sequence, got shape "
+                             f"{self.u.shape}")
         if self.y_obs.shape != (self.u.shape[0] + 1,):
             raise ValueError(
                 f"episode {self.id}: need len(y_obs) == len(u) + 1, got "
@@ -105,17 +108,17 @@ def convolve(g: np.ndarray, u: np.ndarray) -> np.ndarray:
     return y
 
 
-def responses(sys: SampledSystem, count: int):
-    """Node responses g (count, ncells), g[k, c] = e0^T Ahat_c^k bhat_c,
-    and the population response h = g @ omega, one dot per k, so that
-    h[k] does not depend on ``count``."""
+def response(sys: SampledSystem, count: int) -> np.ndarray:
+    """Population response h[k] = sum_c omega_c g[k, c] for k < count, from
+    the node responses g[k, c] = e0^T Ahat_c^k bhat_c, one dot per k, so
+    that h[k] does not depend on ``count``."""
     g = np.ascontiguousarray(impulse_response(sys.A_blocks, sys.bhat, count)[..., 0].T)
-    return g, np.vecdot(g, sys.weights)
+    return np.vecdot(g, sys.weights)
 
 
 def simulate(sys: SampledSystem, u: np.ndarray, h: np.ndarray | None = None):
     """Population output at j = 0..len(u): the response ``h`` (at least
-    len(u) long; from ``responses`` when None) convolved with ``u``.
+    len(u) long; from ``response`` when None) convolved with ``u``.
 
     ``u`` is one input sequence (mu,) or a stack (E, mu); the output is
     then (E, mu+1) and row e equals the one-sequence call on ``u[e]`` bit
@@ -125,7 +128,7 @@ def simulate(sys: SampledSystem, u: np.ndarray, h: np.ndarray | None = None):
     u = np.asarray(u, dtype=float)
     us = u if u.ndim == 2 else u[None]
     mu = us.shape[1]
-    y = convolve((responses(sys, mu)[1] if h is None else h)[:mu], us)
+    y = convolve((response(sys, mu) if h is None else h)[:mu], us)
     bad = ~np.isfinite(y).all(axis=1)
     if bad.any():
         raise SimulationDivergenceError("output is not finite",
@@ -143,10 +146,10 @@ def simulate_deterministic_batch(
 ) -> np.ndarray:
     """(len(qs), len(u)+1) single-q outputs for the draws ``qs`` (rows q1, q2).
 
-    Each draw is one block of the population system with a point mass:
-    its generator is G0 + q1 G1 and its input column beta_eta (see
-    ``sampled.eta_operators``).  Its output q2 (g * u) is the impulse
-    response g of state 0 convolved with the input.
+    Each draw is one block of the population system with a point mass,
+    held by ``sampled.point_mass_hold`` at q1 as ``build_sampled`` holds
+    a node.  Its output q2 (g * u) is the impulse response g of state 0
+    convolved with the input.
     """
     qs = np.asarray(qs, dtype=float)
     if qs.ndim != 2 or qs.shape[1] != 2:
@@ -154,15 +157,14 @@ def simulate_deterministic_batch(
     if not np.all(qs[:, 0] > 0):
         raise ValueError(f"diffusivity q1 must be positive, got {qs[:, 0].min()}")
     u = np.asarray(u, dtype=float)
-    g0, g1, beta = eta_operators(n)
 
     y = np.empty((qs.shape[0], u.shape[0] + 1))
     for start in range(0, qs.shape[0], BATCH_DRAWS):
         q1, q2 = qs[start:start + BATCH_DRAWS].T
-        ahat, bhat = zero_order_hold(g0 + q1[:, None, None] * g1, beta, tau)
+        ahat, bhat = point_mass_hold(q1, n, tau)
         # No name holds the responses, so they are freed before the next block's.
         out = y[start:start + BATCH_DRAWS] = q2[:, None] * convolve(
-            impulse_response(ahat, bhat[..., 0], u.shape[0])[..., 0], u)
+            impulse_response(ahat, bhat, u.shape[0])[..., 0], u)
         if not np.all(np.isfinite(out)):
             raise SimulationDivergenceError("output is not finite")
     return y

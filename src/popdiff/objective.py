@@ -4,21 +4,21 @@ The cost is the plain sum of squared residuals between the population
 output and the observations, every sample weighted equally and no
 regularization term.  An episode's output is its input convolved with
 the population response h = sum_c omega_c g_c, where g_c[k] =
-e0^T Ahat_c^k bhat_c is node c's response (``forward.responses``).  With
+e0^T Ahat_c^k bhat_c is node c's response (``forward.response``).  With
 q[k] = sum_e sum_j 2 (y_{e,j} - y_obs_{e,j}) u_{e,j-1-k}, the
 cross-correlation of residual and input over all episodes, each node gives
 
     dJ/domega_c = g_c . q,    dJ/dnu_c = omega_c (dg_c/dnu) . q,
 
-where dg_c/dnu is state 0 of the upper half of the impulse response of
-[[Ahat_c, dAhat_c/dnu], [0, Ahat_c]] forced by [dbhat_c/dnu; bhat_c].
+where g_c and dg_c/dnu are state 0 of the lower and of the upper half of
+the impulse response of node c's tangent hold (``sampled.build_sensitivities``).
 Then dJ/drho = dnodes @ dJ/dnu + dweights @ dJ/domega: no backward pass
 and no stored states.  A central finite-difference twin serves as the
 permanent cross-check oracle.
 
 ``evaluate`` is the one evaluation: it applies the density veto,
-assembles and samples the system once and forms the responses once, for
-the longest episode.  Its ``gradient`` function reuses them: it
+assembles and samples the system once and forms the population response
+once, for the longest episode.  Its ``gradient`` function reuses them: it
 assembles only the derivative tensors (``with_grad`` changes no bit of
 the operators) and adds the sensitivities to the same sampled system.
 An episode's output and cost do not depend, bit for bit, on the
@@ -37,7 +37,7 @@ import numpy as np
 from .assembly import assemble
 from .density import RhoParams, gamma_floor
 from .errors import PopdiffError, SimulationDivergenceError
-from .forward import Episode, impulse_response, responses, simulate
+from .forward import Episode, impulse_response, response, simulate
 from .grid import GridSpec
 from .sampled import SampledSystem, build_sampled, build_sensitivities
 
@@ -85,7 +85,8 @@ def evaluate(
     _check_episodes(spec, episodes)
     ops = assemble(spec, rho, quad_order, norm_quad_order, gamma_floor=gamma_floor(rho.box))
     sys = build_sampled(ops, spec.tau)
-    g, h = responses(sys, max(ep.steps for ep in episodes))
+    count = max(ep.steps for ep in episodes)
+    h = response(sys, count)
     by_length: dict[int, list[int]] = {}
     for i, ep in enumerate(episodes):
         by_length.setdefault(ep.steps, []).append(i)
@@ -114,7 +115,7 @@ def evaluate(
     def gradient() -> CostReport:
         ops = assemble(spec, rho, quad_order, norm_quad_order, with_grad=True)
         build_sensitivities(ops, sys)
-        grad = _gradient(sys, g, [(ep.u, r) for ep, r in zip(episodes, resid)])
+        grad = _gradient(sys, count, [(ep.u, r) for ep, r in zip(episodes, resid)])
         if not np.all(np.isfinite(grad)):
             raise PopdiffError("adjoint gradient is not finite")
         return CostReport(cost=total, grad=grad, per_episode=per_episode, method="adjoint")
@@ -133,19 +134,16 @@ def cost(
     return evaluate(rho, spec, episodes, quad_order, norm_quad_order).cost
 
 
-def _gradient(sys: SampledSystem, g: np.ndarray, episodes) -> np.ndarray:
-    """Parameter gradient from the node responses ``g`` (count, ncells) and
-    the (input, residual) pairs ``episodes``, none longer than count."""
-    count = g.shape[0]
+def _gradient(sys: SampledSystem, count: int, episodes) -> np.ndarray:
+    """Parameter gradient from one impulse response of the tangent hold and
+    the (input, residual) pairs ``episodes``, none longer than ``count``."""
     xcorr = np.zeros(count)
     for u, r in episodes:
         mu = len(u)
         xcorr[:mu] += np.correlate(2.0 * r[1:], u, "full")[mu - 1:] if mu else 0.0
-    aug = np.block([[sys.A_blocks, sys.dA_dnode], [np.zeros_like(sys.A_blocks), sys.A_blocks]])
-    forcing = np.concatenate([sys.dbhat_dnode, sys.bhat], axis=1)
-    tangent = impulse_response(aug, forcing, count)[..., 0]
-    g_node = sys.weights * (tangent @ xcorr)
-    g_weight = xcorr @ g
+    tangent = impulse_response(sys.tangent_A, sys.tangent_b, count)
+    g_node = sys.weights * (tangent[..., 0] @ xcorr)
+    g_weight = tangent[..., sys.block_size] @ xcorr
     return sys.dnodes @ g_node + sys.dweights @ g_weight
 
 
@@ -159,9 +157,8 @@ def episode_cost_and_gradient(sys: SampledSystem, u: np.ndarray, y_obs: np.ndarr
     if sys.dnodes is None:
         raise ValueError("system has no sensitivities")
     u = np.asarray(u, dtype=float)
-    g, h = responses(sys, len(u))
-    r = simulate(sys, u, h) - np.asarray(y_obs, dtype=float)
-    return float(r @ r), _gradient(sys, g, [(u, r)])
+    r = simulate(sys, u) - np.asarray(y_obs, dtype=float)
+    return float(r @ r), _gradient(sys, len(u), [(u, r)])
 
 
 def gradient_adjoint(

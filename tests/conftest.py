@@ -156,6 +156,13 @@ def galerkin_blocks(ops):
     return M, K, Bvec.reshape(-1), Cvec.reshape(-1)
 
 
+def galerkin_generator(ops):
+    """(ncells, b, b) generators -M_c^{-1} K_c from ``galerkin_blocks``,
+    independent of the point-mass form of ``sampled``."""
+    M_blocks, K_blocks, _, _ = galerkin_blocks(ops)
+    return -np.linalg.solve(M_blocks, K_blocks)
+
+
 def per_cell_reference(ops, tau):
     """The sampled operators and sensitivities one cell at a time, with
     2-D calls only, from ``galerkin_blocks``: each mass block is
@@ -217,7 +224,8 @@ def loop_simulate(sys, u):
 
 def loop_cost_and_gradient(sys, u, y_obs):
     """One episode's cost and adjoint gradient, one step at a time, on a
-    system carrying node and weight sensitivities."""
+    system carrying node and weight sensitivities.  Of the tangent hold it
+    reads only dAhat/dnu and dbhat/dnu, the upper blocks."""
     y, states = loop_simulate(sys, u)
     r = y - y_obs
     mu = len(u)
@@ -230,8 +238,10 @@ def loop_cost_and_gradient(sys, u, y_obs):
         zetas[j - 1] = zeta
     outer = np.einsum("jcb,jcd->cbd", zetas, states[:mu])
     input_sum = np.einsum("jcb,j->cb", zetas, u)
-    g_node = (np.einsum("cbd,cbd->c", sys.dA_dnode, outer)
-              + np.einsum("cb,cb->c", sys.dbhat_dnode, input_sum))
+    b = sys.block_size
+    dA, dbhat = sys.tangent_A[:, :b, b:], sys.tangent_b[:, :b]
+    g_node = (np.einsum("cbd,cbd->c", dA, outer)
+              + np.einsum("cb,cb->c", dbhat, input_sum))
     g_weight = 2.0 * (r @ states[:, :, 0])
     return float(r @ r), sys.dnodes @ g_node + sys.dweights @ g_weight
 

@@ -13,20 +13,19 @@ from popdiff.forward import (
     impulse_response,
     population_system,
     population_vs_montecarlo,
-    responses,
+    response,
     simulate,
     simulate_deterministic,
     simulate_deterministic_batch,
 )
 from popdiff.grid import GridSpec, eta_mass_matrix, eta_stiffness_matrix
-from popdiff.sampled import SampledSystem, build_sampled, eta_operators, zero_order_hold
+from popdiff.sampled import SampledSystem, build_sampled, point_mass_hold
 
 
 def scalar_system(ahat, bhat, weight=1.0, tau=1.0):
     return SampledSystem(
         block_size=1, ncells=1, tau=tau,
-        A_blocks=np.array([[[ahat]]]),
-        Agen_blocks=np.array([[[np.log(ahat) / tau if ahat > 0 else -1.0]]]),
+        A_blocks=np.array([[[ahat]]]), nodes=np.array([1.0]),
         bhat=np.array([[bhat]]), weights=np.array([weight]),
     )
 
@@ -114,7 +113,7 @@ class TestSimulate:
         us = np.random.default_rng(3).uniform(0.0, 1.0, (5, 40))
         y = simulate(sys, us)
         assert y.shape == (5, 41)
-        np.testing.assert_array_equal(simulate(sys, us, responses(sys, 75)[1]), y)
+        np.testing.assert_array_equal(simulate(sys, us, response(sys, 75)), y)
         for e, u in enumerate(us):
             np.testing.assert_array_equal(simulate(sys, u), y[e])
 
@@ -132,11 +131,9 @@ class TestSimulate:
         # 2400 steps: the doubling's highest power is A^2048.  A slow node
         # (the input has barely reached the surface) and a fast one.
         n, tau = 8, 1 / 12
-        g0, g1, beta = eta_operators(n)
-        gen = (g0 + q1 * g1)[None]
-        ahat, bhat = zero_order_hold(gen, beta, tau)
+        ahat, bhat = point_mass_hold(np.array([q1]), n, tau)
         sys = SampledSystem(block_size=n + 1, ncells=1, tau=tau, A_blocks=ahat,
-                            Agen_blocks=gen, bhat=bhat[..., 0], weights=np.array([1.0]))
+                            nodes=np.array([q1]), bhat=bhat, weights=np.array([1.0]))
         u = np.random.default_rng(5).uniform(0.0, 1.0, 2400)
         y_loop, _ = loop_simulate(sys, u)
         scale = np.abs(y_loop).max()
@@ -422,6 +419,12 @@ class TestEpisode:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             Episode("e", 0.1, np.array([0.0, np.nan]), np.zeros(3))
+
+    @pytest.mark.parametrize("u, y_obs", [(np.ones((5, 2)), np.zeros(6)),
+                                          (np.float64(1.0), np.zeros(2))])
+    def test_input_must_be_one_sequence(self, u, y_obs):
+        with pytest.raises(ValueError, match="episode e7: u must be one sequence"):
+            Episode("e7", 1 / 12, u, y_obs)
 
     def test_steps(self):
         ep = Episode("e", 0.1, np.zeros(7), np.zeros(8))

@@ -18,8 +18,7 @@ from popdiff.sampled import (
     SampledSystem,
     build_sampled,
     build_sensitivities,
-    eta_operators,
-    zero_order_hold,
+    point_mass_hold,
 )
 
 
@@ -173,8 +172,8 @@ class TestGradientAdjoint:
         ops = assemble(spec, rho, with_grad=True)
         sens = build_sensitivities(ops, build_sampled(ops, spec.tau))
         fresh = {name: np.array(getattr(sens, name), order="C")
-                 for name in ("A_blocks", "Agen_blocks", "bhat", "weights",
-                              "dA_dnode", "dbhat_dnode", "dnodes", "dweights")}
+                 for name in ("A_blocks", "nodes", "bhat", "weights",
+                              "tangent_A", "tangent_b", "dnodes", "dweights")}
         return sens, SampledSystem(block_size=ops.block_size, ncells=ops.ncells,
                                    tau=spec.tau, **fresh)
 
@@ -217,16 +216,17 @@ class TestGradientAdjoint:
 
     def test_scalar_surrogate_hand_derived(self):
         # One parameter a, the node, entering through Ahat = exp(a tau);
-        # input gain and readout weight held fixed.  Three-step episode,
-        # closed form.
+        # input gain and readout weight held fixed, so the tangent hold is
+        # [[Ahat, tau Ahat], [0, Ahat]] with input [0; b].  Three-step
+        # episode, closed form.
         tau, a, b = 0.25, -1.3, 0.4
         ahat = np.exp(a * tau)
         sys = SampledSystem(
             block_size=1, ncells=1, tau=tau,
-            A_blocks=np.array([[[ahat]]]),
-            Agen_blocks=np.array([[[a]]]),
+            A_blocks=np.array([[[ahat]]]), nodes=np.array([a]),
             bhat=np.array([[b]]), weights=np.array([1.0]),
-            dA_dnode=np.array([[[tau * ahat]]]), dbhat_dnode=np.array([[0.0]]),
+            tangent_A=np.array([[[ahat, tau * ahat], [0.0, ahat]]]),
+            tangent_b=np.array([[0.0, b]]),
             dnodes=np.array([[1.0]]), dweights=np.array([[0.0]]),
         )
         u = np.array([1.0, 0.6, 0.2])
@@ -273,14 +273,11 @@ class TestNodeWeightContract:
         sys.dnodes, sys.dweights = (eye, zero) if moved == "nodes" else (zero, eye)
         _, g = episode_cost_and_gradient(sys, ep.u, ep.y_obs)
 
-        g0, g1, beta = eta_operators(spec.n)
-
         def cost_at(point):
             nodes, weights = point
-            gen = g0 + nodes[:, None, None] * g1
-            ahat, bhat = zero_order_hold(gen, beta, spec.tau)
-            moved_sys = SampledSystem(spec.block_size, spec.ncells, spec.tau, ahat, gen,
-                                      bhat[..., 0], weights)
+            ahat, bhat = point_mass_hold(nodes, spec.n, spec.tau)
+            moved_sys = SampledSystem(spec.block_size, spec.ncells, spec.tau, ahat, nodes,
+                                      bhat, weights)
             r = simulate(moved_sys, ep.u) - ep.y_obs
             return float(r @ r)
 

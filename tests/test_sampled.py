@@ -5,19 +5,24 @@ import pytest
 import scipy.linalg
 from scipy.linalg import block_diag
 
-from conftest import galerkin_blocks, per_cell_reference, random_rho
+from conftest import galerkin_blocks, galerkin_generator, per_cell_reference, random_rho
 
 from popdiff import forward
 from popdiff.assembly import assemble
 from popdiff.errors import SingularOperatorError
-from popdiff.grid import GridSpec
+from popdiff.grid import GridSpec, eta_mass_matrix, eta_stiffness_matrix
 from popdiff.sampled import (
-    augmented_expm,
     build_sampled,
     build_sensitivities,
     eta_operators,
+    point_mass_hold,
     zero_order_hold,
 )
+
+
+def with_sensitivities(rho, spec):
+    ops = assemble(spec, rho, with_grad=True)
+    return ops, build_sensitivities(ops, build_sampled(ops, spec.tau))
 
 
 class TestBuildSampled:
@@ -39,7 +44,7 @@ class TestBuildSampled:
         sys = build_sampled(ops, tau=spec_small.tau)
         M_blocks, _, Bvec, _ = galerkin_blocks(ops)
         beta = np.linalg.solve(block_diag(*M_blocks), Bvec)
-        agen = block_diag(*sys.Agen_blocks)
+        agen = block_diag(*galerkin_generator(ops))
         x, w = np.polynomial.legendre.leggauss(64)
         s = 0.5 * spec_small.tau * (x + 1)
         ws = 0.5 * spec_small.tau * w
@@ -78,25 +83,25 @@ class TestBuildSampled:
 
     @pytest.mark.parametrize("n, m", [(4, 2), (8, 4), (16, 8)])
     def test_cells_are_the_single_q_blocks(self, rho_smooth, monkeypatch, n, m):
-        # Cell c is the point mass at q1 = r_c = w1_c / w_c: the population
-        # and the single-q draws share one generator and one hold, bit for bit.
+        # Cell c is the point mass at q1 = nu_c = w1_c / w_c: the population
+        # and the single-q draws share one hold, bit for bit.
         spec = GridSpec(n=n, m1=m, m2=m, tau=1 / 12)
         ops = assemble(spec, rho_smooth)
         sys = build_sampled(ops, spec.tau)
         held = []
 
-        def recording(gen, beta, tau):
-            held.append((gen, *zero_order_hold(gen, beta, tau)))
+        def recording(nodes, n, tau):
+            held.append((nodes, *point_mass_hold(nodes, n, tau)))
             return held[-1][1:]
 
-        monkeypatch.setattr(forward, "zero_order_hold", recording)
+        monkeypatch.setattr(forward, "point_mass_hold", recording)
         w, w1, _ = ops.moments
         forward.simulate_deterministic_batch(np.column_stack([w1 / w, np.ones_like(w)]),
                                              n, spec.tau, np.ones(3))
-        (gen, ahat, bhat), = held
-        np.testing.assert_array_equal(sys.Agen_blocks, gen)
+        (nodes, ahat, bhat), = held
+        np.testing.assert_array_equal(sys.nodes, nodes)
         np.testing.assert_array_equal(sys.A_blocks, ahat)
-        np.testing.assert_array_equal(sys.bhat, bhat[..., 0])
+        np.testing.assert_array_equal(sys.bhat, bhat)
         np.testing.assert_array_equal(sys.weights, ops.moments[2])
 
 
@@ -123,48 +128,56 @@ class TestEtaOperators:
             assert not cached.flags.writeable
 
 
-class TestAugmentedExpm:
-    def test_scalar_direction_closed_form(self):
-        # d exp(a t) / da = t exp(a t).
+class TestTangentHold:
+    build = staticmethod(with_sensitivities)
+
+    def test_scalar_closed_form(self):
+        # The tangent of x' = a x + u: d exp(a t) / da = t exp(a t) and
+        # d((exp(a t) - 1) / a) / da = (t exp(a t) a - exp(a t) + 1) / a^2.
         a, tau = -0.8, 0.6
-        upper, lower = augmented_expm(np.array([[a]]), np.array([[1.0]]), tau)
-        np.testing.assert_allclose(upper, [[tau * np.exp(a * tau)]], rtol=1e-12)
-        np.testing.assert_allclose(lower, [[np.exp(a * tau)]], rtol=1e-12)
+        e = np.exp(a * tau)
+        ahat, bhat = zero_order_hold(np.array([[a, 1.0], [0.0, a]]),
+                                     np.array([[0.0], [1.0]]), tau)
+        np.testing.assert_allclose(ahat, [[e, tau * e], [0.0, e]], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(bhat[:, 0], [(tau * e * a - e + 1) / a**2, (e - 1) / a],
+                                   rtol=1e-12)
 
-    def test_lower_block_is_plain_exponential(self, rho_smooth, spec_small):
-        sys = build_sampled(assemble(spec_small, rho_smooth), spec_small.tau)
-        _, g1, _ = eta_operators(spec_small.n)
-        _, lower = augmented_expm(sys.Agen_blocks, g1, spec_small.tau)
-        assert np.abs(lower - sys.A_blocks).max() < 1e-10
+    def test_halves_are_the_forward_hold(self, rho_smooth, spec_small):
+        # The diagonal blocks and the lower input half repeat the forward
+        # hold, to rounding: one exponential of twice the size.
+        _, sys = self.build(rho_smooth, spec_small)
+        b = sys.block_size
+        scale = max(np.abs(sys.A_blocks).max(), np.abs(sys.bhat).max())
+        for got, want in ((sys.tangent_A[:, :b, :b], sys.A_blocks),
+                          (sys.tangent_A[:, b:, b:], sys.A_blocks),
+                          (sys.tangent_A[:, b:, :b], 0.0),
+                          (sys.tangent_b[:, b:], sys.bhat)):
+            assert np.abs(got - want).max() <= 1e-13 * scale
 
-    def test_stack_matches_slice_by_slice(self):
-        # build_sensitivities passes whole (ncells, b, b) stacks; each slice
-        # must come out bit for bit as from a call on that slice alone.
-        rng = np.random.default_rng(5)
-        gen = -np.eye(4) + 0.2 * rng.standard_normal((3, 4, 4))
-        direction = rng.standard_normal((3, 4, 4))
-        upper, lower = augmented_expm(gen, direction, 0.4)
-        assert upper.shape == lower.shape == (3, 4, 4)
-        for c in range(3):
-            one_upper, one_lower = augmented_expm(gen[c], direction[c], 0.4)
-            np.testing.assert_array_equal(upper[c], one_upper)
-            np.testing.assert_array_equal(lower[c], one_lower)
+    def test_stack_matches_node_by_node(self, rho_smooth, spec_small):
+        # build_sensitivities holds all nodes in one stacked call; each node
+        # must come out bit for bit as from a system of that node alone.
+        ops, sys = self.build(rho_smooth, spec_small)
+        for c in range(sys.ncells):
+            one = dataclasses.replace(ops, ncells=1, moments=ops.moments[:, [c]],
+                                      dmoments=ops.dmoments[..., [c]])
+            alone = build_sensitivities(one, build_sampled(one, spec_small.tau))
+            np.testing.assert_array_equal(sys.tangent_A[c], alone.tangent_A[0])
+            np.testing.assert_array_equal(sys.tangent_b[c], alone.tangent_b[0])
 
-    def test_against_independent_frechet(self):
-        # scipy's dedicated Frechet-derivative routine as a second path.
-        rng = np.random.default_rng(3)
-        gen = -np.eye(5) + 0.2 * rng.standard_normal((5, 5))
-        direction = rng.standard_normal((5, 5))
-        upper, _ = augmented_expm(gen, direction, 1.0)
-        _, frechet = scipy.linalg.expm_frechet(gen, direction)
-        np.testing.assert_allclose(upper, frechet, rtol=1e-10, atol=1e-12)
+    def test_against_independent_frechet(self, rho_smooth, spec_small):
+        # scipy's dedicated Frechet-derivative routine as a second path, on
+        # the Galerkin generators: dAhat/dnu = L(G tau, G1 tau).
+        ops, sys = self.build(rho_smooth, spec_small)
+        b = sys.block_size
+        g1 = -np.linalg.solve(eta_mass_matrix(spec_small.n), eta_stiffness_matrix(spec_small.n))
+        for gen, upper in zip(galerkin_generator(ops), sys.tangent_A[:, :b, b:]):
+            _, frechet = scipy.linalg.expm_frechet(gen * sys.tau, g1 * sys.tau)
+            np.testing.assert_allclose(upper, frechet, rtol=1e-10, atol=1e-12)
 
 
 class TestSensitivities:
-    def build(self, rho, spec):
-        ops = assemble(spec, rho, with_grad=True)
-        sys = build_sampled(ops, spec.tau)
-        return ops, build_sensitivities(ops, sys)
+    build = staticmethod(with_sensitivities)
 
     @pytest.mark.parametrize("n", [4, 8, 16])
     def test_stack_equals_per_cell_reference(self, rho_smooth, n):
@@ -175,15 +188,19 @@ class TestSensitivities:
         spec = GridSpec(n=n, m1=2, m2=2, tau=1 / 12)
         ops, sys = self.build(rho_smooth, spec)
         A, Agen, Bhat, dA, dBhat = per_cell_reference(ops, spec.tau)
+        g0, g1, _ = eta_operators(n)
+        b = sys.block_size
+        dA_dnode, dbhat_dnode = sys.tangent_A[:, :b, b:], sys.tangent_b[:, :b]
         w, _, w2 = ops.moments
         dw, _, dw2 = ops.dmoments
         s = w2 / w
         ds = (dw2 - s * dw) / w
         galerkin_bhat = s[:, None] * sys.bhat
         galerkin_dbhat = (ds[:, :, None] * sys.bhat
-                          + (s * sys.dnodes)[:, :, None] * sys.dbhat_dnode)
-        dA_k = sys.dnodes[:, :, None, None] * sys.dA_dnode
-        for got, want in ((sys.A_blocks, A), (sys.Agen_blocks, Agen),
+                          + (s * sys.dnodes)[:, :, None] * dbhat_dnode)
+        dA_k = sys.dnodes[:, :, None, None] * dA_dnode
+        gen = g0 + sys.nodes[:, None, None] * g1
+        for got, want in ((sys.A_blocks, A), (gen, Agen),
                           (galerkin_bhat.reshape(-1), Bhat), (dA_k, dA),
                           (galerkin_dbhat.reshape(len(ds), -1), dBhat)):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -192,8 +209,9 @@ class TestSensitivities:
     def test_parameters_share_each_solve_call(self, rho_smooth, spec_small,
                                               monkeypatch, n_params):
         # Every parameter moves a cell through its moments alone, so all of
-        # them share one stacked exponential in the one direction G1, and
-        # the parameter count changes no bit of any parameter's result.
+        # them share one stacked tangent hold (one exponential, one solve
+        # and no LU solve), and the parameter count changes no bit of any
+        # parameter's result.
         ops, full = self.build(rho_smooth, spec_small)
         sub = dataclasses.replace(ops, dmoments=ops.dmoments[:, :n_params])
         sys = build_sampled(sub, spec_small.tau)
@@ -205,8 +223,8 @@ class TestSensitivities:
             monkeypatch.setattr(scipy.linalg, name, counted)
         build_sensitivities(sub, sys)
         assert calls == {"expm": 1, "lu_solve": 0}
-        np.testing.assert_array_equal(sys.dA_dnode, full.dA_dnode)
-        np.testing.assert_array_equal(sys.dbhat_dnode, full.dbhat_dnode)
+        np.testing.assert_array_equal(sys.tangent_A, full.tangent_A)
+        np.testing.assert_array_equal(sys.tangent_b, full.tangent_b)
         np.testing.assert_array_equal(sys.dnodes, full.dnodes[:n_params])
         np.testing.assert_array_equal(sys.dweights, full.dweights[:n_params])
 
@@ -226,6 +244,7 @@ class TestSensitivities:
 
         spec = GridSpec(n=3, m1=2, m2=2, tau=1 / 12)
         _, sys = self.build(rho_smooth, spec)
+        b = sys.block_size
         base = rho_smooth.as_array()
         for k in range(9):
             h = 1e-6 * (1 + abs(base[k]))
@@ -237,8 +256,8 @@ class TestSensitivities:
             fdA = (block_diag(*sys_up.A_blocks) - block_diag(*sys_dn.A_blocks)) / (2 * h)
             fdB = (sys_up.bhat - sys_dn.bhat) / (2 * h)
             fdW = (sys_up.weights - sys_dn.weights) / (2 * h)
-            dA = block_diag(*(sys.dnodes[k, :, None, None] * sys.dA_dnode))
-            dB = sys.dnodes[k, :, None] * sys.dbhat_dnode
+            dA = block_diag(*(sys.dnodes[k, :, None, None] * sys.tangent_A[:, :b, b:]))
+            dB = sys.dnodes[k, :, None] * sys.tangent_b[:, :b]
             errA = np.linalg.norm(dA - fdA) / max(np.linalg.norm(fdA), 1e-10)
             errB = np.linalg.norm(dB - fdB) / max(np.linalg.norm(fdB), 1e-10)
             errW = np.linalg.norm(sys.dweights[k] - fdW) / max(np.linalg.norm(fdW), 1e-10)
