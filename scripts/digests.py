@@ -7,7 +7,8 @@ hex digits of ``workloads.digest`` over:
 * the fit data (every episode's ``y_obs``), which the population system
   generates, so a change in its rounding shows here first;
 * the fit from ``START`` (``rho_hat`` and the cost trace), with its
-  status, iteration count and cost/gradient evaluation counts;
+  status, iteration count, cost/Jacobian evaluation counts and the
+  pull's penalty at ``rho_hat``;
 * the cost at ``START`` and at ``RHO`` (total and per episode), so a
   change that must leave the forward pass alone shows that it did;
 * ``gradient_adjoint`` (cost and gradient) at ``START`` and at ``RHO``;
@@ -77,7 +78,8 @@ def report(w) -> list[tuple[str, str, list]]:
     line("data", *(ep.y_obs for ep in episodes))
     line("fit", fit["rho_hat"], fit["cost_trace"],
          tail=f" {fit['status']} iterations={fit['iterations']} "
-              f"cost_evals={fit['cost_evals']} grad_evals={fit['grad_evals']}")
+              f"cost_evals={fit['cost_evals']} grad_evals={fit['grad_evals']} "
+              f"penalty={result.penalty:.6e}")
     for label, rho in (("START", workloads.START), ("RHO", workloads.RHO)):
         adj = popdiff.gradient_adjoint(rho, spec, episodes)
         line(f"cost@{label}", adj.cost, [c for _, c in adj.per_episode])

@@ -125,6 +125,7 @@ def _cmd_gradcheck(args) -> int:
         "finite_difference": fd.grad.tolist(),
         "rel_error": rel.tolist(),
         "max_rel_error": float(rel.max()),
+        "worst_component": list(dataio.rho_to_dict(rho))[int(np.argmax(rel))],
         "tolerance": tolerance,
         "pass": bool(rel.max() <= tolerance),
     }
@@ -198,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=".")
     p.set_defaults(handler=_cmd_synth)
 
-    p = sub.add_parser("gradcheck", help="adjoint vs finite-difference gradient")
+    p = sub.add_parser("gradcheck", help="exact vs finite-difference gradient")
     p.add_argument("config")
     p.add_argument("rho")
     p.add_argument("episodes", nargs="+")

@@ -9,9 +9,9 @@ version is unknown):
 * band CSV:     ``# popdiff-band v1`` then ``t_hours,lower,mean,upper``;
 * simulate CSV: ``# popdiff-sim v1`` then ``t_hours,predicted,observed``;
 * trace CSV:    ``# popdiff-trace v1`` then
-  ``iteration,cost,grad_norm,step_norm``;
-* fit result JSON with keys rho_hat / sigma / status / cost / trace /
-  config_echo / seed.
+  ``iteration,cost,grad_norm,step_norm`` (cost plus pull, projected gradient);
+* fit result JSON with keys rho_hat / sigma / status / cost /
+  least_squares / penalty / trace / config_echo / seed.
 
 Floats are written with repr() so outputs are byte-stable and round-trip
 exactly.  All writes go through a temp file followed by an atomic rename.
@@ -224,6 +224,7 @@ class RunConfig:
     xtol: float = 1e-9
     max_iter: int = 200
     gap_min: float = 1e-3
+    pull: float = 1e-3               # alpha = pull * cost(start); see FitOptions
     fd_step: float = 1e-6            # gradcheck's finite-difference step
     init_mode: str = "moment"        # moment | explicit
     default_box: tuple = (0.1, 2.0, 0.1, 2.0)
@@ -273,7 +274,7 @@ class RunConfig:
         return FitOptions(
             gtol=self.gtol, xtol=self.xtol, max_iter=self.max_iter,
             quad_order=self.cell_quad_order, norm_quad_order=self.norm_quad_order,
-            gap_min=self.gap_min,
+            gap_min=self.gap_min, pull=self.pull,
         )
 
     @property
@@ -372,6 +373,8 @@ def fit_result_json(result: FitResult, config: RunConfig, seed: int) -> str:
         "status": result.status,
         # JSON has no Infinity: a vetoed start (no finite cost) writes null.
         "cost": result.cost if math.isfinite(result.cost) else None,
+        "least_squares": result.least_squares if math.isfinite(result.cost) else None,
+        "penalty": result.penalty,
         "trace": [list(row) for row in result.cost_trace],
         "config_echo": config.echo(),
         "seed": seed,

@@ -15,7 +15,7 @@ class DegenerateDensityError(PopdiffError):
     Raised when the normalization over the support box underflows, when
     rejection sampling cannot find the box, or when the density at the
     quadrature nodes falls below the operational lower bound.  The
-    optimizer treats this as a signal to backtrack rather than abort.
+    optimizer treats this as a rejected trial step rather than abort.
     """
 
 

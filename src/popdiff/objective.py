@@ -1,30 +1,28 @@
-"""Pooled least-squares cost over all episodes and its gradient.
+"""Pooled least-squares cost over all episodes, its Jacobian and gradient.
 
 The cost is the plain sum of squared residuals between the population
 output and the observations, every sample weighted equally and no
-regularization term.  An episode's output is its input convolved with
-the population response h = sum_c omega_c g_c, where g_c[k] =
-e0^T Ahat_c^k bhat_c is node c's response (``forward.response``).  With
-q[k] = sum_e sum_j 2 (y_{e,j} - y_obs_{e,j}) u_{e,j-1-k}, the
-cross-correlation of residual and input over all episodes, each node gives
-
-    dJ/domega_c = g_c . q,    dJ/dnu_c = omega_c (dg_c/dnu) . q,
-
-where g_c and dg_c/dnu are state 0 of the lower and of the upper half of
-the impulse response of node c's tangent hold (``sampled.build_sensitivities``).
-Then dJ/drho = dnodes @ dJ/dnu + dweights @ dJ/domega: no backward pass
-and no stored states.  A central finite-difference twin serves as the
+regularization term (``optimizer.fit`` adds its pull).  An episode's
+output is its input convolved with the population response
+h = sum_c omega_c g_c of the node responses g_c[k] = e0^T Ahat_c^k bhat_c
+(``forward.response``).  The parameters reach h only through the nodes
+and weights, so dh/drho = dweights @ g + (dnodes * omega) @ dg/dnu, with
+g_c and dg_c/dnu state 0 of the lower and upper half of the impulse
+response of node c's tangent hold (``sampled.build_sensitivities``).
+Column p of the residual Jacobian J stacks each episode's input
+convolved with dh_p, and the gradient is 2 J^T r: no backward pass and
+no stored states.  A central finite-difference twin serves as the
 permanent cross-check oracle.
 
 ``evaluate`` is the one evaluation: it applies the density veto,
 assembles and samples the system once and forms the population response
-once, for the longest episode.  Its ``gradient`` function reuses them: it
+once, for the longest episode.  Its ``jacobian`` function reuses them: it
 assembles only the derivative tensors (``with_grad`` changes no bit of
 the operators) and adds the sensitivities to the same sampled system.
 An episode's output and cost do not depend, bit for bit, on the
 episodes evaluated with it.  ``cost``, ``gradient_adjoint`` and
 ``gradient_fd`` call it; ``optimizer.fit`` calls it directly and asks
-for the gradient only at accepted points.
+for the Jacobian only at accepted points.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ import numpy as np
 from .assembly import assemble
 from .density import RhoParams, gamma_floor
 from .errors import PopdiffError, SimulationDivergenceError
-from .forward import Episode, impulse_response, response, simulate
+from .forward import Episode, convolve, impulse_response, response, simulate
 from .grid import GridSpec
 from .sampled import SampledSystem, build_sampled, build_sensitivities
 
@@ -62,12 +60,18 @@ def _check_episodes(spec: GridSpec, episodes: list[Episode]) -> None:
 
 @dataclass
 class Evaluation:
-    """Cost at one parameter point, with its gradient on demand; the
-    gradient reuses the forward pass that gave ``cost``."""
+    """Cost and residuals at one parameter point, with their Jacobian on
+    demand; the Jacobian reuses the forward pass that gave ``cost``."""
 
     cost: float
     per_episode: list[tuple[str, float]]
-    gradient: Callable[[], CostReport]
+    residuals: np.ndarray                # (N,) y - y_obs, episodes stacked in order
+    jacobian: Callable[[], np.ndarray]   # (N, P) d residuals / d rho
+
+    def gradient(self) -> CostReport:
+        grad = 2.0 * (self.jacobian().T @ self.residuals)
+        return CostReport(cost=self.cost, grad=grad, per_episode=self.per_episode,
+                          method="adjoint")
 
 
 def evaluate(
@@ -112,15 +116,15 @@ def evaluate(
         total += c
     per_episode = [(ep.id, c) for ep, c in zip(episodes, costs)]
 
-    def gradient() -> CostReport:
+    def jacobian() -> np.ndarray:
         ops = assemble(spec, rho, quad_order, norm_quad_order, with_grad=True)
         build_sensitivities(ops, sys)
-        grad = _gradient(sys, count, [(ep.u, r) for ep, r in zip(episodes, resid)])
-        if not np.all(np.isfinite(grad)):
-            raise PopdiffError("adjoint gradient is not finite")
-        return CostReport(cost=total, grad=grad, per_episode=per_episode, method="adjoint")
+        jac = _jacobian(sys, count, [ep.u for ep in episodes])
+        if not np.all(np.isfinite(jac)):
+            raise PopdiffError("Jacobian is not finite")
+        return jac
 
-    return Evaluation(total, per_episode, gradient)
+    return Evaluation(total, per_episode, np.concatenate(resid), jacobian)
 
 
 def cost(
@@ -134,17 +138,15 @@ def cost(
     return evaluate(rho, spec, episodes, quad_order, norm_quad_order).cost
 
 
-def _gradient(sys: SampledSystem, count: int, episodes) -> np.ndarray:
-    """Parameter gradient from one impulse response of the tangent hold and
-    the (input, residual) pairs ``episodes``, none longer than ``count``."""
-    xcorr = np.zeros(count)
-    for u, r in episodes:
-        mu = len(u)
-        xcorr[:mu] += np.correlate(2.0 * r[1:], u, "full")[mu - 1:] if mu else 0.0
+def _jacobian(sys: SampledSystem, count: int, inputs) -> np.ndarray:
+    """(N, P) Jacobian of the outputs j = 0..len(u) of each input in
+    ``inputs`` (none longer than ``count``), stacked in order, from one
+    impulse response of the tangent hold: column p is u * dh_p with
+    dh = dweights @ g + (dnodes * omega) @ dg/dnu."""
     tangent = impulse_response(sys.tangent_A, sys.tangent_b, count)
-    g_node = sys.weights * (tangent[..., 0] @ xcorr)
-    g_weight = tangent[..., sys.block_size] @ xcorr
-    return sys.dnodes @ g_node + sys.dweights @ g_weight
+    dh = (sys.dweights @ tangent[..., sys.block_size]
+          + (sys.dnodes * sys.weights) @ tangent[..., 0])
+    return np.concatenate([convolve(dh[:, :len(u)], u).T for u in inputs])
 
 
 def episode_cost_and_gradient(sys: SampledSystem, u: np.ndarray, y_obs: np.ndarray):
@@ -158,7 +160,7 @@ def episode_cost_and_gradient(sys: SampledSystem, u: np.ndarray, y_obs: np.ndarr
         raise ValueError("system has no sensitivities")
     u = np.asarray(u, dtype=float)
     r = simulate(sys, u) - np.asarray(y_obs, dtype=float)
-    return float(r @ r), _gradient(sys, len(u), [(u, r)])
+    return float(r @ r), 2.0 * (_jacobian(sys, len(u), [u]).T @ r)
 
 
 def gradient_adjoint(
@@ -168,7 +170,7 @@ def gradient_adjoint(
     quad_order: int = 8,
     norm_quad_order: int = 24,
 ) -> CostReport:
-    """Cost plus full gradient from one forward pass and one contraction."""
+    """Cost plus full gradient 2 J^T r from one forward pass and its Jacobian."""
     return evaluate(rho, spec, episodes, quad_order, norm_quad_order).gradient()
 
 

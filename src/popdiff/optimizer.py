@@ -1,4 +1,4 @@
-"""Box-constrained minimization of the pooled least-squares cost.
+"""Box-constrained least squares on the pooled cost.
 
 Constraint handling is by smooth reparameterization plus projection:
 
@@ -7,28 +7,34 @@ Constraint handling is by smooth reparameterization plus projection:
 * the simple lower bounds on a1 and a2 are enforced by projecting the
   trial point after each step.
 
-Search directions come from a Powell-damped BFGS matrix on the working
-coordinates; the backtracking line search accepts a step only when the
-cost strictly decreases, and any model-layer failure (degenerate
-density, singular operator, divergence) just fails the trial step so the
-search can shorten it.  ``minimize_bfgs`` takes one ``evaluate(x)``
-returning ``(cost, gradient_fn)``: each trial point is evaluated once,
-and the gradient function of the start and of each accepted trial is
-called, so the accepted point is never assembled or simulated again.
-A rejected trial's evaluation is dropped before the next one.  There is
-no randomness anywhere: identical inputs give identical traces.
+``fit`` minimizes |r(z)|^2 + alpha |z - z0|^2 in these working
+coordinates z: r stacks the residuals of all episodes, z0 is the start,
+and alpha = pull * |r(z0)|^2 weighs a Tikhonov pull toward it
+(iteratively regularized Gauss-Newton, Kaltenbacher, Neubauer & Scherzer
+2008).  The search is projected Levenberg-Marquardt (More 1978) on the
+Jacobian J of ``objective.evaluate``: each trial is project(z + d) with
+
+    (J^T J + alpha I + lam (tr(J^T J) / n) I) d = -(J^T r + alpha (z - z0)).
+
+A trial that lowers the cost divides lam by 10; a higher cost or a
+model-layer veto (degenerate density, singular operator, divergence)
+multiplies it by 10.  The damping is isotropic: Marquardt's diag(J^T J)
+scaling lets directions that the data barely determine take huge steps.
+Each trial point is evaluated once, and only the start and accepted
+points form their Jacobian, from the same forward pass.  There is no
+randomness: identical inputs give identical traces.
 
 Termination status:
 
-* ``converged``: the projected gradient ``||x - project(x - g)||`` fell
-  below ``gtol * (1 + |cost|)``, the first-order test for a
-  bound-constrained minimum;
+* ``converged``: the projected gradient ``||x - project(x - g)||`` of
+  the penalized cost fell below ``gtol * (1 + |cost|)``, the first-order
+  test for a bound-constrained minimum;
 * ``stalled-step``: an accepted step was shorter than ``xtol`` while the
-  projected gradient still failed that test (typically the line search
-  halved the step against a model-layer veto or a bound);
-* ``max-iterations``: ``max_iter`` steps were taken without either;
-* ``line-search-failure``: neither the quasi-Newton nor the steepest-
-  descent direction gave a cost decrease;
+  projected gradient still failed that test (typically the damping grew
+  against a model-layer veto or a bound);
+* ``max-iterations``: ``max_iter`` steps were accepted without either;
+* ``damping-exhausted``: lam passed ``LAMBDA_MAX`` with no trial
+  accepted;
 * ``degenerate-density``: the starting point itself was vetoed.
 
 The per-episode single-q fits behind ``initialize`` do not use this
@@ -50,10 +56,12 @@ from .forward import Episode, simulate_deterministic, simulate_deterministic_bat
 from .grid import Q1_FLOOR, GridSpec
 from .objective import evaluate as evaluate_objective
 
-# Line search: at most this many halvings, from a first trial step of at
-# most this norm in working coordinates.
-MAX_BACKTRACKS = 45
-STEP_CAP = 1.0
+# Levenberg-Marquardt damping: its start, the factor by which an accepted
+# trial divides it and a rejected one multiplies it, and the value past
+# which the search gives up.
+LAMBDA_START = 1e-3
+LAMBDA_FACTOR = 10.0
+LAMBDA_MAX = 1e16
 
 
 @dataclass
@@ -64,22 +72,33 @@ class FitOptions:
     quad_order: int = 8
     norm_quad_order: int = 24
     gap_min: float = 1e-3
+    # Weight of the pull toward the start: alpha = pull * cost(start).
+    # alpha grows with the sample count, so its bias does not vanish as
+    # the data grow; 0 gives plain least squares.
+    pull: float = 1e-3
 
 
 @dataclass
 class FitResult:
     rho_hat: RhoParams
-    cost_trace: list[tuple[int, float, float, float]]  # (iter, cost, |grad|, |step|)
+    # (iter, cost, projected |grad|, |step|) of the penalized cost
+    cost_trace: list[tuple[int, float, float, float]]
     # converged (projected-gradient test passed) | stalled-step (step fell
-    # below xtol first) | max-iterations | line-search-failure |
+    # below xtol first) | max-iterations | damping-exhausted |
     # degenerate-density; see the module docstring.
     status: str
     n_cost_evals: int
     n_grad_evals: int
+    penalty: float = 0.0  # the pull term alpha |z - z0|^2 at rho_hat
 
     @property
     def cost(self) -> float:
+        """The minimized cost: least squares plus the pull."""
         return self.cost_trace[-1][1] if self.cost_trace else np.inf
+
+    @property
+    def least_squares(self) -> float:
+        return self.cost - self.penalty
 
 
 @dataclass
@@ -90,110 +109,82 @@ class CoreResult:
     status: str
     n_cost_evals: int
     n_grad_evals: int
+    penalty: float
 
 
-def minimize_bfgs(evaluate, x0, project, gtol=1e-6, xtol=1e-9,
-                  max_iter=200) -> CoreResult:
-    """Projected-backtracking quasi-Newton descent on any dimension.
+def minimize_lm(evaluate, x0, project, pull=0.0, gtol=1e-6, xtol=1e-9,
+                max_iter=200) -> CoreResult:
+    """Projected Levenberg-Marquardt on |r(x)|^2 + alpha |x - x0|^2.
 
-    ``evaluate(x)`` returns the cost at x and a function of no arguments
-    that returns the gradient there; it may raise PopdiffError to veto a
-    trial point (the search then shortens the step).  The gradient
-    function is called only at the start and at each accepted point, so
-    an evaluation that keeps its forward pass never repeats it.  When the
-    quasi-Newton direction fails its whole line search, the curvature
-    model is discarded and one steepest-descent line search is attempted
-    before giving up.
+    ``evaluate(x)`` returns the residual vector at x and a function of no
+    arguments that returns its Jacobian there; it may raise PopdiffError
+    to veto a trial point (the damping then grows).  x0 is projected
+    first, and alpha = pull * |r(x0)|^2.  The Jacobian function is called
+    only at the start and at each accepted point, so an evaluation that
+    keeps its forward pass never repeats it.
     """
-    n = x0.size
-    x = project(np.asarray(x0, dtype=float))
-    n_cost = n_grad = 0
+    x0 = project(np.asarray(x0, dtype=float))
+    eye = np.eye(x0.size)
     try:
-        c, gradient = evaluate(x)
+        r, jacobian = evaluate(x0)
     except DegenerateDensityError:
-        return CoreResult(x, np.inf, [], "degenerate-density", n_cost, n_grad + 1)
-    g = gradient()
-    n_grad += 1
-    del gradient  # holds the start's forward pass
-    trace = [(0, c, float(np.linalg.norm(g)), 0.0)]
-    B = np.eye(n)
-    scaled = False
+        return CoreResult(x0, np.inf, [], "degenerate-density", 0, 0, 0.0)
+    alpha = pull * float(r @ r)
+    n_cost = 0
+
+    def penalty(x):
+        return alpha * float((x - x0) @ (x - x0))
+
+    def linearize(x, r, jacobian):
+        """Jacobian, half gradient and projected gradient norm at x."""
+        jac = jacobian()
+        half = jac.T @ r + alpha * (x - x0)
+        return jac, half, float(np.linalg.norm(x - project(x - 2.0 * half)))
+
+    x, c = x0, float(r @ r)
+    jac, half, pg = linearize(x, r, jacobian)
+    trace = [(0, c, pg, 0.0)]
+    lam = LAMBDA_START
     status = "max-iterations"
 
-    def stationary(x, c, g):
-        return float(np.linalg.norm(x - project(x - g))) < gtol * (1 + abs(c))
-
-    def line_search(d):
-        nonlocal n_cost, n_grad
-        alpha = min(1.0, STEP_CAP / max(float(np.linalg.norm(d)), 1e-300))
-        for _ in range(MAX_BACKTRACKS):
-            x_try = project(x + alpha * d)
-            step = x_try - x
-            if step.any():
+    for it in range(1, max_iter + 1):
+        if pg < gtol * (1 + abs(c)):
+            status = "converged"
+            break
+        jtj = jac.T @ jac
+        damping = np.trace(jtj) / x0.size * eye
+        jacobian = None  # the last accepted point's forward pass goes now
+        while lam <= LAMBDA_MAX:
+            x_try = project(x - np.linalg.solve(jtj + alpha * eye + lam * damping, half))
+            c_try = np.inf
+            if (x_try - x).any():
                 n_cost += 1
                 try:
-                    c_try, gradient = evaluate(x_try)
+                    r_try, jacobian = evaluate(x_try)
                 except PopdiffError:
                     pass
                 else:
-                    if c_try < c:
-                        g_try = gradient()
-                        n_grad += 1
-                        return x_try, c_try, step, g_try
-                    del gradient  # drop this trial's forward pass before the next
-            alpha *= 0.5
-        return None
-
-    for it in range(1, max_iter + 1):
-        if stationary(x, c, g):
-            status = "converged"
+                    c_try = float(r_try @ r_try) + penalty(x_try)
+            if c_try < c:
+                break
+            jacobian = None  # a rejected trial's forward pass goes now
+            lam *= LAMBDA_FACTOR
+        else:
+            status = "damping-exhausted"
             break
-        try:
-            d = -np.linalg.solve(B, g)
-        except np.linalg.LinAlgError:
-            d = -g
-        if d @ g >= 0:
-            d = -g
-        is_steepest = np.array_equal(d, -g)
-
-        accepted = line_search(d)
-        if accepted is None and not is_steepest:
-            # Quasi-Newton direction is blocked (often by the feasibility
-            # veto); restart from a plain gradient step.
-            B = np.eye(n)
-            scaled = False
-            accepted = line_search(-g)
-        if accepted is None:
-            status = "line-search-failure"
-            break
-
-        x_new, c_new, s, g_new = accepted
-        y = g_new - g
-        sy = s @ y
-        if not scaled and sy > 0:
-            # Shanno-Phua: size the initial metric from the first
-            # curvature pair before any update.
-            B = ((y @ y) / sy) * np.eye(n)
-            scaled = True
-        sBs = s @ B @ s
-        # Powell damping keeps B positive definite on non-convex stretches.
-        if sy < 0.2 * sBs:
-            theta = 0.8 * sBs / (sBs - sy)
-            y = theta * y + (1 - theta) * (B @ s)
-            sy = s @ y
-        Bs = B @ s
-        B = B - np.outer(Bs, Bs) / sBs + np.outer(y, y) / sy
-
-        x, c, g = x_new, c_new, g_new
-        step_norm = float(np.linalg.norm(s))
-        trace.append((it, c, float(np.linalg.norm(g)), step_norm))
+        lam /= LAMBDA_FACTOR
+        step_norm = float(np.linalg.norm(x_try - x))
+        x, r, c = x_try, r_try, c_try
+        jac, half, pg = linearize(x, r, jacobian)
+        trace.append((it, c, pg, step_norm))
         if step_norm < xtol:
-            # A short step alone is no minimum: the line search may have
-            # halved it against a veto while the gradient is still large.
-            status = "converged" if stationary(x, c, g) else "stalled-step"
+            # A short step alone is no minimum: the damping may have grown
+            # against a veto while the gradient is still large.
+            status = "converged" if pg < gtol * (1 + abs(c)) else "stalled-step"
             break
 
-    return CoreResult(x, c, trace, status, n_cost, n_grad)
+    # One Jacobian per trace row: the start and each accepted point.
+    return CoreResult(x, c, trace, status, n_cost, len(trace), penalty(x))
 
 
 # --------------------------------------------------------------- 9-D transform
@@ -232,16 +223,17 @@ def working_to_rho(z: np.ndarray, gap_min: float) -> RhoParams:
 
 
 def chain_gradient(grad_rho: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Pull a rho-space gradient back through the working transform."""
-    g = np.empty(9)
-    g[0] = grad_rho[0] + grad_rho[1]
-    g[1] = grad_rho[1] * np.exp(z[1])
-    g[2] = grad_rho[2] + grad_rho[3]
-    g[3] = grad_rho[3] * np.exp(z[3])
-    g[4:6] = grad_rho[4:6]
-    g[6] = grad_rho[6] * np.exp(z[6])
-    g[7] = grad_rho[7]
-    g[8] = grad_rho[8] * np.exp(z[8])
+    """Pull a rho-space gradient (or the rows of a Jacobian, along its
+    last axis) back through the working transform."""
+    g = np.empty_like(grad_rho)
+    g[..., 0] = grad_rho[..., 0] + grad_rho[..., 1]
+    g[..., 1] = grad_rho[..., 1] * np.exp(z[1])
+    g[..., 2] = grad_rho[..., 2] + grad_rho[..., 3]
+    g[..., 3] = grad_rho[..., 3] * np.exp(z[3])
+    g[..., 4:6] = grad_rho[..., 4:6]
+    g[..., 6] = grad_rho[..., 6] * np.exp(z[6])
+    g[..., 7] = grad_rho[..., 7]
+    g[..., 8] = grad_rho[..., 8] * np.exp(z[8])
     return g
 
 
@@ -258,29 +250,27 @@ def fit(
     init: RhoParams,
     options: FitOptions | None = None,
 ) -> FitResult:
-    """Minimize the pooled cost over all nine parameters."""
+    """Minimize the pooled cost plus the pull toward ``init`` over all
+    nine parameters (see the module docstring)."""
     opt = options or FitOptions()
 
     def evaluate(z):
         trial = evaluate_objective(working_to_rho(z, opt.gap_min), spec, episodes,
                                    opt.quad_order, opt.norm_quad_order)
-        return trial.cost, lambda: chain_gradient(trial.gradient().grad, z)
+        return trial.residuals, lambda: chain_gradient(trial.jacobian(), z)
 
     z0 = rho_to_working(init, opt.gap_min)
-    core = minimize_bfgs(evaluate, z0, _project_working,
-                         opt.gtol, opt.xtol, opt.max_iter)
-    if core.status == "degenerate-density" or not core.trace:
-        rho_hat = init
-    elif len(core.trace) == 1:
-        rho_hat = init  # no accepted steps: hand back the exact input
-    else:
-        rho_hat = working_to_rho(core.x, opt.gap_min)
+    core = minimize_lm(evaluate, z0, _project_working, opt.pull,
+                       opt.gtol, opt.xtol, opt.max_iter)
+    # A vetoed start or no accepted step hands back the exact input.
+    rho_hat = init if len(core.trace) <= 1 else working_to_rho(core.x, opt.gap_min)
     return FitResult(
         rho_hat=rho_hat,
         cost_trace=core.trace,
         status=core.status,
         n_cost_evals=core.n_cost_evals,
         n_grad_evals=core.n_grad_evals,
+        penalty=core.penalty,
     )
 
 

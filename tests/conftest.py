@@ -246,6 +246,24 @@ def loop_cost_and_gradient(sys, u, y_obs):
     return float(r @ r), sys.dnodes @ g_node + sys.dweights @ g_weight
 
 
+def xcorr_gradient(sys, count, episodes):
+    """Parameter gradient by the cross-correlation contraction: with q the
+    residual-input cross-correlation summed over the (input, residual)
+    pairs ``episodes``, dJ/domega_c = g_c . q and dJ/dnu_c = omega_c
+    (dg_c/dnu) . q, from one impulse response of the tangent hold.  The
+    contraction that ``objective`` ran before it formed the Jacobian."""
+    from popdiff.forward import impulse_response
+
+    xcorr = np.zeros(count)
+    for u, r in episodes:
+        mu = len(u)
+        xcorr[:mu] += np.correlate(2.0 * r[1:], u, "full")[mu - 1:] if mu else 0.0
+    tangent = impulse_response(sys.tangent_A, sys.tangent_b, count)
+    g_node = sys.weights * (tangent[..., 0] @ xcorr)
+    g_weight = tangent[..., sys.block_size] @ xcorr
+    return sys.dnodes @ g_node + sys.dweights @ g_weight
+
+
 # ------------------------------------------------------------------ goldens
 
 # A float literal as repr() and json.dumps() write it: it has a decimal

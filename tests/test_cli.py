@@ -61,6 +61,8 @@ class TestGoldens:
         assert code == 0
         assert report["pass"] is True
         assert report["max_rel_error"] <= report["tolerance"]
+        names = ["a1", "b1", "a2", "b2", "mu1", "mu2", "l11", "l21", "l22"]
+        assert report["worst_component"] == names[int(np.argmax(report["rel_error"]))]
 
 
 class TestFitResultContract:
@@ -68,8 +70,11 @@ class TestFitResultContract:
         main(["fit", golden_paths["config"], golden_paths["episode"],
               "--init-rho", golden_paths["init_rho"], "--out-dir", str(tmp_path)])
         payload = json.loads((tmp_path / "fit_result.json").read_text())
-        assert set(payload) == {"rho_hat", "sigma", "status", "cost", "trace",
-                                "config_echo", "seed"}
+        assert set(payload) == {"rho_hat", "sigma", "status", "cost", "least_squares",
+                                "penalty", "trace", "config_echo", "seed"}
+        assert payload["least_squares"] + payload["penalty"] == pytest.approx(
+            payload["cost"], rel=1e-12)
+        assert payload["config_echo"]["pull"] == 1e-3
         assert set(payload["rho_hat"]) == {"a1", "b1", "a2", "b2", "mu1", "mu2",
                                            "l11", "l21", "l22"}
         sigma = np.array(payload["sigma"])
@@ -120,7 +125,7 @@ class TestMomentInitialization:
         assert code == 0
         payload = json.loads((tmp_path / "fit" / "fit_result.json").read_text())
         assert payload["status"] in {"converged", "stalled-step", "max-iterations",
-                                     "line-search-failure", "degenerate-density"}
+                                     "damping-exhausted", "degenerate-density"}
         assert payload["config_echo"]["init_mode"] == "moment"
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import loop_cost_and_gradient, pulse_input, random_rho
+from conftest import loop_cost_and_gradient, pulse_input, random_rho, xcorr_gradient
 
 from popdiff.assembly import assemble
 from popdiff.density import RhoParams
@@ -11,6 +11,7 @@ from popdiff.grid import GridSpec
 from popdiff.objective import (
     cost,
     episode_cost_and_gradient,
+    evaluate,
     gradient_adjoint,
     gradient_fd,
 )
@@ -254,6 +255,48 @@ class TestGradientAdjoint:
         _, g = episode_cost_and_gradient(sys, episodes[0].u, episodes[0].y_obs)
         assert g.shape == (10,)
         assert g[9] == 0.0
+
+
+class TestJacobian:
+    @staticmethod
+    def setup(spec, steps):
+        truth = RhoParams(0.25, 1.3, 0.35, 1.9, 0.75, 1.05, 0.16, 0.03, 0.22)
+        episodes = make_episodes(truth, spec, n_episodes=3, steps=steps, seed=5)
+        # Ragged lengths: the stacked rows must follow the episode order.
+        episodes[1] = Episode("short", spec.tau, episodes[1].u[:steps // 2],
+                              episodes[1].y_obs[:steps // 2 + 1])
+        return episodes
+
+    @pytest.mark.parametrize("spec", [GridSpec(4, 2, 2, 1 / 12), GridSpec(8, 4, 4, 1 / 12)],
+                             ids=["n4m2", "n8m4"])
+    def test_matches_central_differences_of_residuals(self, rho_smooth, spec):
+        episodes = self.setup(spec, 40)
+        at = evaluate(rho_smooth, spec, episodes)
+        jac = at.jacobian()
+        assert jac.shape == (sum(ep.steps + 1 for ep in episodes), 9)
+        base = rho_smooth.as_array()
+        fd = np.empty_like(jac)
+        for k in range(9):
+            h = 1e-6 * (1 + abs(base[k]))
+            up, dn = base.copy(), base.copy()
+            up[k] += h
+            dn[k] -= h
+            fd[:, k] = (evaluate(RhoParams.from_array(up), spec, episodes).residuals
+                        - evaluate(RhoParams.from_array(dn), spec, episodes).residuals) / (2 * h)
+        assert np.abs(jac - fd).max() <= 1e-6 * np.abs(jac).max()
+
+    def test_gradient_is_the_cross_correlation_contraction(self, rho_smooth):
+        spec = GridSpec(8, 4, 4, 1 / 12)
+        episodes = self.setup(spec, 40)
+        at = evaluate(rho_smooth, spec, episodes)
+        grad = at.gradient().grad
+        np.testing.assert_array_equal(grad, 2.0 * (at.jacobian().T @ at.residuals))
+        ops = assemble(spec, rho_smooth, with_grad=True)
+        sys = build_sensitivities(ops, build_sampled(ops, spec.tau))
+        splits = np.cumsum([ep.steps + 1 for ep in episodes])[:-1]
+        pairs = [(ep.u, r) for ep, r in zip(episodes, np.split(at.residuals, splits))]
+        oracle = xcorr_gradient(sys, 40, pairs)
+        assert np.abs(grad - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
 
 class TestNodeWeightContract:

@@ -11,6 +11,7 @@ from conftest import pulse_input, truncated_moments
 
 import popdiff.objective as objective_mod
 import popdiff.optimizer as optimizer_mod
+from popdiff.dataio import PulseSpec, generate_synthetic
 from popdiff.errors import PopdiffError
 from popdiff.density import QPoint, RhoParams
 from popdiff.forward import (
@@ -29,7 +30,7 @@ from popdiff.optimizer import (
     fit,
     fit_deterministic,
     initialize,
-    minimize_bfgs,
+    minimize_lm,
     rho_to_working,
     working_to_rho,
 )
@@ -175,48 +176,145 @@ class TestFit:
             result.status, mean_hat)
 
 
+STATUSES = {"converged", "stalled-step", "max-iterations", "damping-exhausted",
+            "degenerate-density"}
+
+
+class TestPull:
+    @staticmethod
+    def setup(spec):
+        rho0 = RhoParams(0.25, 1.3, 0.35, 1.9, 0.75, 1.05, 0.16, 0.03, 0.22)
+        episodes = synthetic_population_episodes(rho0, spec, 3, 36, 0.01, seed=3)
+        return episodes, RhoParams(0.15, 1.6, 0.2, 2.1, 0.9, 0.9, 0.25, 0.0, 0.3)
+
+    def test_plain_least_squares_ends_with_a_documented_status(self, spec_small):
+        episodes, init = self.setup(spec_small)
+        result = fit(episodes, spec_small, init, FitOptions(pull=0.0))
+        assert result.status in STATUSES
+        assert result.penalty == 0.0
+        assert result.least_squares == result.cost
+        assert result.cost == pytest.approx(cost(result.rho_hat, spec_small, episodes),
+                                            rel=1e-12)
+
+    def test_penalty_is_reported_apart_from_least_squares(self, spec_small):
+        episodes, init = self.setup(spec_small)
+        opt = FitOptions(pull=1e-2)
+        result = fit(episodes, spec_small, init, opt)
+        z = rho_to_working(result.rho_hat, opt.gap_min)
+        z0 = rho_to_working(init, opt.gap_min)
+        alpha = opt.pull * cost(init, spec_small, episodes)
+        assert result.penalty > 0
+        assert result.penalty == pytest.approx(alpha * np.sum((z - z0) ** 2), rel=1e-6)
+        assert result.least_squares == pytest.approx(
+            cost(result.rho_hat, spec_small, episodes), rel=1e-9)
+
+
+class TestRoundingRobustness:
+    """The fit's end point must not follow the last bits of its Jacobian."""
+
+    def test_relative_noise_of_1e_12_moves_nothing(self, monkeypatch):
+        # Criterion 05's set-up.  Every Jacobian (and so every gradient)
+        # is multiplied by 1 + 1e-12 N(0, 1), with two noise seeds.
+        spec = GridSpec(n=8, m1=4, m2=4, tau=1 / 12)
+        truth = RhoParams(0.2, 1.4, 0.3, 2.0, 0.7, 1.1, 0.18, 0.05, 0.25)
+        episodes = generate_synthetic(truth, spec, 10, 0.01, seed=44,
+                                      pulse_spec=PulseSpec(duration_h=10.0))
+        init = RhoParams(0.15, 1.6, 0.25, 2.1, 0.9, 0.9, 0.22, 0.0, 0.27)
+        clean = fit(episodes, spec, init)
+        assert clean.status == "converged"
+        real_evaluate = optimizer_mod.evaluate_objective
+        for seed in (0, 1):
+            rng = np.random.default_rng(seed)
+
+            def noisy_evaluate(*args, **kwargs):
+                at = real_evaluate(*args, **kwargs)
+                exact = at.jacobian
+
+                def jacobian():
+                    jac = exact()
+                    return jac * (1 + 1e-12 * rng.standard_normal(jac.shape))
+
+                at.jacobian = jacobian
+                return at
+
+            monkeypatch.setattr(optimizer_mod, "evaluate_objective", noisy_evaluate)
+            noisy = fit(episodes, spec, init)
+            assert noisy.status == clean.status
+            assert len(noisy.cost_trace) == len(clean.cost_trace)
+            a, b = noisy.rho_hat.as_array(), clean.rho_hat.as_array()
+            assert np.abs(a - b).max() <= 1e-6 * np.abs(b).max(), seed
+
+
 class TestMinimizeStatus:
     """``converged`` only where the projected gradient vanishes."""
 
     def test_short_step_against_a_veto_is_stalled(self):
-        # f = x0 + x1^2 with x0 < 0 vetoed by the model layer, not by
-        # the projection: the line search halves its steps against the
-        # veto until one falls below xtol, with |g| still about 1.
+        # |r|^2 = (x0 + 1)^2 + x1^2 with x0 < 0 vetoed by the model layer,
+        # not by the projection: the damping grows against the veto while
+        # x0 creeps toward 0, until an accepted step falls below xtol with
+        # |g| still above 2.
         def evaluate(x):
             if x[0] < 0:
                 raise PopdiffError("vetoed")
-            return x[0] + x[1] ** 2, lambda: np.array([1.0, 2 * x[1]])
+            return np.array([x[0] + 1, x[1]]), lambda: np.eye(2)
 
-        result = minimize_bfgs(evaluate, np.array([1.0, 1.0]), lambda x: x)
+        result = minimize_lm(evaluate, np.array([0.7, 1.0]), lambda x: x)
         assert result.status == "stalled-step"
         assert result.trace[-1][2] > 1.0
 
     def test_minimum_on_a_bound_is_converged(self):
-        # f = (x0 + 1)^2 + 10 (x1 - 2)^2 with x0 >= 0 by projection: the
-        # minimum (0, 2) has gradient (2, 0), whose projection vanishes.
-        def evaluate(x):
-            return ((x[0] + 1) ** 2 + 10 * (x[1] - 2) ** 2,
-                    lambda: np.array([2 * (x[0] + 1), 20 * (x[1] - 2)]))
+        # |r|^2 = (x0 + 1)^2 + 10 (x1 - 2)^2 with x0 >= 0 by projection:
+        # the minimum (0, 2) has gradient (2, 0), whose projection
+        # vanishes, and the trace reports that projected norm.
+        jac = np.diag([1.0, np.sqrt(10.0)])
 
-        result = minimize_bfgs(evaluate, np.array([1.0, 0.0]),
-                               lambda x: np.maximum(x, [0.0, -np.inf]))
+        def evaluate(x):
+            return jac @ (x - [-1.0, 2.0]), lambda: jac
+
+        result = minimize_lm(evaluate, np.array([1.0, 0.0]),
+                             lambda x: np.maximum(x, [0.0, -np.inf]))
         assert result.status == "converged"
         np.testing.assert_allclose(result.x, [0.0, 2.0], atol=1e-6)
+        assert result.trace[-1][2] < 1e-6 * (1 + result.cost)  # the stop test
 
     def test_gradient_only_at_the_start_and_accepted_points(self):
-        # A cost evaluation is counted per trial, a gradient per accepted
+        # A cost evaluation is counted per trial, a Jacobian per accepted
         # point plus the start; rejected trials never call theirs.
         called = []
 
         def evaluate(x):
-            c = float(np.sum((x - 3.0) ** 2))
-            return c, lambda: called.append(c) or 2 * (x - 3.0)
+            r = x - 3.0
+            return r, lambda: called.append(float(r @ r)) or np.eye(3)
 
-        result = minimize_bfgs(evaluate, np.zeros(3), lambda x: x, max_iter=20)
+        result = minimize_lm(evaluate, np.zeros(3), lambda x: x, max_iter=20)
         assert result.status == "converged"
         assert result.n_grad_evals == len(called) == len(result.trace)
         assert called == [row[1] for row in result.trace]
         assert result.n_cost_evals >= len(result.trace) - 1
+
+    def test_exhausted_damping_is_reported(self):
+        # Every trial is vetoed: the damping grows past LAMBDA_MAX.
+        def evaluate(x):
+            if x[0] != 1.0:
+                raise PopdiffError("vetoed")
+            return np.array([x[0] + 1]), lambda: np.eye(1)
+
+        result = minimize_lm(evaluate, np.array([1.0]), lambda x: x)
+        assert result.status == "damping-exhausted"
+        assert len(result.trace) == 1 and result.n_grad_evals == 1
+        assert result.n_cost_evals == 20  # lambda from 1e-3 past 1e16
+
+    def test_pull_weight_is_a_share_of_the_start_cost(self):
+        # |r|^2 + alpha |x - x0|^2 with r = x - 2, x0 = 0 and
+        # alpha = pull * |r(x0)|^2 = 4 pull has its minimum at 2 / (1 + alpha).
+        def evaluate(x):
+            return x - 2.0, lambda: np.eye(1)
+
+        result = minimize_lm(evaluate, np.zeros(1), lambda x: x, pull=0.25)
+        assert result.status == "converged"
+        np.testing.assert_allclose(result.x, [1.0], rtol=1e-6)
+        assert result.penalty == pytest.approx(1.0, rel=1e-6)
+        assert result.cost == pytest.approx(2.0, rel=1e-12)
 
 
 class TestFitDeterministic:
