@@ -224,7 +224,6 @@ class RunConfig:
     xtol: float = 1e-9
     max_iter: int = 200
     gap_min: float = 1e-3
-    pull: float = 1e-3               # alpha = pull * cost(start); see FitOptions
     fd_step: float = 1e-6            # gradcheck's finite-difference step
     init_mode: str = "moment"        # moment | explicit
     default_box: tuple = (0.1, 2.0, 0.1, 2.0)
@@ -274,7 +273,7 @@ class RunConfig:
         return FitOptions(
             gtol=self.gtol, xtol=self.xtol, max_iter=self.max_iter,
             quad_order=self.cell_quad_order, norm_quad_order=self.norm_quad_order,
-            gap_min=self.gap_min, pull=self.pull,
+            gap_min=self.gap_min,
         )
 
     @property

@@ -6,7 +6,9 @@ number of episodes and samples per episode grow (sampling interval
 halved jointly so the horizon stays fixed), and fitted parameters should
 stabilize as the approximation grid is refined.  Gates are statistical
 (medians over seeds), and every cell carries enough provenance to be
-re-run in isolation.
+re-run in isolation.  Every fit starts at the truth and is pulled
+toward it: the errors show the estimate near the truth, not its recovery
+from elsewhere.
 """
 
 from __future__ import annotations

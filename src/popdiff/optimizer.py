@@ -8,11 +8,15 @@ Constraint handling is by smooth reparameterization plus projection:
   trial point after each step.
 
 ``fit`` minimizes |r(z)|^2 + alpha |z - z0|^2 in these working
-coordinates z: r stacks the residuals of all episodes, z0 is the start,
-and alpha = pull * |r(z0)|^2 weighs a Tikhonov pull toward it
-(iteratively regularized Gauss-Newton, Kaltenbacher, Neubauer & Scherzer
-2008).  The search is projected Levenberg-Marquardt (More 1978) on the
-Jacobian J of ``objective.evaluate``: each trial is project(z + d) with
+coordinates z: r stacks the N residuals of all episodes, z0 is the
+start, and alpha = PULL * min |r|^2 / N, over the points accepted so far,
+weighs a Tikhonov pull toward z0 (iteratively regularized Gauss-Newton,
+Kaltenbacher, Neubauer & Scherzer 2008).  |r|^2 / N estimates the noise
+variance, so the pull is a prior of standard deviation 1/sqrt(PULL)
+relative to the noise, whatever the start's misfit.  alpha only falls,
+so the cost falls at every accepted step.  The search is
+projected Levenberg-Marquardt (More 1978) on the Jacobian J of
+``objective.evaluate``: each trial is project(z + d) with
 
     (J^T J + alpha I + lam (tr(J^T J) / n) I) d = -(J^T r + alpha (z - z0)).
 
@@ -21,8 +25,8 @@ model-layer veto (degenerate density, singular operator, divergence)
 multiplies it by 10.  The damping is isotropic: Marquardt's diag(J^T J)
 scaling lets directions that the data barely determine take huge steps.
 Each trial point is evaluated once, and only the start and accepted
-points form their Jacobian, from the same forward pass.  There is no
-randomness: identical inputs give identical traces.
+points form their Jacobian, from the same forward pass.  Identical
+inputs give identical traces.
 
 Termination status:
 
@@ -31,10 +35,11 @@ Termination status:
   test for a bound-constrained minimum;
 * ``stalled-step``: an accepted step was shorter than ``xtol`` while the
   projected gradient still failed that test (typically the damping grew
-  against a model-layer veto or a bound);
+  while the steps crept toward a model-layer veto);
 * ``max-iterations``: ``max_iter`` steps were accepted without either;
 * ``damping-exhausted``: lam passed ``LAMBDA_MAX`` with no trial
-  accepted;
+  accepted (so ends a point on the edge of a veto whose descent points
+  across it, after about 20 vetoed trials, each a forward pass);
 * ``degenerate-density``: the starting point itself was vetoed.
 
 The per-episode single-q fits behind ``initialize`` do not use this
@@ -62,6 +67,9 @@ from .objective import evaluate as evaluate_objective
 LAMBDA_START = 1e-3
 LAMBDA_FACTOR = 10.0
 LAMBDA_MAX = 1e16
+# Weight of the pull over the noise estimate; of 3, 5 and 10, the least
+# at which all three benchmark fits converge (with 3 and 5 fit-n16m8 stalls).
+PULL = 10.0
 
 
 @dataclass
@@ -72,10 +80,6 @@ class FitOptions:
     quad_order: int = 8
     norm_quad_order: int = 24
     gap_min: float = 1e-3
-    # Weight of the pull toward the start: alpha = pull * cost(start).
-    # alpha grows with the sample count, so its bias does not vanish as
-    # the data grow; 0 gives plain least squares.
-    pull: float = 1e-3
 
 
 @dataclass
@@ -83,8 +87,7 @@ class FitResult:
     rho_hat: RhoParams
     # (iter, cost, projected |grad|, |step|) of the penalized cost
     cost_trace: list[tuple[int, float, float, float]]
-    # converged (projected-gradient test passed) | stalled-step (step fell
-    # below xtol first) | max-iterations | damping-exhausted |
+    # converged | stalled-step | max-iterations | damping-exhausted |
     # degenerate-density; see the module docstring.
     status: str
     n_cost_evals: int
@@ -119,9 +122,10 @@ def minimize_lm(evaluate, x0, project, pull=0.0, gtol=1e-6, xtol=1e-9,
     ``evaluate(x)`` returns the residual vector at x and a function of no
     arguments that returns its Jacobian there; it may raise PopdiffError
     to veto a trial point (the damping then grows).  x0 is projected
-    first, and alpha = pull * |r(x0)|^2.  The Jacobian function is called
-    only at the start and at each accepted point, so an evaluation that
-    keeps its forward pass never repeats it.
+    first, and alpha = pull * min |r|^2 / r.size over the start and the
+    accepted points so far.  The Jacobian function is called only at the
+    start and at each accepted point, so an evaluation that keeps its
+    forward pass never repeats it.
     """
     x0 = project(np.asarray(x0, dtype=float))
     eye = np.eye(x0.size)
@@ -129,7 +133,7 @@ def minimize_lm(evaluate, x0, project, pull=0.0, gtol=1e-6, xtol=1e-9,
         r, jacobian = evaluate(x0)
     except DegenerateDensityError:
         return CoreResult(x0, np.inf, [], "degenerate-density", 0, 0, 0.0)
-    alpha = pull * float(r @ r)
+    alpha = pull * float(r @ r) / r.size
     n_cost = 0
 
     def penalty(x):
@@ -174,7 +178,9 @@ def minimize_lm(evaluate, x0, project, pull=0.0, gtol=1e-6, xtol=1e-9,
             break
         lam /= LAMBDA_FACTOR
         step_norm = float(np.linalg.norm(x_try - x))
-        x, r, c = x_try, r_try, c_try
+        x, r = x_try, r_try
+        alpha = min(alpha, pull * float(r @ r) / r.size)
+        c = float(r @ r) + penalty(x)
         jac, half, pg = linearize(x, r, jacobian)
         trace.append((it, c, pg, step_norm))
         if step_norm < xtol:
@@ -260,18 +266,12 @@ def fit(
         return trial.residuals, lambda: chain_gradient(trial.jacobian(), z)
 
     z0 = rho_to_working(init, opt.gap_min)
-    core = minimize_lm(evaluate, z0, _project_working, opt.pull,
+    core = minimize_lm(evaluate, z0, _project_working, PULL,
                        opt.gtol, opt.xtol, opt.max_iter)
     # A vetoed start or no accepted step hands back the exact input.
     rho_hat = init if len(core.trace) <= 1 else working_to_rho(core.x, opt.gap_min)
-    return FitResult(
-        rho_hat=rho_hat,
-        cost_trace=core.trace,
-        status=core.status,
-        n_cost_evals=core.n_cost_evals,
-        n_grad_evals=core.n_grad_evals,
-        penalty=core.penalty,
-    )
+    return FitResult(rho_hat, core.trace, core.status, core.n_cost_evals,
+                     core.n_grad_evals, core.penalty)
 
 
 # ------------------------------------------------- single-q variable projection

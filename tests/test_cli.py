@@ -74,7 +74,6 @@ class TestFitResultContract:
                                 "penalty", "trace", "config_echo", "seed"}
         assert payload["least_squares"] + payload["penalty"] == pytest.approx(
             payload["cost"], rel=1e-12)
-        assert payload["config_echo"]["pull"] == 1e-3
         assert set(payload["rho_hat"]) == {"a1", "b1", "a2", "b2", "mu1", "mu2",
                                            "l11", "l21", "l22"}
         sigma = np.array(payload["sigma"])

@@ -187,9 +187,11 @@ class TestPull:
         episodes = synthetic_population_episodes(rho0, spec, 3, 36, 0.01, seed=3)
         return episodes, RhoParams(0.15, 1.6, 0.2, 2.1, 0.9, 0.9, 0.25, 0.0, 0.3)
 
-    def test_plain_least_squares_ends_with_a_documented_status(self, spec_small):
+    def test_plain_least_squares_ends_with_a_documented_status(self, spec_small,
+                                                               monkeypatch):
         episodes, init = self.setup(spec_small)
-        result = fit(episodes, spec_small, init, FitOptions(pull=0.0))
+        monkeypatch.setattr(optimizer_mod, "PULL", 0.0)
+        result = fit(episodes, spec_small, init)
         assert result.status in STATUSES
         assert result.penalty == 0.0
         assert result.least_squares == result.cost
@@ -198,15 +200,36 @@ class TestPull:
 
     def test_penalty_is_reported_apart_from_least_squares(self, spec_small):
         episodes, init = self.setup(spec_small)
-        opt = FitOptions(pull=1e-2)
+        opt = FitOptions(max_iter=25)
         result = fit(episodes, spec_small, init, opt)
         z = rho_to_working(result.rho_hat, opt.gap_min)
         z0 = rho_to_working(init, opt.gap_min)
-        alpha = opt.pull * cost(init, spec_small, episodes)
+        least_squares = cost(result.rho_hat, spec_small, episodes)
+        # The least squares fall at every accepted step here, so the
+        # weight is the noise estimate at rho_hat.
+        n_residuals = sum(ep.y_obs.size for ep in episodes)
+        alpha = optimizer_mod.PULL * least_squares / n_residuals
         assert result.penalty > 0
         assert result.penalty == pytest.approx(alpha * np.sum((z - z0) ** 2), rel=1e-6)
-        assert result.least_squares == pytest.approx(
-            cost(result.rho_hat, spec_small, episodes), rel=1e-9)
+        assert result.least_squares == pytest.approx(least_squares, rel=1e-9)
+
+    def test_far_start_reaches_plain_least_squares(self, monkeypatch):
+        # The set-up of the bands-n8 benchmark's fit, started from the
+        # default box: the pull must not hold a poor start back.  The
+        # reference is the plain least-squares fit from the same start.
+        spec = GridSpec(n=4, m1=2, m2=2, tau=1 / 12)
+        truth = RhoParams(0.2, 1.4, 0.3, 2.0, 0.7, 1.1, 0.18, 0.05, 0.25)
+        episodes = generate_synthetic(truth, spec, 4, 0.01, seed=3,
+                                      pulse_spec=PulseSpec(duration_h=5.0))
+        a1, b1, a2, b2 = optimizer_mod.DEFAULT_BOX
+        box = RhoParams(a1, b1, a2, b2, (a1 + b1) / 2, (a2 + b2) / 2,
+                        (b1 - a1) / 6, 0.0, (b2 - a2) / 6)
+        pulled = fit(episodes, spec, box)
+        monkeypatch.setattr(optimizer_mod, "PULL", 0.0)
+        plain = fit(episodes, spec, box)
+        assert pulled.status == "converged"
+        assert pulled.least_squares <= 1.001 * plain.least_squares, (
+            pulled.least_squares, plain.least_squares, plain.status)
 
 
 class TestRoundingRobustness:
@@ -248,19 +271,31 @@ class TestRoundingRobustness:
 class TestMinimizeStatus:
     """``converged`` only where the projected gradient vanishes."""
 
-    def test_short_step_against_a_veto_is_stalled(self):
+    @staticmethod
+    def veto_left_half(x):
         # |r|^2 = (x0 + 1)^2 + x1^2 with x0 < 0 vetoed by the model layer,
-        # not by the projection: the damping grows against the veto while
-        # x0 creeps toward 0, until an accepted step falls below xtol with
-        # |g| still above 2.
-        def evaluate(x):
-            if x[0] < 0:
-                raise PopdiffError("vetoed")
-            return np.array([x[0] + 1, x[1]]), lambda: np.eye(2)
+        # not by the projection.
+        if x[0] < 0:
+            raise PopdiffError("vetoed")
+        return np.array([x[0] + 1, x[1]]), lambda: np.eye(2)
 
-        result = minimize_lm(evaluate, np.array([0.7, 1.0]), lambda x: x)
+    def test_short_step_against_a_veto_is_stalled(self):
+        # The damping grows against the veto while x0 creeps toward 0,
+        # until an accepted step falls below xtol with |g| still above 2.
+        result = minimize_lm(self.veto_left_half, np.array([0.7, 1.0]), lambda x: x)
         assert result.status == "stalled-step"
         assert result.trace[-1][2] > 1.0
+
+    def test_point_on_the_edge_of_a_veto_exhausts_the_damping(self):
+        # From (1, 1) the first accepted step lands exactly on x0 = 0, and
+        # every later damped step has a negative x0 component: all are
+        # vetoed until lambda passes LAMBDA_MAX, with x1 still nonzero:
+        # 21 trials, lambda from 1e-4 to 1e16.
+        result = minimize_lm(self.veto_left_half, np.array([1.0, 1.0]), lambda x: x)
+        assert result.status == "damping-exhausted"
+        assert len(result.trace) == 2
+        assert result.x[0] == 0.0 and result.x[1] != 0.0
+        assert result.n_cost_evals == 1 + 21
 
     def test_minimum_on_a_bound_is_converged(self):
         # |r|^2 = (x0 + 1)^2 + 10 (x1 - 2)^2 with x0 >= 0 by projection:
@@ -304,17 +339,23 @@ class TestMinimizeStatus:
         assert len(result.trace) == 1 and result.n_grad_evals == 1
         assert result.n_cost_evals == 20  # lambda from 1e-3 past 1e16
 
-    def test_pull_weight_is_a_share_of_the_start_cost(self):
-        # |r|^2 + alpha |x - x0|^2 with r = x - 2, x0 = 0 and
-        # alpha = pull * |r(x0)|^2 = 4 pull has its minimum at 2 / (1 + alpha).
+    def test_pull_weight_follows_the_noise_estimate(self):
+        # r = (x - 2) / 2 repeated 4 times, x0 = 0: with pull = 8 the
+        # weight is alpha = 8 |r|^2 / 4 = 2 (x - 2)^2, and the minimum of
+        # (x - 2)^2 + alpha x^2 is x = 2 / (1 + alpha).  From alpha = 8 at
+        # the start the weight falls to the stable root alpha = 3 + 2 sqrt(2)
+        # of (1 + alpha)^2 = 8 alpha, where x = 1 - 1/sqrt(2), the penalty
+        # is 1/2 and the cost 2 + sqrt(2).
         def evaluate(x):
-            return x - 2.0, lambda: np.eye(1)
+            return np.full(4, (x[0] - 2.0) / 2), lambda: np.full((4, 1), 0.5)
 
-        result = minimize_lm(evaluate, np.zeros(1), lambda x: x, pull=0.25)
+        result = minimize_lm(evaluate, np.zeros(1), lambda x: x, pull=8.0)
         assert result.status == "converged"
-        np.testing.assert_allclose(result.x, [1.0], rtol=1e-6)
-        assert result.penalty == pytest.approx(1.0, rel=1e-6)
-        assert result.cost == pytest.approx(2.0, rel=1e-12)
+        np.testing.assert_allclose(result.x, [1 - 1 / np.sqrt(2)], rtol=1e-5)
+        assert result.penalty == pytest.approx(0.5, rel=1e-5)
+        assert result.cost == pytest.approx(2 + np.sqrt(2), rel=1e-6)
+        costs = [row[1] for row in result.trace]
+        assert all(b < a for a, b in zip(costs, costs[1:]))
 
 
 class TestFitDeterministic:
