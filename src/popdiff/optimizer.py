@@ -35,7 +35,7 @@ Termination status:
   test for a bound-constrained minimum;
 * ``stalled-step``: an accepted step was shorter than ``xtol`` while the
   projected gradient still failed that test (typically the damping grew
-  while the steps crept toward a model-layer veto);
+  against a model-layer veto or a bound);
 * ``max-iterations``: ``max_iter`` steps were accepted without either;
 * ``damping-exhausted``: lam passed ``LAMBDA_MAX`` with no trial
   accepted (so ends a point on the edge of a veto whose descent points
