@@ -67,19 +67,24 @@ def make_noisy_episodes(rho, spec, n_episodes, steps, noise, rng):
 
 
 def test_criterion_01_gradient_correctness():
+    # The oracle is Richardson's extrapolation of two central differences,
+    # (4 D(h/2) - D(h)) / 3 at h = 1e-4: truncation error O(h^4) and a
+    # rounding error about 30x below a plain difference at step 1e-6, whose
+    # reading on the smallest components (1e-4 of the largest) was noise.
     spec = GridSpec(n=8, m1=4, m2=4, tau=1 / 12)
     rng = np.random.default_rng(2024)
     episodes = make_noisy_episodes(random_rho(rng), spec, 2, 60, 0.01, rng)
     start = time.time()
     worst = 0.0
+    h = 1e-4
     for _ in range(10):
         rho = random_rho(rng)
         adj = gradient_adjoint(rho, spec, episodes)
-        fd = gradient_fd(rho, spec, episodes)
-        scale = np.abs(fd.grad).max()
-        denom = np.maximum(np.maximum(np.abs(fd.grad), np.abs(adj.grad)),
-                           1e-8 * scale)
-        worst = max(worst, float((np.abs(adj.grad - fd.grad) / denom).max()))
+        fd = (4 * gradient_fd(rho, spec, episodes, step=h / 2).grad
+              - gradient_fd(rho, spec, episodes, step=h).grad) / 3
+        scale = np.abs(fd).max()
+        denom = np.maximum(np.maximum(np.abs(fd), np.abs(adj.grad)), 1e-8 * scale)
+        worst = max(worst, float((np.abs(adj.grad - fd) / denom).max()))
     elapsed = time.time() - start
     report(1, "adjoint gradient vs finite differences",
            worst < 1e-5 and elapsed < 60,
