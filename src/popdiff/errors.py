@@ -24,7 +24,8 @@ class SingularOperatorError(PopdiffError):
 
 
 class ConditioningError(PopdiffError):
-    """A matrix exponential overflowed or produced non-finite entries."""
+    """A matrix exponential overflowed, produced non-finite entries or
+    needs more squarings than double precision resolves."""
 
 
 class SimulationDivergenceError(PopdiffError):

@@ -72,16 +72,18 @@ def impulse_response(A: np.ndarray, b: np.ndarray, count: int) -> np.ndarray:
     """(..., count, k) array of A^j b for j < count, for stacks of blocks.
 
     Doubling: each step extends v_0..v_{m-1} by v_{m+i} = A^m v_i (one
-    batched matmul) and squares A^m.  Every step extends by a full m into
-    a buffer of the next power of two, so v_j does not depend on count.
+    batched matmul) and squares A^m; the last step extends only up to
+    count, so v_j does not depend on count.  That step makes at least two
+    rows (one spare): NumPy computes a one-row product as a matrix-vector
+    product, which rounds v_{m} differently from a matrix product.
     """
-    size = 1 << max(count - 1, 0).bit_length()  # the next power of two
-    out = np.empty(b.shape[:-1] + (size, b.shape[-1]))
+    out = np.empty(b.shape[:-1] + (count + 1, b.shape[-1]))
     out[..., 0, :] = b
     power, m = A, 1
     with np.errstate(over="ignore", invalid="ignore"):
         while m < count:
-            np.matmul(out[..., :m, :], np.swapaxes(power, -1, -2), out=out[..., m:2 * m, :])
+            end = min(2 * m, max(count, m + 2))
+            np.matmul(out[..., :end - m, :], np.swapaxes(power, -1, -2), out=out[..., m:end, :])
             m *= 2
             if m < count:
                 power = power @ power

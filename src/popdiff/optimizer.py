@@ -56,10 +56,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import L_FLOOR, QPoint, RhoParams, _as_point
-from .errors import DegenerateDensityError, PopdiffError
-from .forward import Episode, simulate_deterministic, simulate_deterministic_batch
+from .errors import DegenerateDensityError, PopdiffError, SimulationDivergenceError
+from .forward import Episode, convolve, impulse_response, simulate_deterministic
 from .grid import Q1_FLOOR, GridSpec
 from .objective import evaluate as evaluate_objective
+from .sampled import point_mass_hold
 
 # Levenberg-Marquardt damping: its start, the factor by which an accepted
 # trial divides it and a rejected one multiplies it, and the value past
@@ -351,11 +352,19 @@ def _brent(f, a: float, b: float, x: float, fx: float, tol: float):
     return x, fx
 
 
+def q1_grid_responses(spec: GridSpec, count: int) -> np.ndarray:
+    """(len(Q1_GRID), count) impulse responses at q2 = 1 of the point
+    masses at the ``Q1_GRID`` diffusivities: one hold, one doubling."""
+    ahat, bhat = point_mass_hold(Q1_GRID, spec.n, spec.tau)
+    return impulse_response(ahat, bhat, count)[..., 0]
+
+
 def fit_deterministic(
     episode: Episode,
     spec: GridSpec,
     init: QPoint | tuple = QPoint(1.0, 1.0),
     options: FitOptions | None = None,
+    grid_responses: np.ndarray | None = None,
 ) -> tuple[QPoint, float]:
     """Least-squares fit of a single (q1, q2 >= 0) to one episode.
 
@@ -363,9 +372,11 @@ def fit_deterministic(
     q2 = 1, so for each q1 the best gain has the closed form
     q2* = max(<g, y> / <g, g>, 0) and the fit is a 1-D search of the
     profile cost ||q2* g(q1) - y||^2 (variable projection).  The profile
-    is evaluated on ``Q1_GRID`` with one batched solve; a bounded Brent
-    search in log q1 then refines the best grid point inside the bracket
-    of its two neighbours.
+    is evaluated on ``Q1_GRID`` by convolving the input with
+    ``grid_responses``, the first ``episode.steps`` columns of
+    ``q1_grid_responses`` (formed here when None); a bounded Brent search
+    in log q1 then refines the best grid point inside the bracket of its
+    two neighbours.
 
     Of ``options`` only ``xtol`` applies, as the relative tolerance on q1,
     floored at 1e-6 (``_Q1_RTOL``).  When the best grid point is an end of
@@ -379,8 +390,11 @@ def fit_deterministic(
     opt = options or FitOptions()
     q1_init, q2_init = _as_point(init)
     y = episode.y_obs
-    grid = np.column_stack([Q1_GRID, np.ones_like(Q1_GRID)])
-    g_grid = simulate_deterministic_batch(grid, spec.n, spec.tau, episode.u)
+    if grid_responses is None:
+        grid_responses = q1_grid_responses(spec, episode.steps)
+    g_grid = convolve(grid_responses, episode.u)
+    if not np.all(np.isfinite(g_grid)):
+        raise SimulationDivergenceError("output is not finite")
     q2_grid, c_grid = _project_gain(g_grid, y)
     if not q2_grid.any():
         q2 = q2_init if not g_grid.any() else 0.0
@@ -419,7 +433,8 @@ def initialize(
 
     Each episode is fit on its own by ``fit_deterministic`` (closed-form
     gain, 1-D search in q1; of ``options`` only ``xtol`` and ``gap_min``
-    apply); the means of the fitted pairs seed the location, the fitted
+    apply), all from one ``q1_grid_responses`` at the longest episode's
+    length; the means of the fitted pairs seed the location, the fitted
     spread (plus a margin of 10% or ``gap_min``) seeds the box, and the
     spreads start independent with standard deviation one sixth of the
     box edge.  If any per-episode fit fails (raises PopdiffError, for
@@ -432,9 +447,13 @@ def initialize(
     opt = options or FitOptions()
     fitted = []
     failed = None
+    # The responses do not depend on their count, so each episode's prefix
+    # is the profile fit_deterministic would form for it alone, bit for bit.
+    grid = q1_grid_responses(spec, max(ep.steps for ep in episodes))
     for ep in episodes:
         try:
-            q_hat, c = fit_deterministic(ep, spec, options=options)
+            q_hat, c = fit_deterministic(ep, spec, options=options,
+                                         grid_responses=grid[:, :ep.steps])
             if not (np.isfinite(q_hat.q1) and np.isfinite(q_hat.q2) and np.isfinite(c)):
                 raise PopdiffError(f"non-finite deterministic fit for {ep.id}")
             fitted.append([q_hat.q1, q_hat.q2])

@@ -31,7 +31,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .assembly import AssembledOperators
 from .errors import ConditioningError, SingularOperatorError
@@ -74,12 +73,74 @@ def eta_operators(n: int):
     beta_eta = M_eta^{-1} e_n, all from one solve.  Cached per n; the
     arrays are read-only."""
     eye = np.eye(n + 1)
-    sol = scipy.linalg.cho_solve(scipy.linalg.cho_factor(eta_mass_matrix(n)),
-                                 np.column_stack([eye[0], eta_stiffness_matrix(n), eye[n]]))
+    r = np.linalg.cholesky(eta_mass_matrix(n), upper=True)
+    sol = np.linalg.solve(r, np.linalg.solve(
+        r.T, np.column_stack([eye[0], eta_stiffness_matrix(n), eye[n]])))
     g0, g1, beta = -np.outer(sol[:, 0], eye[0]), -sol[:, 1:-1], sol[:, -1:]
     for arr in (g0, g1, beta):
         arr.setflags(write=False)
     return g0, g1, beta
+
+
+# Coefficients b_0..b_13 of the [13/13] Pade approximant to exp and the
+# 1-norm theta_13 up to which its backward error stays below the unit
+# roundoff (Higham, SIAM J. Matrix Anal. Appl. 26, 2005).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+# A relative rounding error of u = 2^-53 in exp(A / 2^s) can grow to 2^s u
+# over s squarings, so beyond 52 of them not one bit of the result is
+# assured.  Such a block has a 1-norm above theta_13 2^52 (about 2.4e16):
+# its small terms were lost when it was formed (at q1 = 1e300, G0 is below
+# the rounding of q1 G1), and it raises rather than returning a number.
+_MAX_SQUARINGS = 52
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) of every block of a (..., k, k) stack, by scaling and squaring.
+
+    Each block is scaled by its own 2^-s, s = max(0, ceil(log2(|a|_1 /
+    theta_13))), so that the [13/13] Pade approximant is exact to double
+    precision, and its approximant is squared s times.  ConditioningError
+    when a norm or the result is not finite, or when a block needs more
+    than ``_MAX_SQUARINGS`` squarings.
+    """
+    norm = np.abs(a).sum(axis=-2).max(axis=-1)
+    if not np.isfinite(norm).all():
+        raise ConditioningError(
+            f"generator block {int(np.argmin(np.isfinite(norm)))} is not finite")
+    with np.errstate(divide="ignore"):  # a zero block needs no scaling
+        s = np.maximum(np.ceil(np.log2(norm / _THETA13)), 0.0)
+    if s.max(initial=0.0) > _MAX_SQUARINGS:
+        worst = int(np.argmax(s))
+        raise ConditioningError(
+            f"generator block {worst} has 1-norm {norm.flat[worst]:.3e}: its "
+            "exponential is beyond double precision")
+    a = a / np.exp2(s)[..., None, None]
+    b = _PADE13
+    eye = np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    r = np.linalg.solve(v - u, v + u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(int(s.max(initial=0.0))):
+            todo = s > i
+            if todo.all():
+                r = r @ r
+            else:
+                r[todo] = r[todo] @ r[todo]
+    finite = np.isfinite(r).all(axis=(-2, -1))
+    if not finite.all():
+        raise ConditioningError(
+            f"matrix exponential overflowed in block {int(np.argmin(finite))}")
+    return r
 
 
 def zero_order_hold(gen: np.ndarray, beta: np.ndarray, tau: float):
@@ -90,12 +151,7 @@ def zero_order_hold(gen: np.ndarray, beta: np.ndarray, tau: float):
     """
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    ahat = scipy.linalg.expm(gen * tau)
-    finite = np.isfinite(ahat).all(axis=(-2, -1))
-    if not finite.all():
-        raise ConditioningError(
-            f"matrix exponential overflowed in block {int(np.argmin(finite))}"
-        )
+    ahat = expm(gen * tau)
     try:
         x = np.linalg.solve(gen, beta)
     except np.linalg.LinAlgError as exc:

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -7,14 +8,16 @@ from scipy.linalg import block_diag
 
 from conftest import galerkin_blocks, galerkin_generator, per_cell_reference, random_rho
 
-from popdiff import forward
+from popdiff import forward, sampled
 from popdiff.assembly import assemble
-from popdiff.errors import SingularOperatorError
+from popdiff.errors import ConditioningError, SingularOperatorError
 from popdiff.grid import GridSpec, eta_mass_matrix, eta_stiffness_matrix
+from popdiff.optimizer import Q1_GRID
 from popdiff.sampled import (
     build_sampled,
     build_sensitivities,
     eta_operators,
+    expm,
     point_mass_hold,
     zero_order_hold,
 )
@@ -105,17 +108,64 @@ class TestBuildSampled:
         np.testing.assert_array_equal(sys.weights, ops.moments[2])
 
 
+class TestExpm:
+    @staticmethod
+    def stacks(n, tau=1 / 12):
+        # Point masses over Q1_GRID's range and their tangent blocks
+        # [[G, G1], [0, G]] tau, as the holds exponentiate them.
+        g0, g1, _ = eta_operators(n)
+        gen = (g0 + Q1_GRID[:, None, None] * g1) * tau
+        b = n + 1
+        tangent = np.zeros((len(Q1_GRID), 2 * b, 2 * b))
+        tangent[:, :b, :b] = tangent[:, b:, b:] = gen
+        tangent[:, :b, b:] = g1 * tau
+        return gen, tangent
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_matches_scipy(self, n):
+        # Relative to each block's largest entry.  The exponential's relative
+        # condition number is at least |A| (Van Loan 1977), so on the blocks
+        # of large norm (q1 near 1e3, |A|_1 up to 4e5) two methods may differ
+        # by about eps |A|_1, and there the bound grows with it.
+        for stack in self.stacks(n):
+            got, ref = expm(stack), scipy.linalg.expm(stack)
+            rel = np.abs(got - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
+            norm = np.abs(stack).sum(axis=1).max(axis=1)
+            assert np.all(rel <= np.maximum(1e-12, np.finfo(float).eps * norm))
+            assert rel[Q1_GRID <= 10].max() <= 1e-12
+
+    def test_each_block_is_scaled_alone(self):
+        # Every block has its own scaling power, so a block's exponential
+        # does not depend on the stack it comes in.
+        gen, tangent = self.stacks(8)
+        for stack in (gen, tangent):
+            whole = expm(stack)
+            for i in (0, 12, 24):
+                np.testing.assert_array_equal(whole[i], expm(stack[i:i + 1])[0])
+
+    @pytest.mark.parametrize("scale", [1e20, 1e100, 1e300, np.inf, np.nan])
+    def test_unresolvable_block_raises_without_warnings(self, scale):
+        # A 1-norm beyond theta_13 2^52 needs more squarings than double
+        # precision resolves; it raises before any product can overflow.
+        gen, _ = self.stacks(4)
+        gen[3] *= scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConditioningError, match="block 3"):
+                expm(gen)
+
+
 class TestEtaOperators:
     def test_one_factorization_per_n(self, rho_smooth, spec_small, monkeypatch):
         # Every build_sampled, build_sensitivities and single-q batch at one
         # n shares one factorization of the depth mass matrix.
         calls = []
 
-        def counted(*args, _real=scipy.linalg.cho_factor, **kwargs):
+        def counted(*args, _real=np.linalg.cholesky, **kwargs):
             calls.append(args[0].shape)
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "cho_factor", counted)
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
         eta_operators.cache_clear()
         first = eta_operators(spec_small.n)
         ops = assemble(spec_small, rho_smooth, with_grad=True)
@@ -209,20 +259,21 @@ class TestSensitivities:
     def test_parameters_share_each_solve_call(self, rho_smooth, spec_small,
                                               monkeypatch, n_params):
         # Every parameter moves a cell through its moments alone, so all of
-        # them share one stacked tangent hold (one exponential, one solve
-        # and no LU solve), and the parameter count changes no bit of any
+        # them share one stacked tangent hold (one exponential of all the
+        # nodes' blocks), and the parameter count changes no bit of any
         # parameter's result.
         ops, full = self.build(rho_smooth, spec_small)
         sub = dataclasses.replace(ops, dmoments=ops.dmoments[:, :n_params])
         sys = build_sampled(sub, spec_small.tau)
-        calls = {"expm": 0, "lu_solve": 0}
-        for name in calls:
-            def counted(*args, _name=name, _real=getattr(scipy.linalg, name), **kwargs):
-                calls[_name] += 1
-                return _real(*args, **kwargs)
-            monkeypatch.setattr(scipy.linalg, name, counted)
+        calls = []
+
+        def counted(a, _real=sampled.expm):
+            calls.append(a.shape)
+            return _real(a)
+
+        monkeypatch.setattr(sampled, "expm", counted)
         build_sensitivities(sub, sys)
-        assert calls == {"expm": 1, "lu_solve": 0}
+        assert calls == [(sys.ncells, 2 * sys.block_size, 2 * sys.block_size)]
         np.testing.assert_array_equal(sys.tangent_A, full.tangent_A)
         np.testing.assert_array_equal(sys.tangent_b, full.tangent_b)
         np.testing.assert_array_equal(sys.dnodes, full.dnodes[:n_params])
