@@ -70,8 +70,8 @@ def eta_operators(n: int):
     """(G0, G1, beta_eta) of the depth model: a point mass at q has the
     generator G0 + q1 G1 and the input column q2 beta_eta, with
     G0 = -M_eta^{-1} e0 e0^T, G1 = -M_eta^{-1} K_eta and
-    beta_eta = M_eta^{-1} e_n, all from one solve.  Cached per n; the
-    arrays are read-only."""
+    beta_eta = M_eta^{-1} e_n, all from one Cholesky factor.  Cached per
+    n; the arrays are read-only."""
     eye = np.eye(n + 1)
     r = np.linalg.cholesky(eta_mass_matrix(n), upper=True)
     sol = np.linalg.solve(r, np.linalg.solve(
@@ -102,8 +102,8 @@ def expm(a: np.ndarray) -> np.ndarray:
     """exp(a) of every block of a (..., k, k) stack, by scaling and squaring.
 
     Each block is scaled by its own 2^-s, s = max(0, ceil(log2(|a|_1 /
-    theta_13))), so that the [13/13] Pade approximant is exact to double
-    precision, and its approximant is squared s times.  ConditioningError
+    theta_13))), so that the [13/13] Pade approximant is accurate to
+    double precision, and its approximant is squared s times.  ConditioningError
     when a norm or the result is not finite, or when a block needs more
     than ``_MAX_SQUARINGS`` squarings.
     """
@@ -132,7 +132,7 @@ def expm(a: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(int(s.max(initial=0.0))):
             todo = s > i
-            if todo.all():
+            if todo.all():  # no gather and scatter while every block squares
                 r = r @ r
             else:
                 r[todo] = r[todo] @ r[todo]
