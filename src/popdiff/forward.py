@@ -5,10 +5,11 @@ x[0] = 0, built by one stacked ``sampled.point_mass_hold`` of the
 point-mass generators G0 + q1 G1, and both are linear and time-invariant:
 the output is the input convolved with the impulse response
 e0^T Ahat^k bhat, which ``impulse_response`` forms by doubling, with no
-loop over time.  The population system has one block per density cell,
-the point mass at the node nu_c = w1_c / w_c, read at state 0 with the
-weight omega_c = w2_c (``sampled.build_sampled``): its response is the
-quadrature rule h = sum_c omega_c g_c of single-q responses at q2 = 1.
+loop over time and no rows beyond the count asked for.  The population
+system has one block per density cell, the point mass at the node
+nu_c = w1_c / w_c, read at state 0 with the weight omega_c = w2_c
+(``sampled.build_sampled``): its response is the quadrature rule
+h = sum_c omega_c g_c of single-q responses at q2 = 1.
 The single-q model gives each draw one block:
 ``simulate_deterministic_batch`` serves a block of draws with one hold
 and one doubling, and ``simulate_deterministic`` is its one-draw case.

@@ -13,7 +13,10 @@ with
     Ahat_c = exp(G(nu_c) tau),   bhat_c = (Ahat_c - I) G(nu_c)^{-1} beta_eta,
 
 one stacked ``point_mass_hold`` for all nodes, as it also serves the
-single-q draws of ``forward.simulate_deterministic_batch``.
+single-q draws of ``forward.simulate_deterministic_batch``.  The
+exponential is ``expm``: Pade scaling and squaring in numpy over the
+whole (..., k, k) stack, each block scaled and squared by its own power
+of two, so a block's result does not depend on the stack it comes in.
 
 Sensitivities: every parameter reaches the output only through the
 nodes and weights, so the system stores the (P, ncells) Jacobians
