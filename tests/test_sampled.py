@@ -125,7 +125,7 @@ class TestExpm:
     def test_matches_scipy(self, n):
         # Relative to each block's largest entry.  The exponential's relative
         # condition number is at least |A| (Van Loan 1977), so on the blocks
-        # of large norm (q1 near 1e3, |A|_1 up to 4e5) two methods may differ
+        # of large norm (q1 near 1e3, |A|_1 up to 3e5) two methods may differ
         # by about eps |A|_1, and there the bound grows with it.
         for stack in self.stacks(n):
             got, ref = expm(stack), scipy.linalg.expm(stack)
