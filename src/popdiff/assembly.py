@@ -43,6 +43,9 @@ from .density import (
 from .errors import DegenerateDensityError
 from .grid import GridSpec, eta_mass_matrix
 
+# Gauss-Legendre nodes per cell and axis.  This constant and
+# density.DEFAULT_NORM_QUAD_ORDER fix the quadrature of every layer above;
+# the order parameters of assemble and normalization serve reference values.
 DEFAULT_CELL_QUAD_ORDER = 8
 
 

@@ -8,6 +8,7 @@ one-line JSON diagnostic on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -85,8 +86,7 @@ def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     rho = rho_from_json(args.rho)
     episode = _load_scaled_episodes([args.episode], cfg)[0]
-    sys_ = population_system(rho, cfg.spec, cfg.cell_quad_order, cfg.norm_quad_order)
-    predicted = simulate(sys_, episode.u)
+    predicted = simulate(population_system(rho, cfg.spec), episode.u)
     dataio.atomic_write_text(args.out, dataio.sim_csv(cfg.tau, predicted, episode.y_obs))
     print(f"wrote {args.out}")
     return 0
@@ -111,10 +111,8 @@ def _cmd_gradcheck(args) -> int:
     cfg = load_config(args.config)
     rho = rho_from_json(args.rho)
     episodes = _load_scaled_episodes(args.episodes, cfg)
-    adj = gradient_adjoint(rho, cfg.spec, episodes,
-                           cfg.cell_quad_order, cfg.norm_quad_order)
-    fd = gradient_fd(rho, cfg.spec, episodes, cfg.fd_step,
-                     cfg.cell_quad_order, cfg.norm_quad_order)
+    adj = gradient_adjoint(rho, cfg.spec, episodes)
+    fd = gradient_fd(rho, cfg.spec, episodes, cfg.fd_step)
     scale = float(np.abs(fd.grad).max())
     denom = np.maximum(np.maximum(np.abs(fd.grad), np.abs(adj.grad)), 1e-12 * max(scale, 1.0))
     rel = np.abs(adj.grad - fd.grad) / denom
@@ -138,8 +136,7 @@ def _cmd_bands(args) -> int:
     rho = rho_from_json(args.rho)
     episode = _load_scaled_episodes([args.episode], cfg)[0]
     band = credible_band(
-        rho, cfg.spec, episode.u, cfg.band_level, cfg.band_nsamples,
-        cfg.band_seed, cfg.cell_quad_order, cfg.norm_quad_order,
+        rho, cfg.spec, episode.u, cfg.band_level, cfg.band_nsamples, cfg.band_seed,
     )
     dataio.atomic_write_text(args.out, dataio.band_csv(cfg.tau, band))
     print(f"wrote {args.out}")
@@ -150,10 +147,9 @@ def _cmd_consistency(args) -> int:
     cfg = load_config(args.config)
     rho0 = rho_from_json(args.rho)
     horizon = cfg.trend_steps * cfg.tau
-    pulses = dataio.PulseSpec(
+    pulses = dataclasses.replace(
+        cfg.pulse_spec,
         duration_h=horizon,
-        count=(cfg.pulse_count_min, cfg.pulse_count_max),
-        height=(cfg.pulse_height_min, cfg.pulse_height_max),
         width_h=(min(cfg.pulse_width_min_h, 0.5 * horizon),
                  min(cfg.pulse_width_max_h, 0.8 * horizon)),
     )

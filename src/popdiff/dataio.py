@@ -73,6 +73,8 @@ def load_episode(path, tau: float, brac_scale: float = 1.0,
     start at or before 0.  Channel values are divided by the given
     reference scales.
     """
+    if not tau > 0:
+        raise ValueError(f"tau must be positive, got {tau}")
     path = Path(path)
     times: dict[str, list[float]] = {c: [] for c in _CHANNELS}
     values: dict[str, list[float]] = {c: [] for c in _CHANNELS}
@@ -218,8 +220,6 @@ class RunConfig:
     m1: int = 4
     m2: int = 4
     tau: float = 1 / 12
-    cell_quad_order: int = 8
-    norm_quad_order: int = 24
     gtol: float = 1e-6
     xtol: float = 1e-9
     max_iter: int = 200
@@ -263,6 +263,10 @@ class RunConfig:
             raise ConfigError("default_box needs 4 entries (a1, b1, a2, b2)")
         if len(self.nu_levels) < 1:
             raise ConfigError("nu_levels must not be empty")
+        try:
+            self.spec  # GridSpec checks n, m1, m2 and tau
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     @property
     def spec(self) -> GridSpec:
@@ -271,9 +275,7 @@ class RunConfig:
     @property
     def fit_options(self) -> FitOptions:
         return FitOptions(
-            gtol=self.gtol, xtol=self.xtol, max_iter=self.max_iter,
-            quad_order=self.cell_quad_order, norm_quad_order=self.norm_quad_order,
-            gap_min=self.gap_min,
+            gtol=self.gtol, xtol=self.xtol, max_iter=self.max_iter, gap_min=self.gap_min,
         )
 
     @property

@@ -29,14 +29,7 @@ class ConditioningError(PopdiffError):
 
 
 class SimulationDivergenceError(PopdiffError):
-    """The simulated output is not finite.
-
-    ``rows`` lists the diverged rows of a stacked simulation, in order.
-    """
-
-    def __init__(self, message: str, rows: list[int] | None = None):
-        self.rows = rows or []
-        super().__init__(message)
+    """The simulated output is not finite."""
 
 
 class EpisodeParseError(PopdiffError, ValueError):

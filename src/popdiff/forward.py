@@ -9,7 +9,10 @@ loop over time and no rows beyond the count asked for.  The population
 system has one block per density cell, the point mass at the node
 nu_c = w1_c / w_c, read at state 0 with the weight omega_c = w2_c
 (``sampled.build_sampled``): its response is the quadrature rule
-h = sum_c omega_c g_c of single-q responses at q2 = 1.
+h = sum_c omega_c g_c of single-q responses at q2 = 1, from cell moments
+at the quadrature orders fixed in ``assembly``.  ``simulate`` convolves one
+input sequence; a caller with several episodes forms ``response`` once
+and passes it to each call.
 The single-q model gives each draw one block:
 ``simulate_deterministic_batch`` serves a block of draws with one hold
 and one doubling, and ``simulate_deterministic`` is its one-draw case.
@@ -121,22 +124,17 @@ def response(sys: SampledSystem, count: int) -> np.ndarray:
 
 def simulate(sys: SampledSystem, u: np.ndarray, h: np.ndarray | None = None):
     """Population output at j = 0..len(u): the response ``h`` (at least
-    len(u) long; from ``response`` when None) convolved with ``u``.
-
-    ``u`` is one input sequence (mu,) or a stack (E, mu); the output is
-    then (E, mu+1) and row e equals the one-sequence call on ``u[e]`` bit
-    for bit.  A non-finite output raises SimulationDivergenceError, whose
-    ``rows`` names the stack rows that diverged.
+    len(u) long; from ``response`` when None) convolved with the one
+    input sequence ``u``.  A non-finite output raises
+    SimulationDivergenceError.
     """
     u = np.asarray(u, dtype=float)
-    us = u if u.ndim == 2 else u[None]
-    mu = us.shape[1]
-    y = convolve((response(sys, mu) if h is None else h)[:mu], us)
-    bad = ~np.isfinite(y).all(axis=1)
-    if bad.any():
-        raise SimulationDivergenceError("output is not finite",
-                                        rows=np.flatnonzero(bad).tolist())
-    return y if u.ndim == 2 else y[0]
+    if u.ndim != 1:
+        raise ValueError(f"u must be one input sequence, got shape {u.shape}")
+    y = convolve((response(sys, len(u)) if h is None else h)[:len(u)], u)[0]
+    if not np.all(np.isfinite(y)):
+        raise SimulationDivergenceError("output is not finite")
+    return y
 
 
 def simulate_deterministic(q, n: int, tau: float, u: np.ndarray) -> np.ndarray:
@@ -173,26 +171,18 @@ def simulate_deterministic_batch(
     return y
 
 
-def population_system(
-    rho: RhoParams, spec: GridSpec, quad_order: int = 8, norm_quad_order: int = 24
-) -> SampledSystem:
-    ops = assemble(spec, rho, quad_order, norm_quad_order)
-    return build_sampled(ops, spec.tau)
+def population_system(rho: RhoParams, spec: GridSpec) -> SampledSystem:
+    return build_sampled(assemble(spec, rho), spec.tau)
 
 
 def population_vs_montecarlo(
-    rho: RhoParams,
-    spec: GridSpec,
-    u: np.ndarray,
-    nsamples: int,
-    seed: int,
-    quad_order: int = 8,
+    rho: RhoParams, spec: GridSpec, u: np.ndarray, nsamples: int, seed: int
 ):
     """Population output against the Monte Carlo mean of single-q runs.
 
     Returns (population output, MC-mean output, sup-norm discrepancy).
     """
-    pop = simulate(population_system(rho, spec, quad_order=quad_order), u)
+    pop = simulate(population_system(rho, spec), u)
     qs = sample_array(rho, nsamples, seed)
     mc = montecarlo_mean_output(qs, spec.n, spec.tau, u)
     return pop, mc, float(np.abs(pop - mc).max())

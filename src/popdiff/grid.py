@@ -32,9 +32,10 @@ class GridSpec:
 
     def __post_init__(self):
         if self.n < 1 or self.m1 < 1 or self.m2 < 1:
-            raise ValueError(f"grid sizes must be >= 1, got {(self.n, self.m1, self.m2)}")
+            raise ValueError(
+                f"grid sizes n, m1, m2 must be >= 1, got {(self.n, self.m1, self.m2)}")
         if not self.tau > 0:
-            raise ValueError(f"sampling interval must be positive, got {self.tau}")
+            raise ValueError(f"sampling interval tau must be positive, got {self.tau}")
 
     @property
     def dim(self) -> int:

@@ -15,8 +15,10 @@ no stored states.  A central finite-difference twin serves as the
 permanent cross-check oracle.
 
 ``evaluate`` is the one evaluation: it applies the density veto,
-assembles and samples the system once and forms the population response
-once, for the longest episode.  Its ``jacobian`` function reuses them: it
+assembles and samples the system once (at the quadrature orders fixed in
+``assembly``), forms the population response once, for the longest
+episode, and convolves each episode's input with it, one ``simulate``
+call per episode.  Its ``jacobian`` function reuses them: it
 assembles only the derivative tensors (``with_grad`` changes no bit of
 the operators) and adds the sensitivities to the same sampled system.
 An episode's output and cost do not depend, bit for bit, on the
@@ -74,39 +76,23 @@ class Evaluation:
                           method="adjoint")
 
 
-def evaluate(
-    rho: RhoParams,
-    spec: GridSpec,
-    episodes: list[Episode],
-    quad_order: int = 8,
-    norm_quad_order: int = 24,
-) -> Evaluation:
+def evaluate(rho: RhoParams, spec: GridSpec, episodes: list[Episode]) -> Evaluation:
     """Cost of ``rho`` over all episodes from one forward pass.
 
-    The episodes of each input length run as one stacked ``simulate``
-    call.  A divergence names the first diverging episode in list order.
+    Every episode is convolved with the one response ``h``.  A divergence
+    names the first diverging episode in list order.
     """
     _check_episodes(spec, episodes)
-    ops = assemble(spec, rho, quad_order, norm_quad_order, gamma_floor=gamma_floor(rho.box))
+    ops = assemble(spec, rho, gamma_floor=gamma_floor(rho.box))
     sys = build_sampled(ops, spec.tau)
     count = max(ep.steps for ep in episodes)
     h = response(sys, count)
-    by_length: dict[int, list[int]] = {}
-    for i, ep in enumerate(episodes):
-        by_length.setdefault(ep.steps, []).append(i)
-    resid = [None] * len(episodes)
-    diverged = []
-    for idx in by_length.values():
+    resid = []
+    for ep in episodes:
         try:
-            y = simulate(sys, np.stack([episodes[i].u for i in idx]), h)
+            resid.append(simulate(sys, ep.u, h) - ep.y_obs)
         except SimulationDivergenceError as exc:
-            diverged.append((idx[exc.rows[0]], exc))
-            continue
-        for i, y_i in zip(idx, y):
-            resid[i] = y_i - episodes[i].y_obs
-    if diverged:
-        i, exc = min(diverged, key=lambda d: d[0])
-        raise SimulationDivergenceError(f"episode {episodes[i].id}: {exc}") from exc
+            raise SimulationDivergenceError(f"episode {ep.id}: {exc}") from exc
 
     costs = [float(r @ r) for r in resid]
     # An explicit running sum, not sum(): from Python 3.12 on sum() of
@@ -117,7 +103,7 @@ def evaluate(
     per_episode = [(ep.id, c) for ep, c in zip(episodes, costs)]
 
     def jacobian() -> np.ndarray:
-        ops = assemble(spec, rho, quad_order, norm_quad_order, with_grad=True)
+        ops = assemble(spec, rho, with_grad=True)
         build_sensitivities(ops, sys)
         jac = _jacobian(sys, count, [ep.u for ep in episodes])
         if not np.all(np.isfinite(jac)):
@@ -127,15 +113,9 @@ def evaluate(
     return Evaluation(total, per_episode, np.concatenate(resid), jacobian)
 
 
-def cost(
-    rho: RhoParams,
-    spec: GridSpec,
-    episodes: list[Episode],
-    quad_order: int = 8,
-    norm_quad_order: int = 24,
-) -> float:
+def cost(rho: RhoParams, spec: GridSpec, episodes: list[Episode]) -> float:
     """Sum of squared residuals over all episodes, j = 0 included."""
-    return evaluate(rho, spec, episodes, quad_order, norm_quad_order).cost
+    return evaluate(rho, spec, episodes).cost
 
 
 def _jacobian(sys: SampledSystem, count: int, inputs) -> np.ndarray:
@@ -163,15 +143,9 @@ def episode_cost_and_gradient(sys: SampledSystem, u: np.ndarray, y_obs: np.ndarr
     return float(r @ r), 2.0 * (_jacobian(sys, len(u), [u]).T @ r)
 
 
-def gradient_adjoint(
-    rho: RhoParams,
-    spec: GridSpec,
-    episodes: list[Episode],
-    quad_order: int = 8,
-    norm_quad_order: int = 24,
-) -> CostReport:
+def gradient_adjoint(rho: RhoParams, spec: GridSpec, episodes: list[Episode]) -> CostReport:
     """Cost plus full gradient 2 J^T r from one forward pass and its Jacobian."""
-    return evaluate(rho, spec, episodes, quad_order, norm_quad_order).gradient()
+    return evaluate(rho, spec, episodes).gradient()
 
 
 def gradient_fd(
@@ -179,13 +153,11 @@ def gradient_fd(
     spec: GridSpec,
     episodes: list[Episode],
     step: float = 1e-6,
-    quad_order: int = 8,
-    norm_quad_order: int = 24,
 ) -> CostReport:
     """Central finite differences of the cost, component by component."""
     if not step > 0:
         raise ValueError(f"step must be positive, got {step}")
-    at = evaluate(rho, spec, episodes, quad_order, norm_quad_order)
+    at = evaluate(rho, spec, episodes)
 
     base = rho.as_array()
     grad = np.empty(9)
@@ -194,8 +166,8 @@ def gradient_fd(
         up, dn = base.copy(), base.copy()
         up[k] += h
         dn[k] -= h
-        c_up = cost(RhoParams.from_array(up), spec, episodes, quad_order, norm_quad_order)
-        c_dn = cost(RhoParams.from_array(dn), spec, episodes, quad_order, norm_quad_order)
+        c_up = cost(RhoParams.from_array(up), spec, episodes)
+        c_dn = cost(RhoParams.from_array(dn), spec, episodes)
         grad[k] = (c_up - c_dn) / (2 * h)
     return CostReport(cost=at.cost, grad=grad, per_episode=at.per_episode,
                       method="finite-difference")

@@ -78,8 +78,6 @@ class FitOptions:
     gtol: float = 1e-6
     xtol: float = 1e-9
     max_iter: int = 200
-    quad_order: int = 8
-    norm_quad_order: int = 24
     gap_min: float = 1e-3
 
 
@@ -262,8 +260,7 @@ def fit(
     opt = options or FitOptions()
 
     def evaluate(z):
-        trial = evaluate_objective(working_to_rho(z, opt.gap_min), spec, episodes,
-                                   opt.quad_order, opt.norm_quad_order)
+        trial = evaluate_objective(working_to_rho(z, opt.gap_min), spec, episodes)
         return trial.residuals, lambda: chain_gradient(trial.jacobian(), z)
 
     z0 = rho_to_working(init, opt.gap_min)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DEFAULT_NORM_QUAD_ORDER, RhoParams, sample_array
+from .density import RhoParams, sample_array
 from .forward import population_system, simulate, simulate_deterministic_batch
 from .grid import GridSpec
 
@@ -54,13 +54,10 @@ def credible_band(
     level: float = 0.75,
     nsamples: int = 1000,
     seed: int = 0,
-    quad_order: int = 8,
-    norm_quad_order: int = DEFAULT_NORM_QUAD_ORDER,
 ) -> CredibleBand:
     """Pointwise (1-level)/2 and (1+level)/2 quantile envelope.
 
-    The center line is the population-model output, not the sample mean,
-    assembled with the given quadrature orders.
+    The center line is the population-model output, not the sample mean.
     """
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
@@ -70,8 +67,7 @@ def credible_band(
     lo = (1.0 - level) / 2.0
     lower = np.quantile(trajectories, lo, axis=0)
     upper = np.quantile(trajectories, 1.0 - lo, axis=0)
-    sys = population_system(rho_hat, spec, quad_order, norm_quad_order)
-    mean_output = simulate(sys, u)
+    mean_output = simulate(population_system(rho_hat, spec), u)
     return CredibleBand(
         level=level, lower=lower, upper=upper, mean_output=mean_output,
         nsamples=nsamples, seed=seed,

@@ -181,6 +181,17 @@ class TestExitCodes:
         assert err["error"] == "ConfigError"
         assert "default_box" in err["message"]
 
+    @pytest.mark.parametrize("line", ["tau = 0", "tau = -0.1", "cell_quad_order = 8",
+                                      "norm_quad_order = 24"])
+    def test_rejected_config_is_usage_error(self, golden_paths, tmp_path, capsys, line):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(line + "\n")
+        code = main(["fit", str(bad), golden_paths["episode"], "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert line.split(" =")[0] in err["message"]
+
     def test_explicit_init_requires_rho(self, golden_paths, tmp_path, capsys):
         code = main(["fit", golden_paths["config"], golden_paths["episode"],
                      "--out-dir", str(tmp_path)])
@@ -207,14 +218,13 @@ class TestScaling:
 class TestQuadratureOrders:
     def test_bands_mean_equals_simulate_at_configured_norm_order(self, golden_paths,
                                                                  tmp_path):
-        # Both center lines are the population output at the configured
-        # orders; a non-default norm_quad_order must reach both commands.
-        config = tmp_path / "order.txt"
-        config.write_text((GOLDEN / "config.txt").read_text() + "norm_quad_order = 4\n")
+        # Both center lines are the population output, assembled at the
+        # same quadrature orders.
+        config = golden_paths["config"]
         sim, bands = tmp_path / "sim.csv", tmp_path / "bands.csv"
-        assert main(["simulate", str(config), golden_paths["rho"],
+        assert main(["simulate", config, golden_paths["rho"],
                      golden_paths["episode"], "--out", str(sim)]) == 0
-        assert main(["bands", str(config), golden_paths["rho"],
+        assert main(["bands", config, golden_paths["rho"],
                      golden_paths["episode"], "--out", str(bands)]) == 0
         predicted = [row.split(",")[1] for row in sim.read_text().splitlines()[2:]]
         mean = [row.split(",")[2] for row in bands.read_text().splitlines()[2:]]

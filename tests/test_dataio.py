@@ -130,6 +130,13 @@ class TestLoadEpisode:
         with pytest.raises(EpisodeParseError):
             load_episode(f, 0.25)
 
+    @pytest.mark.parametrize("tau", [0.0, -0.1])
+    def test_nonpositive_tau_rejected(self, tmp_path, tau):
+        f = tmp_path / "ep.csv"
+        write_raw(f, ["0.0,brac,0.1", "1.0,brac,0.1", "0.0,tac,0.0", "1.0,tac,0.1"])
+        with pytest.raises(ValueError, match="tau must be positive"):
+            load_episode(f, tau)
+
 
 class TestGenerateSynthetic:
     def test_population_mode_zero_noise_is_self_consistent(self, rho_smooth):
@@ -226,6 +233,17 @@ class TestConfig:
     def test_removed_grad_method_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key 'grad_method'"):
             parse_config("grad_method = adjoint")
+
+    @pytest.mark.parametrize("key, value", [("cell_quad_order", 8), ("norm_quad_order", 24)])
+    def test_removed_quadrature_order_keys_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config(f"{key} = {value}")
+
+    @pytest.mark.parametrize("line, key", [("tau = 0", "tau"), ("tau = -0.1", "tau"),
+                                           ("m1 = 0", "m1")])
+    def test_invalid_grid_names_the_key(self, line, key):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(line)
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigError):

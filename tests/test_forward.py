@@ -105,26 +105,17 @@ class TestSimulate:
         with pytest.raises(SimulationDivergenceError):
             simulate(sys, np.ones(1200))
 
-    def test_stack_rows_equal_single_calls(self, rho_smooth):
-        # Each row is its own convolution with one response, and h[k] does
-        # not depend on the response's length: bit for bit.
+    def test_explicit_response_changes_no_bit(self, rho_smooth):
+        # h[k] does not depend on the response's length: bit for bit.
         spec = GridSpec(n=8, m1=4, m2=4, tau=1 / 12)
         sys = population_system(rho_smooth, spec)
-        us = np.random.default_rng(3).uniform(0.0, 1.0, (5, 40))
-        y = simulate(sys, us)
-        assert y.shape == (5, 41)
-        np.testing.assert_array_equal(simulate(sys, us, response(sys, 75)), y)
-        for e, u in enumerate(us):
-            np.testing.assert_array_equal(simulate(sys, u), y[e])
+        u = np.random.default_rng(3).uniform(0.0, 1.0, 40)
+        np.testing.assert_array_equal(simulate(sys, u, response(sys, 75)), simulate(sys, u))
 
-    def test_stack_rows_match_loop(self, rho_smooth):
-        spec = GridSpec(n=8, m1=4, m2=4, tau=1 / 12)
-        sys = population_system(rho_smooth, spec)
-        us = np.random.default_rng(3).uniform(0.0, 1.0, (5, 40))
-        y = simulate(sys, us)
-        for e, u in enumerate(us):
-            y_loop, _ = loop_simulate(sys, u)
-            assert np.abs(y[e] - y_loop).max() <= 1e-12 * np.abs(y_loop).max()
+    def test_rejects_a_stack_of_inputs(self, rho_smooth, spec_small):
+        sys = population_system(rho_smooth, spec_small)
+        with pytest.raises(ValueError, match="one input sequence"):
+            simulate(sys, np.ones((2, 12)))
 
     @pytest.mark.parametrize("q1", [1e-3, 50.0])
     def test_long_horizon_matches_loop(self, q1):
@@ -142,22 +133,12 @@ class TestSimulate:
         single_q = simulate_deterministic_batch(np.array([[q1, 1.0]]), n, tau, u)[0]
         assert np.abs(single_q - y_loop).max() <= 1e-12 * scale
 
-    def test_divergence_names_the_stack_rows(self):
-        sys = scalar_system(2.0, 1.0)
-        us = np.zeros((3, 1200))
-        us[1] = 1.0
-        us[2, 5] = 1.0
-        with pytest.raises(SimulationDivergenceError) as info:
-            simulate(sys, us)
-        assert info.value.rows == [1, 2]
-
     @pytest.mark.filterwarnings("error")
     def test_divergence_raises_no_numpy_warning(self, rho_smooth, spec_small):
         # Overflow, then inf - inf: only the error may surface.
         sys = population_system(rho_smooth, spec_small)
-        for u in (np.full(400, 1.7e308), np.full((2, 400), 1.7e308)):
-            with pytest.raises(SimulationDivergenceError):
-                simulate(sys, u)
+        with pytest.raises(SimulationDivergenceError):
+            simulate(sys, np.full(400, 1.7e308))
         with pytest.raises(SimulationDivergenceError):
             simulate(scalar_system(2.0, 1.0), np.ones(1200))
 
