@@ -34,7 +34,6 @@ pulse_duration_h = 5.0
 band_nsamples = 300
 band_seed = 4
 band_level = 0.75
-init_mode = explicit
 """
 
 RHO = {

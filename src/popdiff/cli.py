@@ -27,7 +27,7 @@ from .errors import (
     SimulationDivergenceError,
     SingularOperatorError,
 )
-from .forward import population_system, simulate
+from .forward import Episode, population_system, simulate
 from .objective import gradient_adjoint, gradient_fd
 from .optimizer import fit, initialize
 from .uncertainty import credible_band
@@ -46,29 +46,23 @@ def _load_scaled_episodes(paths, cfg: RunConfig):
 
     In "paper" scaling both channels are divided by reference levels so
     the fitted signals are O(1); references default to the dataset
-    maximum of each channel.
+    maximum of each channel.  Each file is read once.
     """
     raw = [load_episode(p, cfg.tau) for p in paths]
     if cfg.scaling == "none":
         return raw
     brac_ref = cfg.brac_ref or max((ep.u.max() for ep in raw), default=0.0) or 1.0
     tac_ref = cfg.tac_ref or max((ep.y_obs.max() for ep in raw), default=0.0) or 1.0
-    return [load_episode(p, cfg.tau, brac_ref, tac_ref) for p in paths]
+    return [Episode(ep.id, ep.tau, ep.u / brac_ref, ep.y_obs / tac_ref) for ep in raw]
 
 
 def _cmd_fit(args) -> int:
     cfg = load_config(args.config)
     episodes = _load_scaled_episodes(args.episodes, cfg)
-    if cfg.init_mode == "explicit":
-        if not args.init_rho:
-            print("error: init_mode = explicit requires --init-rho", file=sys.stderr)
-            return 2
-        init = rho_from_json(args.init_rho)
-    elif args.init_rho:
+    if args.init_rho:
         init = rho_from_json(args.init_rho)
     else:
-        init = initialize(episodes, cfg.spec, default_box=cfg.default_box,
-                          options=cfg.fit_options)
+        init = initialize(episodes, cfg.spec, default_box=cfg.default_box)
         init.box.require_within(cfg.q1_max, cfg.q2_max)
     result = fit(episodes, cfg.spec, init, cfg.fit_options)
     out_dir = Path(args.out_dir)

@@ -32,7 +32,7 @@ import numpy as np
 from .density import RhoParams, sample_array, sigma_from_l
 from .errors import ConfigError, EpisodeParseError, IngestionError
 from .forward import Episode, population_system, simulate, simulate_deterministic
-from .grid import GridSpec
+from .grid import GridSpec, QBox
 from .optimizer import FitOptions, FitResult
 
 EPISODE_SCHEMA = "# popdiff-episode v1"
@@ -63,15 +63,13 @@ def _fmt(x) -> str:
 
 # ------------------------------------------------------------------- episodes
 
-def load_episode(path, tau: float, brac_scale: float = 1.0,
-                 tac_scale: float = 1.0) -> Episode:
+def load_episode(path, tau: float) -> Episode:
     """Read a raw episode file and resample it onto the uniform tau-grid.
 
     Both channels are linearly interpolated onto {0, tau, ..., T} where T
     is the last time common to both channels; the input channel is read
     at interval left endpoints (zero-order hold).  Both channels must
-    start at or before 0.  Channel values are divided by the given
-    reference scales.
+    start at or before 0.
     """
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
@@ -122,8 +120,8 @@ def load_episode(path, tau: float, brac_scale: float = 1.0,
     if steps < 1:
         raise IngestionError(f"{path}: common range shorter than one interval")
     grid = np.arange(steps + 1) * tau
-    u = np.interp(grid[:-1], times["brac"], values["brac"]) / brac_scale
-    y = np.interp(grid, times["tac"], values["tac"]) / tac_scale
+    u = np.interp(grid[:-1], times["brac"], values["brac"])
+    y = np.interp(grid, times["tac"], values["tac"])
     return Episode(id=path.stem, tau=tau, u=u, y_obs=y)
 
 
@@ -220,12 +218,8 @@ class RunConfig:
     m1: int = 4
     m2: int = 4
     tau: float = 1 / 12
-    gtol: float = 1e-6
-    xtol: float = 1e-9
     max_iter: int = 200
-    gap_min: float = 1e-3
     fd_step: float = 1e-6            # gradcheck's finite-difference step
-    init_mode: str = "moment"        # moment | explicit
     default_box: tuple = (0.1, 2.0, 0.1, 2.0)
     q1_max: float = 10.0
     q2_max: float = 10.0
@@ -253,16 +247,22 @@ class RunConfig:
     def __post_init__(self):
         if self.scaling not in ("none", "paper"):
             raise ConfigError(f"scaling must be none|paper, got {self.scaling!r}")
-        if self.init_mode not in ("moment", "explicit"):
-            raise ConfigError(f"init_mode must be moment|explicit, got {self.init_mode!r}")
         if self.synth_mode not in ("population", "episode"):
             raise ConfigError(
                 f"synth_mode must be population|episode, got {self.synth_mode!r}"
             )
         if len(self.default_box) != 4:
             raise ConfigError("default_box needs 4 entries (a1, b1, a2, b2)")
-        if len(self.nu_levels) < 1:
-            raise ConfigError("nu_levels must not be empty")
+        try:
+            QBox(*self.default_box)
+        except ValueError as exc:
+            raise ConfigError(f"default_box: {exc}") from exc
+        levels = self.nu_levels
+        if not (levels and all(isinstance(v, int) and v >= 1 for v in levels)
+                and all(a < b for a, b in zip(levels, levels[1:]))):
+            raise ConfigError(
+                f"nu_levels must be integers >= 1 in strictly increasing order, got {levels}"
+            )
         try:
             self.spec  # GridSpec checks n, m1, m2 and tau
         except ValueError as exc:
@@ -274,9 +274,7 @@ class RunConfig:
 
     @property
     def fit_options(self) -> FitOptions:
-        return FitOptions(
-            gtol=self.gtol, xtol=self.xtol, max_iter=self.max_iter, gap_min=self.gap_min,
-        )
+        return FitOptions(max_iter=self.max_iter)
 
     @property
     def pulse_spec(self) -> PulseSpec:

@@ -96,21 +96,15 @@ def impulse_response(A: np.ndarray, b: np.ndarray, count: int) -> np.ndarray:
 
 def convolve(g: np.ndarray, u: np.ndarray) -> np.ndarray:
     """(rows, mu+1) outputs y[0] = 0, y[j+1] = sum_{i<=j} g[j-i] u[i] of
-    (mu,) or (rows, mu) ``g`` and ``u``, one ``np.convolve`` per row.  A
-    non-finite g[k] (a diverged response) enters y[j+1] only through a
-    nonzero u[j-k], as in the recursion: zero input gives exact zeros."""
-    g, u = np.broadcast_arrays(np.atleast_2d(g), np.atleast_2d(u))
-    rows, mu = g.shape
-    y = np.zeros((rows, mu + 1))
-    finite = np.isfinite(g).all(axis=1)
+    (mu,) or (rows, mu) ``g`` and one input sequence ``u`` of length mu,
+    one ``np.convolve`` per row.  A diverged response gives non-finite
+    outputs without a warning; callers test the outputs."""
+    g = np.atleast_2d(g)
+    mu = len(u)
+    y = np.zeros((g.shape[0], mu + 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        for out, gr, ur, ok in zip(y[:, 1:], g, u, finite) if mu else ():
-            if ok:
-                out[:] = np.convolve(gr, ur)[:mu]
-            else:
-                bad = ~np.isfinite(gr)
-                out[:] = np.convolve(np.where(bad, 0.0, gr), ur)[:mu]
-                out[np.convolve(bad, ur != 0)[:mu]] = np.inf
+        for out, gr in zip(y[:, 1:], g) if mu else ():
+            out[:] = np.convolve(gr, u)[:mu]
     return y
 
 

@@ -2,7 +2,7 @@
 
 Constraint handling is by smooth reparameterization plus projection:
 
-* box ordering: b = a + gap_min + exp(s), optimized in s;
+* box ordering: b = a + GAP_MIN + exp(s), optimized in s;
 * Cholesky diagonal floors: l = l_floor + exp(s);
 * the simple lower bounds on a1 and a2 are enforced by projecting the
   trial point after each step.
@@ -31,12 +31,13 @@ inputs give identical traces.
 Termination status:
 
 * ``converged``: the projected gradient ``||x - project(x - g)||`` of
-  the penalized cost fell below ``gtol * (1 + |cost|)``, the first-order
+  the penalized cost fell below ``GTOL * (1 + |cost|)``, the first-order
   test for a bound-constrained minimum;
-* ``stalled-step``: an accepted step was shorter than ``xtol`` while the
+* ``stalled-step``: an accepted step was shorter than ``XTOL`` while the
   projected gradient still failed that test (typically the damping grew
   against a model-layer veto or a bound);
-* ``max-iterations``: ``max_iter`` steps were accepted without either;
+* ``max-iterations``: ``max_iter`` steps were accepted without either
+  (``FitOptions.max_iter``, the search's one setting);
 * ``damping-exhausted``: lam passed ``LAMBDA_MAX`` with no trial
   accepted (so ends a point on the edge of a veto whose descent points
   across it, after about 20 vetoed trials, each a forward pass);
@@ -71,14 +72,17 @@ LAMBDA_MAX = 1e16
 # Weight of the pull over the noise estimate; of 3, 5 and 10, the least
 # at which all three benchmark fits converge (with 3 and 5 fit-n16m8 stalls).
 PULL = 10.0
+# Termination: the relative projected-gradient tolerance and the step length
+# below which the search stops (see the module docstring).
+GTOL = 1e-6
+XTOL = 1e-9
+# Least box edge b - a of the working transform and of initialize's margin.
+GAP_MIN = 1e-3
 
 
 @dataclass
 class FitOptions:
-    gtol: float = 1e-6
-    xtol: float = 1e-9
     max_iter: int = 200
-    gap_min: float = 1e-3
 
 
 @dataclass
@@ -114,8 +118,7 @@ class CoreResult:
     penalty: float
 
 
-def minimize_lm(evaluate, x0, project, pull=0.0, gtol=1e-6, xtol=1e-9,
-                max_iter=200) -> CoreResult:
+def minimize_lm(evaluate, x0, project, pull=0.0, max_iter=200) -> CoreResult:
     """Projected Levenberg-Marquardt on |r(x)|^2 + alpha |x - x0|^2.
 
     ``evaluate(x)`` returns the residual vector at x and a function of no
@@ -151,7 +154,7 @@ def minimize_lm(evaluate, x0, project, pull=0.0, gtol=1e-6, xtol=1e-9,
     status = "max-iterations"
 
     for it in range(1, max_iter + 1):
-        if pg < gtol * (1 + abs(c)):
+        if pg < GTOL * (1 + abs(c)):
             status = "converged"
             break
         jtj = jac.T @ jac
@@ -182,10 +185,10 @@ def minimize_lm(evaluate, x0, project, pull=0.0, gtol=1e-6, xtol=1e-9,
         c = float(r @ r) + penalty(x)
         jac, half, pg = linearize(x, r, jacobian)
         trace.append((it, c, pg, step_norm))
-        if step_norm < xtol:
+        if step_norm < XTOL:
             # A short step alone is no minimum: the damping may have grown
             # against a veto while the gradient is still large.
-            status = "converged" if pg < gtol * (1 + abs(c)) else "stalled-step"
+            status = "converged" if pg < GTOL * (1 + abs(c)) else "stalled-step"
             break
 
     # One Jacobian per trace row: the start and each accepted point.
@@ -197,13 +200,13 @@ def minimize_lm(evaluate, x0, project, pull=0.0, gtol=1e-6, xtol=1e-9,
 _GAP_EPS = 1e-12
 
 
-def rho_to_working(rho: RhoParams, gap_min: float) -> np.ndarray:
+def rho_to_working(rho: RhoParams) -> np.ndarray:
     r = rho.as_array()
     z = np.empty(9)
     z[0] = r[0]
-    z[1] = np.log(max(r[1] - r[0] - gap_min, _GAP_EPS))
+    z[1] = np.log(max(r[1] - r[0] - GAP_MIN, _GAP_EPS))
     z[2] = r[2]
-    z[3] = np.log(max(r[3] - r[2] - gap_min, _GAP_EPS))
+    z[3] = np.log(max(r[3] - r[2] - GAP_MIN, _GAP_EPS))
     z[4:6] = r[4:6]
     z[6] = np.log(max(r[6] - L_FLOOR, _GAP_EPS))
     z[7] = r[7]
@@ -211,15 +214,15 @@ def rho_to_working(rho: RhoParams, gap_min: float) -> np.ndarray:
     return z
 
 
-def working_to_rho(z: np.ndarray, gap_min: float) -> RhoParams:
+def working_to_rho(z: np.ndarray) -> RhoParams:
     # Overflowing exp on a wild trial point yields a non-finite vector,
     # which the parameter validation turns into a rejected step.
     with np.errstate(over="ignore"):
         r = np.empty(9)
         r[0] = z[0]
-        r[1] = z[0] + gap_min + np.exp(z[1])
+        r[1] = z[0] + GAP_MIN + np.exp(z[1])
         r[2] = z[2]
-        r[3] = z[2] + gap_min + np.exp(z[3])
+        r[3] = z[2] + GAP_MIN + np.exp(z[3])
         r[4:6] = z[4:6]
         r[6] = L_FLOOR + np.exp(z[6])
         r[7] = z[7]
@@ -260,14 +263,13 @@ def fit(
     opt = options or FitOptions()
 
     def evaluate(z):
-        trial = evaluate_objective(working_to_rho(z, opt.gap_min), spec, episodes)
+        trial = evaluate_objective(working_to_rho(z), spec, episodes)
         return trial.residuals, lambda: chain_gradient(trial.jacobian(), z)
 
-    z0 = rho_to_working(init, opt.gap_min)
-    core = minimize_lm(evaluate, z0, _project_working, PULL,
-                       opt.gtol, opt.xtol, opt.max_iter)
+    core = minimize_lm(evaluate, rho_to_working(init), _project_working, PULL,
+                       opt.max_iter)
     # A vetoed start or no accepted step hands back the exact input.
-    rho_hat = init if len(core.trace) <= 1 else working_to_rho(core.x, opt.gap_min)
+    rho_hat = init if len(core.trace) <= 1 else working_to_rho(core.x)
     return FitResult(rho_hat, core.trace, core.status, core.n_cost_evals,
                      core.n_grad_evals, core.penalty)
 
@@ -278,10 +280,10 @@ def fit(
 # minimum, six decades around the diffusivities of interest (about 0.1-2);
 # a minimum at either end raises, it is never clipped.
 Q1_GRID = np.logspace(-3.0, 3.0, 25)
-# Relative q1 tolerance floor.  The profile cost is flat to second order at
-# its minimum, so a finer search buys no accuracy: its steps would compare
-# costs that differ by rounding, and its number of solves would follow the
-# last bits of the outputs.
+# Relative q1 tolerance of the Brent search.  The profile cost is flat to
+# second order at its minimum, so a finer search buys no accuracy: its steps
+# would compare costs that differ by rounding, and its number of solves would
+# follow the last bits of the outputs.
 _Q1_RTOL = 1e-6
 _GOLDEN = 0.3819660112501051  # (3 - sqrt(5)) / 2
 _BRENT_MAX_ITER = 100
@@ -360,7 +362,6 @@ def fit_deterministic(
     episode: Episode,
     spec: GridSpec,
     init: QPoint | tuple = QPoint(1.0, 1.0),
-    options: FitOptions | None = None,
     grid_responses: np.ndarray | None = None,
 ) -> tuple[QPoint, float]:
     """Least-squares fit of a single (q1, q2 >= 0) to one episode.
@@ -373,18 +374,15 @@ def fit_deterministic(
     ``grid_responses``, the first ``episode.steps`` columns of
     ``q1_grid_responses`` (formed here when None); a bounded Brent search
     in log q1 then refines the best grid point inside the bracket of its
-    two neighbours.
+    two neighbours, to the relative q1 tolerance ``_Q1_RTOL``.
 
-    Of ``options`` only ``xtol`` applies, as the relative tolerance on q1,
-    floored at 1e-6 (``_Q1_RTOL``).  When the best grid point is an end of
-    ``Q1_GRID`` the minimum is not bracketed and PopdiffError is raised
-    (``initialize`` then falls back to its default box).  When the
-    best response is identically zero (zero input, or data with no
-    positive correlation to any grid response) q1 is not determined:
-    ``init`` is returned, with q2 = 0 in the second case, and the cost is
-    ||y||^2.
+    When the best grid point is an end of ``Q1_GRID`` the minimum is not
+    bracketed and PopdiffError is raised (``initialize`` then falls back
+    to its default box).  When the best response is identically zero
+    (zero input, or data with no positive correlation to any grid
+    response) q1 is not determined: ``init`` is returned, with q2 = 0 in
+    the second case, and the cost is ||y||^2.
     """
-    opt = options or FitOptions()
     q1_init, q2_init = _as_point(init)
     y = episode.y_obs
     if grid_responses is None:
@@ -413,7 +411,7 @@ def fit_deterministic(
 
     s0 = float(np.log(Q1_GRID[i]))
     s, c = _brent(profile, float(np.log(Q1_GRID[i - 1])), float(np.log(Q1_GRID[i + 1])),
-                  s0, profile(s0), max(opt.xtol, _Q1_RTOL))
+                  s0, profile(s0), _Q1_RTOL)
     return QPoint(float(np.exp(s)), gains[s]), c
 
 
@@ -424,24 +422,21 @@ def initialize(
     episodes: list[Episode],
     spec: GridSpec,
     default_box: tuple[float, float, float, float] = DEFAULT_BOX,
-    options: FitOptions | None = None,
 ) -> RhoParams:
     """Moment-based starting point from per-episode deterministic fits.
 
     Each episode is fit on its own by ``fit_deterministic`` (closed-form
-    gain, 1-D search in q1; of ``options`` only ``xtol`` and ``gap_min``
-    apply), all from one ``q1_grid_responses`` at the longest episode's
-    length; the means of the fitted pairs seed the location, the fitted
-    spread (plus a margin of 10% or ``gap_min``) seeds the box, and the
-    spreads start independent with standard deviation one sixth of the
-    box edge.  If any per-episode fit fails (raises PopdiffError, for
-    instance because its q1 minimum lies beyond the q1 grid, or is not
-    finite), the configured default box is used instead and a warning is
-    issued.
+    gain, 1-D search in q1), all from one ``q1_grid_responses`` at the
+    longest episode's length; the means of the fitted pairs seed the
+    location, the fitted spread (plus a margin of 10% or ``GAP_MIN``)
+    seeds the box, and the spreads start independent with standard
+    deviation one sixth of the box edge.  If any per-episode fit fails
+    (raises PopdiffError, for instance because its q1 minimum lies beyond
+    the q1 grid, or is not finite), the configured default box is used
+    instead and a warning is issued.
     """
     if len(episodes) < 2:
         raise ValueError("moment initialization needs at least 2 episodes")
-    opt = options or FitOptions()
     fitted = []
     failed = None
     # The responses do not depend on their count, so each episode's prefix
@@ -449,8 +444,7 @@ def initialize(
     grid = q1_grid_responses(spec, max(ep.steps for ep in episodes))
     for ep in episodes:
         try:
-            q_hat, c = fit_deterministic(ep, spec, options=options,
-                                         grid_responses=grid[:, :ep.steps])
+            q_hat, c = fit_deterministic(ep, spec, grid_responses=grid[:, :ep.steps])
             if not (np.isfinite(q_hat.q1) and np.isfinite(q_hat.q2) and np.isfinite(c)):
                 raise PopdiffError(f"non-finite deterministic fit for {ep.id}")
             fitted.append([q_hat.q1, q_hat.q2])
@@ -472,7 +466,7 @@ def initialize(
     q = np.array(fitted)
     lo = q.min(axis=0)
     hi = q.max(axis=0)
-    margin = np.maximum(0.1 * (hi - lo), opt.gap_min)
+    margin = np.maximum(0.1 * (hi - lo), GAP_MIN)
     a1 = max(lo[0] - margin[0], Q1_FLOOR)
     a2 = max(lo[1] - margin[1], 0.0)
     b1 = hi[0] + margin[0]

@@ -7,9 +7,11 @@ import pytest
 
 from conftest import golden_mismatches
 
-from popdiff.cli import main
-from popdiff.dataio import load_episode, rho_to_dict, write_rho_json
+from popdiff.cli import _load_scaled_episodes, main
+from popdiff.dataio import (load_episode, parse_config, rho_to_dict, write_episode,
+                            write_rho_json)
 from popdiff.density import RhoParams
+from popdiff.forward import Episode
 
 GOLDEN = Path(__file__).parent / "goldens"
 
@@ -106,13 +108,11 @@ class TestFitResultContract:
 
 class TestMomentInitialization:
     def test_fit_without_init_rho_starts_from_moments(self, golden_paths, tmp_path):
-        # The only CLI path through optimizer.initialize: init_mode = moment
-        # (the default) and no --init-rho.
+        # The only CLI path through optimizer.initialize: no --init-rho.
         config = tmp_path / "moment.txt"
         config.write_text(
             "n = 4\nm1 = 2\nm2 = 2\ntau = 0.08333333333333333\nmax_iter = 5\n"
             "seed = 3\nsynth_episodes = 3\npulse_duration_h = 5.0\n"
-            "init_mode = moment\n"
         )
         assert main(["synth", str(config), golden_paths["rho"],
                      "--out-dir", str(tmp_path / "data")]) == 0
@@ -125,7 +125,6 @@ class TestMomentInitialization:
         payload = json.loads((tmp_path / "fit" / "fit_result.json").read_text())
         assert payload["status"] in {"converged", "stalled-step", "max-iterations",
                                      "damping-exhausted", "degenerate-density"}
-        assert payload["config_echo"]["init_mode"] == "moment"
 
 
 class TestSynth:
@@ -182,7 +181,10 @@ class TestExitCodes:
         assert "default_box" in err["message"]
 
     @pytest.mark.parametrize("line", ["tau = 0", "tau = -0.1", "cell_quad_order = 8",
-                                      "norm_quad_order = 24"])
+                                      "norm_quad_order = 24", "gtol = 1e-06",
+                                      "xtol = 1e-09", "gap_min = 0.001",
+                                      "init_mode = moment", "default_box = 2, 0.1, 0.1, 2",
+                                      "default_box = 0, 2, 0.1, 2"])
     def test_rejected_config_is_usage_error(self, golden_paths, tmp_path, capsys, line):
         bad = tmp_path / "bad.txt"
         bad.write_text(line + "\n")
@@ -192,11 +194,18 @@ class TestExitCodes:
         assert err["error"] == "ConfigError"
         assert line.split(" =")[0] in err["message"]
 
-    def test_explicit_init_requires_rho(self, golden_paths, tmp_path, capsys):
-        code = main(["fit", golden_paths["config"], golden_paths["episode"],
-                     "--out-dir", str(tmp_path)])
+    @pytest.mark.parametrize("levels", ["2.5, 3, 4", "8, 2, 32", "0, 2, 4"])
+    def test_bad_nu_levels_stop_consistency_before_any_fit(self, golden_paths, tmp_path,
+                                                           capsys, levels):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"nu_levels = {levels}\n")
+        code = main(["consistency", str(bad), golden_paths["rho"],
+                     "--out-dir", str(tmp_path / "out")])
         assert code == 2
-        assert "init" in capsys.readouterr().err
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "nu_levels" in err["message"]
+        assert not (tmp_path / "out").exists()
 
 
 class TestScaling:
@@ -213,6 +222,22 @@ class TestScaling:
         rows = out.read_text().splitlines()[2:]
         observed = np.array([float(r.split(",")[2]) for r in rows])
         assert observed.max() == pytest.approx(1.0)
+
+    def test_paper_scaling_divides_by_dataset_maxima(self, golden_paths, tmp_path):
+        # Two files, so each channel's reference is the larger of two maxima.
+        second = tmp_path / "second.csv"
+        ep = load_episode(golden_paths["episode"], 1 / 12)
+        write_episode(Episode("second", ep.tau, 0.5 * ep.u[::-1], 2.0 * ep.y_obs), second)
+        paths = [golden_paths["episode"], str(second)]
+        raw = [load_episode(p, 1 / 12) for p in paths]
+        brac_ref = max(e.u.max() for e in raw)
+        tac_ref = max(e.y_obs.max() for e in raw)
+        cfg = parse_config("tau = 0.08333333333333333\nscaling = paper\n")
+        scaled = _load_scaled_episodes(paths, cfg)
+        for e, s in zip(raw, scaled):
+            np.testing.assert_array_equal(s.u, e.u / brac_ref)
+            np.testing.assert_array_equal(s.y_obs, e.y_obs / tac_ref)
+        assert [s.id for s in scaled] == ["episode", "second"]
 
 
 class TestQuadratureOrders:

@@ -71,14 +71,6 @@ class TestLoadEpisode:
         np.testing.assert_array_equal(ep.u, ep2.u)
         np.testing.assert_array_equal(ep.y_obs, ep2.y_obs)
 
-    def test_scaling_divides_channels(self, tmp_path):
-        f = tmp_path / "scaled.csv"
-        write_raw(f, ["0.0,brac,0.08", "1.0,brac,0.08",
-                      "0.0,tac,40.0", "1.0,tac,20.0"])
-        ep = load_episode(f, tau=0.5, brac_scale=0.08, tac_scale=40.0)
-        np.testing.assert_allclose(ep.u, [1.0, 1.0])
-        np.testing.assert_allclose(ep.y_obs, [1.0, 0.75, 0.5])
-
     def test_unknown_schema_rejected(self, tmp_path):
         f = tmp_path / "bad.csv"
         f.write_text("# popdiff-episode v9\nt_hours,channel,value\n")
@@ -250,9 +242,24 @@ class TestConfig:
             parse_config("scaling = loud")
 
     def test_fit_options_plumbing(self):
-        cfg = parse_config("max_iter = 17\ngtol = 1e-4")
-        opts = cfg.fit_options
-        assert opts.max_iter == 17 and opts.gtol == 1e-4
+        assert parse_config("max_iter = 17").fit_options.max_iter == 17
+
+    @pytest.mark.parametrize("key, value", [("gtol", "1e-4"), ("xtol", "1e-9"),
+                                            ("gap_min", "0.001"), ("init_mode", "moment")])
+    def test_removed_fit_tolerance_keys_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config(f"{key} = {value}")
+
+    @pytest.mark.parametrize("levels", ["2.5, 3, 4", "8, 2, 32", "0, 2, 4", "2, 2, 4"])
+    def test_bad_nu_levels_name_the_key(self, levels):
+        with pytest.raises(ConfigError, match="nu_levels"):
+            parse_config(f"nu_levels = {levels}")
+
+    @pytest.mark.parametrize("box", ["2, 0.1, 0.1, 2", "0, 2, 0.1, 2", "0.1, 2, 0.5, 0.5",
+                                     "0.1, 2, -0.1, 2"])
+    def test_bad_default_box_names_the_key(self, box):
+        with pytest.raises(ConfigError, match="default_box"):
+            parse_config(f"default_box = {box}")
 
 
 class TestRhoJson:

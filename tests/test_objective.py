@@ -370,8 +370,8 @@ class TestGradientFd:
         big = episode("big", 400, 1.7e308)
         with pytest.raises(SimulationDivergenceError, match="^episode big: "):
             fn(rho_smooth, spec_small, [big])
-        # The second of three diverges.  So does the third, which runs in
-        # one stack with the first: the error still names the second.
+        # The second of three diverges.  So does the third, but the episodes
+        # run in list order: the error names the second.
         trio = [episode("ok", 20, 1.0), big, episode("late", 20, 1.7e308)]
         with pytest.raises(SimulationDivergenceError, match="^episode big: "):
             fn(rho_smooth, spec_small, trio)

@@ -50,8 +50,8 @@ def synthetic_population_episodes(rho0, spec, n_episodes, steps, noise, seed):
 
 class TestWorkingTransform:
     def test_round_trip(self, rho_smooth):
-        z = rho_to_working(rho_smooth, gap_min=1e-3)
-        back = working_to_rho(z, gap_min=1e-3)
+        z = rho_to_working(rho_smooth)
+        back = working_to_rho(z)
         np.testing.assert_allclose(back.as_array(), rho_smooth.as_array(), rtol=1e-12)
 
     def test_any_working_point_is_feasible(self):
@@ -60,7 +60,7 @@ class TestWorkingTransform:
             z = rng.uniform(-3, 1, 9)
             z[0] = abs(z[0]) + 0.01
             z[2] = abs(z[2])
-            rho = working_to_rho(z, gap_min=1e-3)
+            rho = working_to_rho(z)
             assert rho.b1 > rho.a1 and rho.b2 > rho.a2
             assert rho.l11 > 0 and rho.l22 > 0
 
@@ -69,8 +69,7 @@ class TestWorkingTransform:
             RhoParams(0.25, 1.3, 0.35, 1.9, 0.75, 1.05, 0.16, 0.03, 0.22),
             spec_small, 2, 30, 0.02, seed=1,
         )
-        gap = 1e-3
-        z = rho_to_working(rho_smooth, gap)
+        z = rho_to_working(rho_smooth)
         report = gradient_adjoint(rho_smooth, spec_small, episodes)
         g_z = chain_gradient(report.grad, z)
         for k in range(9):
@@ -79,8 +78,8 @@ class TestWorkingTransform:
             up[k] += h
             dn[k] -= h
             fd = (
-                cost(working_to_rho(up, gap), spec_small, episodes)
-                - cost(working_to_rho(dn, gap), spec_small, episodes)
+                cost(working_to_rho(up), spec_small, episodes)
+                - cost(working_to_rho(dn), spec_small, episodes)
             ) / (2 * h)
             assert g_z[k] == pytest.approx(fd, rel=2e-5, abs=1e-9)
 
@@ -200,10 +199,9 @@ class TestPull:
 
     def test_penalty_is_reported_apart_from_least_squares(self, spec_small):
         episodes, init = self.setup(spec_small)
-        opt = FitOptions(max_iter=25)
-        result = fit(episodes, spec_small, init, opt)
-        z = rho_to_working(result.rho_hat, opt.gap_min)
-        z0 = rho_to_working(init, opt.gap_min)
+        result = fit(episodes, spec_small, init, FitOptions(max_iter=25))
+        z = rho_to_working(result.rho_hat)
+        z0 = rho_to_working(init)
         least_squares = cost(result.rho_hat, spec_small, episodes)
         # The least squares fall at every accepted step here, so the
         # weight is the noise estimate at rho_hat.
@@ -281,7 +279,7 @@ class TestMinimizeStatus:
 
     def test_short_step_against_a_veto_is_stalled(self):
         # The damping grows against the veto while x0 creeps toward 0,
-        # until an accepted step falls below xtol with |g| still above 2.
+        # until an accepted step falls below XTOL with |g| still above 2.
         result = minimize_lm(self.veto_left_half, np.array([0.7, 1.0]), lambda x: x)
         assert result.status == "stalled-step"
         assert result.trace[-1][2] > 1.0
@@ -533,7 +531,7 @@ class TestInitialize:
 
         episodes = self.episodes_from_points([(0.7, 1.1)] * 2, spec_small)
 
-        def boom(episode, spec, init=None, options=None, grid_responses=None):
+        def boom(episode, spec, init=None, grid_responses=None):
             raise PopdiffError("forced failure")
 
         monkeypatch.setattr(optimizer_mod, "fit_deterministic", boom)
