@@ -251,6 +251,11 @@ class RunConfig:
             raise ConfigError(
                 f"synth_mode must be population|episode, got {self.synth_mode!r}"
             )
+        for key in ("brac_ref", "tac_ref"):
+            ref = getattr(self, key)
+            if not (math.isfinite(ref) and ref >= 0):
+                raise ConfigError(f"{key} must be finite and >= 0 (0 = dataset maximum), "
+                                  f"got {ref}")
         if len(self.default_box) != 4:
             raise ConfigError("default_box needs 4 entries (a1, b1, a2, b2)")
         try:

@@ -15,7 +15,10 @@ input sequence; a caller with several episodes forms ``response`` once
 and passes it to each call.
 The single-q model gives each draw one block:
 ``simulate_deterministic_batch`` serves a block of draws with one hold
-and one doubling, and ``simulate_deterministic`` is its one-draw case.
+and one doubling, and ``simulate_deterministic`` is its one-draw case; a
+caller whose draws each have their own input forms their responses in
+one stack (``unit_responses``) and passes each row to
+``simulate_deterministic``.
 A Monte Carlo mean over draws converges to the population output.
 """
 
@@ -131,9 +134,32 @@ def simulate(sys: SampledSystem, u: np.ndarray, h: np.ndarray | None = None):
     return y
 
 
-def simulate_deterministic(q, n: int, tau: float, u: np.ndarray) -> np.ndarray:
-    """Output of the single-q model for one input sequence."""
-    return simulate_deterministic_batch(np.array([_as_point(q)]), n, tau, u)[0]
+def unit_responses(q1: np.ndarray, n: int, tau: float, count: int) -> np.ndarray:
+    """(len(q1), count) impulse responses at q2 = 1 of the point masses at
+    the diffusivities ``q1``: one stacked hold, one doubling.  Each block
+    is held on its own and the responses do not depend on ``count``, so a
+    row is the same bits in any stack and at any longer count."""
+    ahat, bhat = point_mass_hold(q1, n, tau)
+    return impulse_response(ahat, bhat, count)[..., 0]
+
+
+def simulate_deterministic(q, n: int, tau: float, u: np.ndarray,
+                           g: np.ndarray | None = None) -> np.ndarray:
+    """Output of the single-q model for one input sequence: q2 times the
+    unit response ``g`` (at least len(u) long) convolved with ``u``.
+
+    When ``g`` is None this is the one-draw case of
+    ``simulate_deterministic_batch``.  A caller with several draws, each
+    with its own input, forms their ``unit_responses`` in one stack and
+    passes each row to a call, as a caller of ``simulate`` passes ``h``.
+    A non-finite output raises SimulationDivergenceError.
+    """
+    if g is None:
+        return simulate_deterministic_batch(np.array([_as_point(q)]), n, tau, u)[0]
+    y = _as_point(q)[1] * convolve(g[:len(u)], u)[0]
+    if not np.all(np.isfinite(y)):
+        raise SimulationDivergenceError("output is not finite")
+    return y
 
 
 def simulate_deterministic_batch(
@@ -156,8 +182,11 @@ def simulate_deterministic_batch(
     y = np.empty((qs.shape[0], u.shape[0] + 1))
     for start in range(0, qs.shape[0], BATCH_DRAWS):
         q1, q2 = qs[start:start + BATCH_DRAWS].T
+        # ahat and bhat live through the convolutions: freeing them first, by
+        # calling unit_responses here, measured 12% slower at n = 16 (1000
+        # draws of 60 steps; 2-CPU Xeon, OpenBLAS 0.3.31).  No name holds
+        # the responses, so they are freed before the next block's.
         ahat, bhat = point_mass_hold(q1, n, tau)
-        # No name holds the responses, so they are freed before the next block's.
         out = y[start:start + BATCH_DRAWS] = q2[:, None] * convolve(
             impulse_response(ahat, bhat, u.shape[0])[..., 0], u)
         if not np.all(np.isfinite(out)):

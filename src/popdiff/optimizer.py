@@ -46,7 +46,11 @@ Termination status:
 The per-episode single-q fits behind ``initialize`` do not use this
 search: their output is linear in the gain, so ``fit_deterministic``
 solves for the gain in closed form and searches q1 alone (variable
-projection, Golub & Pereyra 1973).
+projection, Golub & Pereyra 1973), by Brent's method (Brent 1973).  The
+episodes' searches are independent, so ``initialize`` runs them in
+lockstep: each round holds the trial q1 of every pending search in one
+stack, and each search takes the steps, and ends at the bits, that it
+would alone.
 """
 
 from __future__ import annotations
@@ -58,10 +62,9 @@ import numpy as np
 
 from .density import L_FLOOR, QPoint, RhoParams, _as_point
 from .errors import DegenerateDensityError, PopdiffError, SimulationDivergenceError
-from .forward import Episode, convolve, impulse_response, simulate_deterministic
+from .forward import Episode, convolve, simulate_deterministic, unit_responses
 from .grid import Q1_FLOOR, GridSpec
 from .objective import evaluate as evaluate_objective
-from .sampled import point_mass_hold
 
 # Levenberg-Marquardt damping: its start, the factor by which an accepted
 # trial divides it and a rejected one multiplies it, and the value past
@@ -299,14 +302,18 @@ def _project_gain(g: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return q2, np.einsum("kt,kt->k", r, r)
 
 
-def _brent(f, a: float, b: float, x: float, fx: float, tol: float):
-    """Minimize f on (a, b) from an interior x with f(x) = fx (Brent 1973).
+def _brent(a: float, b: float, x: float, tol: float):
+    """Minimize a function on (a, b) from an interior x (Brent 1973).
 
-    Parabolic steps through the three best points, golden-section steps
-    when those fail, no step shorter than ``tol``; stops once the bracket
-    around the best point is within about ``2 tol`` of it.  Returns the
-    best point evaluated and its value.
+    A generator: it yields each trial point, x first, and is sent the
+    function's value there, so its caller decides how and when values are
+    computed.  Parabolic steps through the three best points,
+    golden-section steps when those fail, no step shorter than ``tol``;
+    stops once the bracket around the best point is within about ``2 tol``
+    of it, and returns (as ``StopIteration.value``) the best point
+    evaluated and its value.
     """
+    fx = yield x
     w = v = x
     fw = fv = fx
     d = e = 0.0
@@ -332,7 +339,7 @@ def _brent(f, a: float, b: float, x: float, fx: float, tol: float):
             e = (a if x >= m else b) - x
             d = _GOLDEN * e
         u = x + (d if abs(d) >= tol else (tol if d > 0 else -tol))
-        fu = f(u)
+        fu = yield u
         if fu <= fx:
             if u < x:
                 b = x
@@ -351,49 +358,25 @@ def _brent(f, a: float, b: float, x: float, fx: float, tol: float):
     return x, fx
 
 
-def q1_grid_responses(spec: GridSpec, count: int) -> np.ndarray:
-    """(len(Q1_GRID), count) impulse responses at q2 = 1 of the point
-    masses at the ``Q1_GRID`` diffusivities: one hold, one doubling."""
-    ahat, bhat = point_mass_hold(Q1_GRID, spec.n, spec.tau)
-    return impulse_response(ahat, bhat, count)[..., 0]
+def _q1_search(episode: Episode, spec: GridSpec, grid: np.ndarray, init: QPoint | tuple):
+    """The search of ``fit_deterministic`` for one episode, as a generator.
 
-
-def fit_deterministic(
-    episode: Episode,
-    spec: GridSpec,
-    init: QPoint | tuple = QPoint(1.0, 1.0),
-    grid_responses: np.ndarray | None = None,
-) -> tuple[QPoint, float]:
-    """Least-squares fit of a single (q1, q2 >= 0) to one episode.
-
-    The output is linear in the gain, y = q2 g(q1) with g the output at
-    q2 = 1, so for each q1 the best gain has the closed form
-    q2* = max(<g, y> / <g, g>, 0) and the fit is a 1-D search of the
-    profile cost ||q2* g(q1) - y||^2 (variable projection).  The profile
-    is evaluated on ``Q1_GRID`` by convolving the input with
-    ``grid_responses``, the first ``episode.steps`` columns of
-    ``q1_grid_responses`` (formed here when None); a bounded Brent search
-    in log q1 then refines the best grid point inside the bracket of its
-    two neighbours, to the relative q1 tolerance ``_Q1_RTOL``.
-
-    When the best grid point is an end of ``Q1_GRID`` the minimum is not
-    bracketed and PopdiffError is raised (``initialize`` then falls back
-    to its default box).  When the best response is identically zero
-    (zero input, or data with no positive correlation to any grid
-    response) q1 is not determined: ``init`` is returned, with q2 = 0 in
-    the second case, and the cost is ||y||^2.
+    ``grid`` holds the ``unit_responses`` at ``Q1_GRID``, at least
+    ``episode.steps`` long.  The generator yields each trial log q1 and is
+    sent that trial's unit response, at least ``episode.steps`` long, for
+    ``simulate_deterministic``; it returns (as ``StopIteration.value``)
+    the fitted point and its cost, or raises PopdiffError.
     """
     q1_init, q2_init = _as_point(init)
     y = episode.y_obs
-    if grid_responses is None:
-        grid_responses = q1_grid_responses(spec, episode.steps)
-    g_grid = convolve(grid_responses, episode.u)
+    g_grid = convolve(grid[:, :episode.steps], episode.u)
     if not np.all(np.isfinite(g_grid)):
         raise SimulationDivergenceError("output is not finite")
     q2_grid, c_grid = _project_gain(g_grid, y)
     if not q2_grid.any():
         q2 = q2_init if not g_grid.any() else 0.0
         return QPoint(q1_init, q2), float(y @ y)
+    del g_grid  # every pending search would hold its (25, steps + 1) profile
     i = int(np.argmin(c_grid))
     if i in (0, len(Q1_GRID) - 1):
         raise PopdiffError(
@@ -402,17 +385,88 @@ def fit_deterministic(
         )
 
     gains = {}
-
-    def profile(s):
-        g = simulate_deterministic((np.exp(s), 1.0), spec.n, spec.tau, episode.u)
+    brent = _brent(float(np.log(Q1_GRID[i - 1])), float(np.log(Q1_GRID[i + 1])),
+                   float(np.log(Q1_GRID[i])), _Q1_RTOL)
+    s = next(brent)
+    while True:
+        h = yield s
+        g = simulate_deterministic((np.exp(s), 1.0), spec.n, spec.tau, episode.u, h)
         q2, c = _project_gain(g[None], y)
         gains[s] = float(q2[0])
-        return float(c[0])
+        try:
+            s = brent.send(float(c[0]))
+        except StopIteration as stop:
+            s, c = stop.value
+            return QPoint(float(np.exp(s)), gains[s]), c
 
-    s0 = float(np.log(Q1_GRID[i]))
-    s, c = _brent(profile, float(np.log(Q1_GRID[i - 1])), float(np.log(Q1_GRID[i + 1])),
-                  s0, profile(s0), _Q1_RTOL)
-    return QPoint(float(np.exp(s)), gains[s]), c
+
+def _fit_lockstep(episodes: list[Episode], spec: GridSpec, init: QPoint | tuple) -> list:
+    """Run the ``_q1_search`` of every episode in lockstep rounds.
+
+    One ``unit_responses`` at ``Q1_GRID`` serves every episode's grid
+    profile; then each round makes one ``unit_responses`` of the pending
+    searches' trial q1 values (one per search), at the longest pending
+    episode's length, and each search passes its row to
+    ``simulate_deterministic`` with its own input.  A row of a stack is
+    the bits that row would be alone, so each search takes the steps it
+    would take alone.  Returns, in list order, each episode's (QPoint,
+    cost) or the PopdiffError its search raised.
+    """
+    grid = unit_responses(Q1_GRID, spec.n, spec.tau, max(ep.steps for ep in episodes))
+    searches = [_q1_search(ep, spec, grid, init) for ep in episodes]
+    results: list = [None] * len(episodes)
+
+    def advance(sends: dict) -> dict:
+        """Send each search its response (None to start it); return the
+        next trial log q1 of each search that goes on."""
+        trials = {}
+        for k, h in sends.items():
+            try:
+                trials[k] = searches[k].send(h)
+            except StopIteration as stop:
+                results[k] = stop.value
+            except PopdiffError as exc:
+                results[k] = exc
+        return trials
+
+    trials = advance(dict.fromkeys(range(len(episodes))))
+    while trials:
+        h = unit_responses(np.exp(list(trials.values())), spec.n, spec.tau,
+                           max(episodes[k].steps for k in trials))
+        trials = advance(dict(zip(trials, h)))
+    return results
+
+
+def fit_deterministic(
+    episode: Episode,
+    spec: GridSpec,
+    init: QPoint | tuple = QPoint(1.0, 1.0),
+) -> tuple[QPoint, float]:
+    """Least-squares fit of a single (q1, q2 >= 0) to one episode.
+
+    The output is linear in the gain, y = q2 g(q1) with g the output at
+    q2 = 1, so for each q1 the best gain has the closed form
+    q2* = max(<g, y> / <g, g>, 0) and the fit is a 1-D search of the
+    profile cost ||q2* g(q1) - y||^2 (variable projection).  The profile
+    is evaluated on ``Q1_GRID`` by convolving the input with the
+    ``unit_responses`` there; a bounded Brent search in log q1 then
+    refines the best grid point inside the bracket of its two neighbours,
+    to the relative q1 tolerance ``_Q1_RTOL``, with one single-q output
+    (``simulate_deterministic``) per trial point.  This is the one-episode
+    case of the lockstep search that ``initialize`` runs over all its
+    episodes.
+
+    When the best grid point is an end of ``Q1_GRID`` the minimum is not
+    bracketed and PopdiffError is raised (``initialize`` then falls back
+    to its default box).  When the best response is identically zero
+    (zero input, or data with no positive correlation to any grid
+    response) q1 is not determined: ``init`` is returned, with q2 = 0 in
+    the second case, and the cost is ||y||^2.
+    """
+    (result,) = _fit_lockstep([episode], spec, init)
+    if isinstance(result, PopdiffError):
+        raise result
+    return result
 
 
 DEFAULT_BOX = (0.1, 2.0, 0.1, 2.0)
@@ -425,32 +479,32 @@ def initialize(
 ) -> RhoParams:
     """Moment-based starting point from per-episode deterministic fits.
 
-    Each episode is fit on its own by ``fit_deterministic`` (closed-form
-    gain, 1-D search in q1), all from one ``q1_grid_responses`` at the
-    longest episode's length; the means of the fitted pairs seed the
-    location, the fitted spread (plus a margin of 10% or ``GAP_MIN``)
-    seeds the box, and the spreads start independent with standard
-    deviation one sixth of the box edge.  If any per-episode fit fails
-    (raises PopdiffError, for instance because its q1 minimum lies beyond
-    the q1 grid, or is not finite), the configured default box is used
-    instead and a warning is issued.
+    Each episode is fit on its own as ``fit_deterministic`` fits it
+    (closed-form gain, 1-D search in q1), to the same bits, but the
+    searches run in lockstep: one ``unit_responses`` at ``Q1_GRID`` at the
+    longest episode's length, then one stacked single-q solve per round
+    for the trial points of all pending searches.  The means of the fitted
+    pairs seed the location, the fitted spread (plus a margin of 10% or
+    ``GAP_MIN``) seeds the box, and the spreads start independent with
+    standard deviation one sixth of the box edge.  If any per-episode fit
+    fails (raises PopdiffError, for instance because its q1 minimum lies
+    beyond the q1 grid, or is not finite), the configured default box is
+    used instead and a warning names the first failed episode in list
+    order.
     """
     if len(episodes) < 2:
         raise ValueError("moment initialization needs at least 2 episodes")
     fitted = []
     failed = None
-    # The responses do not depend on their count, so each episode's prefix
-    # is the profile fit_deterministic would form for it alone, bit for bit.
-    grid = q1_grid_responses(spec, max(ep.steps for ep in episodes))
-    for ep in episodes:
-        try:
-            q_hat, c = fit_deterministic(ep, spec, grid_responses=grid[:, :ep.steps])
-            if not (np.isfinite(q_hat.q1) and np.isfinite(q_hat.q2) and np.isfinite(c)):
-                raise PopdiffError(f"non-finite deterministic fit for {ep.id}")
-            fitted.append([q_hat.q1, q_hat.q2])
-        except PopdiffError as exc:
-            failed = (ep.id, exc)
-            break
+    for ep, result in zip(episodes, _fit_lockstep(episodes, spec, QPoint(1.0, 1.0))):
+        if not isinstance(result, PopdiffError):
+            q_hat, c = result
+            if np.isfinite([q_hat.q1, q_hat.q2, c]).all():
+                fitted.append([q_hat.q1, q_hat.q2])
+                continue
+            result = PopdiffError(f"non-finite deterministic fit for {ep.id}")
+        failed = (ep.id, result)
+        break
 
     if failed is not None:
         warnings.warn(

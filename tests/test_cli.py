@@ -184,7 +184,8 @@ class TestExitCodes:
                                       "norm_quad_order = 24", "gtol = 1e-06",
                                       "xtol = 1e-09", "gap_min = 0.001",
                                       "init_mode = moment", "default_box = 2, 0.1, 0.1, 2",
-                                      "default_box = 0, 2, 0.1, 2"])
+                                      "default_box = 0, 2, 0.1, 2", "brac_ref = -1",
+                                      "tac_ref = -1", "tac_ref = nan"])
     def test_rejected_config_is_usage_error(self, golden_paths, tmp_path, capsys, line):
         bad = tmp_path / "bad.txt"
         bad.write_text(line + "\n")

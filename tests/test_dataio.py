@@ -255,6 +255,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="nu_levels"):
             parse_config(f"nu_levels = {levels}")
 
+    @pytest.mark.parametrize("key", ["brac_ref", "tac_ref"])
+    @pytest.mark.parametrize("value", ["-1", "-0.5", "inf", "nan"])
+    def test_bad_reference_level_names_the_key(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(f"{key} = {value}")
+
     @pytest.mark.parametrize("box", ["2, 0.1, 0.1, 2", "0, 2, 0.1, 2", "0.1, 2, 0.5, 0.5",
                                      "0.1, 2, -0.1, 2"])
     def test_bad_default_box_names_the_key(self, box):

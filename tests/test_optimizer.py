@@ -9,6 +9,7 @@ from scipy.optimize import linprog
 
 from conftest import pulse_input, truncated_moments
 
+import popdiff.forward as forward_mod
 import popdiff.objective as objective_mod
 import popdiff.optimizer as optimizer_mod
 from popdiff.dataio import PulseSpec, generate_synthetic
@@ -356,6 +357,20 @@ class TestMinimizeStatus:
         assert all(b < a for a, b in zip(costs, costs[1:]))
 
 
+@pytest.fixture
+def hold_rows(monkeypatch):
+    """The row count of each single-q point_mass_hold."""
+    real = forward_mod.point_mass_hold
+    rows = []
+
+    def counted(nodes, n, tau):
+        rows.append(len(nodes))
+        return real(nodes, n, tau)
+
+    monkeypatch.setattr(forward_mod, "point_mass_hold", counted)
+    return rows
+
+
 class TestFitDeterministic:
     def test_recovers_parameters_from_clean_data(self, spec_small):
         q_star = (0.65, 1.2)
@@ -448,27 +463,21 @@ class TestFitDeterministic:
         with pytest.warns(UserWarning, match="falling back"):
             initialize([ep, ep], spec_small)
 
-    def test_solve_count_does_not_follow_last_bits(self, spec_small, monkeypatch):
+    def test_solve_count_does_not_follow_last_bits(self, spec_small, hold_rows):
         # The Brent search stops at 1e-6 relative in q1, above the level
         # where the profile costs differ by rounding only.  On these data a
         # search to sqrt(eps) took 11 solves, and 17 after a 1e-14 change.
+        # A solve is one trial point: a row of the holds beyond the grid's.
         ep = self.noisy_episode(spec_small, seed=5)
         rng = np.random.default_rng(105)
         nudged = Episode("nudged", ep.tau, ep.u,
                          ep.y_obs * (1 + 1e-14 * rng.standard_normal(ep.y_obs.shape)))
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return simulate_deterministic(*args)
-
-        monkeypatch.setattr(optimizer_mod, "simulate_deterministic", counted)
         counts = []
         for episode in (ep, nudged):
-            calls.clear()
+            hold_rows.clear()
             fit_deterministic(episode, spec_small)
-            counts.append(len(calls))
-        assert counts[0] == counts[1]
+            counts.append(sum(hold_rows) - len(Q1_GRID))
+        assert counts[0] == counts[1] > 0
 
     def test_repeat_calls_are_bit_identical(self, spec_small):
         ep = self.noisy_episode(spec_small)
@@ -504,41 +513,96 @@ class TestInitialize:
         assert rho.mu1 == pytest.approx(0.71, abs=0.05)
         assert rho.l21 == 0.0
 
-    def test_shared_grid_responses_change_no_bit(self, spec_small, monkeypatch):
+    def ragged_episodes(self, spec):
+        return [self.episodes_from_points([q], spec, steps)[0]
+                for q, steps in (((0.5, 0.9), 24), ((0.9, 1.3), 41), ((0.7, 1.1), 36))]
+
+    @staticmethod
+    def record_lockstep(monkeypatch):
+        """The per-episode results of the lockstep searches that follow."""
+        real = optimizer_mod._fit_lockstep
+        results = []
+
+        def recorded(*args):
+            results.extend(real(*args))
+            return results
+
+        monkeypatch.setattr(optimizer_mod, "_fit_lockstep", recorded)
+        return results
+
+    def test_shared_grid_responses_change_no_bit(self, spec_small, monkeypatch, hold_rows):
         # initialize forms the Q1_GRID responses once, at the longest
         # episode's length; each episode's prefix fits it bit for bit as
         # responses formed for it alone do.
-        episodes = [self.episodes_from_points([q], spec_small, steps)[0]
-                    for q, steps in (((0.5, 0.9), 24), ((0.9, 1.3), 41), ((0.7, 1.1), 36))]
-        real = optimizer_mod.fit_deterministic
-        shared = []
-
-        def recorded(*args, **kwargs):
-            shared.append(real(*args, **kwargs))
-            return shared[-1]
-
-        monkeypatch.setattr(optimizer_mod, "fit_deterministic", recorded)
+        episodes = self.ragged_episodes(spec_small)
+        alone = [fit_deterministic(ep, spec_small) for ep in episodes]
+        hold_rows.clear()
+        shared = self.record_lockstep(monkeypatch)
         initialize(episodes, spec_small)
-        assert shared == [real(ep, spec_small) for ep in episodes]
+        assert hold_rows[0] == len(Q1_GRID)
+        assert max(hold_rows[1:]) <= len(episodes)
+        assert shared == alone
+
+    def test_lockstep_equals_separate_fits(self, spec_small, monkeypatch, hold_rows):
+        # Each round of initialize holds one trial point of every pending
+        # search in one stack; a row of the stack is the bits it would be
+        # alone, so every search takes its own steps and ends at its own
+        # point.  The zero-data episode returns before any trial.
+        u = pulse_input(30, spec_small.tau)
+        episodes = [*self.ragged_episodes(spec_small),
+                    Episode("flat", spec_small.tau, u, np.zeros(31))]
+        alone, trials = [], []
+        for ep in episodes:
+            hold_rows.clear()
+            alone.append(fit_deterministic(ep, spec_small))
+            trials.append(len(hold_rows) - 1)
+        assert hold_rows == [len(Q1_GRID)] and trials[-1] == 0
+        assert min(trials[:-1]) > 0
+        hold_rows.clear()
+        lockstep = self.record_lockstep(monkeypatch)
+        initialize(episodes, spec_small)
+        assert lockstep == alone
+        assert lockstep[-1] == (QPoint(1.0, 0.0), 0.0)
+        assert len(hold_rows) == 1 + max(trials) < 1 + sum(trials)
+        assert sum(hold_rows) == len(Q1_GRID) + sum(trials)
 
     def test_needs_two_episodes(self, spec_small):
         episodes = self.episodes_from_points([(0.7, 1.1)], spec_small)
         with pytest.raises(ValueError):
             initialize(episodes, spec_small)
 
-    def test_fallback_on_fit_failure(self, spec_small, monkeypatch):
-        from popdiff.errors import PopdiffError
-
-        episodes = self.episodes_from_points([(0.7, 1.1)] * 2, spec_small)
-
-        def boom(episode, spec, init=None, grid_responses=None):
-            raise PopdiffError("forced failure")
-
-        monkeypatch.setattr(optimizer_mod, "fit_deterministic", boom)
-        with pytest.warns(UserWarning, match="falling back"):
+    def test_fallback_on_fit_failure(self, spec_small):
+        # The second episode's profile minimum lies beyond the q1 grid.
+        episodes = self.episodes_from_points([(0.7, 1.1), (Q1_GRID[-1] * 10, 1.2)],
+                                             spec_small)
+        with pytest.warns(UserWarning, match="falling back") as caught:
             rho = initialize(episodes, spec_small, default_box=(0.1, 2.0, 0.1, 2.0))
+        assert "episode pt-1 " in str(caught[0].message)
         assert (rho.a1, rho.b1, rho.a2, rho.b2) == (0.1, 2.0, 0.1, 2.0)
         assert rho.mu1 == pytest.approx(1.05)
+
+    def test_fallback_names_the_first_failure_in_list_order(self, spec_small, monkeypatch):
+        # pt-2's minimum lies beyond the q1 grid, so its search fails on the
+        # grid, before any trial; pt-1's is made to diverge later, at its
+        # first trial point.  The warning names pt-1, the first in list order.
+        episodes = self.episodes_from_points(
+            [(0.7, 1.1), (0.9, 1.3), (Q1_GRID[-1] * 10, 1.2)], spec_small)
+        late = episodes[1]
+        real = optimizer_mod.simulate_deterministic
+        late_trials = []
+
+        def diverging(q, n, tau, u, g=None):
+            if u is late.u:
+                late_trials.append(q)
+                g = np.full_like(g, np.nan)
+            return real(q, n, tau, u, g)
+
+        monkeypatch.setattr(optimizer_mod, "simulate_deterministic", diverging)
+        with pytest.warns(UserWarning, match="falling back") as caught:
+            initialize(episodes, spec_small)
+        assert len(late_trials) == 1
+        message = str(caught[0].message)
+        assert "episode pt-1 (output is not finite)" in message, message
 
 
 # Runs in a fresh interpreter: this module itself imports scipy.optimize.

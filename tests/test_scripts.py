@@ -1,5 +1,7 @@
 """Smoke tests of the repository scripts, run as a user runs them."""
 
+import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -48,3 +50,62 @@ class TestDigests:
         assert run.returncode == 1
         differs = [l for l in run.stderr.splitlines() if l.startswith("DIFFERS")]
         assert differs == [f"DIFFERS {name} {what}: expected {'0' * 16}, got {rest}"]
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def canned_run(seed, side, fit_s, init_s):
+    """Standard output of one perfbench/run.py --trace 0 run, abridged."""
+    metrics = {"fit_s": {"value": fit_s, "unit": "s"},
+               "init_s": {"value": init_s, "unit": "s"}}
+    return "\n".join([
+        f"# fit-n8m4 seed {seed}: 3 rounds, python 3.11.7, commit {side}",
+        "# init: median 0.01",
+        f"fit_s {fit_s} s",
+        f"init_s {init_s} s",
+        json.dumps({"correct": True, "attempted": 9, "failed": 0, "metrics": metrics}),
+    ]) + "\n"
+
+
+class TestBenchPair:
+    """The aggregation of scripts/bench_pair.py on canned result lines."""
+
+    bench = load_script("bench_pair")
+
+    def test_parse_output_takes_the_environment_and_the_last_line(self):
+        env, result = self.bench.parse_output(canned_run(3, "abc", 0.05, 0.02))
+        assert env == "fit-n8m4 seed 3: 3 rounds, python 3.11.7, commit abc"
+        assert result["metrics"]["init_s"] == {"value": 0.02, "unit": "s"}
+        assert (result["correct"], result["attempted"], result["failed"]) == (True, 9, 0)
+
+    def test_order_alternates_by_seed(self):
+        assert self.bench.order(4) == ("parent", "change")
+        assert self.bench.order(5) == ("change", "parent")
+
+    def test_medians_quartiles_and_pairs(self):
+        parent_init = [0.024, 0.026, 0.025, 0.030, 0.022]
+        change_init = [0.010, 0.011, 0.027, 0.009, 0.012]
+        runs = [{"seed": seed, "first": self.bench.order(seed)[0],
+                 "parent": self.bench.parse_output(canned_run(seed, "p", 0.05, p)),
+                 "change": self.bench.parse_output(canned_run(seed, "c", 0.05, c))}
+                for seed, p, c in zip(range(1, 6), parent_init, change_init)]
+        out = self.bench.aggregate("fit-n8m4", runs)
+        init = out["metrics"]["init_s"]
+        assert init["parent"] == {"median": 0.025, "q1": 0.024, "q3": 0.026}
+        assert init["change"] == {"median": 0.011, "q1": 0.010, "q3": 0.012}
+        # Pair 3 reads higher on the change; equal fit_s counts for neither.
+        assert init["change_lower"] == "change lower in 4 of 5 pairs"
+        assert out["metrics"]["fit_s"]["change_lower"] == "change lower in 0 of 5 pairs"
+        assert init["unit"] == "s"
+        assert out["environment"] == {
+            "parent": "fit-n8m4 seed 1: 3 rounds, python 3.11.7, commit p",
+            "change": "fit-n8m4 seed 1: 3 rounds, python 3.11.7, commit c"}
+        assert [r["first"] for r in out["runs"]] == ["change", "parent"] * 2 + ["change"]
+        assert out["runs"][2]["change"] == {"correct": True, "attempted": 9, "failed": 0,
+                                            "metrics": {"fit_s": 0.05, "init_s": 0.027}}
+        json.dumps(out)  # the BENCH file is plain JSON
