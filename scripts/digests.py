@@ -12,6 +12,9 @@ hex digits of ``workloads.digest`` over:
 * the cost at ``START`` and at ``RHO`` (total and per episode), so a
   change that must leave the forward pass alone shows that it did;
 * ``gradient_adjoint`` (cost and gradient) at ``START`` and at ``RHO``;
+* the cell moments' nine parameter derivatives at ``START``
+  (``assemble(..., with_grad=True).dmoments``), the layer every
+  derivative above starts from;
 * ``build_sensitivities`` at ``START`` (the tangent hold ``tangent_A``
   and ``tangent_b``, ``dnodes`` and ``dweights``), so a change in the
   sensitivity layer is named directly;
@@ -85,6 +88,7 @@ def report(w) -> list[tuple[str, str, list]]:
         line(f"cost@{label}", adj.cost, [c for _, c in adj.per_episode])
         line(f"gradient_adjoint@{label}", adj.cost, adj.grad)
     ops = popdiff.assemble(spec, workloads.START, with_grad=True)
+    line("dmoments@START", ops.dmoments)
     sens = popdiff.build_sensitivities(ops, popdiff.build_sampled(ops, spec.tau))
     line("build_sensitivities@START",
          sens.tangent_A, sens.tangent_b, sens.dnodes, sens.dweights)
