@@ -15,14 +15,20 @@ quadrature.  The moments fix every block, so they are all that
 ``assemble`` returns; ``sampled.build_sampled`` turns them into the
 sampled system without forming the blocks.
 
-Parameter derivatives of the moments: mean/Cholesky components
-differentiate the integrand; support components additionally move the
-integration limits.  Mapping each cell affinely onto a fixed reference
-interval puts all support dependence into smooth node/weight/integrand
-factors, so the moments are classically differentiable in every
-component and the derivative of int_c g(q) f(q) dq with respect to a
-bound collects three terms: weight motion, node motion, and the explicit
-normalization derivative of f.
+Parameter derivatives of the moments.  Each cell axis is the affine
+image q = lo + (hi - lo) s of a fixed reference interval, so a moment is
+the quadrature sum  sum W1 W2 G f  (G one of 1, q1, q2; f = phi / N)
+with no moving limits, and the product rule differentiates it term by
+term.  For each of the nine parameters p:
+
+* weight motion: W is proportional to hi - lo, so the four bounds add
+  -moment / (b - a) (lower bound) or +moment / (b - a) (upper bound);
+* node motion: a bound moves the nodes by dq/dlo = 1 - s or
+  dq/dhi = s, one reduction of d(G f)/dq per bound with that factor
+  folded into the axis' weights;
+* density motion: at fixed q, one reduction of G dphi/dtheta / N over the
+  five shape parameters, and the rank-one term -(dN/dp / N) * moment
+  over all nine.
 """
 
 from __future__ import annotations
@@ -82,19 +88,16 @@ def _flat_cells(arr: np.ndarray) -> np.ndarray:
 def _axis_nodes(lo: float, hi: float, m: int, order: int):
     """Per-cell Gauss data for one parameter axis.
 
-    Returns physical nodes q (m, g), weights W (m, g), reference
-    coordinates s in [0, 1] (m, g), and the endpoint derivatives
-    dW/dlo, dW/dhi (scalar arrays (g,)); node derivatives are
-    dq/dlo = 1 - s and dq/dhi = s.
+    Returns physical nodes q (m, g), weights W (m, g) and reference
+    coordinates s in [0, 1] (m, g); q = lo + (hi - lo) s, so
+    dq/dlo = 1 - s and dq/dhi = s, and W is proportional to hi - lo.
     """
     x, w = gauss_legendre(order)
     cells = np.arange(m)
     s = (cells[:, None] + 0.5 + 0.5 * x[None, :]) / m
     q = lo + (hi - lo) * s
     W = np.broadcast_to((hi - lo) / (2 * m) * w, s.shape)
-    dW_dlo = -w / (2 * m)
-    dW_dhi = w / (2 * m)
-    return q, W, s, dW_dlo, dW_dhi
+    return q, W, s
 
 
 def _cell_moments(spec: GridSpec, rho: RhoParams, quad_order: int,
@@ -104,8 +107,8 @@ def _cell_moments(spec: GridSpec, rho: RhoParams, quad_order: int,
     stack (3, 9, m1, m2)."""
     box = rho.box
     m1, m2 = spec.m1, spec.m2
-    q1, W1, s1, dW1_da, dW1_db = _axis_nodes(box.a1, box.b1, m1, quad_order)
-    q2, W2, s2, dW2_da, dW2_db = _axis_nodes(box.a2, box.b2, m2, quad_order)
+    q1, W1, s1 = _axis_nodes(box.a1, box.b1, m1, quad_order)
+    q2, W2, s2 = _axis_nodes(box.a2, box.b2, m2, quad_order)
     g = quad_order
 
     norm = normalization(rho, norm_quad_order)
@@ -118,60 +121,34 @@ def _cell_moments(spec: GridSpec, rho: RhoParams, quad_order: int,
     F = (phi / norm).reshape(m1, g, m2, g)
     f_min = float(F.min())
 
-    G1 = np.broadcast_to(q1.reshape(m1, g, 1, 1), F.shape)
-    G2 = np.broadcast_to(q2.reshape(1, 1, m2, g), F.shape)
-    integrands = (
-        (np.ones_like(F), 0.0, 0.0),   # total mass
-        (G1, 1.0, 0.0),                # q1 moment
-        (G2, 0.0, 1.0),                # q2 moment
-    )
-
-    def reduce(wa, wb, X):
-        return np.einsum("ag,bh,agbh->ab", wa, wb, X)
-
-    moments = np.stack([reduce(W1, W2, G * F) for G, _, _ in integrands])
+    G = (1.0, q1.reshape(m1, g, 1, 1), q2.reshape(1, 1, m2, g))  # integrands
+    moments = np.stack([np.einsum("ag,bh,agbh->ab", W1, W2, Gi * F) for Gi in G])
     if not with_grad:
         return moments, None, f_min
 
-    ngrad = normalization_grad(rho, norm_quad_order)
+    # Node motion: d(G f)/dq per axis (G f' plus f where G is that q),
+    # reduced with dq/d(bound) folded into that axis' weights.
+    G = np.stack(np.broadcast_arrays(*G))    # (3, m1, g, m2, g)
     Fq = (dphi_dq / norm).reshape(2, m1, g, m2, g)
-    # d f / d theta at fixed q: differentiate phi and the normalization.
+    dGF1 = G * Fq[0]
+    dGF1[1] += F
+    dGF2 = G * Fq[1]
+    dGF2[2] += F
+    ends1 = W1 * np.stack([1 - s1, s1])
+    ends2 = W2 * np.stack([1 - s2, s2])
+    # Density motion at fixed q: G dphi/dtheta over the shape parameters.
     Ftheta = (dphi_dtheta / norm).reshape(5, m1, g, m2, g)
-    Ftheta -= (ngrad[4:] / norm)[:, None, None, None, None] * F
-
-    ds1_da = np.broadcast_to((1 - s1).reshape(m1, g, 1, 1), F.shape)
-    ds1_db = np.broadcast_to(s1.reshape(m1, g, 1, 1), F.shape)
-    ds2_da = np.broadcast_to((1 - s2).reshape(1, 1, m2, g), F.shape)
-    ds2_db = np.broadcast_to(s2.reshape(1, 1, m2, g), F.shape)
-    dW1_da_full = np.broadcast_to(dW1_da, (m1, g))
-    dW1_db_full = np.broadcast_to(dW1_db, (m1, g))
-    dW2_da_full = np.broadcast_to(dW2_da, (m2, g))
-    dW2_db_full = np.broadcast_to(dW2_db, (m2, g))
-
-    grads = np.empty((3, 9, m1, m2))
-    for i, (G, c1, c2) in enumerate(integrands):
-        GF = G * F
-        # Chain rule through moving nodes: d(G f)/dq times dq/d(bound).
-        flux1 = c1 * F + G * Fq[0]
-        flux2 = c2 * F + G * Fq[1]
-        for k, (dWa, dnode) in enumerate(
-            [(dW1_da_full, ds1_da), (dW1_db_full, ds1_db)]
-        ):
-            grads[i, k] = (
-                reduce(dWa, W2, GF)
-                + reduce(W1, W2, flux1 * dnode)
-                - (ngrad[k] / norm) * reduce(W1, W2, GF)
-            )
-        for k, (dWb, dnode) in enumerate(
-            [(dW2_da_full, ds2_da), (dW2_db_full, ds2_db)], start=2
-        ):
-            grads[i, k] = (
-                reduce(W1, dWb, GF)
-                + reduce(W1, W2, flux2 * dnode)
-                - (ngrad[k] / norm) * reduce(W1, W2, GF)
-            )
-        for k in range(5):
-            grads[i, 4 + k] = reduce(W1, W2, G * Ftheta[k])
+    grads = np.concatenate([
+        np.einsum("kag,bh,iagbh->ikab", ends1, W2, dGF1),
+        np.einsum("ag,kbh,iagbh->ikab", W1, ends2, dGF2),
+        np.einsum("ag,bh,itagbh->itab", W1, W2, G[:, None] * Ftheta),
+    ], axis=1)
+    # Weight motion (W scales with b - a) and the normalization's
+    # derivative each add a multiple of the moments themselves.
+    rank_one = -normalization_grad(rho, norm_quad_order) / norm
+    rank_one[:4] += np.array([-1.0, 1.0, -1.0, 1.0]) / np.repeat(
+        [box.b1 - box.a1, box.b2 - box.a2], 2)
+    grads += rank_one[:, None, None] * moments[:, None]
     return moments, grads, f_min
 
 
