@@ -19,11 +19,18 @@ anywhere:
 
 Each run's full record stays in that checkout's ``perfbench/out/``.  A
 run that exits non-zero or prints no result stops the script.
+
+The file's ``source`` entry names what each side measured: a sha256 over
+the checkout's ``src/`` and ``perfbench/`` files (``perfbench/out/`` and
+``__pycache__`` left out), which equals the value for a ``git archive``
+of the measured commit, and ``git rev-parse HEAD`` when the checkout is
+a git work tree (else null).
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -40,6 +47,24 @@ def parse_output(stdout: str) -> tuple[str, dict]:
     lines = stdout.strip().splitlines()
     env = next((line[2:] for line in lines if line.startswith("# ")), "")
     return env, json.loads(lines[-1])
+
+
+def source(checkout: Path) -> dict:
+    """The ``source`` entry of one side: the sha256 of its measured files
+    and, in a git work tree, the commit it has checked out."""
+    digest = hashlib.sha256()
+    files = sorted(f for top in ("src", "perfbench") for f in (checkout / top).rglob("*")
+                   if f.is_file() and "__pycache__" not in f.parts
+                   and not f.relative_to(checkout).as_posix().startswith("perfbench/out/"))
+    for f in files:
+        data = f.read_bytes()
+        digest.update(f"{f.relative_to(checkout).as_posix()}\0{len(data)}\0".encode())
+        digest.update(data)
+    git = subprocess.run(["git", "rev-parse", "--show-toplevel", "HEAD"], cwd=checkout,
+                         capture_output=True, text=True)
+    lines = git.stdout.split()
+    in_tree = git.returncode == 0 and Path(lines[0]).resolve() == checkout.resolve()
+    return {"sha256": digest.hexdigest(), "commit": lines[1] if in_tree else None}
 
 
 def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[str, dict]:
@@ -103,6 +128,7 @@ def main(argv=None) -> int:
     p.add_argument("--out-dir", type=Path, default=ROOT)
     args = p.parse_args(argv)
     checkouts = {"parent": args.parent, "change": args.change}
+    sources = {side: source(checkouts[side]) for side in SIDES}
     for workload in args.workload:
         runs = []
         for seed in args.seeds:
@@ -115,7 +141,8 @@ def main(argv=None) -> int:
                       flush=True)
             runs.append(run)
         out = args.out_dir / f"BENCH_{workload}.json"
-        out.write_text(json.dumps(aggregate(workload, runs), indent=1) + "\n")
+        record = {**aggregate(workload, runs), "source": sources}
+        out.write_text(json.dumps(record, indent=1) + "\n")
         print(f"wrote {out}", flush=True)
     return 0
 

@@ -109,3 +109,34 @@ class TestBenchPair:
         assert out["runs"][2]["change"] == {"correct": True, "attempted": 9, "failed": 0,
                                             "metrics": {"fit_s": 0.05, "init_s": 0.027}}
         json.dumps(out)  # the BENCH file is plain JSON
+
+    def test_source_digest_covers_src_and_perfbench_but_not_run_records(self, tmp_path):
+        def checkout(name):
+            root = tmp_path / name
+            for rel, text in (("src/popdiff/assembly.py", "A = 1\n"),
+                              ("perfbench/run.py", "R = 2\n"),
+                              ("README.md", "not measured\n")):
+                (root / rel).parent.mkdir(parents=True, exist_ok=True)
+                (root / rel).write_text(text)
+            return root
+
+        parent, change = checkout("parent"), checkout("change")
+        first = self.bench.source(parent)
+        assert first == self.bench.source(change)
+        assert first["commit"] is None  # neither is a git work tree
+        (change / "perfbench" / "out").mkdir()
+        (change / "perfbench" / "out" / "fit-n8m4-seed1-trace0.json").write_text("{}\n")
+        (change / "README.md").write_text("edited\n")
+        assert self.bench.source(change) == first
+        (change / "src" / "popdiff" / "assembly.py").write_text("A = 2\n")
+        assert self.bench.source(change)["sha256"] != first["sha256"]
+
+        def git(*args):
+            return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                                  cwd=parent, capture_output=True, text=True, check=True).stdout
+
+        git("init", "-q")
+        git("add", "-A")
+        git("commit", "-q", "-m", "parent")
+        assert self.bench.source(parent) == {"sha256": first["sha256"],
+                                              "commit": git("rev-parse", "HEAD").strip()}
