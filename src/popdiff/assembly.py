@@ -121,14 +121,14 @@ def _cell_moments(spec: GridSpec, rho: RhoParams, quad_order: int,
     F = (phi / norm).reshape(m1, g, m2, g)
     f_min = float(F.min())
 
-    G = (1.0, q1.reshape(m1, g, 1, 1), q2.reshape(1, 1, m2, g))  # integrands
-    moments = np.stack([np.einsum("ag,bh,agbh->ab", W1, W2, Gi * F) for Gi in G])
+    integrands = (1.0, q1.reshape(m1, g, 1, 1), q2.reshape(1, 1, m2, g))
+    moments = np.stack([np.einsum("ag,bh,agbh->ab", W1, W2, G * F) for G in integrands])
     if not with_grad:
         return moments, None, f_min
 
     # Node motion: d(G f)/dq per axis (G f' plus f where G is that q),
     # reduced with dq/d(bound) folded into that axis' weights.
-    G = np.stack(np.broadcast_arrays(*G))    # (3, m1, g, m2, g)
+    G = np.stack(np.broadcast_arrays(*integrands))    # (3, m1, g, m2, g)
     Fq = (dphi_dq / norm).reshape(2, m1, g, m2, g)
     dGF1 = G * Fq[0]
     dGF1[1] += F
@@ -145,9 +145,9 @@ def _cell_moments(spec: GridSpec, rho: RhoParams, quad_order: int,
     ], axis=1)
     # Weight motion (W scales with b - a) and the normalization's
     # derivative each add a multiple of the moments themselves.
+    width1, width2 = box.b1 - box.a1, box.b2 - box.a2
     rank_one = -normalization_grad(rho, norm_quad_order) / norm
-    rank_one[:4] += np.array([-1.0, 1.0, -1.0, 1.0]) / np.repeat(
-        [box.b1 - box.a1, box.b2 - box.a2], 2)
+    rank_one[:4] += [-1 / width1, 1 / width1, -1 / width2, 1 / width2]
     grads += rank_one[:, None, None] * moments[:, None]
     return moments, grads, f_min
 
