@@ -126,23 +126,26 @@ def _cell_moments(spec: GridSpec, rho: RhoParams, quad_order: int,
     if not with_grad:
         return moments, None, f_min
 
-    # Node motion: d(G f)/dq per axis (G f' plus f where G is that q),
-    # reduced with dq/d(bound) folded into that axis' weights.
-    G = np.stack(np.broadcast_arrays(*integrands))    # (3, m1, g, m2, g)
-    Fq = (dphi_dq / norm).reshape(2, m1, g, m2, g)
-    dGF1 = G * Fq[0]
-    dGF1[1] += F
-    dGF2 = G * Fq[1]
-    dGF2[2] += F
+    # Each integrand G is a product G1(q1) G2(q2), so it folds into the
+    # axis weights as V = W G per axis, shapes (3, m, g).
+    G1 = np.stack(np.broadcast_arrays(1.0, q1, 1.0))
+    G2 = np.stack(np.broadcast_arrays(1.0, 1.0, q2))
+    V1, V2 = W1 * G1, W2 * G2
+    # Node motion: d(G f)/dq = G df/dq + f dG/dq per axis, reduced with
+    # dq/d(bound) = (1 - s, s) folded into that axis' weights.
     ends1 = W1 * np.stack([1 - s1, s1])
     ends2 = W2 * np.stack([1 - s2, s2])
+    Fq = (dphi_dq / norm).reshape(2, m1, g, m2, g)
     # Density motion at fixed q: G dphi/dtheta over the shape parameters.
     Ftheta = (dphi_dtheta / norm).reshape(5, m1, g, m2, g)
     grads = np.concatenate([
-        np.einsum("kag,bh,iagbh->ikab", ends1, W2, dGF1),
-        np.einsum("ag,kbh,iagbh->ikab", W1, ends2, dGF2),
-        np.einsum("ag,bh,itagbh->itab", W1, W2, G[:, None] * Ftheta),
+        np.einsum("kiag,ibh,agbh->ikab", ends1[:, None] * G1, V2, Fq[0]),
+        np.einsum("iag,kibh,agbh->ikab", V1, ends2[:, None] * G2, Fq[1]),
+        np.einsum("iag,ibh,tagbh->itab", V1, V2, Ftheta),
     ], axis=1)
+    # f dG/dq: only the q1 moment's G has a q1 slope, the q2 moment's a q2 one.
+    grads[1, :2] += np.einsum("kag,bh,agbh->kab", ends1, W2, F)
+    grads[2, 2:4] += np.einsum("ag,kbh,agbh->kab", W1, ends2, F)
     # Weight motion (W scales with b - a) and the normalization's
     # derivative each add a multiple of the moments themselves.
     width1, width2 = box.b1 - box.a1, box.b2 - box.a2
