@@ -24,11 +24,14 @@ term.  For each of the nine parameters p:
 * weight motion: W is proportional to hi - lo, so the four bounds add
   -moment / (b - a) (lower bound) or +moment / (b - a) (upper bound);
 * node motion: a bound moves the nodes by dq/dlo = 1 - s or
-  dq/dhi = s, one reduction of d(G f)/dq per bound with that factor
-  folded into the axis' weights;
+  dq/dhi = s; d(G f)/dq = G df/dq + f dG/dq is reduced per bound with
+  that factor folded into the axis' weights;
 * density motion: at fixed q, one reduction of G dphi/dtheta / N over the
   five shape parameters, and the rank-one term -(dN/dp / N) * moment
   over all nine.
+
+Each G is a product G1(q1) G2(q2), so the derivative reductions fold it
+into the axis weights too and never form it on the node grid.
 """
 
 from __future__ import annotations
@@ -126,8 +129,7 @@ def _cell_moments(spec: GridSpec, rho: RhoParams, quad_order: int,
     if not with_grad:
         return moments, None, f_min
 
-    # Each integrand G is a product G1(q1) G2(q2), so it folds into the
-    # axis weights as V = W G per axis, shapes (3, m, g).
+    # G = G1(q1) G2(q2) folded into the axis weights: V = W G, (3, m, g).
     G1 = np.stack(np.broadcast_arrays(1.0, q1, 1.0))
     G2 = np.stack(np.broadcast_arrays(1.0, 1.0, q2))
     V1, V2 = W1 * G1, W2 * G2
