@@ -210,6 +210,36 @@ def per_cell_reference(ops, tau):
     return A, Agen, Bhat.reshape(-1), dA, dBhat.reshape(n_params, -1)
 
 
+def tangent_hold(nodes, n, tau):
+    """The Van Loan tangent hold of the point masses at q1 = ``nodes``: the
+    zero-order hold of [[G, G1], [0, G]], G = G0 + q1 G1, with input
+    [0; beta_eta] (Van Loan 1978), one stacked ``zero_order_hold``.  Its
+    state matrix is [[Ahat, dAhat/dq1], [0, Ahat]] and its input column
+    [dbhat/dq1; bhat].  Returns the (len(nodes), 2b, 2b) and
+    (len(nodes), 2b) stacks."""
+    from popdiff.sampled import eta_operators, zero_order_hold
+
+    g0, g1, beta = eta_operators(n)
+    b = n + 1
+    gen = np.zeros((len(nodes), 2 * b, 2 * b))
+    gen[:, :b, :b] = gen[:, b:, b:] = g0 + np.asarray(nodes)[:, None, None] * g1
+    gen[:, :b, b:] = g1
+    forcing = np.zeros((2 * b, 1))
+    forcing[b:] = beta
+    ahat, bhat = zero_order_hold(gen, forcing, tau)
+    return ahat, bhat[..., 0]
+
+
+def tangent_responses(nodes, n, tau, count):
+    """(g, dg/dq1), each (len(nodes), count), of the point masses at
+    ``nodes``: state 0 of the lower and of the upper half of the tangent
+    hold's impulse response."""
+    from popdiff.forward import impulse_response
+
+    tangent = impulse_response(*tangent_hold(nodes, n, tau), count)
+    return tangent[..., n + 1], tangent[..., 0]
+
+
 def loop_simulate(sys, u):
     """One episode, one step at a time: the recursion and readout that
     ``forward.simulate`` stacks.  Same arithmetic, so equal bit for bit.

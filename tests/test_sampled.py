@@ -1,12 +1,19 @@
 import dataclasses
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.linalg import block_diag
 
-from conftest import galerkin_blocks, galerkin_generator, per_cell_reference, random_rho
+from conftest import (
+    galerkin_blocks,
+    galerkin_generator,
+    per_cell_reference,
+    random_rho,
+    tangent_responses,
+)
 
 from popdiff import forward, sampled
 from popdiff.assembly import assemble
@@ -321,3 +328,35 @@ class TestSensitivities:
         sys = build_sampled(ops, spec_small.tau)
         with pytest.raises(ValueError):
             build_sensitivities(ops, sys)
+
+
+class TestPointMassReference:
+    # tests/reference/point_mass_mp50.npz holds g_k and dg_k/dq1 of the
+    # point masses at n = 4, 8, 16 and q1 = 1e-6 .. 1e3, 120 steps of
+    # tau = 1/12, from 50-digit mpmath (scripts/make_point_mass_reference.py).
+    # Errors are relative to each response's largest magnitude.
+    REFERENCE = Path(__file__).parent / "reference" / "point_mass_mp50.npz"
+
+    @classmethod
+    def errors(cls, responses):
+        """{n: (len(q1), 2) errors of g and dg} of ``responses(q1, n, tau,
+        steps) -> (g, dg)`` against the reference."""
+        ref = np.load(cls.REFERENCE)
+        q1, tau, steps = ref["q1"], float(ref["tau"]), int(ref["steps"])
+        out = {}
+        for n in ref["n"]:
+            got = responses(q1, int(n), tau, steps)
+            want = ref[f"g_n{n}"], ref[f"dg_n{n}"]
+            out[int(n)] = np.column_stack([np.abs(a - b).max(axis=1) / np.abs(b).max(axis=1)
+                                           for a, b in zip(got, want)])
+        return q1, out
+
+    def test_tangent_hold_against_the_reference(self):
+        # On q1 in [1e-2, 1e2] the hold is within 1e-9 of each response's
+        # largest value.  Toward the ends of Q1_GRID it parts from the
+        # reference: at n = 16, q1 = 1e-6, by 3.8e-6 (g) and 1.8e-4 (dg).
+        q1, errors = self.errors(tangent_responses)
+        inner = (q1 >= 1e-2) & (q1 <= 1e2)
+        for n, err in errors.items():
+            assert err[inner].max() <= 1e-9, n
+            assert np.all(err <= 1e-3), n
