@@ -12,6 +12,8 @@ hex digits of ``workloads.digest`` over:
 * the cost at ``START`` and at ``RHO`` (total and per episode), so a
   change that must leave the forward pass alone shows that it did;
 * ``gradient_adjoint`` (cost and gradient) at ``START`` and at ``RHO``;
+* the residual Jacobian at ``START`` (``evaluate(START, ...).jacobian()``),
+  the (N, 9) matrix the fit's steps solve with;
 * the cell moments' nine parameter derivatives at ``START``
   (``assemble(..., with_grad=True).dmoments``), the layer every
   derivative above starts from;
@@ -58,6 +60,7 @@ import popdiff  # noqa: E402
 import workloads  # noqa: E402
 from popdiff.density import sample_array  # noqa: E402
 from popdiff.forward import simulate_deterministic_batch  # noqa: E402
+from popdiff.objective import evaluate  # noqa: E402
 
 BAND_SEED = 1
 SINGLE_Q_DRAWS = 200
@@ -87,6 +90,7 @@ def report(w) -> list[tuple[str, str, list]]:
         adj = popdiff.gradient_adjoint(rho, spec, episodes)
         line(f"cost@{label}", adj.cost, [c for _, c in adj.per_episode])
         line(f"gradient_adjoint@{label}", adj.cost, adj.grad)
+    line("jacobian@START", evaluate(workloads.START, spec, episodes).jacobian())
     ops = popdiff.assemble(spec, workloads.START, with_grad=True)
     line("dmoments@START", ops.dmoments)
     sens = popdiff.build_sensitivities(ops, popdiff.build_sampled(ops, spec.tau))
