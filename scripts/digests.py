@@ -17,8 +17,8 @@ hex digits of ``workloads.digest`` over:
 * the cell moments' nine parameter derivatives at ``START``
   (``assemble(..., with_grad=True).dmoments``), the layer every
   derivative above starts from;
-* ``build_sensitivities`` at ``START`` (the tangent hold ``tangent_A``
-  and ``tangent_b``, ``dnodes`` and ``dweights``), so a change in the
+* ``build_sensitivities`` at ``START`` (the nodes' modal form, ``rates``
+  and ``coefs``, and ``dnodes`` and ``dweights``), so a change in the
   sensitivity layer is named directly;
 * ``initialize`` on the fit episodes;
 * ``credible_band`` on the band input of seed 1, at ``RHO`` or at the
@@ -95,7 +95,7 @@ def report(w) -> list[tuple[str, str, list]]:
     line("dmoments@START", ops.dmoments)
     sens = popdiff.build_sensitivities(ops, popdiff.build_sampled(ops, spec.tau))
     line("build_sensitivities@START",
-         sens.tangent_A, sens.tangent_b, sens.dnodes, sens.dweights)
+         sens.rates, sens.coefs, sens.dnodes, sens.dweights)
     line("initialize", popdiff.initialize(episodes, spec).as_array())
     at = workloads.RHO if w.band_at_truth else result.rho_hat
     u = workloads.band_input(w, BAND_SEED)

@@ -7,12 +7,12 @@ output is its input convolved with the population response
 h = sum_c omega_c g_c of the node responses g_c[k] = e0^T Ahat_c^k bhat_c
 (``forward.response``).  The parameters reach h only through the nodes
 and weights, so dh/drho = dweights @ g + (dnodes * omega) @ dg/dnu, with
-g_c and dg_c/dnu state 0 of the lower and upper half of the impulse
-response of node c's tangent hold (``sampled.build_sensitivities``).
-Column p of the residual Jacobian J stacks each episode's input
-convolved with dh_p, and the gradient is 2 J^T r: no backward pass and
-no stored states.  A central finite-difference twin serves as the
-permanent cross-check oracle.
+g_c and dg_c/dnu formed for the count at hand from node c's modal form,
+sums of its decay factors e^{-w tau k} (``sampled.build_sensitivities``
+and ``sampled.modal_responses``).  Column p of the residual Jacobian J
+stacks each episode's input convolved with dh_p, and the gradient is
+2 J^T r: no backward pass and no stored states.  A central
+finite-difference twin serves as the permanent cross-check oracle.
 
 ``evaluate`` is the one evaluation: it applies the density veto,
 assembles and samples the system once (at the quadrature orders fixed in
@@ -37,9 +37,9 @@ import numpy as np
 from .assembly import assemble
 from .density import RhoParams, gamma_floor
 from .errors import PopdiffError, SimulationDivergenceError
-from .forward import Episode, convolve, impulse_response, response, simulate
+from .forward import Episode, convolve, response, simulate
 from .grid import GridSpec
-from .sampled import SampledSystem, build_sampled, build_sensitivities
+from .sampled import SampledSystem, build_sampled, build_sensitivities, modal_responses
 
 
 @dataclass
@@ -120,12 +120,11 @@ def cost(rho: RhoParams, spec: GridSpec, episodes: list[Episode]) -> float:
 
 def _jacobian(sys: SampledSystem, count: int, inputs) -> np.ndarray:
     """(N, P) Jacobian of the outputs j = 0..len(u) of each input in
-    ``inputs`` (none longer than ``count``), stacked in order, from one
-    impulse response of the tangent hold: column p is u * dh_p with
+    ``inputs`` (none longer than ``count``), stacked in order, from the
+    nodes' modal form: column p is u * dh_p with
     dh = dweights @ g + (dnodes * omega) @ dg/dnu."""
-    tangent = impulse_response(sys.tangent_A, sys.tangent_b, count)
-    dh = (sys.dweights @ tangent[..., sys.block_size]
-          + (sys.dnodes * sys.weights) @ tangent[..., 0])
+    g, dg = modal_responses(sys.rates, sys.coefs, sys.tau, count)
+    dh = sys.dweights @ g + (sys.dnodes * sys.weights) @ dg
     return np.concatenate([convolve(dh[:, :len(u)], u).T for u in inputs])
 
 

@@ -20,17 +20,36 @@ of two, so a block's result does not depend on the stack it comes in.
 
 Sensitivities: every parameter reaches the output only through the
 nodes and weights, so the system stores the (P, ncells) Jacobians
-dnu/drho and domega/drho and, per node, the tangent hold: the hold of
-[[G(nu_c), G1], [0, G(nu_c)]] with input [0; beta_eta] (Van Loan 1978).
-Its state matrix is [[Ahat_c, dAhat_c/dnu], [0, Ahat_c]] and its input
-column [dbhat_c/dnu; bhat_c], so its impulse response carries the node's
-response in the lower half and that response's nu-derivative in the
-upper half.  Every hold in the program is one ``zero_order_hold`` call.
+dnu/drho and domega/drho and, per node, the modal form of its response.
+With M_eta = R^T R, the state y = R x of the point mass at q1 obeys
+y' = -S y + r u, read out as l . y, with the symmetric positive definite
+
+    S(q1) = l l^T + q1 K~,   l = R^{-T} e0,  r = R^{-T} e_n,  K~ = R^{-T} K_eta R^{-1}
+
+(``eta_symmetric_operators``).  One ``np.linalg.eigh`` of
+S(nu_c) = V diag(w) V^T gives the node's response in closed form,
+
+    g_k = sum_i gamma_i e^{-w_i tau k},   gamma_i = (l.v_i)(r.v_i) phi(w_i),
+    phi(w) = (1 - e^{-w tau}) / w,
+
+and its nu-derivative by the Daleckii-Krein formula (Higham, Functions of
+Matrices, 2008, ch. 3).  With B_ij = (l.v_i)(V^T K~ V)_ij (r.v_j), the
+divided differences of phi(w) e^{-w tau k} separate over the
+eigenvalues:
+
+    dg_k/dnu = sum_i (delta_i - tau k eps_i) e^{-w_i tau k},
+    delta_i = B_ii phi'(w_i) + phi(w_i) sum_{j != i} (B_ij + B_ji) / (w_i - w_j),
+    eps_i = B_ii phi(w_i).
+
+``point_mass_modes`` forms the rates w and the rows (gamma, delta, eps)
+of a stack of nodes, and ``modal_responses`` forms g and dg/dnu for any
+count: no matrix exponential, no solve and no doubling.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +70,8 @@ class SampledSystem:
     nodes: np.ndarray           # (ncells,) diffusivity nu_c of each node
     bhat: np.ndarray            # (ncells, b) input column of each node
     weights: np.ndarray         # (ncells,) readout weight of each node's state 0
-    tangent_A: np.ndarray | None = None  # (ncells, 2b, 2b) [[Ahat, dAhat/dnu], [0, Ahat]]
-    tangent_b: np.ndarray | None = None  # (ncells, 2b) [dbhat/dnu; bhat]
+    rates: np.ndarray | None = None      # (ncells, b) eigenvalues w of S(nu_c)
+    coefs: np.ndarray | None = None      # (ncells, 3, b) rows gamma, delta, eps
     dnodes: np.ndarray | None = None     # (P, ncells)
     dweights: np.ndarray | None = None   # (P, ncells)
 
@@ -69,6 +88,15 @@ class SampledSystem:
 
 
 @functools.cache
+def _mass_factor(n: int) -> np.ndarray:
+    """Upper Cholesky factor R of M_eta = R^T R: the one factorization of
+    the depth mass matrix per n.  Read-only."""
+    r = np.linalg.cholesky(eta_mass_matrix(n), upper=True)
+    r.setflags(write=False)
+    return r
+
+
+@functools.cache
 def eta_operators(n: int):
     """(G0, G1, beta_eta) of the depth model: a point mass at q has the
     generator G0 + q1 G1 and the input column q2 beta_eta, with
@@ -76,13 +104,31 @@ def eta_operators(n: int):
     beta_eta = M_eta^{-1} e_n, all from one Cholesky factor.  Cached per
     n; the arrays are read-only."""
     eye = np.eye(n + 1)
-    r = np.linalg.cholesky(eta_mass_matrix(n), upper=True)
+    r = _mass_factor(n)
     sol = np.linalg.solve(r, np.linalg.solve(
         r.T, np.column_stack([eye[0], eta_stiffness_matrix(n), eye[n]])))
     g0, g1, beta = -np.outer(sol[:, 0], eye[0]), -sol[:, 1:-1], sol[:, -1:]
     for arr in (g0, g1, beta):
         arr.setflags(write=False)
     return g0, g1, beta
+
+
+@functools.cache
+def eta_symmetric_operators(n: int):
+    """(l, r, D~, K~) of the symmetric form S(q1) = l l^T + q1 K~ of the
+    point mass, -G(q1) = R^{-1} S(q1) R with M_eta = R^T R: l = R^{-T} e0,
+    r = R^{-T} e_n and K~ = D~^T D~ = R^{-T} K_eta R^{-1}, where
+    D~ = D R^{-1} and D, with rows (e_i - e_{i+1}) / sqrt(h), is the
+    difference factor K_eta = D^T D.  Cached per n, from the factor of
+    ``eta_operators``; the arrays are read-only."""
+    eye = np.eye(n + 1)
+    diff = np.sqrt(n) * (eye[:-1] - eye[1:])
+    half = np.linalg.solve(_mass_factor(n).T, np.column_stack([eye[0], eye[n], diff.T]))
+    left, right, dfac = half[:, 0], half[:, 1], np.ascontiguousarray(half[:, 2:].T)
+    ktilde = dfac.T @ dfac
+    for arr in (left, right, dfac, ktilde):
+        arr.setflags(write=False)
+    return left, right, dfac, ktilde
 
 
 # Coefficients b_0..b_13 of the [13/13] Pade approximant to exp and the
@@ -189,28 +235,78 @@ def build_sampled(ops: AssembledOperators, tau: float) -> SampledSystem:
                          A_blocks=ahat, nodes=nodes, bhat=bhat, weights=w2)
 
 
-def build_sensitivities(ops: AssembledOperators, sys: SampledSystem) -> SampledSystem:
-    """Fill the tangent hold and the node and weight sensitivities of ``sys``.
+# phi'(w) = (tau e^{-x} - phi(w)) / w with x = w tau cancels as x -> 0,
+# where both terms tend to tau, and the slow rates of a node near
+# q1 = Q1_FLOOR are of order q1.  Below x = SERIES_BELOW it is summed from
+# phi'(w) = tau^2 sum_{j>=0} (-1)^{j+1} (j+1) / (j+2)! x^j, whose terms
+# beyond these 17 are below 1e-17 of the sum there; above it the direct
+# form cancels at most a factor of 4.
+SERIES_BELOW = 0.5
+_SLOPE_SERIES = np.array([(-1) ** (j + 1) * (j + 1) / math.factorial(j + 2)
+                          for j in range(17)])
 
-    Per node: the hold of [[G(nu_c), G1], [0, G(nu_c)]] with input
-    [0; beta_eta], one stacked ``zero_order_hold``.  Per parameter:
-    dnodes = (dw1 - nu dw) / w and dweights = dw2, from the moment
-    derivatives.
+
+def _phi_and_slope(rates: np.ndarray, tau: float):
+    """phi(w) = (1 - e^{-w tau}) / w and its derivative phi'(w), w > 0."""
+    x = rates * tau
+    phi = -np.expm1(-x) / rates
+    slope = np.where(x < SERIES_BELOW,
+                     tau * tau * np.polynomial.polynomial.polyval(x, _SLOPE_SERIES),
+                     (tau * np.exp(-x) - phi) / rates)
+    return phi, slope
+
+
+def point_mass_modes(nodes: np.ndarray, n: int, tau: float):
+    """(rates, coefs) of the point masses at q1 = ``nodes``: the
+    (len(nodes), b) eigenvalues w of S(q1) and the (len(nodes), 3, b)
+    rows (gamma, delta, eps) from which ``modal_responses`` forms g_k and
+    dg_k/dq1, by one stacked ``np.linalg.eigh``.
+
+    Each rate is the Rayleigh quotient (l.v)^2 + q1 |D~ v|^2 of its
+    eigenvector, taken through the factor of S: its relative error is
+    about eps sqrt(cond S), where an eigenvalue from ``eigh`` is off by
+    about eps |S|, too much for the slowest mode of a large q1.
+
+    The divided differences (B_ij + B_ji) / (w_i - w_j) stay accurate
+    where two eigenvalues lie close.  Off the diagonal
+    (V^T K~ V)_ij = -(l.v_i)(l.v_j) / q1, and two eigenvalues of the
+    rank-one update l l^T of q1 K~ lie close only where one of them has
+    a small l.v, so the weight B_ij + B_ji shrinks with the gap.
+    """
+    left, right, dfac, ktilde = eta_symmetric_operators(n)
+    _, vecs = np.linalg.eigh(np.outer(left, left) + nodes[:, None, None] * ktilde)
+    lv, rv, dv = left @ vecs, right @ vecs, dfac @ vecs
+    rates = lv * lv + nodes[:, None] * np.vecdot(dv, dv, axis=-2)
+    bij = lv[:, :, None] * (np.swapaxes(dv, -1, -2) @ dv) * rv[:, None, :]
+    diag = np.diagonal(bij, axis1=-2, axis2=-1)
+    gap = rates[:, :, None] - rates[:, None, :]
+    split = ((bij + np.swapaxes(bij, -1, -2)) / np.where(gap == 0, np.inf, gap)).sum(axis=-1)
+    phi, slope = _phi_and_slope(rates, tau)
+    coefs = np.stack([lv * rv * phi, diag * slope + split * phi, diag * phi], axis=-2)
+    return rates, coefs
+
+
+def modal_responses(rates: np.ndarray, coefs: np.ndarray, tau: float, count: int):
+    """(g, dg), each (..., count): g_k = gamma . e^{-w tau k} and
+    dg_k/dq1 = (delta - tau k eps) . e^{-w tau k} for k < count, from the
+    rates and rows of ``point_mass_modes``."""
+    steps = np.arange(count)
+    rows = coefs @ np.exp(-tau * rates[..., None] * steps)
+    return rows[..., 0, :], rows[..., 1, :] - tau * steps * rows[..., 2, :]
+
+
+def build_sensitivities(ops: AssembledOperators, sys: SampledSystem) -> SampledSystem:
+    """Fill the modal form and the node and weight sensitivities of ``sys``.
+
+    Per node: the rates and rows of ``point_mass_modes``, one stacked
+    call for all nodes.  Per parameter: dnodes = (dw1 - nu dw) / w and
+    dweights = dw2, from the moment derivatives.
     """
     if ops.dmoments is None:
         raise ValueError("operators were assembled without gradients")
-    b = ops.block_size
-    g0, g1, beta = eta_operators(b - 1)
     w = ops.moments[0]
     dw, dw1, dw2 = ops.dmoments
-
-    gen = np.zeros((sys.ncells, 2 * b, 2 * b))
-    gen[:, :b, :b] = gen[:, b:, b:] = g0 + sys.nodes[:, None, None] * g1
-    gen[:, :b, b:] = g1
-    forcing = np.zeros((2 * b, 1))
-    forcing[b:] = beta
-    sys.tangent_A, tangent_b = zero_order_hold(gen, forcing, sys.tau)
-    sys.tangent_b = tangent_b[..., 0]
+    sys.rates, sys.coefs = point_mass_modes(sys.nodes, ops.block_size - 1, sys.tau)
     sys.dnodes = (dw1 - sys.nodes * dw) / w
     sys.dweights = dw2
     return sys

@@ -211,7 +211,8 @@ def per_cell_reference(ops, tau):
 
 
 def tangent_hold(nodes, n, tau):
-    """The Van Loan tangent hold of the point masses at q1 = ``nodes``: the
+    """The Van Loan tangent hold of the point masses at q1 = ``nodes``, the
+    node kernel that ``sampled.point_mass_modes`` replaced: the
     zero-order hold of [[G, G1], [0, G]], G = G0 + q1 G1, with input
     [0; beta_eta] (Van Loan 1978), one stacked ``zero_order_hold``.  Its
     state matrix is [[Ahat, dAhat/dq1], [0, Ahat]] and its input column
@@ -254,8 +255,9 @@ def loop_simulate(sys, u):
 
 def loop_cost_and_gradient(sys, u, y_obs):
     """One episode's cost and adjoint gradient, one step at a time, on a
-    system carrying node and weight sensitivities.  Of the tangent hold it
-    reads only dAhat/dnu and dbhat/dnu, the upper blocks."""
+    system carrying node and weight sensitivities.  The node derivatives
+    dAhat/dnu and dbhat/dnu are the upper blocks of ``tangent_hold`` at the
+    system's nodes."""
     y, states = loop_simulate(sys, u)
     r = y - y_obs
     mu = len(u)
@@ -269,7 +271,8 @@ def loop_cost_and_gradient(sys, u, y_obs):
     outer = np.einsum("jcb,jcd->cbd", zetas, states[:mu])
     input_sum = np.einsum("jcb,j->cb", zetas, u)
     b = sys.block_size
-    dA, dbhat = sys.tangent_A[:, :b, b:], sys.tangent_b[:, :b]
+    tangent_A, tangent_b = tangent_hold(sys.nodes, b - 1, sys.tau)
+    dA, dbhat = tangent_A[:, :b, b:], tangent_b[:, :b]
     g_node = (np.einsum("cbd,cbd->c", dA, outer)
               + np.einsum("cb,cb->c", dbhat, input_sum))
     g_weight = 2.0 * (r @ states[:, :, 0])
@@ -280,17 +283,15 @@ def xcorr_gradient(sys, count, episodes):
     """Parameter gradient by the cross-correlation contraction: with q the
     residual-input cross-correlation summed over the (input, residual)
     pairs ``episodes``, dJ/domega_c = g_c . q and dJ/dnu_c = omega_c
-    (dg_c/dnu) . q, from one impulse response of the tangent hold.  The
+    (dg_c/dnu) . q, from ``tangent_responses`` at the system's nodes.  The
     contraction that ``objective`` ran before it formed the Jacobian."""
-    from popdiff.forward import impulse_response
-
     xcorr = np.zeros(count)
     for u, r in episodes:
         mu = len(u)
         xcorr[:mu] += np.correlate(2.0 * r[1:], u, "full")[mu - 1:] if mu else 0.0
-    tangent = impulse_response(sys.tangent_A, sys.tangent_b, count)
-    g_node = sys.weights * (tangent[..., 0] @ xcorr)
-    g_weight = tangent[..., sys.block_size] @ xcorr
+    g, dg = tangent_responses(sys.nodes, sys.block_size - 1, sys.tau, count)
+    g_node = sys.weights * (dg @ xcorr)
+    g_weight = g @ xcorr
     return sys.dnodes @ g_node + sys.dweights @ g_weight
 
 

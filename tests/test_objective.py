@@ -174,7 +174,7 @@ class TestGradientAdjoint:
         sens = build_sensitivities(ops, build_sampled(ops, spec.tau))
         fresh = {name: np.array(getattr(sens, name), order="C")
                  for name in ("A_blocks", "nodes", "bhat", "weights",
-                              "tangent_A", "tangent_b", "dnodes", "dweights")}
+                              "rates", "coefs", "dnodes", "dweights")}
         return sens, SampledSystem(block_size=ops.block_size, ncells=ops.ncells,
                                    tau=spec.tau, **fresh)
 
@@ -217,17 +217,17 @@ class TestGradientAdjoint:
 
     def test_scalar_surrogate_hand_derived(self):
         # One parameter a, the node, entering through Ahat = exp(a tau);
-        # input gain and readout weight held fixed, so the tangent hold is
-        # [[Ahat, tau Ahat], [0, Ahat]] with input [0; b].  Three-step
-        # episode, closed form.
+        # input gain and readout weight held fixed.  The response
+        # g_k = b e^{a tau k} has the one rate w = -a, gamma = b, and
+        # dg_k/da = tau k b e^{a tau k}, so delta = 0 and eps = -b.
+        # Three-step episode, closed form.
         tau, a, b = 0.25, -1.3, 0.4
         ahat = np.exp(a * tau)
         sys = SampledSystem(
             block_size=1, ncells=1, tau=tau,
             A_blocks=np.array([[[ahat]]]), nodes=np.array([a]),
             bhat=np.array([[b]]), weights=np.array([1.0]),
-            tangent_A=np.array([[[ahat, tau * ahat], [0.0, ahat]]]),
-            tangent_b=np.array([[0.0, b]]),
+            rates=np.array([[-a]]), coefs=np.array([[[b], [0.0], [-b]]]),
             dnodes=np.array([[1.0]]), dweights=np.array([[0.0]]),
         )
         u = np.array([1.0, 0.6, 0.2])

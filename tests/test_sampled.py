@@ -12,6 +12,7 @@ from conftest import (
     galerkin_generator,
     per_cell_reference,
     random_rho,
+    tangent_hold,
     tangent_responses,
 )
 
@@ -21,11 +22,15 @@ from popdiff.errors import ConditioningError, SingularOperatorError
 from popdiff.grid import GridSpec, eta_mass_matrix, eta_stiffness_matrix
 from popdiff.optimizer import Q1_GRID
 from popdiff.sampled import (
+    _phi_and_slope,
     build_sampled,
     build_sensitivities,
     eta_operators,
+    eta_symmetric_operators,
     expm,
+    modal_responses,
     point_mass_hold,
+    point_mass_modes,
     zero_order_hold,
 )
 
@@ -119,7 +124,8 @@ class TestExpm:
     @staticmethod
     def stacks(n, tau=1 / 12):
         # Point masses over Q1_GRID's range and their tangent blocks
-        # [[G, G1], [0, G]] tau, as the holds exponentiate them.
+        # [[G, G1], [0, G]] tau, as point_mass_hold and the test oracle
+        # tangent_hold exponentiate them.
         g0, g1, _ = eta_operators(n)
         gen = (g0 + Q1_GRID[:, None, None] * g1) * tau
         b = n + 1
@@ -165,7 +171,8 @@ class TestExpm:
 class TestEtaOperators:
     def test_one_factorization_per_n(self, rho_smooth, spec_small, monkeypatch):
         # Every build_sampled, build_sensitivities and single-q batch at one
-        # n shares one factorization of the depth mass matrix.
+        # n shares one factorization of the depth mass matrix: the
+        # generators and the symmetric form are both cached from it.
         calls = []
 
         def counted(*args, _real=np.linalg.cholesky, **kwargs):
@@ -173,20 +180,28 @@ class TestEtaOperators:
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "cholesky", counted)
-        eta_operators.cache_clear()
-        first = eta_operators(spec_small.n)
+        for cached in (sampled._mass_factor, eta_operators, eta_symmetric_operators):
+            cached.cache_clear()
+        first = eta_operators(spec_small.n) + eta_symmetric_operators(spec_small.n)
         ops = assemble(spec_small, rho_smooth, with_grad=True)
         build_sensitivities(ops, build_sampled(ops, spec_small.tau))
         forward.simulate_deterministic_batch(np.array([[0.8, 1.2]]), spec_small.n,
                                              spec_small.tau, np.ones(3))
         assert calls == [(spec_small.block_size,) * 2]
-        for cached, again in zip(first, eta_operators(spec_small.n)):
-            assert cached is again
+        again = eta_operators(spec_small.n) + eta_symmetric_operators(spec_small.n)
+        for cached, repeat in zip(first, again, strict=True):
+            assert cached is repeat
             assert not cached.flags.writeable
 
 
 class TestTangentHold:
-    build = staticmethod(with_sensitivities)
+    # The Van Loan tangent hold, the node kernel that point_mass_modes
+    # replaced, is the test oracle conftest.tangent_hold.
+
+    @staticmethod
+    def build(rho, spec):
+        sys = build_sampled(assemble(spec, rho), spec.tau)
+        return sys, tangent_hold(sys.nodes, spec.n, spec.tau)
 
     def test_scalar_closed_form(self):
         # The tangent of x' = a x + u: d exp(a t) / da = t exp(a t) and
@@ -202,35 +217,48 @@ class TestTangentHold:
     def test_halves_are_the_forward_hold(self, rho_smooth, spec_small):
         # The diagonal blocks and the lower input half repeat the forward
         # hold, to rounding: one exponential of twice the size.
-        _, sys = self.build(rho_smooth, spec_small)
+        sys, (tangent_A, tangent_b) = self.build(rho_smooth, spec_small)
         b = sys.block_size
         scale = max(np.abs(sys.A_blocks).max(), np.abs(sys.bhat).max())
-        for got, want in ((sys.tangent_A[:, :b, :b], sys.A_blocks),
-                          (sys.tangent_A[:, b:, b:], sys.A_blocks),
-                          (sys.tangent_A[:, b:, :b], 0.0),
-                          (sys.tangent_b[:, b:], sys.bhat)):
+        for got, want in ((tangent_A[:, :b, :b], sys.A_blocks),
+                          (tangent_A[:, b:, b:], sys.A_blocks),
+                          (tangent_A[:, b:, :b], 0.0),
+                          (tangent_b[:, b:], sys.bhat)):
             assert np.abs(got - want).max() <= 1e-13 * scale
 
     def test_stack_matches_node_by_node(self, rho_smooth, spec_small):
-        # build_sensitivities holds all nodes in one stacked call; each node
-        # must come out bit for bit as from a system of that node alone.
-        ops, sys = self.build(rho_smooth, spec_small)
+        # All nodes are held in one stacked call; each node must come out
+        # bit for bit as held alone.
+        sys, (tangent_A, tangent_b) = self.build(rho_smooth, spec_small)
         for c in range(sys.ncells):
-            one = dataclasses.replace(ops, ncells=1, moments=ops.moments[:, [c]],
-                                      dmoments=ops.dmoments[..., [c]])
-            alone = build_sensitivities(one, build_sampled(one, spec_small.tau))
-            np.testing.assert_array_equal(sys.tangent_A[c], alone.tangent_A[0])
-            np.testing.assert_array_equal(sys.tangent_b[c], alone.tangent_b[0])
+            alone_A, alone_b = tangent_hold(sys.nodes[c:c + 1], spec_small.n, spec_small.tau)
+            np.testing.assert_array_equal(tangent_A[c], alone_A[0])
+            np.testing.assert_array_equal(tangent_b[c], alone_b[0])
 
     def test_against_independent_frechet(self, rho_smooth, spec_small):
         # scipy's dedicated Frechet-derivative routine as a second path, on
         # the Galerkin generators: dAhat/dnu = L(G tau, G1 tau).
-        ops, sys = self.build(rho_smooth, spec_small)
+        ops = assemble(spec_small, rho_smooth)
+        sys = build_sampled(ops, spec_small.tau)
+        tangent_A, _ = tangent_hold(sys.nodes, spec_small.n, spec_small.tau)
         b = sys.block_size
         g1 = -np.linalg.solve(eta_mass_matrix(spec_small.n), eta_stiffness_matrix(spec_small.n))
-        for gen, upper in zip(galerkin_generator(ops), sys.tangent_A[:, :b, b:]):
+        for gen, upper in zip(galerkin_generator(ops), tangent_A[:, :b, b:]):
             _, frechet = scipy.linalg.expm_frechet(gen * sys.tau, g1 * sys.tau)
             np.testing.assert_allclose(upper, frechet, rtol=1e-10, atol=1e-12)
+
+
+def node_derivatives_by_recursion(A, bhat, dA, dbhat, count):
+    """(..., count) d(e0^T A^k bhat) from the derivatives dA and dbhat of
+    the hold: x_{k+1} = A x_k and dx_{k+1} = dA x_k + A dx_k, one step at
+    a time.  ``dA`` and ``dbhat`` may carry leading axes beyond A's."""
+    x, dx = bhat, dbhat
+    out = np.empty(dx.shape[:-1] + (count,))
+    for k in range(count):
+        out[..., k] = dx[..., 0]
+        dx = np.einsum("...ij,...j->...i", dA, x) + np.einsum("...ij,...j->...i", A, dx)
+        x = np.einsum("...ij,...j->...i", A, x)
+    return out
 
 
 class TestSensitivities:
@@ -240,49 +268,53 @@ class TestSensitivities:
     def test_stack_equals_per_cell_reference(self, rho_smooth, n):
         # The reference factorizes every Galerkin mass block and solves
         # nine directions per cell.  Its input column is s_c = w2_c / w_c
-        # times the node's, and its sensitivities follow by the chain rule
-        # through the node nu_c and s_c; both agree with it to rounding.
+        # times the node's, so its cell responses s_c g_c have the
+        # parameter derivatives ds_c g_c + s_c dnu_c dg_c/dnu; they and the
+        # hold agree with it to rounding.
         spec = GridSpec(n=n, m1=2, m2=2, tau=1 / 12)
         ops, sys = self.build(rho_smooth, spec)
         A, Agen, Bhat, dA, dBhat = per_cell_reference(ops, spec.tau)
         g0, g1, _ = eta_operators(n)
-        b = sys.block_size
-        dA_dnode, dbhat_dnode = sys.tangent_A[:, :b, b:], sys.tangent_b[:, :b]
         w, _, w2 = ops.moments
         dw, _, dw2 = ops.dmoments
         s = w2 / w
         ds = (dw2 - s * dw) / w
-        galerkin_bhat = s[:, None] * sys.bhat
-        galerkin_dbhat = (ds[:, :, None] * sys.bhat
-                          + (s * sys.dnodes)[:, :, None] * dbhat_dnode)
-        dA_k = sys.dnodes[:, :, None, None] * dA_dnode
+        count = 24
+        g, dg = modal_responses(sys.rates, sys.coefs, spec.tau, count)
+        galerkin_dg = ds[:, :, None] * g + (s * sys.dnodes)[:, :, None] * dg
+        reference_dg = node_derivatives_by_recursion(
+            A, Bhat.reshape(sys.ncells, -1), dA, dBhat.reshape(len(ds), sys.ncells, -1), count)
         gen = g0 + sys.nodes[:, None, None] * g1
         for got, want in ((sys.A_blocks, A), (gen, Agen),
-                          (galerkin_bhat.reshape(-1), Bhat), (dA_k, dA),
-                          (galerkin_dbhat.reshape(len(ds), -1), dBhat)):
+                          ((s[:, None] * sys.bhat).reshape(-1), Bhat),
+                          (galerkin_dg, reference_dg)):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("n_params", [1, 4, 9])
     def test_parameters_share_each_solve_call(self, rho_smooth, spec_small,
                                               monkeypatch, n_params):
         # Every parameter moves a cell through its moments alone, so all of
-        # them share one stacked tangent hold (one exponential of all the
-        # nodes' blocks), and the parameter count changes no bit of any
-        # parameter's result.
+        # them share one stacked eigendecomposition of all the nodes' blocks
+        # (and no exponential), and the parameter count changes no bit of
+        # any parameter's result.
         ops, full = self.build(rho_smooth, spec_small)
         sub = dataclasses.replace(ops, dmoments=ops.dmoments[:, :n_params])
         sys = build_sampled(sub, spec_small.tau)
         calls = []
 
-        def counted(a, _real=sampled.expm):
+        def counted(a, _real=np.linalg.eigh):
             calls.append(a.shape)
             return _real(a)
 
-        monkeypatch.setattr(sampled, "expm", counted)
+        def no_exponential(a):
+            raise AssertionError("build_sensitivities took an exponential")
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        monkeypatch.setattr(sampled, "expm", no_exponential)
         build_sensitivities(sub, sys)
-        assert calls == [(sys.ncells, 2 * sys.block_size, 2 * sys.block_size)]
-        np.testing.assert_array_equal(sys.tangent_A, full.tangent_A)
-        np.testing.assert_array_equal(sys.tangent_b, full.tangent_b)
+        assert calls == [(sys.ncells, sys.block_size, sys.block_size)]
+        np.testing.assert_array_equal(sys.rates, full.rates)
+        np.testing.assert_array_equal(sys.coefs, full.coefs)
         np.testing.assert_array_equal(sys.dnodes, full.dnodes[:n_params])
         np.testing.assert_array_equal(sys.dweights, full.dweights[:n_params])
 
@@ -302,8 +334,13 @@ class TestSensitivities:
 
         spec = GridSpec(n=3, m1=2, m2=2, tau=1 / 12)
         _, sys = self.build(rho_smooth, spec)
-        b = sys.block_size
+        count = 30
+        _, dg = modal_responses(sys.rates, sys.coefs, spec.tau, count)
         base = rho_smooth.as_array()
+
+        def node_responses(s):
+            return forward.impulse_response(s.A_blocks, s.bhat, count)[..., 0]
+
         for k in range(9):
             h = 1e-6 * (1 + abs(base[k]))
             up, dn = base.copy(), base.copy()
@@ -311,16 +348,12 @@ class TestSensitivities:
             dn[k] -= h
             sys_up = build_sampled(assemble(spec, RhoParams.from_array(up)), spec.tau)
             sys_dn = build_sampled(assemble(spec, RhoParams.from_array(dn)), spec.tau)
-            fdA = (block_diag(*sys_up.A_blocks) - block_diag(*sys_dn.A_blocks)) / (2 * h)
-            fdB = (sys_up.bhat - sys_dn.bhat) / (2 * h)
+            fdG = (node_responses(sys_up) - node_responses(sys_dn)) / (2 * h)
             fdW = (sys_up.weights - sys_dn.weights) / (2 * h)
-            dA = block_diag(*(sys.dnodes[k, :, None, None] * sys.tangent_A[:, :b, b:]))
-            dB = sys.dnodes[k, :, None] * sys.tangent_b[:, :b]
-            errA = np.linalg.norm(dA - fdA) / max(np.linalg.norm(fdA), 1e-10)
-            errB = np.linalg.norm(dB - fdB) / max(np.linalg.norm(fdB), 1e-10)
+            dG = sys.dnodes[k, :, None] * dg
+            errG = np.linalg.norm(dG - fdG) / max(np.linalg.norm(fdG), 1e-10)
             errW = np.linalg.norm(sys.dweights[k] - fdW) / max(np.linalg.norm(fdW), 1e-10)
-            assert errA < 1e-5, k
-            assert errB < 1e-5, k
+            assert errG < 1e-5, k
             assert errW < 1e-5, k
 
     def test_requires_gradient_tensors(self, rho_smooth, spec_small):
@@ -360,3 +393,135 @@ class TestPointMassReference:
         for n, err in errors.items():
             assert err[inner].max() <= 1e-9, n
             assert np.all(err <= 1e-3), n
+
+    def test_modal_form_against_the_reference(self):
+        # point_mass_modes is no further from the reference than the hold
+        # at any point, and within 1e-9 on q1 in [1e-2, 1e2].
+        def modal(q1, n, tau, steps):
+            return modal_responses(*point_mass_modes(q1, n, tau), tau, steps)
+
+        q1, modal_errors = self.errors(modal)
+        _, hold_errors = self.errors(tangent_responses)
+        inner = (q1 >= 1e-2) & (q1 <= 1e2)
+        for n, err in modal_errors.items():
+            assert np.all(err <= hold_errors[n]), n
+            assert err[inner].max() <= 1e-9, n
+
+
+class TestPointMassModes:
+    @pytest.mark.parametrize("n, m", [(4, 2), (8, 4), (16, 8)])
+    def test_response_is_the_forward_hold(self, rho_smooth, n, m):
+        # g from the modal form repeats the forward hold's impulse
+        # response, to rounding.
+        spec = GridSpec(n=n, m1=m, m2=m, tau=1 / 12)
+        sys = build_sampled(assemble(spec, rho_smooth), spec.tau)
+        g, _ = modal_responses(*point_mass_modes(sys.nodes, n, spec.tau), spec.tau, 120)
+        want = forward.impulse_response(sys.A_blocks, sys.bhat, 120)[..., 0]
+        assert np.abs(g - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_stack_matches_node_by_node(self):
+        # One stacked eigh for all nodes; each node's rates and rows come
+        # out bit for bit as from that node alone.
+        nodes = np.geomspace(1e-6, 1e3, 13)
+        rates, coefs = point_mass_modes(nodes, 8, 1 / 12)
+        for c in range(len(nodes)):
+            alone = point_mass_modes(nodes[c:c + 1], 8, 1 / 12)
+            np.testing.assert_array_equal(rates[c], alone[0][0])
+            np.testing.assert_array_equal(coefs[c], alone[1][0])
+
+    def test_against_independent_frechet(self):
+        # scipy's Frechet derivative of the hold as a second path:
+        # dAhat/dq1 = L(G tau, G1 tau), dbhat/dq1 from
+        # bhat = (Ahat - I) G^{-1} beta, and dg_k by the recursion.
+        n, tau, count = 6, 1 / 12, 40
+        g0, g1, beta = eta_operators(n)
+        for q1 in (0.05, 0.7, 4.0):
+            gen = g0 + q1 * g1
+            ahat, dahat = scipy.linalg.expm_frechet(gen * tau, g1 * tau)
+            x = np.linalg.solve(gen, beta[:, 0])
+            bhat = (ahat - np.eye(n + 1)) @ x
+            dbhat = dahat @ x - (ahat - np.eye(n + 1)) @ np.linalg.solve(gen, g1 @ x)
+            want = node_derivatives_by_recursion(ahat, bhat, dahat, dbhat, count)
+            _, dg = modal_responses(*point_mass_modes(np.array([q1]), n, tau), tau, count)
+            assert np.abs(dg[0] - want).max() <= 1e-12 * np.abs(want).max(), q1
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_derivative_matches_richardson_differences(self, n):
+        # dg/dq1 against Richardson's extrapolation (4 D(h/2) - D(h)) / 3
+        # of central differences D(h) of forward.unit_responses in q1, at
+        # h = 1e-2 q1.  The oracle's own rounding (the hold's, divided by
+        # h) sets the bound: the worst error measured is 9.7e-9, at q1 = 40.
+        tau, count = 1 / 12, 120
+        q1 = np.array([0.02, 0.3, 1.0, 5.0, 40.0])
+        _, dg = modal_responses(*point_mass_modes(q1, n, tau), tau, count)
+
+        def central(h):
+            return (forward.unit_responses(q1 + h, n, tau, count)
+                    - forward.unit_responses(q1 - h, n, tau, count)) / (2 * h[:, None])
+
+        h = 1e-2 * q1
+        oracle = (4 * central(h / 2) - central(h)) / 3
+        err = np.abs(dg - oracle).max(axis=1) / np.abs(oracle).max(axis=1)
+        assert err.max() <= 5e-8, err
+
+    def test_close_eigenvalues_keep_the_divided_differences_accurate(self, monkeypatch):
+        # A three-mode S = l l^T + q1 D~^T D~ whose two slow eigenvalues
+        # lie as close as the coupling 2 delta^2 lets them (relative gaps
+        # 3e-6 down to 3e-14), against 60-digit mpmath: g from its
+        # eigendecomposition, dg/dq1 by central differences at step 1e-25.
+        import mpmath
+
+        tau, count, q1 = 1 / 12, 60, 1.0
+        right = np.array([1.0, 0.3, 0.2])
+        dfac = np.diag(np.sqrt([1.0, 1.0, 3.0]))
+
+        def reference(left):
+            def g(q):
+                s = (mpmath.matrix(np.outer(left, left).tolist())
+                     + q * mpmath.matrix((dfac.T @ dfac).tolist()))
+                w, v = mpmath.eigsy(s)
+                out = []
+                for k in range(count):
+                    total = mpmath.mpf(0)
+                    for i in range(3):
+                        lv = sum(mpmath.mpf(left[j]) * v[j, i] for j in range(3))
+                        rv = sum(mpmath.mpf(right[j]) * v[j, i] for j in range(3))
+                        total += (lv * rv * -mpmath.expm1(-w[i] * tau) / w[i]
+                                  * mpmath.exp(-w[i] * tau * k))
+                    out.append(total)
+                return out
+
+            with mpmath.workdps(60):
+                h = mpmath.mpf("1e-25")
+                up, dn = g(mpmath.mpf(q1) + h), g(mpmath.mpf(q1) - h)
+                return np.array([float((a - b) / (2 * h)) for a, b in zip(up, dn)])
+
+        for delta in (1e-3, 1e-5, 1e-7):
+            left = np.array([delta, 2 * delta, 1.0])
+            ops = (left, right, dfac, dfac.T @ dfac)
+            monkeypatch.setattr(sampled, "eta_symmetric_operators", lambda n: ops)
+            rates, coefs = point_mass_modes(np.array([q1]), 2, tau)
+            slow = np.sort(rates[0])[:2]
+            assert (slow[1] - slow[0]) / slow[0] <= 1e-5
+            _, dg = modal_responses(rates, coefs, tau, count)
+            want = reference(left)
+            assert np.abs(dg[0] - want).max() <= 1e-12 * np.abs(want).max(), delta
+
+    def test_phi_slope_against_mpmath(self):
+        # phi'(w) by its series below x = w tau = SERIES_BELOW and in
+        # closed form above, against 40-digit mpmath, from x = 1e-12 (the
+        # nodes reach Q1_FLOOR) to x = 30.
+        import mpmath
+
+        tau = 1 / 12
+        rates = np.geomspace(1e-12, 30.0, 200) / tau
+        phi, slope = _phi_and_slope(rates, tau)
+        with mpmath.workdps(40):
+            t = mpmath.mpf(tau)
+            want_phi = [-mpmath.expm1(-w * t) / w for w in map(mpmath.mpf, rates)]
+            want_slope = [(t * mpmath.exp(-w * t) + mpmath.expm1(-w * t) / w) / w
+                          for w in map(mpmath.mpf, rates)]
+            want_phi = np.array([float(v) for v in want_phi])
+            want_slope = np.array([float(v) for v in want_slope])
+        assert np.abs(phi / want_phi - 1).max() <= 1e-15
+        assert np.abs(slope / want_slope - 1).max() <= 4e-15
