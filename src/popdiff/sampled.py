@@ -266,6 +266,7 @@ def point_mass_modes(nodes: np.ndarray, n: int, tau: float):
     eigenvector, taken through the factor of S: its relative error is
     about eps sqrt(cond S), where an eigenvalue from ``eigh`` is off by
     about eps |S|, too much for the slowest mode of a large q1.
+    V^T K~ V is formed as (D~ V)^T (D~ V) for the same reason.
 
     The divided differences (B_ij + B_ji) / (w_i - w_j) stay accurate
     where two eigenvalues lie close.  Off the diagonal
