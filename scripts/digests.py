@@ -17,6 +17,9 @@ hex digits of ``workloads.digest`` over:
 * the cell moments' nine parameter derivatives at ``START``
   (``assemble(..., with_grad=True).dmoments``), the layer every
   derivative above starts from;
+* the population response ``h`` at ``START`` for the longest episode
+  (``forward.response`` of ``build_sampled``), the kernel every cost and
+  every data set is convolved with;
 * ``build_sensitivities`` at ``START`` (the nodes' modal form, ``rates``
   and ``coefs``, and ``dnodes`` and ``dweights``), so a change in the
   sensitivity layer is named directly;
@@ -59,7 +62,7 @@ import numpy as np  # noqa: E402
 import popdiff  # noqa: E402
 import workloads  # noqa: E402
 from popdiff.density import sample_array  # noqa: E402
-from popdiff.forward import simulate_deterministic_batch  # noqa: E402
+from popdiff.forward import response, simulate_deterministic_batch  # noqa: E402
 from popdiff.objective import evaluate  # noqa: E402
 
 BAND_SEED = 1
@@ -93,7 +96,9 @@ def report(w) -> list[tuple[str, str, list]]:
     line("jacobian@START", evaluate(workloads.START, spec, episodes).jacobian())
     ops = popdiff.assemble(spec, workloads.START, with_grad=True)
     line("dmoments@START", ops.dmoments)
-    sens = popdiff.build_sensitivities(ops, popdiff.build_sampled(ops, spec.tau))
+    sys = popdiff.build_sampled(ops, spec.tau)
+    line("response@START", response(sys, max(ep.steps for ep in episodes)))
+    sens = popdiff.build_sensitivities(ops, sys)
     line("build_sensitivities@START",
          sens.rates, sens.coefs, sens.dnodes, sens.dweights)
     line("initialize", popdiff.initialize(episodes, spec).as_array())

@@ -1,3 +1,6 @@
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -142,6 +145,46 @@ class TestSimulate:
             simulate(sys, np.full(400, 1.7e308))
         with pytest.raises(SimulationDivergenceError):
             simulate(scalar_system(2.0, 1.0), np.ones(1200))
+
+
+def node_system(nodes, n, tau):
+    """The population system whose cells are the point masses at q1 =
+    ``nodes``, each read with weight 1: ``build_sampled`` of unit cell
+    moments w = w2 = 1, w1 = nodes."""
+    nodes = np.asarray(nodes, dtype=float)
+    ones = np.ones_like(nodes)
+    ops = SimpleNamespace(moments=np.stack([ones, nodes, ones]), block_size=n + 1,
+                          ncells=len(nodes))
+    return build_sampled(ops, tau)
+
+
+class TestPopulationResponse:
+    @pytest.mark.parametrize("n, m", [(4, 2), (8, 4), (16, 8)])
+    def test_matches_the_hold(self, rho_smooth, n, m):
+        # h = sum_c omega_c e0^T Ahat_c^k bhat_c from point_mass_hold and
+        # impulse_response at the system's nodes, within 1e-12 of max|h|.
+        spec = GridSpec(n=n, m1=m, m2=m, tau=1 / 12)
+        sys = population_system(rho_smooth, spec)
+        h = response(sys, 120)
+        held = impulse_response(*point_mass_hold(sys.nodes, n, spec.tau), 120)[..., 0]
+        want = sys.weights @ held
+        assert np.abs(h - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_against_the_reference(self):
+        # Each node alone, against the 50-digit point-mass responses of
+        # tests/reference/point_mass_mp50.npz (n = 4, 8, 16; q1 = 1e-6 ..
+        # 1e3; 120 steps): no further from them than the hold at any point.
+        ref = np.load(Path(__file__).parent / "reference" / "point_mass_mp50.npz")
+        tau, steps = float(ref["tau"]), int(ref["steps"])
+        for n in map(int, ref["n"]):
+            want = ref[f"g_n{n}"]
+            scale = np.abs(want).max(axis=1)
+            for q1, row, top in zip(ref["q1"], want, scale):
+                got = response(node_system([q1], n, tau), steps)
+                held = impulse_response(*point_mass_hold(np.array([q1]), n, tau),
+                                        steps)[0, :, 0]
+                err, hold_err = (np.abs(a - row).max() / top for a in (got, held))
+                assert err <= hold_err, (n, q1, err, hold_err)
 
 
 class TestDeterministic:
