@@ -1,24 +1,26 @@
 """Forward simulation: the population system and the single-q model.
 
-Both are block-diagonal recursions x[j+1] = Ahat x[j] + bhat u[j] from
-x[0] = 0, built by one stacked ``sampled.point_mass_hold`` of the
-point-mass generators G0 + q1 G1, and both are linear and time-invariant:
-the output is the input convolved with the impulse response
-e0^T Ahat^k bhat, which ``impulse_response`` forms by doubling, with no
-loop over time and no rows beyond the count asked for.  The population
-system has one block per density cell, the point mass at the node
-nu_c = w1_c / w_c, read at state 0 with the weight omega_c = w2_c
-(``sampled.build_sampled``): its response is the quadrature rule
-h = sum_c omega_c g_c of single-q responses at q2 = 1, from cell moments
-at the quadrature orders fixed in ``assembly``.  ``simulate`` convolves one
-input sequence; a caller with several episodes forms ``response`` once
-and passes it to each call.
-The single-q model gives each draw one block:
-``simulate_deterministic_batch`` serves a block of draws with one hold
-and one doubling, and ``simulate_deterministic`` is its one-draw case; a
-caller whose draws each have their own input forms their responses in
-one stack (``unit_responses``) and passes each row to
-``simulate_deterministic``.
+Both are linear and time-invariant from a zero state: the output is the
+input convolved with an impulse response.  The population system has one
+node per density cell, the point mass at nu_c = w1_c / w_c read at state
+0 with the weight omega_c = w2_c (``sampled.build_sampled``).  Its
+response is the quadrature rule h = sum_c omega_c g_c of single-q
+responses at q2 = 1, each in modal form, g_c[k] = sum_i gamma_ci
+z_ci^k with the decay factors z = e^{-w tau}: ``response`` forms the
+powers by doubling (``sampled.decay_powers``) and h[k] by one dot of
+fixed length per k, so that h[k] does not depend on the count asked for.
+The cell moments come at the quadrature orders fixed in ``assembly``.
+``simulate`` convolves one input sequence; a caller with several
+episodes forms ``response`` once and passes it to each call.
+The single-q model gives each draw one block, the recursion
+x[j+1] = Ahat x[j] + bhat u[j] of one stacked ``sampled.point_mass_hold``
+of the generators G0 + q1 G1, and its impulse response e0^T Ahat^k bhat,
+which ``impulse_response`` forms by doubling, with no loop over time and
+no rows beyond the count asked for.  ``simulate_deterministic_batch``
+serves a block of draws with one hold and one doubling, and
+``simulate_deterministic`` is its one-draw case; a caller whose draws
+each have their own input forms their responses in one stack
+(``unit_responses``) and passes each row to ``simulate_deterministic``.
 A Monte Carlo mean over draws converges to the population output.
 """
 
@@ -32,7 +34,7 @@ from .assembly import assemble
 from .density import RhoParams, _as_point, sample_array
 from .errors import SimulationDivergenceError
 from .grid import GridSpec
-from .sampled import SampledSystem, build_sampled, point_mass_hold
+from .sampled import SampledSystem, build_sampled, decay_powers, point_mass_hold
 
 # Draws per stacked exponential and impulse response in
 # simulate_deterministic_batch; keeps the (draws, mu, n+1) responses small.
@@ -112,11 +114,13 @@ def convolve(g: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def response(sys: SampledSystem, count: int) -> np.ndarray:
-    """Population response h[k] = sum_c omega_c g[k, c] for k < count, from
-    the node responses g[k, c] = e0^T Ahat_c^k bhat_c, one dot per k, so
-    that h[k] does not depend on ``count``."""
-    g = np.ascontiguousarray(impulse_response(sys.A_blocks, sys.bhat, count)[..., 0].T)
-    return np.vecdot(g, sys.weights)
+    """Population response h[k] = sum_c omega_c sum_i gamma_ci z_ci^k for
+    k < count, with z = e^{-w tau} from the nodes' rates: the powers by
+    ``decay_powers`` and one dot per k, so that h[k] does not depend on
+    ``count``."""
+    powers = decay_powers(np.exp(-sys.tau * sys.rates), count)
+    return np.vecdot(powers.reshape(count, sys.rates.size),
+                     (sys.weights[:, None] * sys.gamma).reshape(-1))
 
 
 def simulate(sys: SampledSystem, u: np.ndarray, h: np.ndarray | None = None):
@@ -167,10 +171,9 @@ def simulate_deterministic_batch(
 ) -> np.ndarray:
     """(len(qs), len(u)+1) single-q outputs for the draws ``qs`` (rows q1, q2).
 
-    Each draw is one block of the population system with a point mass,
-    held by ``sampled.point_mass_hold`` at q1 as ``build_sampled`` holds
-    a node.  Its output q2 (g * u) is the impulse response g of state 0
-    convolved with the input.
+    Each draw is the point mass at q1, held by ``sampled.point_mass_hold``.
+    Its output q2 (g * u) is the impulse response g of state 0 convolved
+    with the input.
     """
     qs = np.asarray(qs, dtype=float)
     if qs.ndim != 2 or qs.shape[1] != 2:

@@ -4,11 +4,12 @@ The cost is the plain sum of squared residuals between the population
 output and the observations, every sample weighted equally and no
 regularization term (``optimizer.fit`` adds its pull).  An episode's
 output is its input convolved with the population response
-h = sum_c omega_c g_c of the node responses g_c[k] = e0^T Ahat_c^k bhat_c
-(``forward.response``).  The parameters reach h only through the nodes
-and weights, so dh/drho = dweights @ g + (dnodes * omega) @ dg/dnu, with
-g_c and dg_c/dnu formed for the count at hand from node c's modal form,
-sums of its decay factors e^{-w tau k} (``sampled.build_sensitivities``
+h = sum_c omega_c g_c of the node responses g_c[k] = gamma_c . e^{-w_c tau k},
+the modal form of one symmetric eigendecomposition per node
+(``sampled.build_sampled``, ``forward.response``).  The parameters reach
+h only through the nodes and weights, so dh/drho = dweights @ g +
+(dnodes * omega) @ dg/dnu, with g_c and dg_c/dnu formed for the count at
+hand from node c's rows (gamma, delta, eps) (``sampled.build_sensitivities``
 and ``sampled.modal_responses``).  Column p of the residual Jacobian J
 stacks each episode's input convolved with dh_p, and the gradient is
 2 J^T r: no backward pass and no stored states.  A central
@@ -20,8 +21,9 @@ assembles and samples the system once (at the quadrature orders fixed in
 episode, and convolves each episode's input with it, one ``simulate``
 call per episode.  Its ``jacobian`` function reuses them: it
 assembles only the derivative tensors (``with_grad`` changes no bit of
-the operators) and adds the sensitivities to the same sampled system.
-An episode's output and cost do not depend, bit for bit, on the
+the operators) and adds the sensitivities to the same sampled system,
+whose derivative rows come from the eigendecomposition ``evaluate``
+made.  An episode's output and cost do not depend, bit for bit, on the
 episodes evaluated with it.  ``cost``, ``gradient_adjoint`` and
 ``gradient_fd`` call it; ``optimizer.fit`` calls it directly and asks
 for the Jacobian only at accepted points.

@@ -6,28 +6,17 @@ single-q system at the node nu_c = w1_c / w_c, read with the weight
 omega_c = w2_c: the population output is the quadrature rule
 y = sum_c omega_c g(nu_c), where g(q1) is state 0 of the point mass at
 q1 with unit input gain (generator G(q1) = G0 + q1 G1 and input column
-beta_eta from ``eta_operators``).  With zero-order-hold input at
-interval tau each node collapses exactly to x_{j+1} = Ahat x_j + bhat u_j,
-with
+beta_eta from ``eta_operators``).
 
-    Ahat_c = exp(G(nu_c) tau),   bhat_c = (Ahat_c - I) G(nu_c)^{-1} beta_eta,
-
-one stacked ``point_mass_hold`` for all nodes, as it also serves the
-single-q draws of ``forward.simulate_deterministic_batch``.  The
-exponential is ``expm``: Pade scaling and squaring in numpy over the
-whole (..., k, k) stack, each block scaled and squared by its own power
-of two, so a block's result does not depend on the stack it comes in.
-
-Sensitivities: every parameter reaches the output only through the
-nodes and weights, so the system stores the (P, ncells) Jacobians
-dnu/drho and domega/drho and, per node, the modal form of its response.
-With M_eta = R^T R, the state y = R x of the point mass at q1 obeys
-y' = -S y + r u, read out as l . y, with the symmetric positive definite
+Modal form.  With M_eta = R^T R, the state y = R x of the point mass at
+q1 obeys y' = -S y + r u, read out as l . y, with the symmetric positive
+definite
 
     S(q1) = l l^T + q1 K~,   l = R^{-T} e0,  r = R^{-T} e_n,  K~ = R^{-T} K_eta R^{-1}
 
 (``eta_symmetric_operators``).  One ``np.linalg.eigh`` of
-S(nu_c) = V diag(w) V^T gives the node's response in closed form,
+S(nu_c) = V diag(w) V^T gives the node's response to an input held over
+each interval tau in closed form,
 
     g_k = sum_i gamma_i e^{-w_i tau k},   gamma_i = (l.v_i)(r.v_i) phi(w_i),
     phi(w) = (1 - e^{-w tau}) / w,
@@ -41,9 +30,27 @@ eigenvalues:
     delta_i = B_ii phi'(w_i) + phi(w_i) sum_{j != i} (B_ij + B_ji) / (w_i - w_j),
     eps_i = B_ii phi(w_i).
 
-``point_mass_modes`` forms the rates w and the rows (gamma, delta, eps)
-of a stack of nodes, and ``modal_responses`` forms g and dg/dnu for any
-count: no matrix exponential, no solve and no doubling.
+``build_sampled`` makes that one stacked eigendecomposition of all the
+nodes and keeps the rates w, the row gamma and the projections l.V, r.V
+and D~V; ``build_sensitivities`` forms delta and eps from the kept
+projections, with no second decomposition.  ``decay_powers`` forms the
+factors e^{-w tau k} by doubling and ``modal_responses`` g and dg/dnu for
+any count: no matrix exponential, no solve.  A node at a large q1 simply
+decays.
+
+The single-q draws of ``forward.simulate_deterministic_batch`` are held
+instead, x_{j+1} = Ahat x_j + bhat u_j with
+
+    Ahat = exp(G(q1) tau),   bhat = (Ahat - I) G(q1)^{-1} beta_eta,
+
+one stacked ``point_mass_hold`` per block of draws.  The exponential is
+``expm``: Pade scaling and squaring in numpy over the whole (..., k, k)
+stack, each block scaled and squared by its own power of two, so a
+block's result does not depend on the stack it comes in.
+
+Sensitivities: every parameter reaches the output only through the
+nodes and weights, so the system stores the (P, ncells) Jacobians
+dnu/drho and domega/drho beside the nodes' rows.
 """
 
 from __future__ import annotations
@@ -61,16 +68,16 @@ from .grid import eta_mass_matrix, eta_stiffness_matrix
 
 @dataclass
 class SampledSystem:
-    """Discrete-time point-mass blocks at the nodes, with readout weights."""
+    """Point-mass nodes in modal form, with readout weights."""
 
     block_size: int
     ncells: int
     tau: float
-    A_blocks: np.ndarray        # (ncells, b, b) blocks of Ahat
     nodes: np.ndarray           # (ncells,) diffusivity nu_c of each node
-    bhat: np.ndarray            # (ncells, b) input column of each node
-    weights: np.ndarray         # (ncells,) readout weight of each node's state 0
-    rates: np.ndarray | None = None      # (ncells, b) eigenvalues w of S(nu_c)
+    weights: np.ndarray         # (ncells,) readout weight omega_c of each node
+    rates: np.ndarray           # (ncells, b) eigenvalues w of S(nu_c)
+    gamma: np.ndarray           # (ncells, b) row gamma: g_k = gamma . e^{-w tau k}
+    projections: tuple | None = None     # (l.V, r.V, D~V): (ncells, b), (ncells, b), (ncells, n, b)
     coefs: np.ndarray | None = None      # (ncells, 3, b) rows gamma, delta, eps
     dnodes: np.ndarray | None = None     # (P, ncells)
     dweights: np.ndarray | None = None   # (P, ncells)
@@ -84,7 +91,8 @@ class SampledSystem:
         return 0 if self.dnodes is None else self.dnodes.shape[0]
 
     def spectral_radius(self) -> float:
-        return float(np.abs(np.linalg.eigvals(self.A_blocks)).max())
+        """The largest decay factor e^{-w tau} of any node's modes."""
+        return float(np.exp(-self.tau * self.rates.min()))
 
 
 @functools.cache
@@ -216,25 +224,6 @@ def point_mass_hold(nodes: np.ndarray, n: int, tau: float):
     return ahat, bhat[..., 0]
 
 
-def build_sampled(ops: AssembledOperators, tau: float) -> SampledSystem:
-    """Discrete-time operators from the cell moments; tau > 0.
-
-    Node c sits at q1 = nu_c = w1_c / w_c, held by ``point_mass_hold`` as
-    ``forward.simulate_deterministic_batch`` holds a draw; its state 0 is
-    read with the weight omega_c = w2_c.
-    """
-    w, w1, w2 = ops.moments
-    if not np.all(w > 0):
-        raise SingularOperatorError(
-            f"a cell has no mass (smallest cell weight {w.min():.3e}); "
-            "its mass block is singular"
-        )
-    nodes = w1 / w
-    ahat, bhat = point_mass_hold(nodes, ops.block_size - 1, tau)
-    return SampledSystem(block_size=ops.block_size, ncells=ops.ncells, tau=tau,
-                         A_blocks=ahat, nodes=nodes, bhat=bhat, weights=w2)
-
-
 # phi'(w) = (tau e^{-x} - phi(w)) / w with x = w tau cancels as x -> 0,
 # where both terms tend to tau, and the slow rates of a node near
 # q1 = Q1_FLOOR are of order q1.  Below x = SERIES_BELOW it is summed from
@@ -256,17 +245,30 @@ def _phi_and_slope(rates: np.ndarray, tau: float):
     return phi, slope
 
 
-def point_mass_modes(nodes: np.ndarray, n: int, tau: float):
-    """(rates, coefs) of the point masses at q1 = ``nodes``: the
-    (len(nodes), b) eigenvalues w of S(q1) and the (len(nodes), 3, b)
-    rows (gamma, delta, eps) from which ``modal_responses`` forms g_k and
-    dg_k/dq1, by one stacked ``np.linalg.eigh``.
+def node_modes(nodes: np.ndarray, n: int, tau: float):
+    """(rates, gamma, projections) of the point masses at q1 = ``nodes``,
+    from one stacked ``np.linalg.eigh`` of S(q1) = V diag(w) V^T: the
+    (len(nodes), b) rates w and row gamma = (l.V)(r.V) phi(w), and the
+    projections (l.V, r.V, D~V) from which ``derivative_rows`` forms the
+    rows of dg/dq1.
 
     Each rate is the Rayleigh quotient (l.v)^2 + q1 |D~ v|^2 of its
     eigenvector, taken through the factor of S: its relative error is
     about eps sqrt(cond S), where an eigenvalue from ``eigh`` is off by
     about eps |S|, too much for the slowest mode of a large q1.
-    V^T K~ V is formed as (D~ V)^T (D~ V) for the same reason.
+    """
+    left, right, dfac, ktilde = eta_symmetric_operators(n)
+    _, vecs = np.linalg.eigh(np.outer(left, left) + nodes[:, None, None] * ktilde)
+    lv, rv, dv = left @ vecs, right @ vecs, dfac @ vecs
+    rates = lv * lv + nodes[:, None] * np.vecdot(dv, dv, axis=-2)
+    return rates, lv * rv * (-np.expm1(-rates * tau) / rates), (lv, rv, dv)
+
+
+def derivative_rows(rates: np.ndarray, projections, tau: float):
+    """(delta, eps), each (..., b): the rows of dg_k/dq1 =
+    (delta - tau k eps) . e^{-w tau k}, from the rates and projections of
+    ``node_modes``.  V^T K~ V is formed as (D~ V)^T (D~ V), for the same
+    reason as the rates.
 
     The divided differences (B_ij + B_ji) / (w_i - w_j) stay accurate
     where two eigenvalues lie close.  Off the diagonal
@@ -274,40 +276,91 @@ def point_mass_modes(nodes: np.ndarray, n: int, tau: float):
     rank-one update l l^T of q1 K~ lie close only where one of them has
     a small l.v, so the weight B_ij + B_ji shrinks with the gap.
     """
-    left, right, dfac, ktilde = eta_symmetric_operators(n)
-    _, vecs = np.linalg.eigh(np.outer(left, left) + nodes[:, None, None] * ktilde)
-    lv, rv, dv = left @ vecs, right @ vecs, dfac @ vecs
-    rates = lv * lv + nodes[:, None] * np.vecdot(dv, dv, axis=-2)
+    lv, rv, dv = projections
     bij = lv[:, :, None] * (np.swapaxes(dv, -1, -2) @ dv) * rv[:, None, :]
     diag = np.diagonal(bij, axis1=-2, axis2=-1)
     gap = rates[:, :, None] - rates[:, None, :]
     split = ((bij + np.swapaxes(bij, -1, -2)) / np.where(gap == 0, np.inf, gap)).sum(axis=-1)
     phi, slope = _phi_and_slope(rates, tau)
-    coefs = np.stack([lv * rv * phi, diag * slope + split * phi, diag * phi], axis=-2)
-    return rates, coefs
+    return diag * slope + split * phi, diag * phi
+
+
+def point_mass_modes(nodes: np.ndarray, n: int, tau: float):
+    """(rates, coefs) of the point masses at q1 = ``nodes``: the
+    (len(nodes), b) rates of ``node_modes`` and the (len(nodes), 3, b)
+    rows (gamma, delta, eps) from which ``modal_responses`` forms g_k
+    and dg_k/dq1."""
+    rates, gamma, projections = node_modes(nodes, n, tau)
+    return rates, np.stack([gamma, *derivative_rows(rates, projections, tau)], axis=-2)
+
+
+def decay_powers(z: np.ndarray, count: int) -> np.ndarray:
+    """(count, ...) powers z^k, k < count, of the decay factors ``z``.
+
+    Doubling, elementwise: z^{m+i} = z^i z^m for i < m, with z^m squared
+    from z, so that entry k is the same product at every count."""
+    out = np.empty((count,) + z.shape)
+    out[:1] = 1.0
+    power, m = z, 1
+    with np.errstate(over="ignore"):  # a hand-built growing mode
+        while m < count:
+            end = min(2 * m, count)
+            np.multiply(out[:end - m], power, out=out[m:end])
+            m *= 2
+            if m < count:
+                power = power * power
+    return out
 
 
 def modal_responses(rates: np.ndarray, coefs: np.ndarray, tau: float, count: int):
     """(g, dg), each (..., count): g_k = gamma . e^{-w tau k} and
     dg_k/dq1 = (delta - tau k eps) . e^{-w tau k} for k < count, from the
     rates and rows of ``point_mass_modes``."""
+    powers = np.moveaxis(decay_powers(np.exp(-tau * rates), count), 0, -1)
+    rows = coefs @ powers
     steps = np.arange(count)
-    rows = coefs @ np.exp(-tau * rates[..., None] * steps)
     return rows[..., 0, :], rows[..., 1, :] - tau * steps * rows[..., 2, :]
 
 
-def build_sensitivities(ops: AssembledOperators, sys: SampledSystem) -> SampledSystem:
-    """Fill the modal form and the node and weight sensitivities of ``sys``.
+def build_sampled(ops: AssembledOperators, tau: float) -> SampledSystem:
+    """Modal form of the population system from the cell moments; tau > 0.
 
-    Per node: the rates and rows of ``point_mass_modes``, one stacked
-    call for all nodes.  Per parameter: dnodes = (dw1 - nu dw) / w and
-    dweights = dw2, from the moment derivatives.
+    Node c sits at q1 = nu_c = w1_c / w_c and is read with the weight
+    omega_c = w2_c; all nodes share one stacked ``node_modes``.
+    """
+    if not tau > 0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    w, w1, w2 = ops.moments
+    if not np.all(w > 0):
+        raise SingularOperatorError(
+            f"a cell has no mass (smallest cell weight {w.min():.3e}); "
+            "its mass block is singular"
+        )
+    nodes = w1 / w
+    finite = np.isfinite(nodes)
+    if not finite.all():
+        raise ConditioningError(f"node {int(np.argmin(finite))} is not finite")
+    rates, gamma, projections = node_modes(nodes, ops.block_size - 1, tau)
+    return SampledSystem(block_size=ops.block_size, ncells=ops.ncells, tau=tau,
+                         nodes=nodes, weights=w2, rates=rates, gamma=gamma,
+                         projections=projections)
+
+
+def build_sensitivities(ops: AssembledOperators, sys: SampledSystem) -> SampledSystem:
+    """Fill the derivative rows and the node and weight sensitivities of
+    ``sys``.
+
+    Per node: the rows (gamma, delta, eps), delta and eps by
+    ``derivative_rows`` from the projections ``build_sampled`` kept, with
+    no second eigendecomposition.  Per parameter: dnodes =
+    (dw1 - nu dw) / w and dweights = dw2, from the moment derivatives.
     """
     if ops.dmoments is None:
         raise ValueError("operators were assembled without gradients")
     w = ops.moments[0]
     dw, dw1, dw2 = ops.dmoments
-    sys.rates, sys.coefs = point_mass_modes(sys.nodes, ops.block_size - 1, sys.tau)
+    sys.coefs = np.stack([sys.gamma, *derivative_rows(sys.rates, sys.projections, sys.tau)],
+                         axis=-2)
     sys.dnodes = (dw1 - sys.nodes * dw) / w
     sys.dweights = dw2
     return sys

@@ -241,32 +241,43 @@ def tangent_responses(nodes, n, tau, count):
     return tangent[..., n + 1], tangent[..., 0]
 
 
+def point_mass_blocks(sys):
+    """(Ahat, bhat) stacks of the point masses at the system's nodes:
+    ``sampled.point_mass_hold``, the hold the single-q draws use."""
+    from popdiff.sampled import point_mass_hold
+
+    return point_mass_hold(sys.nodes, sys.block_size - 1, sys.tau)
+
+
 def loop_simulate(sys, u):
-    """One episode, one step at a time: the recursion and readout that
-    ``forward.simulate`` stacks.  Same arithmetic, so equal bit for bit.
-    Returns the outputs and the (mu+1, ncells, b) states."""
+    """One episode, one step at a time: the recursion x[j+1] = Ahat x[j] +
+    bhat u[j] of the hold at the system's nodes (``point_mass_blocks``),
+    read at state 0 with the weights; equal to ``forward.simulate`` to
+    rounding.  Returns the outputs and the (mu+1, ncells, b) states."""
+    ahat, bhat = point_mass_blocks(sys)
     x = np.zeros((sys.ncells, sys.block_size))
     states = [x]
     for uj in u:
-        x = np.einsum("cij,cj->ci", sys.A_blocks, x) + sys.bhat * uj
+        x = np.einsum("cij,cj->ci", ahat, x) + bhat * uj
         states.append(x)
     return np.array([x[:, 0] @ sys.weights for x in states]), np.array(states)
 
 
 def loop_cost_and_gradient(sys, u, y_obs):
     """One episode's cost and adjoint gradient, one step at a time, on a
-    system carrying node and weight sensitivities.  The node derivatives
-    dAhat/dnu and dbhat/dnu are the upper blocks of ``tangent_hold`` at the
-    system's nodes."""
+    system carrying node and weight sensitivities.  The recursion is the
+    hold at the system's nodes, and the node derivatives dAhat/dnu and
+    dbhat/dnu are the upper blocks of ``tangent_hold`` there."""
     y, states = loop_simulate(sys, u)
     r = y - y_obs
     mu = len(u)
+    ahat, _ = point_mass_blocks(sys)
     readout = np.zeros((sys.ncells, sys.block_size))
     readout[:, 0] = sys.weights
     zetas = np.empty((mu,) + readout.shape)
     zeta = zetas[mu - 1] = 2.0 * r[mu] * readout
     for j in range(mu - 1, 0, -1):
-        zeta = np.einsum("cji,cj->ci", sys.A_blocks, zeta) + 2.0 * r[j] * readout
+        zeta = np.einsum("cji,cj->ci", ahat, zeta) + 2.0 * r[j] * readout
         zetas[j - 1] = zeta
     outer = np.einsum("jcb,jcd->cbd", zetas, states[:mu])
     input_sum = np.einsum("jcb,j->cb", zetas, u)

@@ -16,6 +16,7 @@ from conftest import (
     galerkin_blocks,
     galerkin_generator,
     golden_mismatches,
+    point_mass_blocks,
     pulse_input,
     random_rho,
 )
@@ -190,8 +191,9 @@ def test_criterion_07_stability():
             steps = int(np.ceil(np.log(1e13) / (abs(lam) * spec.tau))) + 20
             x0 = rng.standard_normal(sys.dim)
             x = x0.reshape(sys.ncells, sys.block_size)
+            ahat, _ = point_mass_blocks(sys)
             for _ in range(steps):
-                x = np.einsum("cij,cj->ci", sys.A_blocks, x)
+                x = np.einsum("cij,cj->ci", ahat, x)
             ratio = np.linalg.norm(x) / np.linalg.norm(x0)
             worst_decay = max(worst_decay, float(ratio))
     ok = worst_radius < 1.0 and worst_decay < 1e-12
@@ -266,11 +268,12 @@ def test_criterion_09_sampled_operator_identities():
                  for si, wi in zip(s, ws))
     # The Galerkin input column is s_c = w2_c / w_c times the node's.
     w, _, w2 = ops.moments
-    bhat = ((w2 / w)[:, None] * sys.bhat).reshape(-1)
+    ahat, node_bhat = point_mass_blocks(sys)
+    bhat = ((w2 / w)[:, None] * node_bhat).reshape(-1)
     bhat_err = np.linalg.norm(bhat - oracle) / np.linalg.norm(oracle)
 
-    one = scipy.linalg.block_diag(*sys.A_blocks)
-    two = scipy.linalg.block_diag(*build_sampled(ops, 2 * spec.tau).A_blocks)
+    one = scipy.linalg.block_diag(*ahat)
+    two = scipy.linalg.block_diag(*point_mass_blocks(build_sampled(ops, 2 * spec.tau))[0])
     semi_err = np.linalg.norm(one @ one - two) / np.linalg.norm(two)
 
     # The tau -> 0 limit error scales with ||Agen||*tau, so the limit is
@@ -278,9 +281,10 @@ def test_criterion_09_sampled_operator_identities():
     # terms below the stated tolerance.
     ops_small = assemble(GridSpec(n=4, m1=2, m2=2, tau=1 / 12), RHO_TRUE)
     tiny = build_sampled(ops_small, 1e-10)
-    tau0_err = max(float(np.abs(scipy.linalg.block_diag(*tiny.A_blocks)
+    tiny_ahat, tiny_bhat = point_mass_blocks(tiny)
+    tau0_err = max(float(np.abs(scipy.linalg.block_diag(*tiny_ahat)
                                 - np.eye(tiny.dim)).max()),
-                   float(np.abs(tiny.bhat).max()))
+                   float(np.abs(tiny_bhat).max()))
 
     ok = bhat_err < 1e-9 and semi_err < 1e-9 and tau0_err < 1e-8
     report(9, "discrete-time operator identities", ok,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import loop_simulate, pulse_input, smooth_pulse_input
+from conftest import loop_simulate, point_mass_blocks, pulse_input, smooth_pulse_input
 
 from popdiff.assembly import assemble
 from popdiff.density import QPoint, RhoParams, sample_array
@@ -23,15 +23,28 @@ from popdiff.forward import (
     unit_responses,
 )
 from popdiff.grid import GridSpec, eta_mass_matrix, eta_stiffness_matrix
-from popdiff.sampled import SampledSystem, build_sampled, point_mass_hold
+from popdiff.sampled import SampledSystem, build_sampled, decay_powers, point_mass_hold
 
 
 def scalar_system(ahat, bhat, weight=1.0, tau=1.0):
+    """One node whose response is g_k = bhat ahat^k: the one mode with
+    the decay factor e^{-w tau} = ahat and the row gamma = bhat."""
     return SampledSystem(
-        block_size=1, ncells=1, tau=tau,
-        A_blocks=np.array([[[ahat]]]), nodes=np.array([1.0]),
-        bhat=np.array([[bhat]]), weights=np.array([weight]),
+        block_size=1, ncells=1, tau=tau, nodes=np.array([1.0]),
+        weights=np.array([weight]), rates=np.array([[-np.log(ahat) / tau]]),
+        gamma=np.array([[bhat]]),
     )
+
+
+def node_system(nodes, n, tau):
+    """The population system whose cells are the point masses at q1 =
+    ``nodes``, each read with weight 1: ``build_sampled`` of unit cell
+    moments w = w2 = 1, w1 = nodes."""
+    nodes = np.asarray(nodes, dtype=float)
+    ones = np.ones_like(nodes)
+    ops = SimpleNamespace(moments=np.stack([ones, nodes, ones]), block_size=n + 1,
+                          ncells=len(nodes))
+    return build_sampled(ops, tau)
 
 
 class TestSimulate:
@@ -78,7 +91,8 @@ class TestSimulate:
         sys = population_system(rho_smooth, spec_small)
         u = pulse_input(20, spec_small.tau)
         y = simulate(sys, u)
-        A, B = scipy.linalg.block_diag(*sys.A_blocks), sys.bhat.reshape(-1)
+        ahat, bhat = point_mass_blocks(sys)
+        A, B = scipy.linalg.block_diag(*ahat), bhat.reshape(-1)
         C = np.zeros((sys.ncells, sys.block_size))
         C[:, 0] = sys.weights
         C = C.reshape(-1)
@@ -93,13 +107,13 @@ class TestSimulate:
         # Doubling extends by full powers of two, so entry j is the same
         # computation for every count (bit for bit), and it equals the
         # dense powers A^j b to rounding.
-        sys = population_system(rho_smooth, spec_small)
-        long = impulse_response(sys.A_blocks, sys.bhat, 45)
+        ahat, bhat = point_mass_blocks(population_system(rho_smooth, spec_small))
+        long = impulse_response(ahat, bhat, 45)
         for count in (0, 1, 2, 3, 20, 32, 33):
-            np.testing.assert_array_equal(impulse_response(sys.A_blocks, sys.bhat, count),
+            np.testing.assert_array_equal(impulse_response(ahat, bhat, count),
                                           long[:, :count])
         dense = np.empty_like(long)
-        for c, (a, b) in enumerate(zip(sys.A_blocks, sys.bhat)):
+        for c, (a, b) in enumerate(zip(ahat, bhat)):
             for j in range(long.shape[1]):
                 dense[c, j] = np.linalg.matrix_power(a, j) @ b
         assert np.abs(long - dense).max() <= 1e-12 * np.abs(dense).max()
@@ -126,9 +140,7 @@ class TestSimulate:
         # 2400 steps: the doubling's highest power is A^2048.  A slow node
         # (the input has barely reached the surface) and a fast one.
         n, tau = 8, 1 / 12
-        ahat, bhat = point_mass_hold(np.array([q1]), n, tau)
-        sys = SampledSystem(block_size=n + 1, ncells=1, tau=tau, A_blocks=ahat,
-                            nodes=np.array([q1]), bhat=bhat, weights=np.array([1.0]))
+        sys = node_system([q1], n, tau)
         u = np.random.default_rng(5).uniform(0.0, 1.0, 2400)
         y_loop, _ = loop_simulate(sys, u)
         scale = np.abs(y_loop).max()
@@ -145,17 +157,6 @@ class TestSimulate:
             simulate(sys, np.full(400, 1.7e308))
         with pytest.raises(SimulationDivergenceError):
             simulate(scalar_system(2.0, 1.0), np.ones(1200))
-
-
-def node_system(nodes, n, tau):
-    """The population system whose cells are the point masses at q1 =
-    ``nodes``, each read with weight 1: ``build_sampled`` of unit cell
-    moments w = w2 = 1, w1 = nodes."""
-    nodes = np.asarray(nodes, dtype=float)
-    ones = np.ones_like(nodes)
-    ops = SimpleNamespace(moments=np.stack([ones, nodes, ones]), block_size=n + 1,
-                          ncells=len(nodes))
-    return build_sampled(ops, tau)
 
 
 class TestPopulationResponse:
@@ -186,6 +187,34 @@ class TestPopulationResponse:
                 err, hold_err = (np.abs(a - row).max() / top for a in (got, held))
                 assert err <= hold_err, (n, q1, err, hold_err)
 
+
+    @pytest.mark.parametrize("n, m", [(4, 2), (8, 4), (16, 8)])
+    def test_doubling_powers(self, rho_smooth, n, m):
+        # decay_powers gives entry k as the same bits at every count from 0
+        # to 400, and within 1e-14 of np.exp(-w tau k), relative to the
+        # largest term z^0 = 1 (measured 7.2e-16 at n = 16).
+        spec = GridSpec(n=n, m1=m, m2=m, tau=1 / 12)
+        rates = population_system(rho_smooth, spec).rates
+        z = np.exp(-spec.tau * rates)
+        full = decay_powers(z, 401)
+        assert all(np.array_equal(decay_powers(z, count), full[:count])
+                   for count in range(401))
+        exact = np.exp(-spec.tau * rates * np.arange(401)[:, None, None])
+        assert np.abs(full - exact).max() <= 1e-14
+
+    @pytest.mark.parametrize("q1", [1e12, 1e16, 1e20])
+    def test_huge_q1_tends_to_the_well_mixed_column(self, q1):
+        # As q1 grows the column mixes at once and its unit mass evaporates
+        # at rate 1: g_k -> (1 - e^{-tau}) e^{-tau k}.  Measured 2.2e-12 at
+        # q1 = 1e12 (the model's own 2.3 / q1) and, as rounding in S grows
+        # with q1, up to 3.8e-8 at 1e20.  The node needs no exponential, so
+        # it does not raise; the hold raises ConditioningError from about
+        # q1 = 1e16 on and errs by 8.9e-2 at q1 = 1e12 (n = 16).
+        tau, count = 1 / 12, 120
+        limit = (1 - np.exp(-tau)) * np.exp(-tau * np.arange(count))
+        for n in (4, 8, 16):
+            h = response(node_system([q1], n, tau), count)
+            assert np.abs(h - limit).max() <= 1e-7 * limit.max(), n
 
 class TestDeterministic:
     def test_zero_input(self):

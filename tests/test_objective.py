@@ -6,7 +6,7 @@ from conftest import loop_cost_and_gradient, pulse_input, random_rho, xcorr_grad
 from popdiff.assembly import assemble
 from popdiff.density import RhoParams
 from popdiff.errors import DegenerateDensityError, SimulationDivergenceError
-from popdiff.forward import Episode, population_system, simulate
+from popdiff.forward import Episode, convolve, impulse_response, population_system, simulate
 from popdiff.grid import GridSpec
 from popdiff.objective import (
     cost,
@@ -173,8 +173,8 @@ class TestGradientAdjoint:
         ops = assemble(spec, rho, with_grad=True)
         sens = build_sensitivities(ops, build_sampled(ops, spec.tau))
         fresh = {name: np.array(getattr(sens, name), order="C")
-                 for name in ("A_blocks", "nodes", "bhat", "weights",
-                              "rates", "coefs", "dnodes", "dweights")}
+                 for name in ("nodes", "weights", "rates", "gamma",
+                              "coefs", "dnodes", "dweights")}
         return sens, SampledSystem(block_size=ops.block_size, ncells=ops.ncells,
                                    tau=spec.tau, **fresh)
 
@@ -224,10 +224,9 @@ class TestGradientAdjoint:
         tau, a, b = 0.25, -1.3, 0.4
         ahat = np.exp(a * tau)
         sys = SampledSystem(
-            block_size=1, ncells=1, tau=tau,
-            A_blocks=np.array([[[ahat]]]), nodes=np.array([a]),
-            bhat=np.array([[b]]), weights=np.array([1.0]),
-            rates=np.array([[-a]]), coefs=np.array([[[b], [0.0], [-b]]]),
+            block_size=1, ncells=1, tau=tau, nodes=np.array([a]),
+            weights=np.array([1.0]), rates=np.array([[-a]]), gamma=np.array([[b]]),
+            coefs=np.array([[[b], [0.0], [-b]]]),
             dnodes=np.array([[1.0]]), dweights=np.array([[0.0]]),
         )
         u = np.array([1.0, 0.6, 0.2])
@@ -306,7 +305,7 @@ class TestNodeWeightContract:
         # and the weights omega_c: with dnodes (or dweights) the identity
         # and the other zero, the adjoint returns dJ/dnu (or dJ/domega).
         # Oracle: central differences of the cost with the hold rebuilt at
-        # the moved nodes.
+        # the moved nodes (point_mass_hold, as the single-q draws hold).
         spec, rho, episodes = fit_setup
         ep = episodes[0]
         ops = assemble(spec, rho, with_grad=True)
@@ -318,10 +317,8 @@ class TestNodeWeightContract:
 
         def cost_at(point):
             nodes, weights = point
-            ahat, bhat = point_mass_hold(nodes, spec.n, spec.tau)
-            moved_sys = SampledSystem(spec.block_size, spec.ncells, spec.tau, ahat, nodes,
-                                      bhat, weights)
-            r = simulate(moved_sys, ep.u) - ep.y_obs
+            held = impulse_response(*point_mass_hold(nodes, spec.n, spec.tau), ep.steps)
+            r = convolve(weights @ held[..., 0], ep.u)[0] - ep.y_obs
             return float(r @ r)
 
         base = np.stack([w1 / w, w2])

@@ -11,6 +11,7 @@ from conftest import (
     galerkin_blocks,
     galerkin_generator,
     per_cell_reference,
+    point_mass_blocks,
     random_rho,
     tangent_hold,
     tangent_responses,
@@ -50,8 +51,9 @@ class TestBuildSampled:
     def test_tau_to_zero_limits(self, rho_smooth, spec_small):
         ops = assemble(spec_small, rho_smooth)
         sys = build_sampled(ops, tau=1e-10)
-        np.testing.assert_allclose(block_diag(*sys.A_blocks), np.eye(sys.dim), atol=1e-8)
-        np.testing.assert_allclose(sys.bhat, 0.0, atol=1e-8)
+        ahat, bhat = point_mass_blocks(sys)
+        np.testing.assert_allclose(block_diag(*ahat), np.eye(sys.dim), atol=1e-8)
+        np.testing.assert_allclose(bhat, 0.0, atol=1e-8)
 
     def test_bhat_matches_quadrature(self, rho_smooth, spec_small):
         # Oracle: 64-node Gauss-Legendre of exp(Agen s) beta over [0, tau].
@@ -68,14 +70,15 @@ class TestBuildSampled:
         )
         # The Galerkin input column is s_c = w2_c / w_c times the node's.
         w, _, w2 = ops.moments
-        err = np.linalg.norm(((w2 / w)[:, None] * sys.bhat).reshape(-1) - oracle)
+        err = np.linalg.norm(((w2 / w)[:, None] * point_mass_blocks(sys)[1]).reshape(-1)
+                             - oracle)
         assert err / np.linalg.norm(oracle) < 1e-9
 
     def test_semigroup_property(self, rho_smooth, spec_small):
         ops = assemble(spec_small, rho_smooth)
         tau = spec_small.tau
-        one = block_diag(*build_sampled(ops, tau).A_blocks)
-        two = block_diag(*build_sampled(ops, 2 * tau).A_blocks)
+        one = block_diag(*point_mass_blocks(build_sampled(ops, tau))[0])
+        two = block_diag(*point_mass_blocks(build_sampled(ops, 2 * tau))[0])
         err = np.linalg.norm(one @ one - two) / np.linalg.norm(two)
         assert err < 1e-9
 
@@ -92,14 +95,50 @@ class TestBuildSampled:
         with pytest.raises(SingularOperatorError):
             build_sampled(ops, tau=0.5)
 
+    def test_non_finite_node_raises(self, rho_smooth, spec_small):
+        ops = assemble(spec_small, rho_smooth)
+        ops.moments[1, 2] = np.inf
+        with pytest.raises(ConditioningError, match="node 2"):
+            build_sampled(ops, tau=0.5)
+
+    def test_one_eigendecomposition_serves_cost_and_jacobian(self, rho_smooth, spec_small,
+                                                             monkeypatch):
+        # build_sampled makes one stacked eigh of all the nodes, and neither
+        # it nor the population response takes an exponential;
+        # build_sensitivities forms the derivative rows from the kept
+        # projections and decomposes nothing.  The rows are the nodes'
+        # point_mass_modes, bit for bit.
+        ops = assemble(spec_small, rho_smooth, with_grad=True)
+        calls = []
+
+        def counted(a, _real=np.linalg.eigh):
+            calls.append(a.shape)
+            return _real(a)
+
+        def no_exponential(a):
+            raise AssertionError("the population path took an exponential")
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        monkeypatch.setattr(sampled, "expm", no_exponential)
+        sys = build_sampled(ops, spec_small.tau)
+        forward.response(sys, 40)
+        assert calls == [(sys.ncells, sys.block_size, sys.block_size)]
+        build_sensitivities(ops, sys)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        rates, coefs = point_mass_modes(sys.nodes, spec_small.n, spec_small.tau)
+        np.testing.assert_array_equal(sys.rates, rates)
+        np.testing.assert_array_equal(sys.coefs, coefs)
+
     def test_tau_validation(self, rho_smooth, spec_small):
         with pytest.raises(ValueError):
             build_sampled(assemble(spec_small, rho_smooth), tau=0.0)
 
     @pytest.mark.parametrize("n, m", [(4, 2), (8, 4), (16, 8)])
     def test_cells_are_the_single_q_blocks(self, rho_smooth, monkeypatch, n, m):
-        # Cell c is the point mass at q1 = nu_c = w1_c / w_c: the population
-        # and the single-q draws share one hold, bit for bit.
+        # Cell c is the point mass at q1 = nu_c = w1_c / w_c: a single-q
+        # draw at the node is held as point_mass_hold holds the node, bit
+        # for bit, and the cell is read with the weight w2_c.
         spec = GridSpec(n=n, m1=m, m2=m, tau=1 / 12)
         ops = assemble(spec, rho_smooth)
         sys = build_sampled(ops, spec.tau)
@@ -115,8 +154,9 @@ class TestBuildSampled:
                                              n, spec.tau, np.ones(3))
         (nodes, ahat, bhat), = held
         np.testing.assert_array_equal(sys.nodes, nodes)
-        np.testing.assert_array_equal(sys.A_blocks, ahat)
-        np.testing.assert_array_equal(sys.bhat, bhat)
+        cell_ahat, cell_bhat = point_mass_blocks(sys)
+        np.testing.assert_array_equal(cell_ahat, ahat)
+        np.testing.assert_array_equal(cell_bhat, bhat)
         np.testing.assert_array_equal(sys.weights, ops.moments[2])
 
 
@@ -219,11 +259,12 @@ class TestTangentHold:
         # hold, to rounding: one exponential of twice the size.
         sys, (tangent_A, tangent_b) = self.build(rho_smooth, spec_small)
         b = sys.block_size
-        scale = max(np.abs(sys.A_blocks).max(), np.abs(sys.bhat).max())
-        for got, want in ((tangent_A[:, :b, :b], sys.A_blocks),
-                          (tangent_A[:, b:, b:], sys.A_blocks),
+        ahat, bhat = point_mass_blocks(sys)
+        scale = max(np.abs(ahat).max(), np.abs(bhat).max())
+        for got, want in ((tangent_A[:, :b, :b], ahat),
+                          (tangent_A[:, b:, b:], ahat),
                           (tangent_A[:, b:, :b], 0.0),
-                          (tangent_b[:, b:], sys.bhat)):
+                          (tangent_b[:, b:], bhat)):
             assert np.abs(got - want).max() <= 1e-13 * scale
 
     def test_stack_matches_node_by_node(self, rho_smooth, spec_small):
@@ -285,8 +326,9 @@ class TestSensitivities:
         reference_dg = node_derivatives_by_recursion(
             A, Bhat.reshape(sys.ncells, -1), dA, dBhat.reshape(len(ds), sys.ncells, -1), count)
         gen = g0 + sys.nodes[:, None, None] * g1
-        for got, want in ((sys.A_blocks, A), (gen, Agen),
-                          ((s[:, None] * sys.bhat).reshape(-1), Bhat),
+        ahat, bhat = point_mass_blocks(sys)
+        for got, want in ((ahat, A), (gen, Agen),
+                          ((s[:, None] * bhat).reshape(-1), Bhat),
                           (galerkin_dg, reference_dg)):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -294,12 +336,11 @@ class TestSensitivities:
     def test_parameters_share_each_solve_call(self, rho_smooth, spec_small,
                                               monkeypatch, n_params):
         # Every parameter moves a cell through its moments alone, so all of
-        # them share one stacked eigendecomposition of all the nodes' blocks
-        # (and no exponential), and the parameter count changes no bit of
-        # any parameter's result.
+        # them share one stacked eigendecomposition of all the nodes' blocks,
+        # the one build_sampled makes (and no exponential), and the
+        # parameter count changes no bit of any parameter's result.
         ops, full = self.build(rho_smooth, spec_small)
         sub = dataclasses.replace(ops, dmoments=ops.dmoments[:, :n_params])
-        sys = build_sampled(sub, spec_small.tau)
         calls = []
 
         def counted(a, _real=np.linalg.eigh):
@@ -311,7 +352,7 @@ class TestSensitivities:
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
         monkeypatch.setattr(sampled, "expm", no_exponential)
-        build_sensitivities(sub, sys)
+        sys = build_sensitivities(sub, build_sampled(sub, spec_small.tau))
         assert calls == [(sys.ncells, sys.block_size, sys.block_size)]
         np.testing.assert_array_equal(sys.rates, full.rates)
         np.testing.assert_array_equal(sys.coefs, full.coefs)
@@ -339,7 +380,7 @@ class TestSensitivities:
         base = rho_smooth.as_array()
 
         def node_responses(s):
-            return forward.impulse_response(s.A_blocks, s.bhat, count)[..., 0]
+            return forward.unit_responses(s.nodes, spec.n, spec.tau, count)
 
         for k in range(9):
             h = 1e-6 * (1 + abs(base[k]))
@@ -416,7 +457,7 @@ class TestPointMassModes:
         spec = GridSpec(n=n, m1=m, m2=m, tau=1 / 12)
         sys = build_sampled(assemble(spec, rho_smooth), spec.tau)
         g, _ = modal_responses(*point_mass_modes(sys.nodes, n, spec.tau), spec.tau, 120)
-        want = forward.impulse_response(sys.A_blocks, sys.bhat, 120)[..., 0]
+        want = forward.impulse_response(*point_mass_blocks(sys), 120)[..., 0]
         assert np.abs(g - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_stack_matches_node_by_node(self):
