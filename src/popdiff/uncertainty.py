@@ -65,8 +65,7 @@ def credible_band(
         raise ValueError(f"need at least 100 samples for quantiles, got {nsamples}")
     trajectories = sample_trajectories(rho_hat, spec, u, nsamples, seed)
     lo = (1.0 - level) / 2.0
-    lower = np.quantile(trajectories, lo, axis=0)
-    upper = np.quantile(trajectories, 1.0 - lo, axis=0)
+    lower, upper = np.quantile(trajectories, [lo, 1.0 - lo], axis=0)
     mean_output = simulate(population_system(rho_hat, spec), u)
     return CredibleBand(
         level=level, lower=lower, upper=upper, mean_output=mean_output,

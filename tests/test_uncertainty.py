@@ -80,7 +80,10 @@ class TestCredibleBand:
 
     def test_band_equals_quantiles_of_per_draw_solves(self, rho_smooth, band_spec, band_input):
         # Pins the band to its definition: every draw solved on its own
-        # by simulate_deterministic, then np.quantile at each time.
+        # by simulate_deterministic, then one np.quantile per level at each
+        # time.  Bit for bit: a draw solved alone is its row of the batch
+        # (TestDeterministicBatch), and the band's one quantile call of
+        # both levels gives each level's bits.
         nsamples, seed, level = 300, 8, 0.75
         band = credible_band(rho_smooth, band_spec, band_input,
                              level=level, nsamples=nsamples, seed=seed)
@@ -89,11 +92,8 @@ class TestCredibleBand:
             for q in sample_array(rho_smooth, nsamples, seed)
         ])
         lo = (1.0 - level) / 2.0
-        scale = np.abs(looped).max()
-        np.testing.assert_allclose(band.lower, np.quantile(looped, lo, axis=0),
-                                   rtol=1e-12, atol=1e-12 * scale)
-        np.testing.assert_allclose(band.upper, np.quantile(looped, 1.0 - lo, axis=0),
-                                   rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_array_equal(band.lower, np.quantile(looped, lo, axis=0))
+        np.testing.assert_array_equal(band.upper, np.quantile(looped, 1.0 - lo, axis=0))
 
     def test_validation(self, rho_smooth, band_spec, band_input):
         with pytest.raises(ValueError):
