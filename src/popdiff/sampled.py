@@ -35,8 +35,9 @@ nodes and keeps the rates w, the row gamma and the projections l.V, r.V
 and D~V; ``build_sensitivities`` forms delta and eps from the kept
 projections, with no second decomposition.  ``decay_powers`` forms the
 factors e^{-w tau k} by doubling and ``modal_responses`` g and dg/dnu for
-any count: no matrix exponential, no solve.  A node at a large q1 simply
-decays.
+any count: no matrix exponential, no solve.  So no node is too large:
+as q1 grows, its column mixes at once and its response tends to the
+well-mixed one, (1 - e^{-tau}) e^{-tau k}.
 
 The single-q draws of ``forward.simulate_deterministic_batch`` are held
 instead, x_{j+1} = Ahat x_j + bhat u_j with
@@ -77,7 +78,7 @@ class SampledSystem:
     weights: np.ndarray         # (ncells,) readout weight omega_c of each node
     rates: np.ndarray           # (ncells, b) eigenvalues w of S(nu_c)
     gamma: np.ndarray           # (ncells, b) row gamma: g_k = gamma . e^{-w tau k}
-    projections: tuple | None = None     # (l.V, r.V, D~V): (ncells, b), (ncells, b), (ncells, n, b)
+    projections: tuple | None = None     # (l.V, r.V, D~V) of each node's eigenvectors
     coefs: np.ndarray | None = None      # (ncells, 3, b) rows gamma, delta, eps
     dnodes: np.ndarray | None = None     # (P, ncells)
     dweights: np.ndarray | None = None   # (P, ncells)
