@@ -23,6 +23,9 @@ hex digits of ``workloads.digest`` over:
 * ``build_sensitivities`` at ``START`` (the nodes' modal form, ``rates``
   and ``coefs``, and ``dnodes`` and ``dweights``), so a change in the
   sensitivity layer is named directly;
+* ``unit_responses`` at ``optimizer.Q1_GRID`` for the longest fit
+  episode, the single-q responses whose profile seeds every
+  ``initialize`` search;
 * ``initialize`` on the fit episodes;
 * ``credible_band`` on the band input of seed 1, at ``RHO`` or at the
   fit's ``rho_hat`` as the workload's rounds place it;
@@ -62,8 +65,9 @@ import numpy as np  # noqa: E402
 import popdiff  # noqa: E402
 import workloads  # noqa: E402
 from popdiff.density import sample_array  # noqa: E402
-from popdiff.forward import response, simulate_deterministic_batch  # noqa: E402
+from popdiff.forward import response, simulate_deterministic_batch, unit_responses  # noqa: E402
 from popdiff.objective import evaluate  # noqa: E402
+from popdiff.optimizer import Q1_GRID  # noqa: E402
 
 BAND_SEED = 1
 SINGLE_Q_DRAWS = 200
@@ -97,10 +101,12 @@ def report(w) -> list[tuple[str, str, list]]:
     ops = popdiff.assemble(spec, workloads.START, with_grad=True)
     line("dmoments@START", ops.dmoments)
     sys = popdiff.build_sampled(ops, spec.tau)
-    line("response@START", response(sys, max(ep.steps for ep in episodes)))
+    longest = max(ep.steps for ep in episodes)
+    line("response@START", response(sys, longest))
     sens = popdiff.build_sensitivities(ops, sys)
     line("build_sensitivities@START",
          sens.rates, sens.coefs, sens.dnodes, sens.dweights)
+    line("unit_responses@Q1_GRID", unit_responses(Q1_GRID, spec.n, spec.tau, longest))
     line("initialize", popdiff.initialize(episodes, spec).as_array())
     at = workloads.RHO if w.band_at_truth else result.rho_hat
     u = workloads.band_input(w, BAND_SEED)
