@@ -2,11 +2,13 @@
 """Regenerate tests/reference/point_mass_mp50.npz, the 50-digit reference
 of the point-mass responses and their q1-derivatives.
 
-The point mass at q1 has the generator G = G0 + q1 G1 and the input
-column beta_eta (``sampled.eta_operators``), and its response to a unit
-pulse held over tau is g_k = e0^T Ahat^k bhat.  This script forms the
-model's float matrices M_eta and K_eta exactly in mpmath, exponentiates
-the block
+The point mass at q1, M_eta x' = -(e0 e0^T + q1 K_eta) x + e_n u, has
+the generator G = G0 + q1 G1, G0 = -M_eta^{-1} e0 e0^T and
+G1 = -M_eta^{-1} K_eta, and the input column beta_eta = M_eta^{-1} e_n;
+its response to a unit pulse held over tau is g_k = e0^T Ahat^k bhat,
+with Ahat = exp(G tau) and bhat = int_0^tau exp(G s) ds beta_eta.  This
+script forms the model's float matrices M_eta and K_eta exactly in
+mpmath, exponentiates the block
 
     [[G tau, G1 tau, 0       ],
      [0,     G tau,  beta tau],

@@ -24,8 +24,9 @@ class SingularOperatorError(PopdiffError):
 
 
 class ConditioningError(PopdiffError):
-    """A matrix exponential overflowed, produced non-finite entries or
-    needs more squarings than double precision resolves."""
+    """A point mass's q1 is not finite, or so large that rounding in its
+    symmetric form S(q1) leaves the slowest rate unresolved
+    (``sampled.node_modes``, bound ``NODE_ROUNDING``)."""
 
 
 class SimulationDivergenceError(PopdiffError):

@@ -6,22 +6,21 @@ node per density cell, the point mass at nu_c = w1_c / w_c read at state
 0 with the weight omega_c = w2_c (``sampled.build_sampled``).  Its
 response is the quadrature rule h = sum_c omega_c g_c of single-q
 responses at q2 = 1, each in modal form, g_c[k] = sum_i gamma_ci
-z_ci^k with the decay factors z = e^{-w tau}: ``response`` forms the
-powers by doubling (``sampled.decay_powers``) and h[k] by one dot of
-fixed length per k, so that h[k] does not depend on the count asked for.
-The cell moments come at the quadrature orders fixed in ``assembly``.
-``simulate`` convolves one input sequence; a caller with several
-episodes forms ``response`` once and passes it to each call.
-The single-q model gives each draw one block, the recursion
-x[j+1] = Ahat x[j] + bhat u[j] of one stacked ``sampled.point_mass_hold``
-of the generators G0 + q1 G1, and its impulse response e0^T Ahat^k bhat,
-which ``impulse_response`` forms by doubling, with no loop over time and
-no rows beyond the count asked for.  ``simulate_deterministic_batch``
-serves a block of draws with one hold and one doubling, and
-``simulate_deterministic`` is its one-draw case; a caller whose draws
-each have their own input forms their responses in one stack
-(``unit_responses``) and passes each row to ``simulate_deterministic``.
-A Monte Carlo mean over draws converges to the population output.
+z_ci^k with the decay factors z = e^{-w tau}: ``modal_sums`` forms the
+powers by doubling (``sampled.decay_powers``) and each sum by one dot of
+fixed length per k, so that entry k does not depend on the count asked
+for.  The cell moments come at the quadrature orders fixed in
+``assembly``.  ``simulate`` convolves one input sequence; a caller with
+several episodes forms ``response`` once and passes it to each call.
+The single-q model is the same kernel with one node per draw:
+``unit_responses`` forms the responses of a stack of point masses from
+one ``sampled.node_modes`` and ``modal_sums``, so a row is the same bits
+in any stack and at any longer count.  ``simulate_deterministic_batch``
+serves a block of draws with one stack, and ``simulate_deterministic``
+is its one-draw case; a caller whose draws each have their own input
+forms their responses in one stack (``unit_responses``) and passes each
+row to ``simulate_deterministic``.  A Monte Carlo mean over draws
+converges to the population output.
 """
 
 from __future__ import annotations
@@ -34,10 +33,10 @@ from .assembly import assemble
 from .density import RhoParams, _as_point, sample_array
 from .errors import SimulationDivergenceError
 from .grid import GridSpec
-from .sampled import SampledSystem, build_sampled, decay_powers, point_mass_hold
+from .sampled import SampledSystem, build_sampled, decay_powers, node_modes
 
-# Draws per stacked exponential and impulse response in
-# simulate_deterministic_batch; keeps the (draws, mu, n+1) responses small.
+# Draws per stacked eigendecomposition in simulate_deterministic_batch;
+# keeps the (mu, draws, n+1) powers small.
 BATCH_DRAWS = 128
 
 
@@ -77,28 +76,6 @@ class Episode:
         return self.u.shape[0]
 
 
-def impulse_response(A: np.ndarray, b: np.ndarray, count: int) -> np.ndarray:
-    """(..., count, k) array of A^j b for j < count, for stacks of blocks.
-
-    Doubling: each step extends v_0..v_{m-1} by v_{m+i} = A^m v_i (one
-    batched matmul) and squares A^m; the last step extends only up to
-    count, so v_j does not depend on count.  That step makes at least two
-    rows (one spare): NumPy computes a one-row product as a matrix-vector
-    product, which rounds v_{m} differently from a matrix product.
-    """
-    out = np.empty(b.shape[:-1] + (count + 1, b.shape[-1]))
-    out[..., 0, :] = b
-    power, m = A, 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        while m < count:
-            end = min(2 * m, max(count, m + 2))
-            np.matmul(out[..., :end - m, :], np.swapaxes(power, -1, -2), out=out[..., m:end, :])
-            m *= 2
-            if m < count:
-                power = power @ power
-    return out[..., :count, :]
-
-
 def convolve(g: np.ndarray, u: np.ndarray) -> np.ndarray:
     """(rows, mu+1) outputs y[0] = 0, y[j+1] = sum_{i<=j} g[j-i] u[i] of
     (mu,) or (rows, mu) ``g`` and one input sequence ``u`` of length mu,
@@ -113,14 +90,20 @@ def convolve(g: np.ndarray, u: np.ndarray) -> np.ndarray:
     return y
 
 
+def modal_sums(rates: np.ndarray, coef: np.ndarray, tau: float, count: int) -> np.ndarray:
+    """(count, ...) sums sum_i coef_i e^{-w_i tau k} over the last axis of
+    the ``rates`` w and ``coef``, for k < count: the powers by
+    ``decay_powers`` and one dot of fixed length per k and row, so that
+    entry k of a row does not depend on ``count`` or on the other rows."""
+    return np.vecdot(decay_powers(np.exp(-tau * rates), count), coef)
+
+
 def response(sys: SampledSystem, count: int) -> np.ndarray:
     """Population response h[k] = sum_c omega_c sum_i gamma_ci z_ci^k for
-    k < count, with z = e^{-w tau} from the nodes' rates: the powers by
-    ``decay_powers`` and one dot per k, so that h[k] does not depend on
-    ``count``."""
-    powers = decay_powers(np.exp(-sys.tau * sys.rates), count)
-    return np.vecdot(powers.reshape(count, sys.rates.size),
-                     (sys.weights[:, None] * sys.gamma).reshape(-1))
+    k < count, with z = e^{-w tau} from the nodes' rates: one
+    ``modal_sums`` over all the nodes' modes."""
+    return modal_sums(sys.rates.reshape(-1), (sys.weights[:, None] * sys.gamma).reshape(-1),
+                      sys.tau, count)
 
 
 def simulate(sys: SampledSystem, u: np.ndarray, h: np.ndarray | None = None):
@@ -140,11 +123,11 @@ def simulate(sys: SampledSystem, u: np.ndarray, h: np.ndarray | None = None):
 
 def unit_responses(q1: np.ndarray, n: int, tau: float, count: int) -> np.ndarray:
     """(len(q1), count) impulse responses at q2 = 1 of the point masses at
-    the diffusivities ``q1``: one stacked hold, one doubling.  Each block
-    is held on its own and the responses do not depend on ``count``, so a
-    row is the same bits in any stack and at any longer count."""
-    ahat, bhat = point_mass_hold(q1, n, tau)
-    return impulse_response(ahat, bhat, count)[..., 0]
+    the diffusivities ``q1``: one stacked ``node_modes``, one
+    ``modal_sums``.  A row is the same bits in any stack and at any longer
+    count."""
+    rates, gamma, _ = node_modes(q1, n, tau)
+    return modal_sums(rates, gamma, tau, count).T
 
 
 def simulate_deterministic(q, n: int, tau: float, u: np.ndarray,
@@ -171,9 +154,9 @@ def simulate_deterministic_batch(
 ) -> np.ndarray:
     """(len(qs), len(u)+1) single-q outputs for the draws ``qs`` (rows q1, q2).
 
-    Each draw is the point mass at q1, held by ``sampled.point_mass_hold``.
-    Its output q2 (g * u) is the impulse response g of state 0 convolved
-    with the input.
+    Each draw is the point mass at q1 (``unit_responses``).  Its output
+    q2 (g * u) is the impulse response g of state 0 convolved with the
+    input.
     """
     qs = np.asarray(qs, dtype=float)
     if qs.ndim != 2 or qs.shape[1] != 2:
@@ -185,13 +168,8 @@ def simulate_deterministic_batch(
     y = np.empty((qs.shape[0], u.shape[0] + 1))
     for start in range(0, qs.shape[0], BATCH_DRAWS):
         q1, q2 = qs[start:start + BATCH_DRAWS].T
-        # ahat and bhat live through the convolutions: freeing them first, by
-        # calling unit_responses here, measured 12% slower at n = 16 (1000
-        # draws of 60 steps; 2-CPU Xeon, OpenBLAS 0.3.31).  No name holds
-        # the responses, so they are freed before the next block's.
-        ahat, bhat = point_mass_hold(q1, n, tau)
         out = y[start:start + BATCH_DRAWS] = q2[:, None] * convolve(
-            impulse_response(ahat, bhat, u.shape[0])[..., 0], u)
+            unit_responses(q1, n, tau, u.shape[0]), u)
         if not np.all(np.isfinite(out)):
             raise SimulationDivergenceError("output is not finite")
     return y
@@ -210,10 +188,5 @@ def population_vs_montecarlo(
     """
     pop = simulate(population_system(rho, spec), u)
     qs = sample_array(rho, nsamples, seed)
-    mc = montecarlo_mean_output(qs, spec.n, spec.tau, u)
+    mc = simulate_deterministic_batch(qs, spec.n, spec.tau, u).mean(axis=0)
     return pop, mc, float(np.abs(pop - mc).max())
-
-
-def montecarlo_mean_output(qs: np.ndarray, n: int, tau: float, u: np.ndarray) -> np.ndarray:
-    """Mean single-q output over an array of parameter draws."""
-    return simulate_deterministic_batch(qs, n, tau, u).mean(axis=0)

@@ -4,9 +4,8 @@ Cell c's Galerkin blocks are M_c = w_c M_eta, K_c = w_c e0 e0^T +
 w1_c K_eta, B_c = w2_c e_n and C_c = w_c e_0, so the cell is exactly the
 single-q system at the node nu_c = w1_c / w_c, read with the weight
 omega_c = w2_c: the population output is the quadrature rule
-y = sum_c omega_c g(nu_c), where g(q1) is state 0 of the point mass at
-q1 with unit input gain (generator G(q1) = G0 + q1 G1 and input column
-beta_eta from ``eta_operators``).
+y = sum_c omega_c g(nu_c), where g(q1) is state 0 of the point mass
+M_eta x' = -(e0 e0^T + q1 K_eta) x + e_n u at q1, with unit input gain.
 
 Modal form.  With M_eta = R^T R, the state y = R x of the point mass at
 q1 obeys y' = -S y + r u, read out as l . y, with the symmetric positive
@@ -35,19 +34,12 @@ nodes and keeps the rates w, the row gamma and the projections l.V, r.V
 and D~V; ``build_sensitivities`` forms delta and eps from the kept
 projections, with no second decomposition.  ``decay_powers`` forms the
 factors e^{-w tau k} by doubling and ``modal_responses`` g and dg/dnu for
-any count: no matrix exponential, no solve.  So no node is too large:
-as q1 grows, its column mixes at once and its response tends to the
-well-mixed one, (1 - e^{-tau}) e^{-tau k}.
-
-The single-q draws of ``forward.simulate_deterministic_batch`` are held
-instead, x_{j+1} = Ahat x_j + bhat u_j with
-
-    Ahat = exp(G(q1) tau),   bhat = (Ahat - I) G(q1)^{-1} beta_eta,
-
-one stacked ``point_mass_hold`` per block of draws.  The exponential is
-``expm``: Pade scaling and squaring in numpy over the whole (..., k, k)
-stack, each block scaled and squared by its own power of two, so a
-block's result does not depend on the stack it comes in.
+any count: no matrix exponential, no solve.  The single-q draws of
+``forward`` are the same kernel, one ``node_modes`` per block of draws.
+As q1 grows, a column mixes at once and its response tends to the
+well-mixed one, (1 - e^{-tau}) e^{-tau k}, until rounding in S(q1)
+itself leaves the slowest rate unresolved; ``node_modes`` raises
+ConditioningError from there (``NODE_ROUNDING``).
 
 Sensitivities: every parameter reaches the output only through the
 nodes and weights, so the system stores the (P, ncells) Jacobians
@@ -64,7 +56,7 @@ import numpy as np
 
 from .assembly import AssembledOperators
 from .errors import ConditioningError, SingularOperatorError
-from .grid import eta_mass_matrix, eta_stiffness_matrix
+from .grid import eta_mass_matrix
 
 
 @dataclass
@@ -97,132 +89,22 @@ class SampledSystem:
 
 
 @functools.cache
-def _mass_factor(n: int) -> np.ndarray:
-    """Upper Cholesky factor R of M_eta = R^T R: the one factorization of
-    the depth mass matrix per n.  Read-only."""
-    r = np.linalg.cholesky(eta_mass_matrix(n), upper=True)
-    r.setflags(write=False)
-    return r
-
-
-@functools.cache
-def eta_operators(n: int):
-    """(G0, G1, beta_eta) of the depth model: a point mass at q has the
-    generator G0 + q1 G1 and the input column q2 beta_eta, with
-    G0 = -M_eta^{-1} e0 e0^T, G1 = -M_eta^{-1} K_eta and
-    beta_eta = M_eta^{-1} e_n, all from one Cholesky factor.  Cached per
-    n; the arrays are read-only."""
-    eye = np.eye(n + 1)
-    r = _mass_factor(n)
-    sol = np.linalg.solve(r, np.linalg.solve(
-        r.T, np.column_stack([eye[0], eta_stiffness_matrix(n), eye[n]])))
-    g0, g1, beta = -np.outer(sol[:, 0], eye[0]), -sol[:, 1:-1], sol[:, -1:]
-    for arr in (g0, g1, beta):
-        arr.setflags(write=False)
-    return g0, g1, beta
-
-
-@functools.cache
 def eta_symmetric_operators(n: int):
     """(l, r, D~, K~) of the symmetric form S(q1) = l l^T + q1 K~ of the
     point mass, -G(q1) = R^{-1} S(q1) R with M_eta = R^T R: l = R^{-T} e0,
     r = R^{-T} e_n and K~ = D~^T D~ = R^{-T} K_eta R^{-1}, where
     D~ = D R^{-1} and D, with rows (e_i - e_{i+1}) / sqrt(h), is the
-    difference factor K_eta = D^T D.  Cached per n, from the factor of
-    ``eta_operators``; the arrays are read-only."""
+    difference factor K_eta = D^T D.  Cached per n, from one Cholesky
+    factorization of the depth mass matrix; the arrays are read-only."""
     eye = np.eye(n + 1)
     diff = np.sqrt(n) * (eye[:-1] - eye[1:])
-    half = np.linalg.solve(_mass_factor(n).T, np.column_stack([eye[0], eye[n], diff.T]))
+    factor = np.linalg.cholesky(eta_mass_matrix(n), upper=True)
+    half = np.linalg.solve(factor.T, np.column_stack([eye[0], eye[n], diff.T]))
     left, right, dfac = half[:, 0], half[:, 1], np.ascontiguousarray(half[:, 2:].T)
     ktilde = dfac.T @ dfac
     for arr in (left, right, dfac, ktilde):
         arr.setflags(write=False)
     return left, right, dfac, ktilde
-
-
-# Coefficients b_0..b_13 of the [13/13] Pade approximant to exp and the
-# 1-norm theta_13 up to which its backward error stays below the unit
-# roundoff (Higham, SIAM J. Matrix Anal. Appl. 26, 2005).
-_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-           1187353796428800.0, 129060195264000.0, 10559470521600.0,
-           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-           960960.0, 16380.0, 182.0, 1.0)
-_THETA13 = 5.371920351148152
-# A relative rounding error of u = 2^-53 in exp(A / 2^s) can grow to 2^s u
-# over s squarings, so beyond 52 of them not one bit of the result is
-# assured.  Such a block has a 1-norm above theta_13 2^52 (about 2.4e16):
-# its small terms were lost when it was formed (at q1 = 1e300, G0 is below
-# the rounding of q1 G1), and it raises rather than returning a number.
-_MAX_SQUARINGS = 52
-
-
-def expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) of every block of a (..., k, k) stack, by scaling and squaring.
-
-    Each block is scaled by its own 2^-s, s = max(0, ceil(log2(|a|_1 /
-    theta_13))), so that the [13/13] Pade approximant is accurate to
-    double precision, and its approximant is squared s times.  ConditioningError
-    when a norm or the result is not finite, or when a block needs more
-    than ``_MAX_SQUARINGS`` squarings.
-    """
-    norm = np.abs(a).sum(axis=-2).max(axis=-1)
-    if not np.isfinite(norm).all():
-        raise ConditioningError(
-            f"generator block {int(np.argmin(np.isfinite(norm)))} is not finite")
-    with np.errstate(divide="ignore"):  # a zero block needs no scaling
-        s = np.maximum(np.ceil(np.log2(norm / _THETA13)), 0.0)
-    if s.max(initial=0.0) > _MAX_SQUARINGS:
-        worst = int(np.argmax(s))
-        raise ConditioningError(
-            f"generator block {worst} has 1-norm {norm.flat[worst]:.3e}: its "
-            "exponential is beyond double precision")
-    a = a / np.exp2(s)[..., None, None]
-    b = _PADE13
-    eye = np.eye(a.shape[-1])
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
-    r = np.linalg.solve(v - u, v + u)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(int(s.max(initial=0.0))):
-            todo = s > i
-            if todo.all():  # no gather and scatter while every block squares
-                r = r @ r
-            else:
-                r[todo] = r[todo] @ r[todo]
-    finite = np.isfinite(r).all(axis=(-2, -1))
-    if not finite.all():
-        raise ConditioningError(
-            f"matrix exponential overflowed in block {int(np.argmin(finite))}")
-    return r
-
-
-def zero_order_hold(gen: np.ndarray, beta: np.ndarray, tau: float):
-    """(Ahat, Bhat) of x' = gen x + beta u with u held over each interval tau.
-
-    ``gen`` is a (..., b, b) stack and ``beta`` a (..., b, 1) stack that
-    broadcasts against it; Ahat = exp(gen tau), Bhat = (Ahat - I) gen^{-1} beta.
-    """
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    ahat = expm(gen * tau)
-    try:
-        x = np.linalg.solve(gen, beta)
-    except np.linalg.LinAlgError as exc:
-        raise SingularOperatorError("a generator block is singular") from exc
-    return ahat, (ahat - np.eye(gen.shape[-1])) @ x
-
-
-def point_mass_hold(nodes: np.ndarray, n: int, tau: float):
-    """(Ahat, bhat) stacks, (len(nodes), n+1, n+1) and (len(nodes), n+1),
-    of the point masses at q1 = nodes: generator G0 + q1 G1, input beta_eta."""
-    g0, g1, beta = eta_operators(n)
-    ahat, bhat = zero_order_hold(g0 + nodes[:, None, None] * g1, beta, tau)
-    return ahat, bhat[..., 0]
 
 
 # phi'(w) = (tau e^{-x} - phi(w)) / w with x = w tau cancels as x -> 0,
@@ -246,6 +128,18 @@ def _phi_and_slope(rates: np.ndarray, tau: float):
     return phi, slope
 
 
+# Forming S(q1) = l l^T + q1 K~ rounds it by about eps q1 |K~|, so each
+# eigenvector errs by order eps, and the slowest rate, taken through the
+# factor of S, picks up about q1 eps^2 |K~| against a scale of |l|^2.
+# ``node_modes`` raises ConditioningError where q1 eps^2 |K~|_F >
+# NODE_ROUNDING |l|^2: from q1 = 1.2e22, 4.6e21 and 1.7e21 at n = 4, 8
+# and 16.  The estimate leaves out a factor that grows with n: up to the
+# bound the responses stay within 1.3e-7, 4.4e-6 and 2.2e-5 of the
+# well-mixed limit (relative to its largest value), and within 3.0e-9,
+# 6.6e-8 and 1.1e-6 up to q1 = 1e20.
+NODE_ROUNDING = 1e-8
+
+
 def node_modes(nodes: np.ndarray, n: int, tau: float):
     """(rates, gamma, projections) of the point masses at q1 = ``nodes``,
     from one stacked ``np.linalg.eigh`` of S(q1) = V diag(w) V^T: the
@@ -257,8 +151,21 @@ def node_modes(nodes: np.ndarray, n: int, tau: float):
     eigenvector, taken through the factor of S: its relative error is
     about eps sqrt(cond S), where an eigenvalue from ``eigh`` is off by
     about eps |S|, too much for the slowest mode of a large q1.
+
+    ValueError unless tau > 0; ConditioningError for a node that is not
+    finite or beyond the ``NODE_ROUNDING`` bound.
     """
+    if not tau > 0:
+        raise ValueError(f"tau must be positive, got {tau}")
     left, right, dfac, ktilde = eta_symmetric_operators(n)
+    eps = np.finfo(float).eps
+    largest = NODE_ROUNDING * (left @ left) / (eps * eps * np.linalg.norm(ktilde))
+    resolved = np.abs(nodes) <= largest  # false for nan
+    if not resolved.all():
+        i = int(np.argmin(resolved))
+        raise ConditioningError(
+            f"node {i} at q1 = {nodes[i]:.3e} is beyond {largest:.3e}, where "
+            "rounding leaves its slowest rate unresolved")
     _, vecs = np.linalg.eigh(np.outer(left, left) + nodes[:, None, None] * ktilde)
     lv, rv, dv = left @ vecs, right @ vecs, dfac @ vecs
     rates = lv * lv + nodes[:, None] * np.vecdot(dv, dv, axis=-2)
@@ -327,10 +234,9 @@ def build_sampled(ops: AssembledOperators, tau: float) -> SampledSystem:
     """Modal form of the population system from the cell moments; tau > 0.
 
     Node c sits at q1 = nu_c = w1_c / w_c and is read with the weight
-    omega_c = w2_c; all nodes share one stacked ``node_modes``.
+    omega_c = w2_c; all nodes share one stacked ``node_modes``, which
+    checks tau and the nodes.
     """
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau}")
     w, w1, w2 = ops.moments
     if not np.all(w > 0):
         raise SingularOperatorError(
@@ -338,9 +244,6 @@ def build_sampled(ops: AssembledOperators, tau: float) -> SampledSystem:
             "its mass block is singular"
         )
     nodes = w1 / w
-    finite = np.isfinite(nodes)
-    if not finite.all():
-        raise ConditioningError(f"node {int(np.argmin(finite))} is not finite")
     rates, gamma, projections = node_modes(nodes, ops.block_size - 1, tau)
     return SampledSystem(block_size=ops.block_size, ncells=ops.ncells, tau=tau,
                          nodes=nodes, weights=w2, rates=rates, gamma=gamma,

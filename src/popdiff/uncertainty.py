@@ -6,8 +6,8 @@ trajectories come from the single-q model itself, not from the
 tensor-basis population state read pointwise in q, which would read a
 mean-square-integrable state at a point.
 All draws go through ``forward.simulate_deterministic_batch``, the one
-single-q solver (one stacked exponential and one impulse response per
-block of draws).
+single-q solver (one stacked eigendecomposition per block of draws, the
+kernel of the population nodes).
 """
 
 from __future__ import annotations

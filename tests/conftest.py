@@ -2,6 +2,7 @@
 quadrature oracles and the golden-file comparison used across the suite."""
 
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,16 +211,79 @@ def per_cell_reference(ops, tau):
     return A, Agen, Bhat.reshape(-1), dA, dBhat.reshape(n_params, -1)
 
 
+# ---------------------------------------------------- 50-digit responses
+
+# g_k and dg_k/dq1 of the point masses at n = 4, 8, 16 and q1 = 1e-6 ..
+# 1e3, 120 steps of tau = 1/12, from 50-digit mpmath
+# (scripts/make_point_mass_reference.py).
+POINT_MASS_REFERENCE = Path(__file__).parent / "reference" / "point_mass_mp50.npz"
+# The modal form's largest error against it at any q1, per n, relative to
+# each response's largest magnitude.  Measured over g and dg: 8.0e-13,
+# 2.0e-11 and 2.2e-7, the last at q1 = 1e-6 and 1e-3 (the slowest modes of
+# the finest grid); on q1 in [1e-2, 1e2] it stays within 1e-9 at every n.
+MODAL_REFERENCE_BOUND = {4: 1e-11, 8: 1e-9, 16: 1e-6}
+
+
+# ------------------------------------------------------- the hold oracle
+#
+# The point mass at q1, M_eta x' = -(e0 e0^T + q1 K_eta) x + e_n u, held
+# over each interval tau, from dense solves and scipy's matrix
+# exponential: an implementation that shares nothing with the modal form
+# of ``sampled``.
+
+def eta_operators(n):
+    """(G0, G1, beta_eta): the point mass at q1 has the generator
+    G0 + q1 G1 and the input column beta_eta, G0 = -M_eta^{-1} e0 e0^T,
+    G1 = -M_eta^{-1} K_eta and beta_eta = M_eta^{-1} e_n ((n+1, 1))."""
+    meta = eta_mass_matrix(n)
+    e00 = np.zeros((n + 1, n + 1))
+    e00[0, 0] = 1.0
+    return (-np.linalg.solve(meta, e00), -np.linalg.solve(meta, eta_stiffness_matrix(n)),
+            np.linalg.solve(meta, np.eye(n + 1)[:, n:]))
+
+
+def zero_order_hold(gen, beta, tau):
+    """(Ahat, Bhat) of x' = gen x + beta u with u held over each interval
+    tau, for a (..., k, k) stack ``gen`` and a (..., k, 1) ``beta`` that
+    broadcasts against it: the blocks of exp([[gen, beta], [0, 0]] tau)
+    (Van Loan 1978), by ``scipy.linalg.expm`` one block at a time.  No
+    solve with gen, whose conditioning grows as 1 / q1 at small q1."""
+    gen = np.asarray(gen, dtype=float)
+    k = gen.shape[-1]
+    aug = np.zeros(gen.shape[:-2] + (k + 1, k + 1))
+    aug[..., :k, :k] = gen
+    aug[..., :k, k:] = beta
+    held = np.array([scipy.linalg.expm(a * tau) for a in aug.reshape(-1, k + 1, k + 1)])
+    held = held.reshape(aug.shape)
+    return held[..., :k, :k], held[..., :k, k:]
+
+
+def point_mass_hold(nodes, n, tau):
+    """(Ahat, bhat) stacks, (len(nodes), n+1, n+1) and (len(nodes), n+1),
+    of the point masses at q1 = ``nodes``."""
+    g0, g1, beta = eta_operators(n)
+    ahat, bhat = zero_order_hold(g0 + np.asarray(nodes)[:, None, None] * g1, beta, tau)
+    return ahat, bhat[..., 0]
+
+
+def impulse_response(A, b, count):
+    """(..., count, k) array of A^j b for j < count, for stacks of blocks,
+    one step at a time."""
+    out = np.empty(b.shape[:-1] + (count, b.shape[-1]))
+    x = b
+    for j in range(count):
+        out[..., j, :] = x
+        x = np.einsum("...ij,...j->...i", A, x)
+    return out
+
+
 def tangent_hold(nodes, n, tau):
-    """The Van Loan tangent hold of the point masses at q1 = ``nodes``, the
-    node kernel that ``sampled.point_mass_modes`` replaced: the
+    """The Van Loan tangent hold of the point masses at q1 = ``nodes``: the
     zero-order hold of [[G, G1], [0, G]], G = G0 + q1 G1, with input
-    [0; beta_eta] (Van Loan 1978), one stacked ``zero_order_hold``.  Its
-    state matrix is [[Ahat, dAhat/dq1], [0, Ahat]] and its input column
+    [0; beta_eta] (Van Loan 1978).  Its state matrix is
+    [[Ahat, dAhat/dq1], [0, Ahat]] and its input column
     [dbhat/dq1; bhat].  Returns the (len(nodes), 2b, 2b) and
     (len(nodes), 2b) stacks."""
-    from popdiff.sampled import eta_operators, zero_order_hold
-
     g0, g1, beta = eta_operators(n)
     b = n + 1
     gen = np.zeros((len(nodes), 2 * b, 2 * b))
@@ -235,17 +299,13 @@ def tangent_responses(nodes, n, tau, count):
     """(g, dg/dq1), each (len(nodes), count), of the point masses at
     ``nodes``: state 0 of the lower and of the upper half of the tangent
     hold's impulse response."""
-    from popdiff.forward import impulse_response
-
     tangent = impulse_response(*tangent_hold(nodes, n, tau), count)
     return tangent[..., n + 1], tangent[..., 0]
 
 
 def point_mass_blocks(sys):
-    """(Ahat, bhat) stacks of the point masses at the system's nodes:
-    ``sampled.point_mass_hold``, the hold the single-q draws use."""
-    from popdiff.sampled import point_mass_hold
-
+    """(Ahat, bhat) stacks of the point masses at the system's nodes
+    (``point_mass_hold``)."""
     return point_mass_hold(sys.nodes, sys.block_size - 1, sys.tau)
 
 

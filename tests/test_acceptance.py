@@ -34,10 +34,10 @@ from popdiff.density import (
 from popdiff.experiments import consistency_trend, refinement_trend
 from popdiff.forward import (
     Episode,
-    montecarlo_mean_output,
     population_system,
     simulate,
     simulate_deterministic,
+    simulate_deterministic_batch,
 )
 from popdiff.grid import GridSpec
 from popdiff.objective import gradient_adjoint, gradient_fd
@@ -100,7 +100,7 @@ def test_criterion_02_population_expectation_identity():
     discrepancies = {m: [] for m in (2, 4, 8)}
     for seed in range(5):
         qs = sample_array(RHO_TRUE, 10_000, seed)
-        mc = montecarlo_mean_output(qs, 16, tau, u)
+        mc = simulate_deterministic_batch(qs, 16, tau, u).mean(axis=0)
         for m in (2, 4, 8):
             discrepancies[m].append(float(np.abs(pop[m] - mc).max()))
     medians = {m: float(np.median(discrepancies[m])) for m in (2, 4, 8)}

@@ -1,11 +1,21 @@
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import loop_simulate, point_mass_blocks, pulse_input, smooth_pulse_input
+import popdiff.forward as forward_mod
+
+from conftest import (
+    MODAL_REFERENCE_BOUND,
+    POINT_MASS_REFERENCE,
+    impulse_response,
+    loop_simulate,
+    point_mass_blocks,
+    point_mass_hold,
+    pulse_input,
+    smooth_pulse_input,
+)
 
 from popdiff.assembly import assemble
 from popdiff.density import QPoint, RhoParams, sample_array
@@ -13,7 +23,6 @@ from popdiff.errors import ConditioningError, SimulationDivergenceError
 from popdiff.forward import (
     BATCH_DRAWS,
     Episode,
-    impulse_response,
     population_system,
     population_vs_montecarlo,
     response,
@@ -23,7 +32,7 @@ from popdiff.forward import (
     unit_responses,
 )
 from popdiff.grid import GridSpec, eta_mass_matrix, eta_stiffness_matrix
-from popdiff.sampled import SampledSystem, build_sampled, decay_powers, point_mass_hold
+from popdiff.sampled import SampledSystem, build_sampled, decay_powers, node_modes
 
 
 def scalar_system(ahat, bhat, weight=1.0, tau=1.0):
@@ -104,18 +113,19 @@ class TestSimulate:
         assert np.abs(y - dense).max() <= 1e-12 * np.abs(dense).max()
 
     def test_impulse_response_does_not_depend_on_count(self, rho_smooth, spec_small):
-        # Doubling extends by full powers of two, so entry j is the same
+        # The single-q impulse responses at the nodes: entry j is the same
         # computation for every count (bit for bit), and it equals the
-        # dense powers A^j b to rounding.
-        ahat, bhat = point_mass_blocks(population_system(rho_smooth, spec_small))
-        long = impulse_response(ahat, bhat, 45)
+        # dense powers e0^T A^j b of the oracle's hold to rounding.
+        sys = population_system(rho_smooth, spec_small)
+        long = unit_responses(sys.nodes, spec_small.n, spec_small.tau, 45)
         for count in (0, 1, 2, 3, 20, 32, 33):
-            np.testing.assert_array_equal(impulse_response(ahat, bhat, count),
-                                          long[:, :count])
+            np.testing.assert_array_equal(
+                unit_responses(sys.nodes, spec_small.n, spec_small.tau, count),
+                long[:, :count])
         dense = np.empty_like(long)
-        for c, (a, b) in enumerate(zip(ahat, bhat)):
+        for c, (a, b) in enumerate(zip(*point_mass_blocks(sys))):
             for j in range(long.shape[1]):
-                dense[c, j] = np.linalg.matrix_power(a, j) @ b
+                dense[c, j] = (np.linalg.matrix_power(a, j) @ b)[0]
         assert np.abs(long - dense).max() <= 1e-12 * np.abs(dense).max()
 
     def test_divergence_guard(self):
@@ -162,8 +172,8 @@ class TestSimulate:
 class TestPopulationResponse:
     @pytest.mark.parametrize("n, m", [(4, 2), (8, 4), (16, 8)])
     def test_matches_the_hold(self, rho_smooth, n, m):
-        # h = sum_c omega_c e0^T Ahat_c^k bhat_c from point_mass_hold and
-        # impulse_response at the system's nodes, within 1e-12 of max|h|.
+        # h = sum_c omega_c e0^T Ahat_c^k bhat_c from the oracle's hold at
+        # the system's nodes, within 1e-12 of max|h|.
         spec = GridSpec(n=n, m1=m, m2=m, tau=1 / 12)
         sys = population_system(rho_smooth, spec)
         h = response(sys, 120)
@@ -173,19 +183,17 @@ class TestPopulationResponse:
 
     def test_against_the_reference(self):
         # Each node alone, against the 50-digit point-mass responses of
-        # tests/reference/point_mass_mp50.npz (n = 4, 8, 16; q1 = 1e-6 ..
-        # 1e3; 120 steps): no further from them than the hold at any point.
-        ref = np.load(Path(__file__).parent / "reference" / "point_mass_mp50.npz")
+        # conftest.POINT_MASS_REFERENCE (n = 4, 8, 16; q1 = 1e-6 .. 1e3; 120
+        # steps): within MODAL_REFERENCE_BOUND at any point.
+        ref = np.load(POINT_MASS_REFERENCE)
         tau, steps = float(ref["tau"]), int(ref["steps"])
         for n in map(int, ref["n"]):
             want = ref[f"g_n{n}"]
             scale = np.abs(want).max(axis=1)
             for q1, row, top in zip(ref["q1"], want, scale):
                 got = response(node_system([q1], n, tau), steps)
-                held = impulse_response(*point_mass_hold(np.array([q1]), n, tau),
-                                        steps)[0, :, 0]
-                err, hold_err = (np.abs(a - row).max() / top for a in (got, held))
-                assert err <= hold_err, (n, q1, err, hold_err)
+                err = np.abs(got - row).max() / top
+                assert err <= MODAL_REFERENCE_BOUND[n], (n, q1, err)
 
 
     @pytest.mark.parametrize("n, m", [(4, 2), (8, 4), (16, 8)])
@@ -207,9 +215,8 @@ class TestPopulationResponse:
         # As q1 grows the column mixes at once and its unit mass evaporates
         # at rate 1: g_k -> (1 - e^{-tau}) e^{-tau k}.  Measured 2.2e-12 at
         # q1 = 1e12 (the model's own 2.3 / q1) and, as rounding in S grows
-        # with q1, up to 3.8e-8 at 1e20.  The node needs no exponential, so
-        # it does not raise; the hold raises ConditioningError from about
-        # q1 = 1e16 on and errs by 8.9e-2 at q1 = 1e12 (n = 16).
+        # with q1, up to 3.8e-8 at 1e20.  node_modes raises
+        # ConditioningError only beyond 1.7e21 (n = 16; TestNodeGuard).
         tau, count = 1 / 12, 120
         limit = (1 - np.exp(-tau)) * np.exp(-tau * np.arange(count))
         for n in (4, 8, 16):
@@ -259,6 +266,10 @@ class TestDeterministic:
         with pytest.raises(ConditioningError):
             simulate_deterministic((1e300, 1.0), 4, 0.1, np.ones(3))
 
+    def test_infinite_q1_is_a_conditioning_error(self):
+        with pytest.raises(ConditioningError, match="node 0 at q1 = inf"):
+            simulate_deterministic((np.inf, 1.0), 4, 0.1, np.ones(3))
+
     def test_nan_input_diverges(self):
         u = pulse_input(24, 1 / 12)
         u[10] = np.nan
@@ -283,23 +294,28 @@ class TestDeterministicBatch:
         return sample_array(rho_smooth, self.NDRAWS, seed=4)
 
     @pytest.mark.parametrize("n", [4, 8, 16])
-    def test_matches_per_draw_solver(self, draws, n):
+    def test_matches_per_draw_solver(self, draws, monkeypatch, n):
         # Each draw solved alone must match its row of the blocked solve:
         # checks the slicing into BATCH_DRAWS blocks and the partial block.
-        # Exactly: each block is scaled and solved on its own, and the
-        # lockstep q1 search of optimizer.initialize relies on a row of a
-        # stacked solve, at a longer count, being the bits of that solve
-        # alone.
+        # Exactly: each draw's modes and sums are formed on their own, and
+        # the lockstep q1 search of optimizer.initialize relies on a row of
+        # a stacked solve, at a longer count, being the bits of that solve
+        # alone.  Every row of the stack is checked at every count 0-400,
+        # with the stack's modes formed once (node_modes takes no count).
         tau = 1 / 12
         u = pulse_input(120, tau)
         batch = simulate_deterministic_batch(draws, n, tau, u)
         looped = np.array([simulate_deterministic(q, n, tau, u) for q in draws])
         assert batch.shape == looped.shape == (self.NDRAWS, 121)
         np.testing.assert_array_equal(batch, looped)
-        stacked = unit_responses(draws[:, 0], n, tau, 150)
+        stacked = unit_responses(draws[:, 0], n, tau, 400)
         given = np.array([simulate_deterministic(q, n, tau, u, g)
                           for q, g in zip(draws, stacked)])
         np.testing.assert_array_equal(given, looped)
+        modes = node_modes(draws[:, 0], n, tau)
+        monkeypatch.setattr(forward_mod, "node_modes", lambda *args: modes)
+        assert all(np.array_equal(unit_responses(draws[:, 0], n, tau, count),
+                                  stacked[:, :count]) for count in range(401))
 
     def test_zero_input_gives_exact_zeros(self, draws):
         y = simulate_deterministic_batch(draws, 8, 1 / 12, np.zeros(30))
@@ -329,6 +345,40 @@ class TestDeterministicBatch:
         bad[5, 0] = 1e300
         with pytest.raises(ConditioningError):
             simulate_deterministic_batch(bad, 4, 0.1, np.ones(3))
+
+    def test_infinite_q1_is_a_conditioning_error(self, draws):
+        bad = draws.copy()
+        bad[BATCH_DRAWS + 5, 0] = np.inf
+        with pytest.raises(ConditioningError, match="node 5 at q1 = inf"):
+            simulate_deterministic_batch(bad, 4, 0.1, np.ones(3))
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_unit_responses_against_the_reference(self, n):
+        # The draws meet the bounds the nodes meet
+        # (test_sampled.py::TestPointMassReference) against the 50-digit
+        # responses of conftest.POINT_MASS_REFERENCE (q1 = 1e-6 .. 1e3, 120
+        # steps): MODAL_REFERENCE_BOUND at any point, and 1e-9 of each
+        # response's largest value on q1 in [1e-2, 1e2].  Measured at most
+        # 1.7e-7, at n = 16 and q1 = 1e-3.
+        ref = np.load(POINT_MASS_REFERENCE)
+        q1, tau, steps = ref["q1"], float(ref["tau"]), int(ref["steps"])
+        want = ref[f"g_n{n}"]
+        err = (np.abs(unit_responses(q1, n, tau, steps) - want).max(axis=1)
+               / np.abs(want).max(axis=1))
+        assert err.max() <= MODAL_REFERENCE_BOUND[n], err
+        assert err[(q1 >= 1e-2) & (q1 <= 1e2)].max() <= 1e-9
+
+    @pytest.mark.parametrize("q1, bound", [(1e9, 3e-9), (1e12, 3e-12)])
+    def test_large_q1_meets_the_well_mixed_limit(self, q1, bound):
+        # As q1 grows the column mixes at once: g_k -> (1 - e^{-tau})
+        # e^{-tau k}, and the model's own distance from that limit is
+        # about 2.3 / q1 of its largest value (measured 2.3e-9 and 2.2e-12
+        # at n = 4, 8 and 16).
+        tau, count = 1 / 12, 120
+        limit = (1 - np.exp(-tau)) * np.exp(-tau * np.arange(count))
+        for n in (4, 8, 16):
+            g = unit_responses(np.array([q1]), n, tau, count)[0]
+            assert np.abs(g - limit).max() <= bound * limit.max(), n
 
     def test_output_linear_in_q2(self, draws):
         tau = 1 / 12

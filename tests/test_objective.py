@@ -1,12 +1,19 @@
 import numpy as np
 import pytest
 
-from conftest import loop_cost_and_gradient, pulse_input, random_rho, xcorr_gradient
+from conftest import (
+    impulse_response,
+    loop_cost_and_gradient,
+    point_mass_hold,
+    pulse_input,
+    random_rho,
+    xcorr_gradient,
+)
 
 from popdiff.assembly import assemble
 from popdiff.density import RhoParams
 from popdiff.errors import DegenerateDensityError, SimulationDivergenceError
-from popdiff.forward import Episode, convolve, impulse_response, population_system, simulate
+from popdiff.forward import Episode, convolve, population_system, simulate
 from popdiff.grid import GridSpec
 from popdiff.objective import (
     cost,
@@ -15,12 +22,7 @@ from popdiff.objective import (
     gradient_adjoint,
     gradient_fd,
 )
-from popdiff.sampled import (
-    SampledSystem,
-    build_sampled,
-    build_sensitivities,
-    point_mass_hold,
-)
+from popdiff.sampled import SampledSystem, build_sampled, build_sensitivities
 
 
 def make_episodes(rho_true, spec, n_episodes=2, steps=40, noise=0.02, seed=0):
@@ -304,8 +306,8 @@ class TestNodeWeightContract:
         # The gradient reaches the parameters only through the nodes nu_c
         # and the weights omega_c: with dnodes (or dweights) the identity
         # and the other zero, the adjoint returns dJ/dnu (or dJ/domega).
-        # Oracle: central differences of the cost with the hold rebuilt at
-        # the moved nodes (point_mass_hold, as the single-q draws hold).
+        # Oracle: central differences of the cost with the test oracle's
+        # hold (conftest.point_mass_hold) rebuilt at the moved nodes.
         spec, rho, episodes = fit_setup
         ep = episodes[0]
         ops = assemble(spec, rho, with_grad=True)

@@ -358,16 +358,16 @@ class TestMinimizeStatus:
 
 
 @pytest.fixture
-def hold_rows(monkeypatch):
-    """The row count of each single-q point_mass_hold."""
-    real = forward_mod.point_mass_hold
+def stack_rows(monkeypatch):
+    """The row count of each single-q node_modes call."""
+    real = forward_mod.node_modes
     rows = []
 
     def counted(nodes, n, tau):
         rows.append(len(nodes))
         return real(nodes, n, tau)
 
-    monkeypatch.setattr(forward_mod, "point_mass_hold", counted)
+    monkeypatch.setattr(forward_mod, "node_modes", counted)
     return rows
 
 
@@ -463,20 +463,20 @@ class TestFitDeterministic:
         with pytest.warns(UserWarning, match="falling back"):
             initialize([ep, ep], spec_small)
 
-    def test_solve_count_does_not_follow_last_bits(self, spec_small, hold_rows):
+    def test_solve_count_does_not_follow_last_bits(self, spec_small, stack_rows):
         # The Brent search stops at 1e-6 relative in q1, above the level
         # where the profile costs differ by rounding only.  On these data a
         # search to sqrt(eps) took 11 solves, and 17 after a 1e-14 change.
-        # A solve is one trial point: a row of the holds beyond the grid's.
+        # A solve is one trial point: a row of the stacks beyond the grid's.
         ep = self.noisy_episode(spec_small, seed=5)
         rng = np.random.default_rng(105)
         nudged = Episode("nudged", ep.tau, ep.u,
                          ep.y_obs * (1 + 1e-14 * rng.standard_normal(ep.y_obs.shape)))
         counts = []
         for episode in (ep, nudged):
-            hold_rows.clear()
+            stack_rows.clear()
             fit_deterministic(episode, spec_small)
-            counts.append(sum(hold_rows) - len(Q1_GRID))
+            counts.append(sum(stack_rows) - len(Q1_GRID))
         assert counts[0] == counts[1] > 0
 
     def test_repeat_calls_are_bit_identical(self, spec_small):
@@ -530,21 +530,21 @@ class TestInitialize:
         monkeypatch.setattr(optimizer_mod, "_fit_lockstep", recorded)
         return results
 
-    def test_shared_grid_responses_change_no_bit(self, spec_small, monkeypatch, hold_rows):
+    def test_shared_grid_responses_change_no_bit(self, spec_small, monkeypatch, stack_rows):
         # initialize forms the Q1_GRID responses once, at the longest
         # episode's length; each episode's prefix fits it bit for bit as
         # responses formed for it alone do.
         episodes = self.ragged_episodes(spec_small)
         alone = [fit_deterministic(ep, spec_small) for ep in episodes]
-        hold_rows.clear()
+        stack_rows.clear()
         shared = self.record_lockstep(monkeypatch)
         initialize(episodes, spec_small)
-        assert hold_rows[0] == len(Q1_GRID)
-        assert max(hold_rows[1:]) <= len(episodes)
+        assert stack_rows[0] == len(Q1_GRID)
+        assert max(stack_rows[1:]) <= len(episodes)
         assert shared == alone
 
-    def test_lockstep_equals_separate_fits(self, spec_small, monkeypatch, hold_rows):
-        # Each round of initialize holds one trial point of every pending
+    def test_lockstep_equals_separate_fits(self, spec_small, monkeypatch, stack_rows):
+        # Each round of initialize solves one trial point of every pending
         # search in one stack; a row of the stack is the bits it would be
         # alone, so every search takes its own steps and ends at its own
         # point.  The zero-data episode returns before any trial.
@@ -553,18 +553,18 @@ class TestInitialize:
                     Episode("flat", spec_small.tau, u, np.zeros(31))]
         alone, trials = [], []
         for ep in episodes:
-            hold_rows.clear()
+            stack_rows.clear()
             alone.append(fit_deterministic(ep, spec_small))
-            trials.append(len(hold_rows) - 1)
-        assert hold_rows == [len(Q1_GRID)] and trials[-1] == 0
+            trials.append(len(stack_rows) - 1)
+        assert stack_rows == [len(Q1_GRID)] and trials[-1] == 0
         assert min(trials[:-1]) > 0
-        hold_rows.clear()
+        stack_rows.clear()
         lockstep = self.record_lockstep(monkeypatch)
         initialize(episodes, spec_small)
         assert lockstep == alone
         assert lockstep[-1] == (QPoint(1.0, 0.0), 0.0)
-        assert len(hold_rows) == 1 + max(trials) < 1 + sum(trials)
-        assert sum(hold_rows) == len(Q1_GRID) + sum(trials)
+        assert len(stack_rows) == 1 + max(trials) < 1 + sum(trials)
+        assert sum(stack_rows) == len(Q1_GRID) + sum(trials)
 
     def test_needs_two_episodes(self, spec_small):
         episodes = self.episodes_from_points([(0.7, 1.1)], spec_small)

@@ -1,6 +1,5 @@
 import dataclasses
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,31 +7,33 @@ import scipy.linalg
 from scipy.linalg import block_diag
 
 from conftest import (
+    MODAL_REFERENCE_BOUND,
+    POINT_MASS_REFERENCE,
+    eta_operators,
     galerkin_blocks,
     galerkin_generator,
+    impulse_response,
     per_cell_reference,
     point_mass_blocks,
     random_rho,
     tangent_hold,
     tangent_responses,
+    zero_order_hold,
 )
 
 from popdiff import forward, sampled
 from popdiff.assembly import assemble
 from popdiff.errors import ConditioningError, SingularOperatorError
 from popdiff.grid import GridSpec, eta_mass_matrix, eta_stiffness_matrix
-from popdiff.optimizer import Q1_GRID
 from popdiff.sampled import (
+    NODE_ROUNDING,
     _phi_and_slope,
     build_sampled,
     build_sensitivities,
-    eta_operators,
     eta_symmetric_operators,
-    expm,
     modal_responses,
-    point_mass_hold,
+    node_modes,
     point_mass_modes,
-    zero_order_hold,
 )
 
 
@@ -43,7 +44,8 @@ def with_sensitivities(rho, spec):
 
 class TestBuildSampled:
     def test_scalar_closed_form(self):
-        # x' = -x + u held over tau = ln 2: Ahat = 1/2, Bhat = 1 - 1/2.
+        # The test oracle's hold, conftest.zero_order_hold: x' = -x + u
+        # held over tau = ln 2 gives Ahat = 1/2, Bhat = 1 - 1/2.
         ahat, bhat = zero_order_hold(np.array([[-1.0]]), np.array([[1.0]]), np.log(2.0))
         np.testing.assert_allclose(ahat, [[0.5]], rtol=1e-14)
         np.testing.assert_allclose(bhat, [[0.5]], rtol=1e-14)
@@ -103,11 +105,10 @@ class TestBuildSampled:
 
     def test_one_eigendecomposition_serves_cost_and_jacobian(self, rho_smooth, spec_small,
                                                              monkeypatch):
-        # build_sampled makes one stacked eigh of all the nodes, and neither
-        # it nor the population response takes an exponential;
-        # build_sensitivities forms the derivative rows from the kept
-        # projections and decomposes nothing.  The rows are the nodes'
-        # point_mass_modes, bit for bit.
+        # build_sampled makes one stacked eigh of all the nodes, and the
+        # population response makes none; build_sensitivities forms the
+        # derivative rows from the kept projections and decomposes
+        # nothing.  The rows are the nodes' point_mass_modes, bit for bit.
         ops = assemble(spec_small, rho_smooth, with_grad=True)
         calls = []
 
@@ -115,11 +116,7 @@ class TestBuildSampled:
             calls.append(a.shape)
             return _real(a)
 
-        def no_exponential(a):
-            raise AssertionError("the population path took an exponential")
-
         monkeypatch.setattr(np.linalg, "eigh", counted)
-        monkeypatch.setattr(sampled, "expm", no_exponential)
         sys = build_sampled(ops, spec_small.tau)
         forward.response(sys, 40)
         assert calls == [(sys.ncells, sys.block_size, sys.block_size)]
@@ -137,82 +134,60 @@ class TestBuildSampled:
     @pytest.mark.parametrize("n, m", [(4, 2), (8, 4), (16, 8)])
     def test_cells_are_the_single_q_blocks(self, rho_smooth, monkeypatch, n, m):
         # Cell c is the point mass at q1 = nu_c = w1_c / w_c: a single-q
-        # draw at the node is held as point_mass_hold holds the node, bit
-        # for bit, and the cell is read with the weight w2_c.
+        # draw at the node gets the node's modes from node_modes, bit for
+        # bit, and the cell is read with the weight w2_c.
         spec = GridSpec(n=n, m1=m, m2=m, tau=1 / 12)
         ops = assemble(spec, rho_smooth)
         sys = build_sampled(ops, spec.tau)
-        held = []
+        modes = []
 
         def recording(nodes, n, tau):
-            held.append((nodes, *point_mass_hold(nodes, n, tau)))
-            return held[-1][1:]
+            modes.append((nodes, *node_modes(nodes, n, tau)))
+            return modes[-1][1:]
 
-        monkeypatch.setattr(forward, "point_mass_hold", recording)
+        monkeypatch.setattr(forward, "node_modes", recording)
         w, w1, _ = ops.moments
         forward.simulate_deterministic_batch(np.column_stack([w1 / w, np.ones_like(w)]),
                                              n, spec.tau, np.ones(3))
-        (nodes, ahat, bhat), = held
+        (nodes, rates, gamma, _), = modes
         np.testing.assert_array_equal(sys.nodes, nodes)
-        cell_ahat, cell_bhat = point_mass_blocks(sys)
-        np.testing.assert_array_equal(cell_ahat, ahat)
-        np.testing.assert_array_equal(cell_bhat, bhat)
+        np.testing.assert_array_equal(sys.rates, rates)
+        np.testing.assert_array_equal(sys.gamma, gamma)
         np.testing.assert_array_equal(sys.weights, ops.moments[2])
 
 
-class TestExpm:
-    @staticmethod
-    def stacks(n, tau=1 / 12):
-        # Point masses over Q1_GRID's range and their tangent blocks
-        # [[G, G1], [0, G]] tau, as point_mass_hold and the test oracle
-        # tangent_hold exponentiate them.
-        g0, g1, _ = eta_operators(n)
-        gen = (g0 + Q1_GRID[:, None, None] * g1) * tau
-        b = n + 1
-        tangent = np.zeros((len(Q1_GRID), 2 * b, 2 * b))
-        tangent[:, :b, :b] = tangent[:, b:, b:] = gen
-        tangent[:, :b, b:] = g1 * tau
-        return gen, tangent
-
-    @pytest.mark.parametrize("n", [4, 8, 16])
-    def test_matches_scipy(self, n):
-        # Relative to each block's largest entry.  The exponential's relative
-        # condition number is at least |A| (Van Loan 1977), so on the blocks
-        # of large norm (q1 near 1e3, |A|_1 up to 3e5) two methods may differ
-        # by about eps |A|_1, and there the bound grows with it.
-        for stack in self.stacks(n):
-            got, ref = expm(stack), scipy.linalg.expm(stack)
-            rel = np.abs(got - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
-            norm = np.abs(stack).sum(axis=1).max(axis=1)
-            assert np.all(rel <= np.maximum(1e-12, np.finfo(float).eps * norm))
-            assert rel[Q1_GRID <= 10].max() <= 1e-12
-
-    def test_each_block_is_scaled_alone(self):
-        # Every block has its own scaling power, so a block's exponential
-        # does not depend on the stack it comes in.
-        gen, tangent = self.stacks(8)
-        for stack in (gen, tangent):
-            whole = expm(stack)
-            for i in (0, 12, 24):
-                np.testing.assert_array_equal(whole[i], expm(stack[i:i + 1])[0])
-
+class TestNodeGuard:
     @pytest.mark.parametrize("scale", [1e20, 1e100, 1e300, np.inf, np.nan])
-    def test_unresolvable_block_raises_without_warnings(self, scale):
-        # A 1-norm beyond theta_13 2^52 needs more squarings than double
-        # precision resolves; it raises before any product can overflow.
-        gen, _ = self.stacks(4)
-        gen[3] *= scale
+    def test_unresolvable_node_raises_without_warnings(self, scale):
+        # A node beyond the NODE_ROUNDING bound (1.7e21 to 1.2e22 at
+        # n = 16 to 4), or not finite, raises before S(q1) is formed;
+        # node 3 sits at 1e3 times the scale.
+        nodes = np.full(5, 1e3)
+        nodes[3] *= scale
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ConditioningError, match="block 3"):
-                expm(gen)
+            for n in (4, 8, 16):
+                with pytest.raises(ConditioningError, match="node 3"):
+                    node_modes(nodes, n, 1 / 12)
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_bound_is_the_stated_formula(self, n):
+        # The largest node resolved is q1 = NODE_ROUNDING |l|^2 /
+        # (eps^2 |K~|_F); every q1 up to 1e20 is resolved.
+        left, _, _, ktilde = eta_symmetric_operators(n)
+        eps = np.finfo(float).eps
+        largest = NODE_ROUNDING * (left @ left) / (eps**2 * np.linalg.norm(ktilde))
+        assert 1e21 < largest < 2e22
+        node_modes(np.array([1e20, largest]), n, 1 / 12)
+        with pytest.raises(ConditioningError, match="node 1"):
+            node_modes(np.array([1e20, np.nextafter(largest, np.inf)]), n, 1 / 12)
 
 
 class TestEtaOperators:
     def test_one_factorization_per_n(self, rho_smooth, spec_small, monkeypatch):
         # Every build_sampled, build_sensitivities and single-q batch at one
         # n shares one factorization of the depth mass matrix: the
-        # generators and the symmetric form are both cached from it.
+        # symmetric form is cached from it.
         calls = []
 
         def counted(*args, _real=np.linalg.cholesky, **kwargs):
@@ -220,15 +195,14 @@ class TestEtaOperators:
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "cholesky", counted)
-        for cached in (sampled._mass_factor, eta_operators, eta_symmetric_operators):
-            cached.cache_clear()
-        first = eta_operators(spec_small.n) + eta_symmetric_operators(spec_small.n)
+        eta_symmetric_operators.cache_clear()
+        first = eta_symmetric_operators(spec_small.n)
         ops = assemble(spec_small, rho_smooth, with_grad=True)
         build_sensitivities(ops, build_sampled(ops, spec_small.tau))
         forward.simulate_deterministic_batch(np.array([[0.8, 1.2]]), spec_small.n,
                                              spec_small.tau, np.ones(3))
         assert calls == [(spec_small.block_size,) * 2]
-        again = eta_operators(spec_small.n) + eta_symmetric_operators(spec_small.n)
+        again = eta_symmetric_operators(spec_small.n)
         for cached, repeat in zip(first, again, strict=True):
             assert cached is repeat
             assert not cached.flags.writeable
@@ -337,7 +311,7 @@ class TestSensitivities:
                                               monkeypatch, n_params):
         # Every parameter moves a cell through its moments alone, so all of
         # them share one stacked eigendecomposition of all the nodes' blocks,
-        # the one build_sampled makes (and no exponential), and the
+        # the one build_sampled makes, and the
         # parameter count changes no bit of any parameter's result.
         ops, full = self.build(rho_smooth, spec_small)
         sub = dataclasses.replace(ops, dmoments=ops.dmoments[:, :n_params])
@@ -347,11 +321,7 @@ class TestSensitivities:
             calls.append(a.shape)
             return _real(a)
 
-        def no_exponential(a):
-            raise AssertionError("build_sensitivities took an exponential")
-
         monkeypatch.setattr(np.linalg, "eigh", counted)
-        monkeypatch.setattr(sampled, "expm", no_exponential)
         sys = build_sensitivities(sub, build_sampled(sub, spec_small.tau))
         assert calls == [(sys.ncells, sys.block_size, sys.block_size)]
         np.testing.assert_array_equal(sys.rates, full.rates)
@@ -405,11 +375,9 @@ class TestSensitivities:
 
 
 class TestPointMassReference:
-    # tests/reference/point_mass_mp50.npz holds g_k and dg_k/dq1 of the
-    # point masses at n = 4, 8, 16 and q1 = 1e-6 .. 1e3, 120 steps of
-    # tau = 1/12, from 50-digit mpmath (scripts/make_point_mass_reference.py).
-    # Errors are relative to each response's largest magnitude.
-    REFERENCE = Path(__file__).parent / "reference" / "point_mass_mp50.npz"
+    # conftest.POINT_MASS_REFERENCE; errors are relative to each
+    # response's largest magnitude.
+    REFERENCE = POINT_MASS_REFERENCE
 
     @classmethod
     def errors(cls, responses):
@@ -426,9 +394,10 @@ class TestPointMassReference:
         return q1, out
 
     def test_tangent_hold_against_the_reference(self):
-        # On q1 in [1e-2, 1e2] the hold is within 1e-9 of each response's
-        # largest value.  Toward the ends of Q1_GRID it parts from the
-        # reference: at n = 16, q1 = 1e-6, by 3.8e-6 (g) and 1.8e-4 (dg).
+        # On q1 in [1e-2, 1e2] the oracle's hold is within 1e-9 of each
+        # response's largest value.  Toward the ends of Q1_GRID it parts
+        # from the reference: at n = 16 by up to 8.8e-7 (g, q1 = 1e-3) and
+        # 4.1e-7 (dg, q1 = 1e-6).
         q1, errors = self.errors(tangent_responses)
         inner = (q1 >= 1e-2) & (q1 <= 1e2)
         for n, err in errors.items():
@@ -436,16 +405,15 @@ class TestPointMassReference:
             assert np.all(err <= 1e-3), n
 
     def test_modal_form_against_the_reference(self):
-        # point_mass_modes is no further from the reference than the hold
-        # at any point, and within 1e-9 on q1 in [1e-2, 1e2].
+        # point_mass_modes is within MODAL_REFERENCE_BOUND at every point,
+        # and within 1e-9 on q1 in [1e-2, 1e2].
         def modal(q1, n, tau, steps):
             return modal_responses(*point_mass_modes(q1, n, tau), tau, steps)
 
         q1, modal_errors = self.errors(modal)
-        _, hold_errors = self.errors(tangent_responses)
         inner = (q1 >= 1e-2) & (q1 <= 1e2)
         for n, err in modal_errors.items():
-            assert np.all(err <= hold_errors[n]), n
+            assert err.max() <= MODAL_REFERENCE_BOUND[n], n
             assert err[inner].max() <= 1e-9, n
 
 
@@ -457,7 +425,7 @@ class TestPointMassModes:
         spec = GridSpec(n=n, m1=m, m2=m, tau=1 / 12)
         sys = build_sampled(assemble(spec, rho_smooth), spec.tau)
         g, _ = modal_responses(*point_mass_modes(sys.nodes, n, spec.tau), spec.tau, 120)
-        want = forward.impulse_response(*point_mass_blocks(sys), 120)[..., 0]
+        want = impulse_response(*point_mass_blocks(sys), 120)[..., 0]
         assert np.abs(g - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_stack_matches_node_by_node(self):
