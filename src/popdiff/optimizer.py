@@ -48,7 +48,7 @@ search: their output is linear in the gain, so ``fit_deterministic``
 solves for the gain in closed form and searches q1 alone (variable
 projection, Golub & Pereyra 1973), by Brent's method (Brent 1973).  The
 episodes' searches are independent, so ``initialize`` runs them in
-lockstep: each round holds the trial q1 of every pending search in one
+lockstep: each round solves the trial q1 of every pending search in one
 stack, and each search takes the steps, and ends at the bits, that it
 would alone.
 """

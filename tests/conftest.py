@@ -234,7 +234,8 @@ MODAL_REFERENCE_BOUND = {4: 1e-11, 8: 1e-9, 16: 1e-6}
 def eta_operators(n):
     """(G0, G1, beta_eta): the point mass at q1 has the generator
     G0 + q1 G1 and the input column beta_eta, G0 = -M_eta^{-1} e0 e0^T,
-    G1 = -M_eta^{-1} K_eta and beta_eta = M_eta^{-1} e_n ((n+1, 1))."""
+    G1 = -M_eta^{-1} K_eta and beta_eta = M_eta^{-1} e_n, an (n+1, 1)
+    column."""
     meta = eta_mass_matrix(n)
     e00 = np.zeros((n + 1, n + 1))
     e00[0, 0] = 1.0

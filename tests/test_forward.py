@@ -420,9 +420,10 @@ def dense_single_q(q1, q2, n, tau, u, panels=32, nodes=32):
 
 
 class TestSingleQOracle:
-    # simulate_deterministic_batch shares the zero-order hold and the
-    # recursion with the population path, so the cell mixture no longer
-    # checks them independently; this reference shares neither.
+    # simulate_deterministic_batch shares the modal kernel (node_modes,
+    # modal_sums) and the convolution with the population path, so the
+    # cell mixture does not check them independently; this reference
+    # shares neither.
     @pytest.mark.parametrize("n", [4, 8, 16])
     def test_matches_dense_reference(self, n):
         tau = 1 / 12
@@ -437,7 +438,7 @@ class TestSingleQOracle:
 class TestCellMixture:
     # With piecewise-constant cells the population output is exactly the
     # mixture sum_c w2_c g(w1_c / w_c) of single-q outputs at q2 = 1.  The
-    # two sides share the zero-order hold and the recursion but not the
+    # two sides share the modal kernel and the convolution but not the
     # tensor-Galerkin assembly, which this checks; TestSingleQOracle
     # checks the shared parts.
     @pytest.mark.parametrize("n,m1,m2", [(4, 1, 1), (4, 2, 2), (6, 3, 2),

@@ -458,8 +458,9 @@ class TestPointMassModes:
     def test_derivative_matches_richardson_differences(self, n):
         # dg/dq1 against Richardson's extrapolation (4 D(h/2) - D(h)) / 3
         # of central differences D(h) of forward.unit_responses in q1, at
-        # h = 1e-2 q1.  The oracle's own rounding (the hold's, divided by
-        # h) sets the bound: the worst error measured is 9.7e-9, at q1 = 40.
+        # h = 1e-2 q1.  The oracle's own error (its truncation, and the
+        # responses' rounding divided by h) sets the bound: the worst error
+        # measured is 2.5e-9, at q1 = 40.
         tau, count = 1 / 12, 120
         q1 = np.array([0.02, 0.3, 1.0, 5.0, 40.0])
         _, dg = modal_responses(*point_mass_modes(q1, n, tau), tau, count)
