@@ -375,15 +375,14 @@ class TestSensitivities:
 
 
 class TestPointMassReference:
-    # conftest.POINT_MASS_REFERENCE; errors are relative to each
+    # Against conftest.POINT_MASS_REFERENCE; errors are relative to each
     # response's largest magnitude.
-    REFERENCE = POINT_MASS_REFERENCE
 
-    @classmethod
-    def errors(cls, responses):
+    @staticmethod
+    def errors(responses):
         """{n: (len(q1), 2) errors of g and dg} of ``responses(q1, n, tau,
         steps) -> (g, dg)`` against the reference."""
-        ref = np.load(cls.REFERENCE)
+        ref = np.load(POINT_MASS_REFERENCE)
         q1, tau, steps = ref["q1"], float(ref["tau"]), int(ref["steps"])
         out = {}
         for n in ref["n"]:
