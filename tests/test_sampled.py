@@ -156,6 +156,22 @@ class TestBuildSampled:
         np.testing.assert_array_equal(sys.weights, ops.moments[2])
 
 
+class TestNodeModes:
+    def test_each_node_is_resolved_alone(self):
+        # Every node has its own eigh, so a node's rates, gamma and
+        # projections do not depend on the stack it comes in, across the
+        # whole resolved range of q1.
+        nodes = np.geomspace(1e-6, 1e20, 25)
+        for n in (4, 8, 16):
+            rates, gamma, projections = node_modes(nodes, n, 1 / 12)
+            for i in (0, 12, 24):
+                alone = node_modes(nodes[i:i + 1], n, 1 / 12)
+                np.testing.assert_array_equal(rates[i], alone[0][0])
+                np.testing.assert_array_equal(gamma[i], alone[1][0])
+                for whole, one in zip(projections, alone[2]):
+                    np.testing.assert_array_equal(whole[i], one[0])
+
+
 class TestNodeGuard:
     @pytest.mark.parametrize("scale", [1e20, 1e100, 1e300, np.inf, np.nan])
     def test_unresolvable_node_raises_without_warnings(self, scale):
