@@ -8,7 +8,6 @@ one-line JSON diagnostic on stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -17,28 +16,18 @@ import numpy as np
 
 from . import dataio, experiments
 from .dataio import RunConfig, load_config, load_episode, rho_from_json
-from .errors import (
-    ConditioningError,
-    ConfigError,
-    DegenerateDensityError,
-    EpisodeParseError,
-    IngestionError,
-    PopdiffError,
-    SimulationDivergenceError,
-    SingularOperatorError,
-)
+from .density import PARAM_NAMES
+from .errors import ConfigError, EpisodeParseError, IngestionError, PopdiffError
 from .forward import Episode, population_system, simulate
 from .objective import gradient_adjoint, gradient_fd
 from .optimizer import fit, initialize
 from .uncertainty import credible_band
 
-_NUMERICAL = (
-    DegenerateDensityError,
-    SingularOperatorError,
-    ConditioningError,
-    SimulationDivergenceError,
-)
 _USAGE = (ConfigError, EpisodeParseError, IngestionError, FileNotFoundError, ValueError)
+# The consistency experiment: seeds per level and samples per episode at
+# the first level.
+TREND_SEEDS = 5
+TREND_STEPS = 24
 
 
 def _load_scaled_episodes(paths, cfg: RunConfig):
@@ -63,7 +52,7 @@ def _cmd_fit(args) -> int:
         init = rho_from_json(args.init_rho)
     else:
         init = initialize(episodes, cfg.spec, default_box=cfg.default_box)
-        init.box.require_within(cfg.q1_max, cfg.q2_max)
+        init.box.require_within()
     result = fit(episodes, cfg.spec, init, cfg.fit_options)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -117,7 +106,7 @@ def _cmd_gradcheck(args) -> int:
         "finite_difference": fd.grad.tolist(),
         "rel_error": rel.tolist(),
         "max_rel_error": float(rel.max()),
-        "worst_component": list(dataio.rho_to_dict(rho))[int(np.argmax(rel))],
+        "worst_component": PARAM_NAMES[int(np.argmax(rel))],
         "tolerance": tolerance,
         "pass": bool(rel.max() <= tolerance),
     }
@@ -140,16 +129,9 @@ def _cmd_bands(args) -> int:
 def _cmd_consistency(args) -> int:
     cfg = load_config(args.config)
     rho0 = rho_from_json(args.rho)
-    horizon = cfg.trend_steps * cfg.tau
-    pulses = dataclasses.replace(
-        cfg.pulse_spec,
-        duration_h=horizon,
-        width_h=(min(cfg.pulse_width_min_h, 0.5 * horizon),
-                 min(cfg.pulse_width_max_h, 0.8 * horizon)),
-    )
     report = experiments.consistency_trend(
-        rho0, cfg.spec, list(cfg.nu_levels), cfg.trend_seeds, cfg.noise_sigma,
-        steps0=cfg.trend_steps, pulse_spec=pulses, fit_options=cfg.fit_options,
+        rho0, cfg.spec, list(cfg.nu_levels), TREND_SEEDS, cfg.noise_sigma,
+        steps0=TREND_STEPS, fit_options=cfg.fit_options,
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -218,18 +200,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except _NUMERICAL as exc:
+    except (*_USAGE, PopdiffError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
-        return 1
-    except _USAGE as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 2
-    except PopdiffError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, _USAGE) else 1
 
 
 def entry() -> None:

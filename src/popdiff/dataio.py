@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .density import RhoParams, sample_array, sigma_from_l
+from .density import PARAM_NAMES, RhoParams, sample_array, sigma_from_l
 from .errors import ConfigError, EpisodeParseError, IngestionError
 from .forward import Episode, population_system, simulate, simulate_deterministic
 from .grid import GridSpec, QBox
@@ -221,8 +221,6 @@ class RunConfig:
     max_iter: int = 200
     fd_step: float = 1e-6            # gradcheck's finite-difference step
     default_box: tuple = (0.1, 2.0, 0.1, 2.0)
-    q1_max: float = 10.0
-    q2_max: float = 10.0
     scaling: str = "none"            # none | paper
     brac_ref: float = 0.0            # 0 = dataset maximum
     tac_ref: float = 0.0
@@ -234,15 +232,7 @@ class RunConfig:
     synth_episodes: int = 10
     noise_sigma: float = 0.01
     pulse_duration_h: float = 10.0
-    pulse_count_min: int = 1
-    pulse_count_max: int = 3
-    pulse_height_min: float = 0.3
-    pulse_height_max: float = 1.0
-    pulse_width_min_h: float = 0.5
-    pulse_width_max_h: float = 2.0
     nu_levels: tuple = (2, 8, 32)
-    trend_seeds: int = 5
-    trend_steps: int = 24
 
     def __post_init__(self):
         if self.scaling not in ("none", "paper"):
@@ -283,12 +273,7 @@ class RunConfig:
 
     @property
     def pulse_spec(self) -> PulseSpec:
-        return PulseSpec(
-            duration_h=self.pulse_duration_h,
-            count=(self.pulse_count_min, self.pulse_count_max),
-            height=(self.pulse_height_min, self.pulse_height_max),
-            width_h=(self.pulse_width_min_h, self.pulse_width_max_h),
-        )
+        return PulseSpec(duration_h=self.pulse_duration_h)
 
     def echo(self) -> dict:
         out = dataclasses.asdict(self)
@@ -346,8 +331,7 @@ def load_config(path) -> RunConfig:
 # ------------------------------------------------------------------ rho JSON
 
 def rho_to_dict(rho: RhoParams) -> dict:
-    return {name: getattr(rho, name) for name in
-            ("a1", "b1", "a2", "b2", "mu1", "mu2", "l11", "l21", "l22")}
+    return {name: getattr(rho, name) for name in PARAM_NAMES}
 
 
 def rho_from_json(path) -> RhoParams:
@@ -357,9 +341,7 @@ def rho_from_json(path) -> RhoParams:
     if "rho_hat" in data:
         data = data["rho_hat"]
     try:
-        return RhoParams(**{k: float(data[k]) for k in
-                            ("a1", "b1", "a2", "b2", "mu1", "mu2",
-                             "l11", "l21", "l22")})
+        return RhoParams(**{k: float(data[k]) for k in PARAM_NAMES})
     except KeyError as exc:
         raise ConfigError(f"{path}: missing parameter {exc}") from exc
 

@@ -89,10 +89,12 @@ def consistency_trend(
 
     Level k uses nu_levels[k] episodes, sampling interval tau/2^k, and
     steps0*2^k samples per episode, so every level covers the same
-    horizon.  Every fit starts at the truth rho0.  Errors are medians over
-    seeds of |mu_hat - mu0|; failed fits are recorded and excluded from
-    the median.  A level with no successful fit has error inf, and the
-    trend is then not monotone: there is no evidence at that level.
+    horizon.  The default pulses last the horizon h, with widths between
+    min(0.5, 0.5 h) and min(2, 0.8 h) hours.  Every fit starts at the
+    truth rho0.  Errors are medians over seeds of |mu_hat - mu0|; failed
+    fits are recorded and excluded from the median.  A level with no
+    successful fit has error inf, and the trend is then not monotone:
+    there is no evidence at that level.
     """
     if len(nu_levels) < 3:
         raise ValueError("need at least 3 levels for a trend")
@@ -100,7 +102,10 @@ def consistency_trend(
         raise ValueError("need at least 5 seeds for a stable median")
     nu_levels = list(nu_levels)
     horizon = steps0 * spec.tau
-    pulses = pulse_spec or PulseSpec(duration_h=horizon)
+    pulses = pulse_spec or PulseSpec(
+        duration_h=horizon,
+        width_h=(min(0.5, 0.5 * horizon), min(2.0, 0.8 * horizon)),
+    )
     if abs(pulses.duration_h - horizon) > 1e-9:
         raise ValueError("pulse duration must match the fixed horizon")
 

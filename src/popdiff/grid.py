@@ -19,6 +19,8 @@ import numpy as np
 # Diffusivity lower bound: the box must keep q1 strictly positive or the
 # generator degenerates.
 Q1_FLOOR = 1e-6
+# Upper bound on each axis of a moment-initialized box, [0, Q_MAX]^2.
+Q_MAX = 10.0
 
 
 @dataclass(frozen=True)
@@ -75,11 +77,11 @@ class QBox:
     def contains(self, q1: float, q2: float) -> bool:
         return self.a1 <= q1 <= self.b1 and self.a2 <= q2 <= self.b2
 
-    def require_within(self, q1_max: float, q2_max: float) -> None:
-        """Check containment in the configured global bounding box."""
-        if self.b1 > q1_max or self.b2 > q2_max:
+    def require_within(self) -> None:
+        """Check containment in the global bounding box [0, Q_MAX]^2."""
+        if self.b1 > Q_MAX or self.b2 > Q_MAX:
             raise ValueError(
-                f"box {self} exceeds global bounds q1 <= {q1_max}, q2 <= {q2_max}"
+                f"box {self} exceeds global bounds q1 <= {Q_MAX}, q2 <= {Q_MAX}"
             )
 
 

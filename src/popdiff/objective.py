@@ -49,7 +49,6 @@ class CostReport:
     cost: float
     grad: np.ndarray
     per_episode: list[tuple[str, float]]
-    method: str  # "adjoint" or "finite-difference"
 
 
 def _check_episodes(spec: GridSpec, episodes: list[Episode]) -> None:
@@ -74,8 +73,7 @@ class Evaluation:
 
     def gradient(self) -> CostReport:
         grad = 2.0 * (self.jacobian().T @ self.residuals)
-        return CostReport(cost=self.cost, grad=grad, per_episode=self.per_episode,
-                          method="adjoint")
+        return CostReport(cost=self.cost, grad=grad, per_episode=self.per_episode)
 
 
 def evaluate(rho: RhoParams, spec: GridSpec, episodes: list[Episode]) -> Evaluation:
@@ -170,5 +168,4 @@ def gradient_fd(
         c_up = cost(RhoParams.from_array(up), spec, episodes)
         c_dn = cost(RhoParams.from_array(dn), spec, episodes)
         grad[k] = (c_up - c_dn) / (2 * h)
-    return CostReport(cost=at.cost, grad=grad, per_episode=at.per_episode,
-                      method="finite-difference")
+    return CostReport(cost=at.cost, grad=grad, per_episode=at.per_episode)

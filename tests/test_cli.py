@@ -7,6 +7,7 @@ import pytest
 
 from conftest import golden_mismatches
 
+from popdiff import cli
 from popdiff.cli import _load_scaled_episodes, main
 from popdiff.dataio import (load_episode, parse_config, rho_to_dict, write_episode,
                             write_rho_json)
@@ -126,6 +127,19 @@ class TestMomentInitialization:
         assert payload["status"] in {"converged", "stalled-step", "max-iterations",
                                      "damping-exhausted", "degenerate-density"}
 
+    @pytest.mark.parametrize("box", [(0.1, 12.0, 0.1, 2.0), (0.1, 2.0, 0.1, 12.0)])
+    def test_moment_start_outside_the_global_box_is_usage_error(
+            self, golden_paths, tmp_path, capsys, monkeypatch, box):
+        far = RhoParams(*box, 0.7, 1.1, 0.18, 0.05, 0.25)
+        monkeypatch.setattr(cli, "initialize", lambda *args, **kwargs: far)
+        code = main(["fit", golden_paths["config"], golden_paths["episode"],
+                     "--out-dir", str(tmp_path / "fit")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "q1 <= 10.0, q2 <= 10.0" in err["message"]
+        assert not (tmp_path / "fit").exists()
+
 
 class TestSynth:
     def test_writes_reloadable_episodes(self, golden_paths, tmp_path):
@@ -185,7 +199,13 @@ class TestExitCodes:
                                       "xtol = 1e-09", "gap_min = 0.001",
                                       "init_mode = moment", "default_box = 2, 0.1, 0.1, 2",
                                       "default_box = 0, 2, 0.1, 2", "brac_ref = -1",
-                                      "tac_ref = -1", "tac_ref = nan"])
+                                      "tac_ref = -1", "tac_ref = nan",
+                                      "q1_max = 10.0", "q2_max = 10.0",
+                                      "pulse_count_min = 1", "pulse_count_max = 3",
+                                      "pulse_height_min = 0.3", "pulse_height_max = 1.0",
+                                      "pulse_width_min_h = 0.5",
+                                      "pulse_width_max_h = 2.0", "trend_seeds = 5",
+                                      "trend_steps = 24"])
     def test_rejected_config_is_usage_error(self, golden_paths, tmp_path, capsys, line):
         bad = tmp_path / "bad.txt"
         bad.write_text(line + "\n")
