@@ -7,13 +7,14 @@ hex digits of ``workloads.digest`` over:
 * the fit data (every episode's ``y_obs``), which the population system
   generates, so a change in its rounding shows here first;
 * the fit from ``START`` (``rho_hat`` and the cost trace), with its
-  status, iteration count, cost/Jacobian evaluation counts and the
+  status, iteration count, cost/linearization evaluation counts and the
   pull's penalty at ``rho_hat``;
 * the cost at ``START`` and at ``RHO`` (total and per episode), so a
   change that must leave the forward pass alone shows that it did;
 * ``gradient_adjoint`` (cost and gradient) at ``START`` and at ``RHO``;
-* the residual Jacobian at ``START`` (``evaluate(START, ...).jacobian()``),
-  the (N, 9) matrix the fit's steps solve with;
+* the normal equations at ``START``, J^T J and J^T r of the residual
+  Jacobian J (``evaluate(START, ...).normal_equations(input_gram(...))``),
+  the system the fit's steps solve;
 * the cell moments' nine parameter derivatives at ``START``
   (``assemble(..., with_grad=True).dmoments``), the layer every
   derivative above starts from;
@@ -66,7 +67,7 @@ import popdiff  # noqa: E402
 import workloads  # noqa: E402
 from popdiff.density import sample_array  # noqa: E402
 from popdiff.forward import response, simulate_deterministic_batch, unit_responses  # noqa: E402
-from popdiff.objective import evaluate  # noqa: E402
+from popdiff.objective import evaluate, input_gram  # noqa: E402
 from popdiff.optimizer import Q1_GRID  # noqa: E402
 
 BAND_SEED = 1
@@ -97,7 +98,8 @@ def report(w) -> list[tuple[str, str, list]]:
         adj = popdiff.gradient_adjoint(rho, spec, episodes)
         line(f"cost@{label}", adj.cost, [c for _, c in adj.per_episode])
         line(f"gradient_adjoint@{label}", adj.cost, adj.grad)
-    line("jacobian@START", evaluate(workloads.START, spec, episodes).jacobian())
+    line("normal_equations@START",
+         *evaluate(workloads.START, spec, episodes).normal_equations(input_gram(episodes)))
     ops = popdiff.assemble(spec, workloads.START, with_grad=True)
     line("dmoments@START", ops.dmoments)
     sys = popdiff.build_sampled(ops, spec.tau)

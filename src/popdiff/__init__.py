@@ -5,8 +5,8 @@ as two extra coordinates of the state space; a tensor-product Galerkin
 discretization over depth times the parameter box turns expectation-
 taking into ordinary matrix algebra.  The package fits a truncated
 bivariate normal parameter law to pooled episode data by Levenberg-
-Marquardt least squares on the exact residual Jacobian and reports
-credible bands for predicted outputs.
+Marquardt least squares on the normal equations of the exact residual
+Jacobian and reports credible bands for predicted outputs.
 """
 
 from .assembly import AssembledOperators, assemble

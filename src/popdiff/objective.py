@@ -1,4 +1,4 @@
-"""Pooled least-squares cost over all episodes, its Jacobian and gradient.
+"""Pooled least-squares cost over all episodes, its normal equations and gradient.
 
 The cost is the plain sum of squared residuals between the population
 output and the observations, every sample weighted equally and no
@@ -10,23 +10,32 @@ the modal form of one symmetric eigendecomposition per node
 h only through the nodes and weights, so dh/drho = dweights @ g +
 (dnodes * omega) @ dg/dnu, with g_c and dg_c/dnu formed for the count at
 hand from node c's rows (gamma, delta, eps) (``sampled.build_sensitivities``
-and ``sampled.modal_responses``).  Column p of the residual Jacobian J
-stacks each episode's input convolved with dh_p, and the gradient is
-2 J^T r: no backward pass and no stored states.  A central
+and ``sampled.modal_responses``).
+
+Episode e's output is y_e = T_e h, where T_e is the fixed
+(len(u)+1, count) map of its input u, T_e[j+1, k] = u[j-k] (row 0 zero).
+So the residual Jacobian is J = T dh^T with T the stacked T_e, and the
+fit never forms it: its normal equations are J^T J = dh G dh^T, with the
+input Gram matrix G = sum_e T_e^T T_e that ``input_gram`` builds once
+from the data, and J^T r = dh @ c, with the residual-input
+cross-correlation c[k] = sum_e sum_j r_e[j+1] u_e[j-k], one
+``np.correlate`` per episode.  The gradient is 2 dh @ c: no backward
+pass, no stored states, and a linearization whose work does not grow
+with the number of episodes beyond those correlations.  A central
 finite-difference twin serves as the permanent cross-check oracle.
 
 ``evaluate`` is the one evaluation: it applies the density veto,
 assembles and samples the system once (at the quadrature orders fixed in
 ``assembly``), forms the population response once, for the longest
 episode, and convolves each episode's input with it, one ``simulate``
-call per episode.  Its ``jacobian`` function reuses them: it
-assembles only the derivative tensors (``with_grad`` changes no bit of
-the operators) and adds the sensitivities to the same sampled system,
-whose derivative rows come from the eigendecomposition ``evaluate``
-made.  An episode's output and cost do not depend, bit for bit, on the
-episodes evaluated with it.  ``cost``, ``gradient_adjoint`` and
-``gradient_fd`` call it; ``optimizer.fit`` calls it directly and asks
-for the Jacobian only at accepted points.
+call per episode.  Its ``normal_equations`` and ``gradient`` reuse
+them: they assemble only the derivative tensors (``with_grad`` changes
+no bit of the operators) and add the sensitivities to the same sampled
+system, whose derivative rows come from the eigendecomposition
+``evaluate`` made.  An episode's output and cost do not depend, bit for
+bit, on the episodes evaluated with it.  ``cost``, ``gradient_adjoint``
+and ``gradient_fd`` call it; ``optimizer.fit`` calls it directly and
+asks for the normal equations only at accepted points.
 """
 
 from __future__ import annotations
@@ -39,7 +48,7 @@ import numpy as np
 from .assembly import assemble
 from .density import RhoParams, gamma_floor
 from .errors import PopdiffError, SimulationDivergenceError
-from .forward import Episode, convolve, response, simulate
+from .forward import Episode, response, simulate
 from .grid import GridSpec
 from .sampled import SampledSystem, build_sampled, build_sensitivities, modal_responses
 
@@ -63,17 +72,49 @@ def _check_episodes(spec: GridSpec, episodes: list[Episode]) -> None:
 
 @dataclass
 class Evaluation:
-    """Cost and residuals at one parameter point, with their Jacobian on
-    demand; the Jacobian reuses the forward pass that gave ``cost``."""
+    """Cost and residuals at one parameter point, with the normal
+    equations and the gradient on demand; both reuse the forward pass
+    that gave ``cost``."""
 
     cost: float
     per_episode: list[tuple[str, float]]
-    residuals: np.ndarray                # (N,) y - y_obs, episodes stacked in order
-    jacobian: Callable[[], np.ndarray]   # (N, P) d residuals / d rho
+    residuals: np.ndarray   # (N,) y - y_obs, episodes stacked in order
+    # () -> (dh/drho (P, count), residual-input cross-correlation c (count,))
+    linearize: Callable[[], tuple[np.ndarray, np.ndarray]]
+
+    def normal_equations(self, gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(J^T J, J^T r) = (dh G dh^T, dh @ c) of the residual Jacobian J,
+        from the ``input_gram`` G of the evaluated episodes."""
+        dh, xcorr = self.linearize()
+        return dh @ gram @ dh.T, dh @ xcorr
 
     def gradient(self) -> CostReport:
-        grad = 2.0 * (self.jacobian().T @ self.residuals)
-        return CostReport(cost=self.cost, grad=grad, per_episode=self.per_episode)
+        dh, xcorr = self.linearize()
+        return CostReport(cost=self.cost, grad=2.0 * (dh @ xcorr),
+                          per_episode=self.per_episode)
+
+
+def input_gram(episodes: list[Episode]) -> np.ndarray:
+    """(count, count) Gram matrix G = sum_e T_e^T T_e of the episodes'
+    input maps T_e[j+1, k] = u_e[j-k], count the longest episode's steps;
+    a shorter episode fills the leading block.
+
+    With v the reversed input, v[i] = u[len(u)-1-i], entry (k, l) of
+    T_e^T T_e is sum_{j >= max(k, l)} u[j-k] u[j-l] = sum_m v[k+m] v[l+m]:
+    the sum along a diagonal of the outer product v v^T, from (k, l) down.
+    So G is one product of the stacked reversed inputs and a scan along
+    its diagonals by doubling, with no T_e formed.
+    """
+    count = max((ep.steps for ep in episodes), default=0)
+    reversed_inputs = np.zeros((len(episodes), count))
+    for row, ep in zip(reversed_inputs, episodes):
+        row[:ep.steps] = ep.u[::-1]
+    gram = reversed_inputs.T @ reversed_inputs
+    shift = 1
+    while shift < count:
+        gram[:-shift, :-shift] += gram[shift:, shift:]
+        shift *= 2
+    return gram
 
 
 def evaluate(rho: RhoParams, spec: GridSpec, episodes: list[Episode]) -> Evaluation:
@@ -102,15 +143,16 @@ def evaluate(rho: RhoParams, spec: GridSpec, episodes: list[Episode]) -> Evaluat
         total += c
     per_episode = [(ep.id, c) for ep, c in zip(episodes, costs)]
 
-    def jacobian() -> np.ndarray:
+    def linearize() -> tuple[np.ndarray, np.ndarray]:
         ops = assemble(spec, rho, with_grad=True)
         build_sensitivities(ops, sys)
-        jac = _jacobian(sys, count, [ep.u for ep in episodes])
-        if not np.all(np.isfinite(jac)):
-            raise PopdiffError("Jacobian is not finite")
-        return jac
+        dh = _response_derivative(sys, count)
+        xcorr = _input_xcorr([ep.u for ep in episodes], resid, count)
+        if not (np.all(np.isfinite(dh)) and np.all(np.isfinite(xcorr))):
+            raise PopdiffError("linearization is not finite")
+        return dh, xcorr
 
-    return Evaluation(total, per_episode, np.concatenate(resid), jacobian)
+    return Evaluation(total, per_episode, np.concatenate(resid), linearize)
 
 
 def cost(rho: RhoParams, spec: GridSpec, episodes: list[Episode]) -> float:
@@ -118,14 +160,23 @@ def cost(rho: RhoParams, spec: GridSpec, episodes: list[Episode]) -> float:
     return evaluate(rho, spec, episodes).cost
 
 
-def _jacobian(sys: SampledSystem, count: int, inputs) -> np.ndarray:
-    """(N, P) Jacobian of the outputs j = 0..len(u) of each input in
-    ``inputs`` (none longer than ``count``), stacked in order, from the
-    nodes' modal form: column p is u * dh_p with
-    dh = dweights @ g + (dnodes * omega) @ dg/dnu."""
+def _response_derivative(sys: SampledSystem, count: int) -> np.ndarray:
+    """(P, count) derivative dh = dweights @ g + (dnodes * omega) @ dg/dnu
+    of the population response, from the nodes' modal form."""
     g, dg = modal_responses(sys.rates, sys.coefs, sys.tau, count)
-    dh = sys.dweights @ g + (sys.dnodes * sys.weights) @ dg
-    return np.concatenate([convolve(dh[:, :len(u)], u).T for u in inputs])
+    return sys.dweights @ g + (sys.dnodes * sys.weights) @ dg
+
+
+def _input_xcorr(inputs, residuals, count: int) -> np.ndarray:
+    """(count,) residual-input cross-correlation c = sum_e T_e^T r_e,
+    c[k] = sum_e sum_j r_e[j+1] u_e[j-k], one ``np.correlate`` per input
+    with steps (it rejects an empty one, whose T_e is empty)."""
+    xcorr = np.zeros(count)
+    for u, r in zip(inputs, residuals):
+        mu = len(u)
+        if mu:
+            xcorr[:mu] += np.correlate(r[1:], u, "full")[mu - 1:]
+    return xcorr
 
 
 def episode_cost_and_gradient(sys: SampledSystem, u: np.ndarray, y_obs: np.ndarray):
@@ -139,11 +190,12 @@ def episode_cost_and_gradient(sys: SampledSystem, u: np.ndarray, y_obs: np.ndarr
         raise ValueError("system has no sensitivities")
     u = np.asarray(u, dtype=float)
     r = simulate(sys, u) - np.asarray(y_obs, dtype=float)
-    return float(r @ r), 2.0 * (_jacobian(sys, len(u), [u]).T @ r)
+    return float(r @ r), 2.0 * (_response_derivative(sys, len(u))
+                                @ _input_xcorr([u], [r], len(u)))
 
 
 def gradient_adjoint(rho: RhoParams, spec: GridSpec, episodes: list[Episode]) -> CostReport:
-    """Cost plus full gradient 2 J^T r from one forward pass and its Jacobian."""
+    """Cost plus full gradient 2 J^T r = 2 dh @ c from one forward pass."""
     return evaluate(rho, spec, episodes).gradient()
 
 

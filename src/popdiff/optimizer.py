@@ -15,17 +15,23 @@ Kaltenbacher, Neubauer & Scherzer 2008).  |r|^2 / N estimates the noise
 variance, so the pull is a prior of standard deviation 1/sqrt(PULL)
 relative to the noise, whatever the start's misfit.  alpha only falls,
 so the cost falls at every accepted step.  The search is
-projected Levenberg-Marquardt (More 1978) on the Jacobian J of
-``objective.evaluate``: each trial is project(z + d) with
+projected Levenberg-Marquardt (More 1978) on the residual Jacobian J of
+``objective.evaluate``, through its normal equations alone: each trial
+is project(z + d) with
 
-    (J^T J + alpha I + lam (tr(J^T J) / n) I) d = -(J^T r + alpha (z - z0)).
+    (J^T J + alpha I + lam (tr(J^T J) / n) I) d = -(J^T r + alpha (z - z0)),
+
+where ``objective`` forms J^T J and J^T r in rho from the episodes'
+input Gram matrix (``objective.input_gram``, built once per fit) and
+``chain_gradient`` carries them to z on both sides, C^T (J^T J) C and
+C^T (J^T r); J itself is never formed.
 
 A trial that lowers the cost divides lam by 10; a higher cost or a
 model-layer veto (degenerate density, singular operator, divergence)
 multiplies it by 10.  The damping is isotropic: Marquardt's diag(J^T J)
 scaling lets directions that the data barely determine take huge steps.
 Each trial point is evaluated once, and only the start and accepted
-points form their Jacobian, from the same forward pass.  Identical
+points form their normal equations, from the same forward pass.  Identical
 inputs give identical traces.
 
 Termination status:
@@ -64,7 +70,7 @@ from .density import L_FLOOR, QPoint, RhoParams, _as_point
 from .errors import DegenerateDensityError, PopdiffError, SimulationDivergenceError
 from .forward import Episode, convolve, simulate_deterministic, unit_responses
 from .grid import Q1_FLOOR, GridSpec
-from .objective import evaluate as evaluate_objective
+from .objective import evaluate as evaluate_objective, input_gram
 
 # Levenberg-Marquardt damping: its start, the factor by which an accepted
 # trial divides it and a rejected one multiplies it, and the value past
@@ -124,18 +130,19 @@ class CoreResult:
 def minimize_lm(evaluate, x0, project, pull=0.0, max_iter=200) -> CoreResult:
     """Projected Levenberg-Marquardt on |r(x)|^2 + alpha |x - x0|^2.
 
-    ``evaluate(x)`` returns the residual vector at x and a function of no
-    arguments that returns its Jacobian there; it may raise PopdiffError
-    to veto a trial point (the damping then grows).  x0 is projected
-    first, and alpha = pull * min |r|^2 / r.size over the start and the
-    accepted points so far.  The Jacobian function is called only at the
-    start and at each accepted point, so an evaluation that keeps its
-    forward pass never repeats it.
+    ``evaluate(x)`` returns the residual vector r at x and a function of
+    no arguments that returns the normal equations (J^T J, J^T r) of the
+    residual Jacobian J there; it may raise PopdiffError to veto a trial
+    point (the damping then grows).  x0 is projected first, and alpha =
+    pull * min |r|^2 / r.size over the start and the accepted points so
+    far.  The normal-equations function is called only at the start and
+    at each accepted point, so an evaluation that keeps its forward pass
+    never repeats it.
     """
     x0 = project(np.asarray(x0, dtype=float))
     eye = np.eye(x0.size)
     try:
-        r, jacobian = evaluate(x0)
+        r, normal = evaluate(x0)
     except DegenerateDensityError:
         return CoreResult(x0, np.inf, [], "degenerate-density", 0, 0, 0.0)
     alpha = pull * float(r @ r) / r.size
@@ -144,14 +151,14 @@ def minimize_lm(evaluate, x0, project, pull=0.0, max_iter=200) -> CoreResult:
     def penalty(x):
         return alpha * float((x - x0) @ (x - x0))
 
-    def linearize(x, r, jacobian):
-        """Jacobian, half gradient and projected gradient norm at x."""
-        jac = jacobian()
-        half = jac.T @ r + alpha * (x - x0)
-        return jac, half, float(np.linalg.norm(x - project(x - 2.0 * half)))
+    def linearize(x, normal):
+        """J^T J, half gradient and projected gradient norm at x."""
+        jtj, jtr = normal()
+        half = jtr + alpha * (x - x0)
+        return jtj, half, float(np.linalg.norm(x - project(x - 2.0 * half)))
 
     x, c = x0, float(r @ r)
-    jac, half, pg = linearize(x, r, jacobian)
+    jtj, half, pg = linearize(x, normal)
     trace = [(0, c, pg, 0.0)]
     lam = LAMBDA_START
     status = "max-iterations"
@@ -160,23 +167,22 @@ def minimize_lm(evaluate, x0, project, pull=0.0, max_iter=200) -> CoreResult:
         if pg < GTOL * (1 + abs(c)):
             status = "converged"
             break
-        jtj = jac.T @ jac
         damping = np.trace(jtj) / x0.size * eye
-        jacobian = None  # the last accepted point's forward pass goes now
+        normal = None  # the last accepted point's forward pass goes now
         while lam <= LAMBDA_MAX:
             x_try = project(x - np.linalg.solve(jtj + alpha * eye + lam * damping, half))
             c_try = np.inf
             if (x_try - x).any():
                 n_cost += 1
                 try:
-                    r_try, jacobian = evaluate(x_try)
+                    r_try, normal = evaluate(x_try)
                 except PopdiffError:
                     pass
                 else:
                     c_try = float(r_try @ r_try) + penalty(x_try)
             if c_try < c:
                 break
-            jacobian = None  # a rejected trial's forward pass goes now
+            normal = None  # a rejected trial's forward pass goes now
             lam *= LAMBDA_FACTOR
         else:
             status = "damping-exhausted"
@@ -186,7 +192,7 @@ def minimize_lm(evaluate, x0, project, pull=0.0, max_iter=200) -> CoreResult:
         x, r = x_try, r_try
         alpha = min(alpha, pull * float(r @ r) / r.size)
         c = float(r @ r) + penalty(x)
-        jac, half, pg = linearize(x, r, jacobian)
+        jtj, half, pg = linearize(x, normal)
         trace.append((it, c, pg, step_norm))
         if step_norm < XTOL:
             # A short step alone is no minimum: the damping may have grown
@@ -194,7 +200,7 @@ def minimize_lm(evaluate, x0, project, pull=0.0, max_iter=200) -> CoreResult:
             status = "converged" if pg < GTOL * (1 + abs(c)) else "stalled-step"
             break
 
-    # One Jacobian per trace row: the start and each accepted point.
+    # One linearization per trace row: the start and each accepted point.
     return CoreResult(x, c, trace, status, n_cost, len(trace), penalty(x))
 
 
@@ -234,8 +240,9 @@ def working_to_rho(z: np.ndarray) -> RhoParams:
 
 
 def chain_gradient(grad_rho: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Pull a rho-space gradient (or the rows of a Jacobian, along its
-    last axis) back through the working transform."""
+    """Pull a rho-space gradient (or each row of an array, along its last
+    axis: J^T J takes it on both sides) back through the working
+    transform."""
     g = np.empty_like(grad_rho)
     g[..., 0] = grad_rho[..., 0] + grad_rho[..., 1]
     g[..., 1] = grad_rho[..., 1] * np.exp(z[1])
@@ -264,10 +271,16 @@ def fit(
     """Minimize the pooled cost plus the pull toward ``init`` over all
     nine parameters (see the module docstring)."""
     opt = options or FitOptions()
+    gram = input_gram(episodes)
 
     def evaluate(z):
         trial = evaluate_objective(working_to_rho(z), spec, episodes)
-        return trial.residuals, lambda: chain_gradient(trial.jacobian(), z)
+
+        def normal_equations():
+            jtj, jtr = trial.normal_equations(gram)
+            return chain_gradient(chain_gradient(jtj, z).T, z), chain_gradient(jtr, z)
+
+        return trial.residuals, normal_equations
 
     core = minimize_lm(evaluate, rho_to_working(init), _project_working, PULL,
                        opt.max_iter)

@@ -367,6 +367,26 @@ def xcorr_gradient(sys, count, episodes):
     return sys.dnodes @ g_node + sys.dweights @ g_weight
 
 
+def input_map(u, count):
+    """(len(u)+1, count) Toeplitz map T of the input ``u``, index by index:
+    T[j+1, k] = u[j-k] for 0 <= k <= j, so that T h is ``u`` convolved
+    with h, y[0] = 0 included."""
+    t = np.zeros((len(u) + 1, count))
+    for j in range(len(u)):
+        for k in range(min(j + 1, count)):
+            t[j + 1, k] = u[j - k]
+    return t
+
+
+def toeplitz_gram(inputs, count):
+    """Input Gram matrix sum_e T_e^T T_e from the explicit ``input_map``s."""
+    gram = np.zeros((count, count))
+    for u in inputs:
+        t = input_map(u, count)
+        gram += t.T @ t
+    return gram
+
+
 # ------------------------------------------------------------------ goldens
 
 # A float literal as repr() and json.dumps() write it: it has a decimal

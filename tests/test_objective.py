@@ -7,10 +7,12 @@ from conftest import (
     point_mass_hold,
     pulse_input,
     random_rho,
+    toeplitz_gram,
     xcorr_gradient,
 )
 
 from popdiff.assembly import assemble
+from popdiff.dataio import PulseSpec, generate_synthetic
 from popdiff.density import RhoParams
 from popdiff.errors import DegenerateDensityError, SimulationDivergenceError
 from popdiff.forward import Episode, convolve, population_system, simulate
@@ -21,7 +23,9 @@ from popdiff.objective import (
     evaluate,
     gradient_adjoint,
     gradient_fd,
+    input_gram,
 )
+from popdiff.optimizer import fit
 from popdiff.sampled import SampledSystem, build_sampled, build_sensitivities
 
 
@@ -271,12 +275,15 @@ class TestJacobian:
     @pytest.mark.parametrize("spec", [GridSpec(4, 2, 2, 1 / 12), GridSpec(8, 4, 4, 1 / 12)],
                              ids=["n4m2", "n8m4"])
     def test_matches_central_differences_of_residuals(self, rho_smooth, spec):
+        # The normal equations (J^T J, J^T r) against J_fd^T J_fd and
+        # J_fd^T r, with J_fd the central differences of the residuals.
         episodes = self.setup(spec, 40)
         at = evaluate(rho_smooth, spec, episodes)
-        jac = at.jacobian()
-        assert jac.shape == (sum(ep.steps + 1 for ep in episodes), 9)
+        jtj, jtr = at.normal_equations(input_gram(episodes))
+        assert jtj.shape == (9, 9) and jtr.shape == (9,)
+        assert at.residuals.shape == (sum(ep.steps + 1 for ep in episodes),)
         base = rho_smooth.as_array()
-        fd = np.empty_like(jac)
+        fd = np.empty((at.residuals.size, 9))
         for k in range(9):
             h = 1e-6 * (1 + abs(base[k]))
             up, dn = base.copy(), base.copy()
@@ -284,20 +291,97 @@ class TestJacobian:
             dn[k] -= h
             fd[:, k] = (evaluate(RhoParams.from_array(up), spec, episodes).residuals
                         - evaluate(RhoParams.from_array(dn), spec, episodes).residuals) / (2 * h)
-        assert np.abs(jac - fd).max() <= 1e-6 * np.abs(jac).max()
+        assert np.abs(jtj - fd.T @ fd).max() <= 1e-6 * np.abs(jtj).max()
+        assert np.abs(jtr - fd.T @ at.residuals).max() <= 1e-6 * np.abs(jtr).max()
 
     def test_gradient_is_the_cross_correlation_contraction(self, rho_smooth):
         spec = GridSpec(8, 4, 4, 1 / 12)
         episodes = self.setup(spec, 40)
         at = evaluate(rho_smooth, spec, episodes)
         grad = at.gradient().grad
-        np.testing.assert_array_equal(grad, 2.0 * (at.jacobian().T @ at.residuals))
+        np.testing.assert_array_equal(grad, 2.0 * at.normal_equations(input_gram(episodes))[1])
         ops = assemble(spec, rho_smooth, with_grad=True)
         sys = build_sensitivities(ops, build_sampled(ops, spec.tau))
         splits = np.cumsum([ep.steps + 1 for ep in episodes])[:-1]
         pairs = [(ep.u, r) for ep, r in zip(episodes, np.split(at.residuals, splits))]
         oracle = xcorr_gradient(sys, 40, pairs)
         assert np.abs(grad - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+    @pytest.mark.parametrize("n_episodes", [1, 4, 9])
+    def test_linearization_convolves_nothing(self, rho_smooth, monkeypatch, n_episodes):
+        # The normal equations read the inputs only through the Gram
+        # matrix and one np.correlate per episode with steps: no
+        # np.convolve, whatever the episode count.
+        spec = GridSpec(4, 2, 2, 1 / 12)
+        truth = RhoParams(0.25, 1.3, 0.35, 1.9, 0.75, 1.05, 0.16, 0.03, 0.22)
+        episodes = make_episodes(truth, spec, n_episodes=n_episodes, steps=40, seed=6)
+        episodes.append(Episode("empty", spec.tau, np.zeros(0), np.array([0.3])))
+        at = evaluate(rho_smooth, spec, episodes)
+        gram = input_gram(episodes)
+        calls = {"convolve": 0, "correlate": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(np, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np, name, counted)
+        at.normal_equations(gram)
+        assert calls == {"convolve": 0, "correlate": n_episodes}
+
+
+class TestInputGram:
+    @staticmethod
+    def ragged(lengths, seed=0):
+        rng = np.random.default_rng(seed)
+        return [Episode(f"e{i}", 1 / 12, rng.uniform(0.0, 2.0, mu), rng.normal(size=mu + 1))
+                for i, mu in enumerate(lengths)]
+
+    @pytest.mark.parametrize("lengths", [(9, 1, 0, 17, 4, 17), (1,), (0, 3), (120,) * 10],
+                             ids=["ragged", "one-step", "zero-step", "fit-n8m4-sized"])
+    def test_matches_the_explicit_toeplitz_sum(self, lengths):
+        # Against sum_e T_e^T T_e built index by index, each shorter
+        # episode in the leading block.
+        episodes = self.ragged(lengths)
+        count = max(lengths)
+        gram = input_gram(episodes)
+        oracle = toeplitz_gram([ep.u for ep in episodes], count)
+        assert gram.shape == (count, count)
+        assert np.abs(gram - oracle).max() <= 1e-14 * np.abs(oracle).max()
+
+    def test_zero_step_episodes_alone_give_an_empty_gram(self):
+        assert input_gram(self.ragged((0, 0))).shape == (0, 0)
+
+    def test_repeated_episodes_scale_the_normal_equations(self, rho_smooth):
+        # Each episode three times: three times G and three times J^T r,
+        # to rounding, and the same J^T J.
+        spec = GridSpec(4, 2, 2, 1 / 12)
+        episodes = TestJacobian.setup(spec, 40)
+        tripled = [ep for ep in episodes for _ in range(3)]
+        gram, gram3 = input_gram(episodes), input_gram(tripled)
+        assert np.abs(gram3 - 3 * gram).max() <= 1e-14 * np.abs(3 * gram).max()
+        jtj, jtr = evaluate(rho_smooth, spec, episodes).normal_equations(gram)
+        jtj3, jtr3 = evaluate(rho_smooth, spec, tripled).normal_equations(gram3)
+        assert np.abs(jtr3 - 3 * jtr).max() <= 1e-14 * np.abs(3 * jtr).max()
+        assert np.abs(jtj3 - 3 * jtj).max() <= 1e-14 * np.abs(3 * jtj).max()
+
+
+class TestZeroStepEpisode:
+    def test_adds_its_lone_sample_and_nothing_else(self):
+        # bands-n8's fit set plus a 0-step episode observed at 0.3: the cost
+        # rises by exactly 0.3^2 = 0.09, the gradient keeps every bit, and
+        # the fit from the benchmark's start still converges.
+        spec = GridSpec(n=4, m1=2, m2=2, tau=1 / 12)
+        truth = RhoParams(0.2, 1.4, 0.3, 2.0, 0.7, 1.1, 0.18, 0.05, 0.25)
+        start = RhoParams(0.15, 1.6, 0.25, 2.1, 0.9, 0.9, 0.22, 0.0, 0.27)
+        episodes = generate_synthetic(truth, spec, 4, 0.01, seed=3,
+                                      pulse_spec=PulseSpec(duration_h=5.0))
+        with_empty = episodes + [Episode("empty", spec.tau, np.zeros(0), np.array([0.3]))]
+        base = gradient_adjoint(start, spec, episodes)
+        report = gradient_adjoint(start, spec, with_empty)
+        assert report.cost == base.cost + 0.09
+        assert report.per_episode == base.per_episode + [("empty", 0.09)]
+        np.testing.assert_array_equal(report.grad, base.grad)
+        assert fit(with_empty, spec, start).status == "converged"
 
 
 class TestNodeWeightContract:

@@ -232,11 +232,12 @@ class TestPull:
 
 
 class TestRoundingRobustness:
-    """The fit's end point must not follow the last bits of its Jacobian."""
+    """The fit's end point must not follow the last bits of its normal
+    equations."""
 
     def test_relative_noise_of_1e_12_moves_nothing(self, monkeypatch):
-        # Criterion 05's set-up.  Every Jacobian (and so every gradient)
-        # is multiplied by 1 + 1e-12 N(0, 1), with two noise seeds.
+        # Criterion 05's set-up.  Every J^T J and J^T r (and so every
+        # gradient) is multiplied by 1 + 1e-12 N(0, 1), with two noise seeds.
         spec = GridSpec(n=8, m1=4, m2=4, tau=1 / 12)
         truth = RhoParams(0.2, 1.4, 0.3, 2.0, 0.7, 1.1, 0.18, 0.05, 0.25)
         episodes = generate_synthetic(truth, spec, 10, 0.01, seed=44,
@@ -250,13 +251,13 @@ class TestRoundingRobustness:
 
             def noisy_evaluate(*args, **kwargs):
                 at = real_evaluate(*args, **kwargs)
-                exact = at.jacobian
+                exact = at.normal_equations
 
-                def jacobian():
-                    jac = exact()
-                    return jac * (1 + 1e-12 * rng.standard_normal(jac.shape))
+                def normal_equations(gram):
+                    return tuple(a * (1 + 1e-12 * rng.standard_normal(a.shape))
+                                 for a in exact(gram))
 
-                at.jacobian = jacobian
+                at.normal_equations = normal_equations
                 return at
 
             monkeypatch.setattr(optimizer_mod, "evaluate_objective", noisy_evaluate)
@@ -265,6 +266,11 @@ class TestRoundingRobustness:
             assert len(noisy.cost_trace) == len(clean.cost_trace)
             a, b = noisy.rho_hat.as_array(), clean.rho_hat.as_array()
             assert np.abs(a - b).max() <= 1e-6 * np.abs(b).max(), seed
+
+
+def normal_equations(jac, r):
+    """The function ``minimize_lm``'s evaluations return: (J^T J, J^T r)."""
+    return lambda: (jac.T @ jac, jac.T @ r)
 
 
 class TestMinimizeStatus:
@@ -276,7 +282,8 @@ class TestMinimizeStatus:
         # not by the projection.
         if x[0] < 0:
             raise PopdiffError("vetoed")
-        return np.array([x[0] + 1, x[1]]), lambda: np.eye(2)
+        r = np.array([x[0] + 1, x[1]])
+        return r, normal_equations(np.eye(2), r)
 
     def test_short_step_against_a_veto_is_stalled(self):
         # The damping grows against the veto while x0 creeps toward 0,
@@ -303,7 +310,8 @@ class TestMinimizeStatus:
         jac = np.diag([1.0, np.sqrt(10.0)])
 
         def evaluate(x):
-            return jac @ (x - [-1.0, 2.0]), lambda: jac
+            r = jac @ (x - [-1.0, 2.0])
+            return r, normal_equations(jac, r)
 
         result = minimize_lm(evaluate, np.array([1.0, 0.0]),
                              lambda x: np.maximum(x, [0.0, -np.inf]))
@@ -312,13 +320,13 @@ class TestMinimizeStatus:
         assert result.trace[-1][2] < 1e-6 * (1 + result.cost)  # the stop test
 
     def test_gradient_only_at_the_start_and_accepted_points(self):
-        # A cost evaluation is counted per trial, a Jacobian per accepted
-        # point plus the start; rejected trials never call theirs.
+        # A cost evaluation is counted per trial, a linearization per
+        # accepted point plus the start; rejected trials never call theirs.
         called = []
 
         def evaluate(x):
             r = x - 3.0
-            return r, lambda: called.append(float(r @ r)) or np.eye(3)
+            return r, lambda: called.append(float(r @ r)) or normal_equations(np.eye(3), r)()
 
         result = minimize_lm(evaluate, np.zeros(3), lambda x: x, max_iter=20)
         assert result.status == "converged"
@@ -331,7 +339,8 @@ class TestMinimizeStatus:
         def evaluate(x):
             if x[0] != 1.0:
                 raise PopdiffError("vetoed")
-            return np.array([x[0] + 1]), lambda: np.eye(1)
+            r = np.array([x[0] + 1])
+            return r, normal_equations(np.eye(1), r)
 
         result = minimize_lm(evaluate, np.array([1.0]), lambda x: x)
         assert result.status == "damping-exhausted"
@@ -346,7 +355,8 @@ class TestMinimizeStatus:
         # of (1 + alpha)^2 = 8 alpha, where x = 1 - 1/sqrt(2), the penalty
         # is 1/2 and the cost 2 + sqrt(2).
         def evaluate(x):
-            return np.full(4, (x[0] - 2.0) / 2), lambda: np.full((4, 1), 0.5)
+            r = np.full(4, (x[0] - 2.0) / 2)
+            return r, normal_equations(np.full((4, 1), 0.5), r)
 
         result = minimize_lm(evaluate, np.zeros(1), lambda x: x, pull=8.0)
         assert result.status == "converged"
