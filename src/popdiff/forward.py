@@ -6,21 +6,24 @@ node per density cell, the point mass at nu_c = w1_c / w_c read at state
 0 with the weight omega_c = w2_c (``sampled.build_sampled``).  Its
 response is the quadrature rule h = sum_c omega_c g_c of single-q
 responses at q2 = 1, each in modal form, g_c[k] = sum_i gamma_ci
-z_ci^k with the decay factors z = e^{-w tau}: ``modal_sums`` forms the
-powers by doubling (``sampled.decay_powers``) and each sum by one dot of
-fixed length per k, so that entry k does not depend on the count asked
-for.  The cell moments come at the quadrature orders fixed in
-``assembly``.  ``simulate`` convolves one input sequence; a caller with
-several episodes forms ``response`` once and passes it to each call.
-The single-q model is the same kernel with one node per draw:
-``unit_responses`` forms the responses of a stack of point masses from
-one ``sampled.node_modes`` and ``modal_sums``, so a row is the same bits
-in any stack and at any longer count.  ``simulate_deterministic_batch``
-serves a block of draws with one stack, and ``simulate_deterministic``
-is its one-draw case; a caller whose draws each have their own input
-forms their responses in one stack (``unit_responses``) and passes each
-row to ``simulate_deterministic``.  A Monte Carlo mean over draws
-converges to the population output.
+z_ci^k with the decay factors z = e^{-w tau}: ``sampled.modal_sums``
+forms the powers by doubling and each sum by one dot of fixed length per
+k, so that entry k does not depend on the count asked for.  The cell
+moments come at the quadrature orders fixed in ``assembly``.
+``simulate`` convolves one input sequence; a caller with several
+episodes forms ``response`` once and passes it to each call.  The
+single-q model is the same kernel with one point mass per draw, read
+through a cache: ``unit_responses`` reads the response of each draw with
+q1 in [Q1_FLOOR, TABLE_TOP] from the response table of ``sampled``
+(``table_responses``, Chebyshev pieces in log q1 built from
+``node_modes``), so a band makes no eigendecomposition per draw, and
+forms any other row from ``node_modes`` and ``modal_sums``.  A row is
+the same bits in any stack and at any longer count.
+``simulate_deterministic_batch`` serves a block of draws with one stack,
+and ``simulate_deterministic`` is its one-draw case; a caller whose
+draws each have their own input forms their responses in one stack
+(``unit_responses``) and passes each row to ``simulate_deterministic``.
+A Monte Carlo mean over draws converges to the population output.
 """
 
 from __future__ import annotations
@@ -32,11 +35,15 @@ import numpy as np
 from .assembly import assemble
 from .density import RhoParams, _as_point, sample_array
 from .errors import SimulationDivergenceError
-from .grid import GridSpec
-from .sampled import SampledSystem, build_sampled, decay_powers, node_modes
+from .grid import Q1_FLOOR, GridSpec
+from .sampled import (TABLE_TOP, SampledSystem, build_sampled, check_nodes, modal_sums,
+                      node_modes, table_responses)
 
-# Draws per stacked eigendecomposition in simulate_deterministic_batch;
-# keeps the (mu, draws, n+1) powers small.
+# Draws per block of simulate_deterministic_batch.  Table rows form no
+# (mu, draws, n+1) powers; only draws outside the table do.  1000 draws
+# (n = 4 and 8 at 120 steps, n = 16 at 60, one BLAS thread) took about
+# the same in blocks of 64 to 512, 128 among the fastest at each n, and
+# 5-17 % longer in one block of 1000.
 BATCH_DRAWS = 128
 
 
@@ -90,14 +97,6 @@ def convolve(g: np.ndarray, u: np.ndarray) -> np.ndarray:
     return y
 
 
-def modal_sums(rates: np.ndarray, coef: np.ndarray, tau: float, count: int) -> np.ndarray:
-    """(count, ...) sums sum_i coef_i e^{-w_i tau k} over the last axis of
-    the ``rates`` w and ``coef``, for k < count: the powers by
-    ``decay_powers`` and one dot of fixed length per k and row, so that
-    entry k of a row does not depend on ``count`` or on the other rows."""
-    return np.vecdot(decay_powers(np.exp(-tau * rates), count), coef)
-
-
 def response(sys: SampledSystem, count: int) -> np.ndarray:
     """Population response h[k] = sum_c omega_c sum_i gamma_ci z_ci^k for
     k < count, with z = e^{-w tau} from the nodes' rates: one
@@ -106,16 +105,25 @@ def response(sys: SampledSystem, count: int) -> np.ndarray:
                       sys.tau, count)
 
 
+def _leading(g: np.ndarray, u: np.ndarray, name: str) -> np.ndarray:
+    """The first len(u) entries of the response ``g``; ValueError when it
+    is shorter, where a convolution would read the missing tail as zeros."""
+    if len(g) < len(u):
+        raise ValueError(f"response {name} has {len(g)} steps, fewer than the "
+                         f"{len(u)} of the input")
+    return g[:len(u)]
+
+
 def simulate(sys: SampledSystem, u: np.ndarray, h: np.ndarray | None = None):
     """Population output at j = 0..len(u): the response ``h`` (at least
-    len(u) long; from ``response`` when None) convolved with the one
-    input sequence ``u``.  A non-finite output raises
+    len(u) long, else ValueError; from ``response`` when None) convolved
+    with the one input sequence ``u``.  A non-finite output raises
     SimulationDivergenceError.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim != 1:
         raise ValueError(f"u must be one input sequence, got shape {u.shape}")
-    y = convolve((response(sys, len(u)) if h is None else h)[:len(u)], u)[0]
+    y = convolve(response(sys, len(u)) if h is None else _leading(h, u, "h"), u)[0]
     if not np.all(np.isfinite(y)):
         raise SimulationDivergenceError("output is not finite")
     return y
@@ -123,17 +131,29 @@ def simulate(sys: SampledSystem, u: np.ndarray, h: np.ndarray | None = None):
 
 def unit_responses(q1: np.ndarray, n: int, tau: float, count: int) -> np.ndarray:
     """(len(q1), count) impulse responses at q2 = 1 of the point masses at
-    the diffusivities ``q1``: one stacked ``node_modes``, one
-    ``modal_sums``.  A row is the same bits in any stack and at any longer
-    count."""
-    rates, gamma, _ = node_modes(q1, n, tau)
-    return modal_sums(rates, gamma, tau, count).T
+    the diffusivities ``q1``.  Rows in [Q1_FLOOR, TABLE_TOP] are read from
+    the response table (``sampled.table_responses``); the others come from
+    one stacked ``node_modes`` and ``modal_sums``.  ConditioningError
+    names the first row that is not finite or beyond the
+    ``NODE_ROUNDING`` bound.  A row is the same bits in any stack and at
+    any longer count."""
+    q1 = np.asarray(q1, dtype=float)
+    check_nodes(q1, n, tau)
+    inside = (q1 >= Q1_FLOOR) & (q1 <= TABLE_TOP)
+    if inside.all():
+        return table_responses(q1, n, tau, count)
+    g = np.empty((len(q1), count))
+    g[inside] = table_responses(q1[inside], n, tau, count)
+    rates, gamma, _ = node_modes(q1[~inside], n, tau)
+    g[~inside] = modal_sums(rates, gamma, tau, count).T
+    return g
 
 
 def simulate_deterministic(q, n: int, tau: float, u: np.ndarray,
                            g: np.ndarray | None = None) -> np.ndarray:
     """Output of the single-q model for one input sequence: q2 times the
-    unit response ``g`` (at least len(u) long) convolved with ``u``.
+    unit response ``g`` (at least len(u) long, else ValueError) convolved
+    with ``u``.
 
     When ``g`` is None this is the one-draw case of
     ``simulate_deterministic_batch``.  A caller with several draws, each
@@ -143,7 +163,7 @@ def simulate_deterministic(q, n: int, tau: float, u: np.ndarray,
     """
     if g is None:
         return simulate_deterministic_batch(np.array([_as_point(q)]), n, tau, u)[0]
-    y = _as_point(q)[1] * convolve(g[:len(u)], u)[0]
+    y = _as_point(q)[1] * convolve(_leading(g, u, "g"), u)[0]
     if not np.all(np.isfinite(y)):
         raise SimulationDivergenceError("output is not finite")
     return y

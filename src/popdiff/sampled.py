@@ -33,13 +33,21 @@ eigenvalues:
 nodes and keeps the rates w, the row gamma and the projections l.V, r.V
 and D~V; ``build_sensitivities`` forms delta and eps from the kept
 projections, with no second decomposition.  ``decay_powers`` forms the
-factors e^{-w tau k} by doubling and ``modal_responses`` g and dg/dnu for
-any count: no matrix exponential, no solve.  The single-q draws of
-``forward`` are the same kernel, one ``node_modes`` per block of draws.
-As q1 grows, a column mixes at once and its response tends to the
-well-mixed one, (1 - e^{-tau}) e^{-tau k}, until rounding in S(q1)
+factors e^{-w tau k} by doubling, ``modal_sums`` g and
+``modal_responses`` g and dg/dnu for any count: no matrix exponential,
+no solve.  As q1 grows, a column mixes at once and its response tends to
+the well-mixed one, (1 - e^{-tau}) e^{-tau k}, until rounding in S(q1)
 itself leaves the slowest rate unresolved; ``node_modes`` raises
 ConditioningError from there (``NODE_ROUNDING``).
+
+Response table.  The single-q draws of ``forward`` need g(q1) at many q1
+and no derivative, so on q1 in [Q1_FLOOR, TABLE_TOP] they read a cache of
+this kernel instead of decomposing S(q1) per draw: ``table_responses``
+evaluates a piecewise Chebyshev interpolant of g in log10 q1, each piece
+built on first use from one ``node_modes`` at its Chebyshev points
+(``table_piece``).  Every sum of both steps is one dot of fixed length,
+so a row is the same bits in any stack and at any longer count.  The
+nodes stay on ``node_modes``, so every fit keeps its bits.
 
 Sensitivities: every parameter reaches the output only through the
 nodes and weights, so the system stores the (P, ncells) Jacobians
@@ -56,7 +64,7 @@ import numpy as np
 
 from .assembly import AssembledOperators
 from .errors import ConditioningError, SingularOperatorError
-from .grid import eta_mass_matrix
+from .grid import Q1_FLOOR, eta_mass_matrix
 
 
 @dataclass
@@ -140,6 +148,30 @@ def _phi_and_slope(rates: np.ndarray, tau: float):
 NODE_ROUNDING = 1e-8
 
 
+@functools.cache
+def largest_node(n: int) -> float:
+    """The largest q1 that ``node_modes`` resolves at n:
+    NODE_ROUNDING |l|^2 / (eps^2 |K~|_F)."""
+    left, _, _, ktilde = eta_symmetric_operators(n)
+    eps = np.finfo(float).eps
+    return float(NODE_ROUNDING * (left @ left) / (eps * eps * np.linalg.norm(ktilde)))
+
+
+def check_nodes(nodes: np.ndarray, n: int, tau: float) -> None:
+    """ValueError unless tau > 0; ConditioningError naming the first of
+    the ``nodes`` that is not finite or beyond the ``NODE_ROUNDING``
+    bound."""
+    if not tau > 0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    largest = largest_node(n)
+    resolved = np.abs(nodes) <= largest  # false for nan
+    if not resolved.all():
+        i = int(np.argmin(resolved))
+        raise ConditioningError(
+            f"node {i} at q1 = {nodes[i]:.3e} is beyond {largest:.3e}, where "
+            "rounding leaves its slowest rate unresolved")
+
+
 def node_modes(nodes: np.ndarray, n: int, tau: float):
     """(rates, gamma, projections) of the point masses at q1 = ``nodes``,
     from one stacked ``np.linalg.eigh`` of S(q1) = V diag(w) V^T: the
@@ -155,17 +187,8 @@ def node_modes(nodes: np.ndarray, n: int, tau: float):
     ValueError unless tau > 0; ConditioningError for a node that is not
     finite or beyond the ``NODE_ROUNDING`` bound.
     """
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    check_nodes(nodes, n, tau)
     left, right, dfac, ktilde = eta_symmetric_operators(n)
-    eps = np.finfo(float).eps
-    largest = NODE_ROUNDING * (left @ left) / (eps * eps * np.linalg.norm(ktilde))
-    resolved = np.abs(nodes) <= largest  # false for nan
-    if not resolved.all():
-        i = int(np.argmin(resolved))
-        raise ConditioningError(
-            f"node {i} at q1 = {nodes[i]:.3e} is beyond {largest:.3e}, where "
-            "rounding leaves its slowest rate unresolved")
     _, vecs = np.linalg.eigh(np.outer(left, left) + nodes[:, None, None] * ktilde)
     lv, rv, dv = left @ vecs, right @ vecs, dfac @ vecs
     rates = lv * lv + nodes[:, None] * np.vecdot(dv, dv, axis=-2)
@@ -220,6 +243,14 @@ def decay_powers(z: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
+def modal_sums(rates: np.ndarray, coef: np.ndarray, tau: float, count: int) -> np.ndarray:
+    """(count, ...) sums sum_i coef_i e^{-w_i tau k} over the last axis of
+    the ``rates`` w and ``coef``, for k < count: the powers by
+    ``decay_powers`` and one dot of fixed length per k and row, so that
+    entry k of a row does not depend on ``count`` or on the other rows."""
+    return np.vecdot(decay_powers(np.exp(-tau * rates), count), coef)
+
+
 def modal_responses(rates: np.ndarray, coefs: np.ndarray, tau: float, count: int):
     """(g, dg), each (..., count): g_k = gamma . e^{-w tau k} and
     dg_k/dq1 = (delta - tau k eps) . e^{-w tau k} for k < count, from the
@@ -228,6 +259,80 @@ def modal_responses(rates: np.ndarray, coefs: np.ndarray, tau: float, count: int
     rows = coefs @ powers
     steps = np.arange(count)
     return rows[..., 0, :], rows[..., 1, :] - tau * steps * rows[..., 2, :]
+
+
+# The single-q draws read g(q1) from a piecewise Chebyshev interpolant in
+# log10 q1 on [Q1_FLOOR, TABLE_TOP]: PIECES_PER_DECADE pieces per decade,
+# each the interpolant of degree TABLE_DEGREE through ``node_modes`` at
+# its Chebyshev extreme points (Trefethen, Approximation Theory and
+# Approximation Practice, SIAM 2013).  At 120 steps of tau = 1/12 it is
+# within 5.1e-13 of ``node_modes`` on q1 in [1e-2, 1e2] at n = 4 to 16,
+# relative to each response's largest value; below 1e-2 at n = 16 both
+# are within 1.0e-6 of a Van Loan hold, the error of ``node_modes``
+# itself.  Degrees 20 to 32 measured the same; other tau and counts were
+# not measured, and 28 keeps a margin for them.
+TABLE_TOP = 1e3
+PIECES_PER_DECADE = 2
+TABLE_DEGREE = 28
+_LOG_FLOOR = math.log10(Q1_FLOOR)
+_TABLE_PIECES = round((math.log10(TABLE_TOP) - _LOG_FLOOR) * PIECES_PER_DECADE)
+_CHEBYSHEV = np.cos(np.pi * np.arange(TABLE_DEGREE + 1) / TABLE_DEGREE)
+# coefficients c = _COSINE f of the interpolant sum_m c_m T_m through the
+# values f at _CHEBYSHEV: the discrete cosine transform, its first and
+# last point and its first and last coefficient halved
+_COSINE = (2 / TABLE_DEGREE) * np.cos(np.pi * np.outer(np.arange(TABLE_DEGREE + 1),
+                                                       np.arange(TABLE_DEGREE + 1))
+                                      / TABLE_DEGREE)
+_COSINE[:, [0, -1]] /= 2
+_COSINE[[0, -1]] /= 2
+_COSINE.setflags(write=False)
+# (n, tau, piece) -> read-only (count, TABLE_DEGREE + 1) coefficients of
+# g_k, k < count, for the largest count asked for so far
+_PIECES: dict = {}
+
+
+def table_piece(n: int, tau: float, piece: int, count: int) -> np.ndarray:
+    """(at least count, TABLE_DEGREE + 1) Chebyshev coefficients of the
+    unit responses g_k, k < count, on table piece ``piece``, whose x in
+    [-1, 1] is log10 q1 = log10 Q1_FLOOR + (piece + (x + 1) / 2) /
+    PIECES_PER_DECADE.
+
+    Built on first use, and built again when a larger count is asked for,
+    from one ``node_modes`` and one ``modal_sums`` at the piece's
+    Chebyshev points; coefficient m of g_k is one dot of fixed length
+    with the values of g_k, so it is the same bits at every count.
+    """
+    coefs = _PIECES.get((n, tau, piece))
+    if coefs is None or coefs.shape[0] < count:
+        logq = _LOG_FLOOR + (piece + (_CHEBYSHEV + 1) / 2) / PIECES_PER_DECADE
+        rates, gamma, _ = node_modes(10.0 ** logq, n, tau)
+        coefs = np.vecdot(modal_sums(rates, gamma, tau, count)[:, None, :], _COSINE)
+        coefs.setflags(write=False)
+        _PIECES[n, tau, piece] = coefs
+    return coefs
+
+
+def chebyshev_basis(x: np.ndarray) -> np.ndarray:
+    """(len(x), TABLE_DEGREE + 1) values T_m(x) = cos(m arccos x) for x
+    in [-1, 1], elementwise."""
+    return np.cos(np.arccos(x)[:, None] * np.arange(TABLE_DEGREE + 1))
+
+
+def table_responses(q1: np.ndarray, n: int, tau: float, count: int) -> np.ndarray:
+    """(len(q1), count) unit responses g_k(q1), k < count, of the point
+    masses at ``q1``, each in [Q1_FLOOR, TABLE_TOP], read from the table:
+    T_m at each row's x, then one dot of fixed length TABLE_DEGREE + 1 per
+    row and k against the coefficients of the row's piece.  A row is the
+    same bits in any stack and at any longer count."""
+    t = np.minimum(np.maximum((np.log10(q1) - _LOG_FLOOR) * PIECES_PER_DECADE, 0),
+                   _TABLE_PIECES)
+    piece = np.minimum(t.astype(int), _TABLE_PIECES - 1)
+    basis = chebyshev_basis(2 * (t - piece) - 1)[:, None, :]
+    out = np.empty((len(q1), count))
+    for p in set(piece.tolist()):
+        rows = piece == p
+        out[rows] = np.vecdot(basis[rows], table_piece(n, tau, p, count)[:count])
+    return out
 
 
 def build_sampled(ops: AssembledOperators, tau: float) -> SampledSystem:

@@ -6,8 +6,9 @@ trajectories come from the single-q model itself, not from the
 tensor-basis population state read pointwise in q, which would read a
 mean-square-integrable state at a point.
 All draws go through ``forward.simulate_deterministic_batch``, the one
-single-q solver (one stacked eigendecomposition per block of draws, the
-kernel of the population nodes).
+single-q solver: each draw's response is read from the response table of
+``sampled``, built from the kernel of the population nodes, so a band's
+only eigendecomposition is its center line's.
 """
 
 from __future__ import annotations

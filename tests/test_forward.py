@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-import popdiff.forward as forward_mod
+import popdiff.sampled as sampled_mod
 
 from conftest import (
     MODAL_REFERENCE_BOUND,
@@ -32,7 +32,7 @@ from popdiff.forward import (
     unit_responses,
 )
 from popdiff.grid import GridSpec, eta_mass_matrix, eta_stiffness_matrix
-from popdiff.sampled import SampledSystem, build_sampled, decay_powers, node_modes
+from popdiff.sampled import SampledSystem, build_sampled, decay_powers
 
 
 def scalar_system(ahat, bhat, weight=1.0, tau=1.0):
@@ -127,6 +127,15 @@ class TestSimulate:
             for j in range(long.shape[1]):
                 dense[c, j] = (np.linalg.matrix_power(a, j) @ b)[0]
         assert np.abs(long - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    def test_short_response_is_rejected(self, rho_smooth, spec_small):
+        # A convolution reads the missing tail of a short h as zeros: a
+        # 10-step h for this 30-step input was off by 0.39, without an error.
+        sys = population_system(rho_smooth, spec_small)
+        u = pulse_input(30, spec_small.tau)
+        with pytest.raises(ValueError, match="h has 10 steps"):
+            simulate(sys, u, response(sys, 10))
+        np.testing.assert_array_equal(simulate(sys, u, response(sys, 30)), simulate(sys, u))
 
     def test_divergence_guard(self):
         sys = scalar_system(2.0, 1.0)
@@ -276,6 +285,16 @@ class TestDeterministic:
         with pytest.raises(SimulationDivergenceError):
             simulate_deterministic((0.8, 1.2), 4, 1 / 12, u)
 
+    def test_short_response_is_rejected(self):
+        # As for simulate: a 10-step g for this 30-step input was off by 0.43.
+        tau, q = 1 / 12, (0.8, 1.2)
+        u = pulse_input(30, tau)
+        g = unit_responses(np.array([q[0]]), 4, tau, 30)[0]
+        with pytest.raises(ValueError, match="g has 10 steps"):
+            simulate_deterministic(q, 4, tau, u, g[:10])
+        np.testing.assert_array_equal(simulate_deterministic(q, 4, tau, u, g),
+                                      simulate_deterministic(q, 4, tau, u))
+
     def test_qpoint_and_tuple_agree(self):
         u = pulse_input(36, 1 / 12)
         np.testing.assert_array_equal(
@@ -297,11 +316,13 @@ class TestDeterministicBatch:
     def test_matches_per_draw_solver(self, draws, monkeypatch, n):
         # Each draw solved alone must match its row of the blocked solve:
         # checks the slicing into BATCH_DRAWS blocks and the partial block.
-        # Exactly: each draw's modes and sums are formed on their own, and
-        # the lockstep q1 search of optimizer.initialize relies on a row of
-        # a stacked solve, at a longer count, being the bits of that solve
-        # alone.  Every row of the stack is checked at every count 0-400,
-        # with the stack's modes formed once (node_modes takes no count).
+        # Exactly: each draw's response is formed on its own, and the
+        # lockstep q1 search of optimizer.initialize relies on a row of a
+        # stacked solve, at a longer count, being the bits of that solve
+        # alone.  The table starts empty, so the batch builds its pieces at
+        # 120 steps and the 400-step stack rebuilds them; every row of the
+        # stack is then checked at every count 0-400.
+        monkeypatch.setattr(sampled_mod, "_PIECES", {})
         tau = 1 / 12
         u = pulse_input(120, tau)
         batch = simulate_deterministic_batch(draws, n, tau, u)
@@ -309,11 +330,10 @@ class TestDeterministicBatch:
         assert batch.shape == looped.shape == (self.NDRAWS, 121)
         np.testing.assert_array_equal(batch, looped)
         stacked = unit_responses(draws[:, 0], n, tau, 400)
+        assert {coefs.shape[0] for coefs in sampled_mod._PIECES.values()} == {400}
         given = np.array([simulate_deterministic(q, n, tau, u, g)
                           for q, g in zip(draws, stacked)])
         np.testing.assert_array_equal(given, looped)
-        modes = node_modes(draws[:, 0], n, tau)
-        monkeypatch.setattr(forward_mod, "node_modes", lambda *args: modes)
         assert all(np.array_equal(unit_responses(draws[:, 0], n, tau, count),
                                   stacked[:, :count]) for count in range(401))
 
@@ -420,10 +440,10 @@ def dense_single_q(q1, q2, n, tau, u, panels=32, nodes=32):
 
 
 class TestSingleQOracle:
-    # simulate_deterministic_batch shares the modal kernel (node_modes,
-    # modal_sums) and the convolution with the population path, so the
-    # cell mixture does not check them independently; this reference
-    # shares neither.
+    # simulate_deterministic_batch reads a table built from the modal
+    # kernel (node_modes, modal_sums) and shares the convolution with the
+    # population path, so the cell mixture does not check them
+    # independently; this reference shares neither.
     @pytest.mark.parametrize("n", [4, 8, 16])
     def test_matches_dense_reference(self, n):
         tau = 1 / 12

@@ -9,7 +9,6 @@ from scipy.optimize import linprog
 
 from conftest import pulse_input, truncated_moments
 
-import popdiff.forward as forward_mod
 import popdiff.objective as objective_mod
 import popdiff.optimizer as optimizer_mod
 from popdiff.dataio import PulseSpec, generate_synthetic
@@ -369,15 +368,16 @@ class TestMinimizeStatus:
 
 @pytest.fixture
 def stack_rows(monkeypatch):
-    """The row count of each single-q node_modes call."""
-    real = forward_mod.node_modes
+    """The row count of each single-q stack: each ``unit_responses`` call
+    that ``optimizer`` makes."""
+    real = optimizer_mod.unit_responses
     rows = []
 
-    def counted(nodes, n, tau):
-        rows.append(len(nodes))
-        return real(nodes, n, tau)
+    def counted(q1, n, tau, count):
+        rows.append(len(q1))
+        return real(q1, n, tau, count)
 
-    monkeypatch.setattr(forward_mod, "node_modes", counted)
+    monkeypatch.setattr(optimizer_mod, "unit_responses", counted)
     return rows
 
 

@@ -9,6 +9,7 @@ from scipy.linalg import block_diag
 from conftest import (
     MODAL_REFERENCE_BOUND,
     POINT_MASS_REFERENCE,
+    TABLE_BOUND,
     eta_operators,
     galerkin_blocks,
     galerkin_generator,
@@ -24,14 +25,16 @@ from conftest import (
 from popdiff import forward, sampled
 from popdiff.assembly import assemble
 from popdiff.errors import ConditioningError, SingularOperatorError
-from popdiff.grid import GridSpec, eta_mass_matrix, eta_stiffness_matrix
+from popdiff.grid import Q1_FLOOR, GridSpec, eta_mass_matrix, eta_stiffness_matrix
 from popdiff.sampled import (
     NODE_ROUNDING,
+    TABLE_TOP,
     _phi_and_slope,
     build_sampled,
     build_sensitivities,
     eta_symmetric_operators,
     modal_responses,
+    modal_sums,
     node_modes,
     point_mass_modes,
 )
@@ -132,28 +135,28 @@ class TestBuildSampled:
             build_sampled(assemble(spec_small, rho_smooth), tau=0.0)
 
     @pytest.mark.parametrize("n, m", [(4, 2), (8, 4), (16, 8)])
-    def test_cells_are_the_single_q_blocks(self, rho_smooth, monkeypatch, n, m):
-        # Cell c is the point mass at q1 = nu_c = w1_c / w_c: a single-q
-        # draw at the node gets the node's modes from node_modes, bit for
-        # bit, and the cell is read with the weight w2_c.
+    def test_cells_are_the_single_q_blocks(self, rho_smooth, n, m):
+        # Cell c is the point mass at q1 = nu_c = w1_c / w_c: its modes
+        # are node_modes there, bit for bit, and the cell is read with the
+        # weight w2_c.  A single-q draw at the node reads the response
+        # table, which reproduces the node's response within TABLE_BOUND.
         spec = GridSpec(n=n, m1=m, m2=m, tau=1 / 12)
         ops = assemble(spec, rho_smooth)
         sys = build_sampled(ops, spec.tau)
-        modes = []
-
-        def recording(nodes, n, tau):
-            modes.append((nodes, *node_modes(nodes, n, tau)))
-            return modes[-1][1:]
-
-        monkeypatch.setattr(forward, "node_modes", recording)
         w, w1, _ = ops.moments
-        forward.simulate_deterministic_batch(np.column_stack([w1 / w, np.ones_like(w)]),
-                                             n, spec.tau, np.ones(3))
-        (nodes, rates, gamma, _), = modes
+        nodes = w1 / w
+        rates, gamma, _ = node_modes(nodes, n, spec.tau)
         np.testing.assert_array_equal(sys.nodes, nodes)
         np.testing.assert_array_equal(sys.rates, rates)
         np.testing.assert_array_equal(sys.gamma, gamma)
         np.testing.assert_array_equal(sys.weights, ops.moments[2])
+        count = 120
+        impulse = np.eye(count)[0]
+        draws = forward.simulate_deterministic_batch(
+            np.column_stack([nodes, np.ones_like(nodes)]), n, spec.tau, impulse)
+        want = modal_sums(sys.rates, sys.gamma, spec.tau, count).T
+        err = np.abs(draws[:, 1:] - want).max(axis=1) / np.abs(want).max(axis=1)
+        assert err.max() <= TABLE_BOUND, err.max()
 
 
 class TestNodeModes:
@@ -170,6 +173,82 @@ class TestNodeModes:
                 np.testing.assert_array_equal(gamma[i], alone[1][0])
                 for whole, one in zip(projections, alone[2]):
                     np.testing.assert_array_equal(whole[i], one[0])
+
+
+class TestResponseTable:
+    # forward.unit_responses reads sampled.table_responses for q1 in
+    # [Q1_FLOOR, TABLE_TOP] and node_modes for the other rows.
+    TAU = 1 / 12
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 16])
+    def test_matches_node_modes(self, n):
+        # 3000 log-uniform q1 in [1e-2, 1e2], 120 steps: within
+        # TABLE_BOUND of each response's largest value.
+        count = 120
+        q1 = 10 ** np.random.default_rng(27).uniform(-2, 2, 3000)
+        rates, gamma, _ = node_modes(q1, n, self.TAU)
+        want = modal_sums(rates, gamma, self.TAU, count).T
+        got = forward.unit_responses(q1, n, self.TAU, count)
+        err = np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)
+        assert err.max() <= TABLE_BOUND, err.max()
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_rows_keep_their_bits_across_a_rebuild(self, monkeypatch, n):
+        # The table starts empty: every piece is built at 50 steps, then
+        # rebuilt at 300.  A row is the same bits alone, in any stack and
+        # at any count, before and after the rebuild.
+        monkeypatch.setattr(sampled, "_PIECES", {})
+        rng = np.random.default_rng(n)
+        q1 = np.concatenate([np.geomspace(Q1_FLOOR, TABLE_TOP, 37),  # every piece end
+                             10 ** rng.uniform(-6, 3, 40)])
+        short = forward.unit_responses(q1, n, self.TAU, 50)
+        assert len(sampled._PIECES) == 18
+        assert {coefs.shape for coefs in sampled._PIECES.values()} == {(50, 29)}
+        full = forward.unit_responses(q1, n, self.TAU, 300)
+        assert {coefs.shape for coefs in sampled._PIECES.values()} == {(300, 29)}
+        assert not any(coefs.flags.writeable for coefs in sampled._PIECES.values())
+        np.testing.assert_array_equal(short, full[:, :50])
+        for i in range(len(q1)):
+            for count in (0, 1, 49, 300):
+                np.testing.assert_array_equal(
+                    forward.unit_responses(q1[i:i + 1], n, self.TAU, count)[0],
+                    full[i, :count])
+        for lo, hi in ((0, 5), (3, 40), (20, 77)):
+            np.testing.assert_array_equal(forward.unit_responses(q1[lo:hi], n, self.TAU, 120),
+                                          full[lo:hi, :120])
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_rows_outside_are_node_modes(self, n):
+        # A row below Q1_FLOOR or above TABLE_TOP is its node_modes
+        # response alone, bit for bit, in a stack mixed with table rows,
+        # and the guard names its row in the stack it came in.
+        count = 80
+        stack = np.array([Q1_FLOOR, 1e-9, 0.3, np.nextafter(Q1_FLOOR, 0), 2.0,
+                          np.nextafter(TABLE_TOP, np.inf), TABLE_TOP, 1e4, 1e12, 1e20])
+        outside = (stack < Q1_FLOOR) | (stack > TABLE_TOP)
+        got = forward.unit_responses(stack, n, self.TAU, count)
+        for row, q1 in zip(got[outside], stack[outside]):
+            rates, gamma, _ = node_modes(np.array([q1]), n, self.TAU)
+            np.testing.assert_array_equal(row, modal_sums(rates, gamma, self.TAU, count)[:, 0])
+        np.testing.assert_array_equal(
+            got[~outside], forward.unit_responses(stack[~outside], n, self.TAU, count))
+        largest = sampled.largest_node(n)
+        forward.unit_responses(np.append(stack, largest), n, self.TAU, count)
+        for bad in (np.nextafter(largest, np.inf), np.inf, np.nan):
+            with pytest.raises(ConditioningError, match="node 4 at"):
+                forward.unit_responses(np.where(np.arange(10) == 4, bad, stack), n,
+                                       self.TAU, count)
+
+    def test_empty_stack_and_zero_count(self):
+        stack = np.array([1e-9, 0.3, 2.0, 1e4])
+        for n in (4, 8):
+            assert forward.unit_responses(np.empty(0), n, self.TAU, 30).shape == (0, 30)
+            assert forward.unit_responses(np.empty(0), n, self.TAU, 0).shape == (0, 0)
+            assert forward.unit_responses(stack, n, self.TAU, 0).shape == (4, 0)
+            y = forward.simulate_deterministic_batch(np.empty((0, 2)), n, self.TAU, np.ones(5))
+            assert y.shape == (0, 6)
+        with pytest.raises(ValueError, match="tau"):
+            forward.unit_responses(np.empty(0), 4, 0.0, 30)
 
 
 class TestNodeGuard:

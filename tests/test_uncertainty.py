@@ -4,7 +4,7 @@ import pytest
 from conftest import pulse_input
 
 from popdiff.density import RhoParams, sample_array
-from popdiff.forward import simulate_deterministic
+from popdiff.forward import population_system, simulate_deterministic
 from popdiff.grid import GridSpec
 from popdiff.uncertainty import credible_band, sample_trajectories
 
@@ -94,6 +94,23 @@ class TestCredibleBand:
         lo = (1.0 - level) / 2.0
         np.testing.assert_array_equal(band.lower, np.quantile(looped, lo, axis=0))
         np.testing.assert_array_equal(band.upper, np.quantile(looped, 1.0 - lo, axis=0))
+
+    def test_draws_make_no_eigendecomposition(self, rho_smooth, band_spec, band_input,
+                                              monkeypatch):
+        # Once the table pieces its draws touch are cached, a band's 1000
+        # draws are read from the table: the band's one np.linalg.eigh is
+        # the population system's, of its center line's nodes.
+        credible_band(rho_smooth, band_spec, band_input)
+        ncells = population_system(rho_smooth, band_spec).ncells
+        calls = []
+
+        def counted(a, _real=np.linalg.eigh):
+            calls.append(a.shape)
+            return _real(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        credible_band(rho_smooth, band_spec, band_input)
+        assert calls == [(ncells, band_spec.n + 1, band_spec.n + 1)]
 
     def test_validation(self, rho_smooth, band_spec, band_input):
         with pytest.raises(ValueError):
