@@ -4,13 +4,15 @@ The cost is the plain sum of squared residuals between the population
 output and the observations, every sample weighted equally and no
 regularization term (``optimizer.fit`` adds its pull).  An episode's
 output is its input convolved with the population response
-h = sum_c omega_c g_c of the node responses g_c[k] = gamma_c . e^{-w_c tau k},
-the modal form of one symmetric eigendecomposition per node
-(``sampled.build_sampled``, ``forward.response``).  The parameters reach
-h only through the nodes and weights, so dh/drho = dweights @ g +
-(dnodes * omega) @ dg/dnu, with g_c and dg_c/dnu formed for the count at
-hand from node c's rows (gamma, delta, eps) (``sampled.build_sensitivities``
-and ``sampled.modal_responses``).
+h = sum_c omega_c g_c of the node responses g_c, the point masses at the
+nodes read from the response table (``sampled.build_sampled``,
+``forward.response``).  The parameters reach h only through the nodes
+and weights, so dh/drho = dweights @ g + (dnodes * omega) @ dg/dnu, with
+g_c and dg_c/dnu read for the count at hand from the same table pieces
+(``sampled.build_sensitivities`` and ``forward.unit_slopes``): the slope
+rows are interpolated from the modal derivative, and agree with central
+differences of the table's own g rows, so the gradient is that of the
+cost being minimised.
 
 Episode e's output is y_e = T_e h, where T_e is the fixed
 (len(u)+1, count) map of its input u, T_e[j+1, k] = u[j-k] (row 0 zero).
@@ -31,8 +33,9 @@ episode, and convolves each episode's input with it, one ``simulate``
 call per episode.  Its ``normal_equations`` and ``gradient`` reuse
 them: they assemble only the derivative tensors (``with_grad`` changes
 no bit of the operators) and add the sensitivities to the same sampled
-system, whose derivative rows come from the eigendecomposition
-``evaluate`` made.  An episode's output and cost do not depend, bit for
+system, whose nodes' rows and slopes come from the table pieces
+``evaluate`` read.  With those pieces cached, neither makes an
+eigendecomposition.  An episode's output and cost do not depend, bit for
 bit, on the episodes evaluated with it.  ``cost``, ``gradient_adjoint``
 and ``gradient_fd`` call it; ``optimizer.fit`` calls it directly and
 asks for the normal equations only at accepted points.
@@ -48,9 +51,9 @@ import numpy as np
 from .assembly import assemble
 from .density import RhoParams, gamma_floor
 from .errors import PopdiffError, SimulationDivergenceError
-from .forward import Episode, response, simulate
+from .forward import Episode, response, simulate, unit_slopes
 from .grid import GridSpec
-from .sampled import SampledSystem, build_sampled, build_sensitivities, modal_responses
+from .sampled import SampledSystem, build_sampled, build_sensitivities
 
 
 @dataclass
@@ -162,8 +165,8 @@ def cost(rho: RhoParams, spec: GridSpec, episodes: list[Episode]) -> float:
 
 def _response_derivative(sys: SampledSystem, count: int) -> np.ndarray:
     """(P, count) derivative dh = dweights @ g + (dnodes * omega) @ dg/dnu
-    of the population response, from the nodes' modal form."""
-    g, dg = modal_responses(sys.rates, sys.coefs, sys.tau, count)
+    of the population response, from the nodes' ``unit_slopes``."""
+    g, dg = unit_slopes(sys.nodes, sys.n, sys.tau, count)
     return sys.dweights @ g + (sys.dnodes * sys.weights) @ dg
 
 

@@ -29,29 +29,38 @@ eigenvalues:
     delta_i = B_ii phi'(w_i) + phi(w_i) sum_{j != i} (B_ij + B_ji) / (w_i - w_j),
     eps_i = B_ii phi(w_i).
 
-``build_sampled`` makes that one stacked eigendecomposition of all the
-nodes and keeps the rates w, the row gamma and the projections l.V, r.V
-and D~V; ``build_sensitivities`` forms delta and eps from the kept
-projections, with no second decomposition.  ``decay_powers`` forms the
-factors e^{-w tau k} by doubling, ``modal_sums`` g and
-``modal_responses`` g and dg/dnu for any count: no matrix exponential,
-no solve.  As q1 grows, a column mixes at once and its response tends to
-the well-mixed one, (1 - e^{-tau}) e^{-tau k}, until rounding in S(q1)
+``node_modes`` makes one stacked eigendecomposition of the given q1 and
+keeps the rates w, the row gamma and the projections l.V, r.V and D~V;
+``derivative_rows`` forms delta and eps from those projections, with no
+second decomposition (``point_mass_modes`` returns both).
+``decay_powers`` forms the factors e^{-w tau k} by doubling,
+``modal_sums`` g and ``modal_responses`` g and dg/dnu for any count,
+each entry one dot of fixed length: no matrix exponential, no solve.  As
+q1 grows, a column mixes at once and its response tends to the
+well-mixed one, (1 - e^{-tau}) e^{-tau k}, until rounding in S(q1)
 itself leaves the slowest rate unresolved; ``node_modes`` raises
 ConditioningError from there (``NODE_ROUNDING``).
 
-Response table.  The single-q draws of ``forward`` need g(q1) at many q1
-and no derivative, so on q1 in [Q1_FLOOR, TABLE_TOP] they read a cache of
-this kernel instead of decomposing S(q1) per draw: ``table_responses``
-evaluates a piecewise Chebyshev interpolant of g in log10 q1, each piece
-built on first use from one ``node_modes`` at its Chebyshev points
-(``table_piece``).  Every sum of both steps is one dot of fixed length,
-so a row is the same bits in any stack and at any longer count.  The
-nodes stay on ``node_modes``, so every fit keeps its bits.
+Response table.  Every response the package forms, a single-q draw's or
+a population node's, reads g(q1) for q1 in [Q1_FLOOR, TABLE_TOP] from a
+cache of this kernel instead of decomposing S(q1) per call:
+``table_rows`` evaluates a piecewise Chebyshev interpolant in log10 q1
+of g and of the log-derivative q1 dg/dq1, each piece built on first use
+from one ``point_mass_modes`` at its Chebyshev points (``table_piece``).
+The slope is interpolated from the modal dg/dq1, not differentiated from
+the interpolant of g: at n = 16, on 1000 log-uniform q1 in [1e-6, 1e-2],
+that derivative was off by 4.7e-3 of the slope's largest value, the
+tabled slope by 3.9e-6, the modal form's own noise there.  Every sum
+of both steps is one dot of fixed length, so a row is the same bits in
+any stack and at any longer count.  ``build_sampled`` and
+``build_sensitivities`` decompose nothing: the population response and
+its derivative read their nodes' rows where they need them
+(``forward.unit_responses`` and ``forward.unit_slopes``), and a node
+outside the table's range from ``point_mass_modes``.
 
 Sensitivities: every parameter reaches the output only through the
 nodes and weights, so the system stores the (P, ncells) Jacobians
-dnu/drho and domega/drho beside the nodes' rows.
+dnu/drho and domega/drho; the nodes' slopes dg/dnu come with their rows.
 """
 
 from __future__ import annotations
@@ -69,19 +78,21 @@ from .grid import Q1_FLOOR, eta_mass_matrix
 
 @dataclass
 class SampledSystem:
-    """Point-mass nodes in modal form, with readout weights."""
+    """Point-mass nodes with readout weights; the nodes' responses are
+    read from the kernel at ``nodes`` (``forward.unit_responses``)."""
 
     block_size: int
     ncells: int
     tau: float
     nodes: np.ndarray           # (ncells,) diffusivity nu_c of each node
     weights: np.ndarray         # (ncells,) readout weight omega_c of each node
-    rates: np.ndarray           # (ncells, b) eigenvalues w of S(nu_c)
-    gamma: np.ndarray           # (ncells, b) row gamma: g_k = gamma . e^{-w tau k}
-    projections: tuple | None = None     # (l.V, r.V, D~V) of each node's eigenvectors
-    coefs: np.ndarray | None = None      # (ncells, 3, b) rows gamma, delta, eps
     dnodes: np.ndarray | None = None     # (P, ncells)
     dweights: np.ndarray | None = None   # (P, ncells)
+
+    @property
+    def n(self) -> int:
+        """Depth intervals of each node's point mass."""
+        return self.block_size - 1
 
     @property
     def dim(self) -> int:
@@ -92,8 +103,10 @@ class SampledSystem:
         return 0 if self.dnodes is None else self.dnodes.shape[0]
 
     def spectral_radius(self) -> float:
-        """The largest decay factor e^{-w tau} of any node's modes."""
-        return float(np.exp(-self.tau * self.rates.min()))
+        """The largest decay factor e^{-w tau} of any node's modes, from
+        ``node_modes`` at the nodes."""
+        rates, _, _ = node_modes(self.nodes, self.n, self.tau)
+        return float(np.exp(-self.tau * rates.min()))
 
 
 @functools.cache
@@ -130,8 +143,11 @@ def _phi_and_slope(rates: np.ndarray, tau: float):
     """phi(w) = (1 - e^{-w tau}) / w and its derivative phi'(w), w > 0."""
     x = rates * tau
     phi = -np.expm1(-x) / rates
+    # the series is read only below SERIES_BELOW; clipping its argument
+    # keeps it from overflowing at the rates of a huge q1
     slope = np.where(x < SERIES_BELOW,
-                     tau * tau * np.polynomial.polynomial.polyval(x, _SLOPE_SERIES),
+                     tau * tau * np.polynomial.polynomial.polyval(np.minimum(x, SERIES_BELOW),
+                                                                  _SLOPE_SERIES),
                      (tau * np.exp(-x) - phi) / rates)
     return phi, slope
 
@@ -254,23 +270,29 @@ def modal_sums(rates: np.ndarray, coef: np.ndarray, tau: float, count: int) -> n
 def modal_responses(rates: np.ndarray, coefs: np.ndarray, tau: float, count: int):
     """(g, dg), each (..., count): g_k = gamma . e^{-w tau k} and
     dg_k/dq1 = (delta - tau k eps) . e^{-w tau k} for k < count, from the
-    rates and rows of ``point_mass_modes``."""
-    powers = np.moveaxis(decay_powers(np.exp(-tau * rates), count), 0, -1)
-    rows = coefs @ powers
-    steps = np.arange(count)
-    return rows[..., 0, :], rows[..., 1, :] - tau * steps * rows[..., 2, :]
+    rates and rows of ``point_mass_modes``: one ``modal_sums`` of the
+    three rows, so that entry k does not depend on ``count`` and g is the
+    bits of ``modal_sums`` of gamma alone."""
+    rows = modal_sums(rates[..., None, :], coefs, tau, count)
+    steps = np.arange(count).reshape((count,) + (1,) * (rates.ndim - 1))
+    return (np.moveaxis(rows[..., 0], 0, -1),
+            np.moveaxis(rows[..., 1] - tau * steps * rows[..., 2], 0, -1))
 
 
-# The single-q draws read g(q1) from a piecewise Chebyshev interpolant in
-# log10 q1 on [Q1_FLOOR, TABLE_TOP]: PIECES_PER_DECADE pieces per decade,
-# each the interpolant of degree TABLE_DEGREE through ``node_modes`` at
-# its Chebyshev extreme points (Trefethen, Approximation Theory and
-# Approximation Practice, SIAM 2013).  At 120 steps of tau = 1/12 it is
-# within 5.1e-13 of ``node_modes`` on q1 in [1e-2, 1e2] at n = 4 to 16,
-# relative to each response's largest value; below 1e-2 at n = 16 both
-# are within 1.0e-6 of a Van Loan hold, the error of ``node_modes``
-# itself.  Degrees 20 to 32 measured the same; other tau and counts were
-# not measured, and 28 keeps a margin for them.
+# The draws and the nodes read g(q1) and q1 dg/dq1 from piecewise
+# Chebyshev interpolants in log10 q1 on [Q1_FLOOR, TABLE_TOP]:
+# PIECES_PER_DECADE pieces per decade, each the interpolant of degree
+# TABLE_DEGREE through ``point_mass_modes`` at its Chebyshev extreme points
+# (Trefethen, Approximation Theory and Approximation Practice, SIAM 2013).
+# At 120 steps of tau = 1/12 it is within 5.1e-13 (g) and 5.2e-12
+# (dg/dq1) of the modal form on q1 in [1e-2, 1e2] at n = 4 to 16,
+# relative to each row's largest value; below 1e-2 at n = 16 both are
+# within 1.1e-6 (g) and 2.7e-6 (dg/dq1) of a Van Loan hold, the error of
+# ``node_modes`` itself.  At tau = 1/60, 1/4 and 1 the gaps on
+# [1e-2, 1e2] stay within 1.2e-11 (g) and 5.7e-11 (dg/dq1), except at
+# n = 16 and tau = 1/60 near q1 = 1e-2, where the modal form itself errs
+# by up to 6.0e-9 against the hold and the table by 2.8e-9.  Degrees 20
+# to 32 measured the same for g at tau = 1/12; 28 keeps a margin.
 TABLE_TOP = 1e3
 PIECES_PER_DECADE = 2
 TABLE_DEGREE = 28
@@ -286,27 +308,33 @@ _COSINE = (2 / TABLE_DEGREE) * np.cos(np.pi * np.outer(np.arange(TABLE_DEGREE + 
 _COSINE[:, [0, -1]] /= 2
 _COSINE[[0, -1]] /= 2
 _COSINE.setflags(write=False)
-# (n, tau, piece) -> read-only (count, TABLE_DEGREE + 1) coefficients of
-# g_k, k < count, for the largest count asked for so far
+# (n, tau, piece) -> read-only (count, 2, TABLE_DEGREE + 1) coefficients
+# of g_k and of q1 dg_k/dq1, k < count, for the largest count asked for
+# so far
 _PIECES: dict = {}
 
 
 def table_piece(n: int, tau: float, piece: int, count: int) -> np.ndarray:
-    """(at least count, TABLE_DEGREE + 1) Chebyshev coefficients of the
-    unit responses g_k, k < count, on table piece ``piece``, whose x in
-    [-1, 1] is log10 q1 = log10 Q1_FLOOR + (piece + (x + 1) / 2) /
-    PIECES_PER_DECADE.
+    """(at least count, 2, TABLE_DEGREE + 1) Chebyshev coefficients of the
+    unit responses g_k and of their log-derivatives q1 dg_k/dq1, k < count,
+    on table piece ``piece``, whose x in [-1, 1] is log10 q1 =
+    log10 Q1_FLOOR + (piece + (x + 1) / 2) / PIECES_PER_DECADE.
 
     Built on first use, and built again when a larger count is asked for,
-    from one ``node_modes`` and one ``modal_sums`` at the piece's
-    Chebyshev points; coefficient m of g_k is one dot of fixed length
-    with the values of g_k, so it is the same bits at every count.
+    from one ``point_mass_modes`` and one ``modal_responses`` at the
+    piece's Chebyshev points: the log-derivative is interpolated from the
+    modal dg/dq1, not differentiated from the interpolant of g.
+    Coefficient m of either row is one dot of fixed length with its
+    values, so it is the same bits at every count.
     """
     coefs = _PIECES.get((n, tau, piece))
     if coefs is None or coefs.shape[0] < count:
-        logq = _LOG_FLOOR + (piece + (_CHEBYSHEV + 1) / 2) / PIECES_PER_DECADE
-        rates, gamma, _ = node_modes(10.0 ** logq, n, tau)
-        coefs = np.vecdot(modal_sums(rates, gamma, tau, count)[:, None, :], _COSINE)
+        q1 = 10.0 ** (_LOG_FLOOR + (piece + (_CHEBYSHEV + 1) / 2) / PIECES_PER_DECADE)
+        g, dg = modal_responses(*point_mass_modes(q1, n, tau), tau, count)
+        values = np.stack([g.T, (q1[:, None] * dg).T])
+        # a (count, 2, 29) view of one (2, count, 29) block, so that the
+        # draws, which read g alone, read it from contiguous rows
+        coefs = np.vecdot(values[:, :, None, :], _COSINE).transpose(1, 0, 2)
         coefs.setflags(write=False)
         _PIECES[n, tau, piece] = coefs
     return coefs
@@ -318,29 +346,39 @@ def chebyshev_basis(x: np.ndarray) -> np.ndarray:
     return np.cos(np.arccos(x)[:, None] * np.arange(TABLE_DEGREE + 1))
 
 
-def table_responses(q1: np.ndarray, n: int, tau: float, count: int) -> np.ndarray:
-    """(len(q1), count) unit responses g_k(q1), k < count, of the point
-    masses at ``q1``, each in [Q1_FLOOR, TABLE_TOP], read from the table:
-    T_m at each row's x, then one dot of fixed length TABLE_DEGREE + 1 per
-    row and k against the coefficients of the row's piece.  A row is the
-    same bits in any stack and at any longer count."""
+def table_rows(q1: np.ndarray, n: int, tau: float, count: int, slopes: bool) -> np.ndarray:
+    """(1, len(q1), count) unit responses g_k(q1), k < count, of the point
+    masses at ``q1``, each in [Q1_FLOOR, TABLE_TOP], read from the table;
+    with ``slopes``, (2, len(q1), count), their derivatives dg_k/dq1
+    below them.  T_m at each row's x, then one dot of fixed length
+    TABLE_DEGREE + 1 per row, kind and k against the coefficients of the
+    row's piece: a row is the same bits in any stack and at any longer
+    count."""
     t = np.minimum(np.maximum((np.log10(q1) - _LOG_FLOOR) * PIECES_PER_DECADE, 0),
                    _TABLE_PIECES)
     piece = np.minimum(t.astype(int), _TABLE_PIECES - 1)
     basis = chebyshev_basis(2 * (t - piece) - 1)[:, None, :]
-    out = np.empty((len(q1), count))
+    kinds = 2 if slopes else 1
+    out = np.empty((kinds, len(q1), count))
     for p in set(piece.tolist()):
         rows = piece == p
-        out[rows] = np.vecdot(basis[rows], table_piece(n, tau, p, count)[:count])
+        row_basis, coefs = basis[rows], table_piece(n, tau, p, count)
+        for kind in range(kinds):
+            out[kind, rows] = np.vecdot(row_basis, coefs[:count, kind])
+    if slopes:
+        out[1] /= q1[:, None]
     return out
 
 
 def build_sampled(ops: AssembledOperators, tau: float) -> SampledSystem:
-    """Modal form of the population system from the cell moments; tau > 0.
+    """The population system's nodes and weights from the cell moments;
+    tau > 0.
 
     Node c sits at q1 = nu_c = w1_c / w_c and is read with the weight
-    omega_c = w2_c; all nodes share one stacked ``node_modes``, which
-    checks tau and the nodes.
+    omega_c = w2_c.  The nodes are checked here (``check_nodes``), so a
+    ConditioningError names the first unresolved node; their responses
+    are read where they are needed, from the response table inside
+    [Q1_FLOOR, TABLE_TOP].
     """
     w, w1, w2 = ops.moments
     if not np.all(w > 0):
@@ -349,27 +387,20 @@ def build_sampled(ops: AssembledOperators, tau: float) -> SampledSystem:
             "its mass block is singular"
         )
     nodes = w1 / w
-    rates, gamma, projections = node_modes(nodes, ops.block_size - 1, tau)
+    check_nodes(nodes, ops.block_size - 1, tau)
     return SampledSystem(block_size=ops.block_size, ncells=ops.ncells, tau=tau,
-                         nodes=nodes, weights=w2, rates=rates, gamma=gamma,
-                         projections=projections)
+                         nodes=nodes, weights=w2)
 
 
 def build_sensitivities(ops: AssembledOperators, sys: SampledSystem) -> SampledSystem:
-    """Fill the derivative rows and the node and weight sensitivities of
-    ``sys``.
-
-    Per node: the rows (gamma, delta, eps), delta and eps by
-    ``derivative_rows`` from the projections ``build_sampled`` kept, with
-    no second eigendecomposition.  Per parameter: dnodes =
-    (dw1 - nu dw) / w and dweights = dw2, from the moment derivatives.
-    """
+    """Fill the node and weight sensitivities of ``sys``: per parameter,
+    dnodes = (dw1 - nu dw) / w and dweights = dw2, from the moment
+    derivatives.  The nodes' slopes dg/dq1 are read with their responses
+    (``forward.unit_slopes``)."""
     if ops.dmoments is None:
         raise ValueError("operators were assembled without gradients")
     w = ops.moments[0]
     dw, dw1, dw2 = ops.dmoments
-    sys.coefs = np.stack([sys.gamma, *derivative_rows(sys.rates, sys.projections, sys.tau)],
-                         axis=-2)
     sys.dnodes = (dw1 - sys.nodes * dw) / w
     sys.dweights = dw2
     return sys

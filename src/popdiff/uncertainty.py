@@ -7,8 +7,8 @@ tensor-basis population state read pointwise in q, which would read a
 mean-square-integrable state at a point.
 All draws go through ``forward.simulate_deterministic_batch``, the one
 single-q solver: each draw's response is read from the response table of
-``sampled``, built from the kernel of the population nodes, so a band's
-only eigendecomposition is its center line's.
+``sampled``, which the center line's population nodes read too, so once
+its pieces are built a band makes no eigendecomposition.
 """
 
 from __future__ import annotations

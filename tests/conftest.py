@@ -223,12 +223,24 @@ POINT_MASS_REFERENCE = Path(__file__).parent / "reference" / "point_mass_mp50.np
 # the finest grid); on q1 in [1e-2, 1e2] it stays within 1e-9 at every n.
 MODAL_REFERENCE_BOUND = {4: 1e-11, 8: 1e-9, 16: 1e-6}
 
-# The response table (``sampled.table_responses``) against ``node_modes``
-# on q1 in [1e-2, 1e2], relative to each response's largest value: at most
+# The response table (``sampled.table_rows``) against ``node_modes`` on q1
+# in [1e-2, 1e2], relative to each response's largest value: at most
 # 5.1e-13 on 3000 log-uniform q1 at n = 4, 6, 8 and 16 (120 steps, tau =
 # 1/12).  Below 1e-2 at n = 16 the gap follows node_modes' own error
 # (MODAL_REFERENCE_BOUND), not the interpolation's.
 TABLE_BOUND = 2e-12
+# The table's slopes dg/dq1 against ``point_mass_modes``' on the same q1,
+# relative to each slope row's largest value: at most 3.0e-13, 6.4e-13,
+# 1.5e-12 and 5.2e-12 at n = 4, 6, 8 and 16.
+TABLE_SLOPE_BOUND = 2e-11
+# The table's g and dg/dq1 against the modal form on q1 in [1e-2, 1e2] at
+# tau = 1/60, 1/12, 1/4 and 1 (3000 log-uniform q1, 120 steps), per n.
+# The largest gaps were 3.2e-12 (n = 4, dg at tau = 1), 6.9e-12 (n = 6,
+# dg at tau = 1), 1.7e-11 (n = 8, dg at tau = 1) and, at n = 16, 5.7e-11
+# (dg at tau = 1) away from tau = 1/60.  At n = 16 and tau = 1/60, near
+# q1 = 1e-2, g differs by up to 7.5e-9: there the modal form itself errs
+# by up to 6.0e-9 against the Van Loan tangent hold, the table by 2.8e-9.
+TABLE_TAU_BOUND = {4: 1e-10, 6: 1e-10, 8: 1e-10, 16: 2e-8}
 
 
 # ------------------------------------------------------- the hold oracle

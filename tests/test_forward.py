@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import popdiff.forward as forward_mod
 import popdiff.sampled as sampled_mod
 
 from conftest import (
@@ -32,17 +33,24 @@ from popdiff.forward import (
     unit_responses,
 )
 from popdiff.grid import GridSpec, eta_mass_matrix, eta_stiffness_matrix
-from popdiff.sampled import SampledSystem, build_sampled, decay_powers
+from popdiff.sampled import SampledSystem, build_sampled, decay_powers, node_modes
 
 
-def scalar_system(ahat, bhat, weight=1.0, tau=1.0):
-    """One node whose response is g_k = bhat ahat^k: the one mode with
-    the decay factor e^{-w tau} = ahat and the row gamma = bhat."""
-    return SampledSystem(
-        block_size=1, ncells=1, tau=tau, nodes=np.array([1.0]),
-        weights=np.array([weight]), rates=np.array([[-np.log(ahat) / tau]]),
-        gamma=np.array([[bhat]]),
-    )
+@pytest.fixture
+def scalar_system(monkeypatch):
+    """(ahat, bhat, weight=1, tau=1) -> one node read with ``weight``
+    whose kernel, in place of the point mass's, is g_k = bhat ahat^k: the
+    one mode with the decay factor ahat and the row bhat."""
+    def make(ahat, bhat, weight=1.0, tau=1.0):
+        def kernel(q1, n, tau_, count):
+            with np.errstate(over="ignore"):  # a growing mode
+                return np.full((len(q1), 1), bhat) * ahat ** np.arange(count)
+
+        monkeypatch.setattr(forward_mod, "unit_responses", kernel)
+        return SampledSystem(block_size=1, ncells=1, tau=tau, nodes=np.array([1.0]),
+                             weights=np.array([weight]))
+
+    return make
 
 
 def node_system(nodes, n, tau):
@@ -62,7 +70,7 @@ class TestSimulate:
         y = simulate(sys, np.zeros(30))
         np.testing.assert_array_equal(y, 0.0)
 
-    def test_scalar_geometric_series(self):
+    def test_scalar_geometric_series(self, scalar_system):
         sys = scalar_system(0.5, 0.5)
         y = simulate(sys, np.ones(10))
         expected = 1.0 - 0.5 ** np.arange(11)
@@ -137,7 +145,7 @@ class TestSimulate:
             simulate(sys, u, response(sys, 10))
         np.testing.assert_array_equal(simulate(sys, u, response(sys, 30)), simulate(sys, u))
 
-    def test_divergence_guard(self):
+    def test_divergence_guard(self, scalar_system):
         sys = scalar_system(2.0, 1.0)
         with pytest.raises(SimulationDivergenceError):
             simulate(sys, np.ones(1200))
@@ -169,7 +177,7 @@ class TestSimulate:
         assert np.abs(single_q - y_loop).max() <= 1e-12 * scale
 
     @pytest.mark.filterwarnings("error")
-    def test_divergence_raises_no_numpy_warning(self, rho_smooth, spec_small):
+    def test_divergence_raises_no_numpy_warning(self, rho_smooth, spec_small, scalar_system):
         # Overflow, then inf - inf: only the error may surface.
         sys = population_system(rho_smooth, spec_small)
         with pytest.raises(SimulationDivergenceError):
@@ -206,12 +214,23 @@ class TestPopulationResponse:
 
 
     @pytest.mark.parametrize("n, m", [(4, 2), (8, 4), (16, 8)])
+    def test_entries_do_not_depend_on_count(self, rho_smooth, n, m):
+        # h[k] is one dot of fixed length over the nodes per k, so the
+        # response at every count from 0 to 400 is the prefix of the
+        # longest, bit for bit.  A matrix product weights @ g differed at
+        # most counts with 16 and 64 nodes.
+        spec = GridSpec(n=n, m1=m, m2=m, tau=1 / 12)
+        sys = population_system(rho_smooth, spec)
+        full = response(sys, 400)
+        assert all(np.array_equal(response(sys, count), full[:count]) for count in range(400))
+
+    @pytest.mark.parametrize("n, m", [(4, 2), (8, 4), (16, 8)])
     def test_doubling_powers(self, rho_smooth, n, m):
         # decay_powers gives entry k as the same bits at every count from 0
         # to 400, and within 1e-14 of np.exp(-w tau k), relative to the
         # largest term z^0 = 1 (measured 7.2e-16 at n = 16).
         spec = GridSpec(n=n, m1=m, m2=m, tau=1 / 12)
-        rates = population_system(rho_smooth, spec).rates
+        rates, _, _ = node_modes(population_system(rho_smooth, spec).nodes, n, spec.tau)
         z = np.exp(-spec.tau * rates)
         full = decay_powers(z, 401)
         assert all(np.array_equal(decay_powers(z, count), full[:count])

@@ -11,6 +11,8 @@ from conftest import (
     xcorr_gradient,
 )
 
+from popdiff import forward as forward_mod
+from popdiff import objective as objective_mod
 from popdiff.assembly import assemble
 from popdiff.dataio import PulseSpec, generate_synthetic
 from popdiff.density import RhoParams
@@ -137,9 +139,9 @@ class TestGradientAdjoint:
                 for ep, steps in zip(pool, (30, 45, 30, 12, 45))]
 
     def test_ragged_episode_costs_do_not_depend_on_stacking(self, rho_smooth):
-        # Equal-length episodes share one stacked call and all share the
-        # longest episode's responses; each episode's cost still equals
-        # its cost evaluated alone, bit for bit, summed in episode order.
+        # Every episode is convolved with the one response h formed for
+        # the longest episode; each episode's cost still equals its cost
+        # evaluated alone, bit for bit, summed in episode order.
         spec = GridSpec(n=5, m1=3, m2=2, tau=1 / 12)
         episodes = self.ragged_episodes(spec)
         ops = assemble(spec, rho_smooth, with_grad=True)
@@ -179,8 +181,7 @@ class TestGradientAdjoint:
         ops = assemble(spec, rho, with_grad=True)
         sens = build_sensitivities(ops, build_sampled(ops, spec.tau))
         fresh = {name: np.array(getattr(sens, name), order="C")
-                 for name in ("nodes", "weights", "rates", "gamma",
-                              "coefs", "dnodes", "dweights")}
+                 for name in ("nodes", "weights", "dnodes", "dweights")}
         return sens, SampledSystem(block_size=ops.block_size, ncells=ops.ncells,
                                    tau=spec.tau, **fresh)
 
@@ -221,19 +222,25 @@ class TestGradientAdjoint:
         np.testing.assert_allclose(fwd.grad, rev.grad, rtol=1e-12)
         assert dict(fwd.per_episode) == pytest.approx(dict(rev.per_episode))
 
-    def test_scalar_surrogate_hand_derived(self):
+    def test_scalar_surrogate_hand_derived(self, monkeypatch):
         # One parameter a, the node, entering through Ahat = exp(a tau);
-        # input gain and readout weight held fixed.  The response
-        # g_k = b e^{a tau k} has the one rate w = -a, gamma = b, and
-        # dg_k/da = tau k b e^{a tau k}, so delta = 0 and eps = -b.
+        # input gain and readout weight held fixed.  The node's kernel is
+        # replaced by g_k = b e^{a tau k}, with dg_k/da = tau k b e^{a tau k},
+        # in both the response and the slopes the objective reads.
         # Three-step episode, closed form.
         tau, a, b = 0.25, -1.3, 0.4
         ahat = np.exp(a * tau)
+
+        def kernel(q1, n, tau_, count):
+            steps = tau_ * np.arange(count)
+            g = b * np.exp(np.outer(q1, steps))
+            return g, steps * g
+
+        monkeypatch.setattr(forward_mod, "unit_responses", lambda *args: kernel(*args)[0])
+        monkeypatch.setattr(objective_mod, "unit_slopes", kernel)
         sys = SampledSystem(
             block_size=1, ncells=1, tau=tau, nodes=np.array([a]),
-            weights=np.array([1.0]), rates=np.array([[-a]]), gamma=np.array([[b]]),
-            coefs=np.array([[[b], [0.0], [-b]]]),
-            dnodes=np.array([[1.0]]), dweights=np.array([[0.0]]),
+            weights=np.array([1.0]), dnodes=np.array([[1.0]]), dweights=np.array([[0.0]]),
         )
         u = np.array([1.0, 0.6, 0.2])
         y_obs = np.array([0.0, 0.1, 0.3, 0.2])

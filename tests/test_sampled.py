@@ -1,5 +1,6 @@
 import dataclasses
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from conftest import (
     MODAL_REFERENCE_BOUND,
     POINT_MASS_REFERENCE,
     TABLE_BOUND,
+    TABLE_SLOPE_BOUND,
+    TABLE_TAU_BOUND,
     eta_operators,
     galerkin_blocks,
     galerkin_generator,
@@ -24,6 +27,7 @@ from conftest import (
 
 from popdiff import forward, sampled
 from popdiff.assembly import assemble
+from popdiff.density import RhoParams
 from popdiff.errors import ConditioningError, SingularOperatorError
 from popdiff.grid import Q1_FLOOR, GridSpec, eta_mass_matrix, eta_stiffness_matrix
 from popdiff.sampled import (
@@ -106,13 +110,17 @@ class TestBuildSampled:
         with pytest.raises(ConditioningError, match="node 2"):
             build_sampled(ops, tau=0.5)
 
-    def test_one_eigendecomposition_serves_cost_and_jacobian(self, rho_smooth, spec_small,
-                                                             monkeypatch):
-        # build_sampled makes one stacked eigh of all the nodes, and the
-        # population response makes none; build_sensitivities forms the
-        # derivative rows from the kept projections and decomposes
-        # nothing.  The rows are the nodes' point_mass_modes, bit for bit.
+    def test_nodes_read_the_table_and_decompose_nothing(self, rho_smooth, spec_small,
+                                                        monkeypatch):
+        # With the table pieces of its nodes cached, build_sampled, the
+        # population response, build_sensitivities and the nodes' slopes
+        # make no eigendecomposition.  The response is the weighted sum of
+        # the nodes' unit_responses, and the slopes come with those rows,
+        # bit for bit.
         ops = assemble(spec_small, rho_smooth, with_grad=True)
+        count = 40
+        forward.unit_slopes(build_sampled(ops, spec_small.tau).nodes, spec_small.n,
+                            spec_small.tau, count)
         calls = []
 
         def counted(a, _real=np.linalg.eigh):
@@ -121,14 +129,15 @@ class TestBuildSampled:
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
         sys = build_sampled(ops, spec_small.tau)
-        forward.response(sys, 40)
-        assert calls == [(sys.ncells, sys.block_size, sys.block_size)]
+        h = forward.response(sys, count)
         build_sensitivities(ops, sys)
-        assert len(calls) == 1
+        g, dg = forward.unit_slopes(sys.nodes, sys.n, sys.tau, count)
+        assert calls == []
         monkeypatch.undo()
-        rates, coefs = point_mass_modes(sys.nodes, spec_small.n, spec_small.tau)
-        np.testing.assert_array_equal(sys.rates, rates)
-        np.testing.assert_array_equal(sys.coefs, coefs)
+        np.testing.assert_array_equal(g, forward.unit_responses(sys.nodes, sys.n, sys.tau,
+                                                                count))
+        assert np.abs(h - sys.weights @ g).max() <= 1e-14 * np.abs(h).max()
+        np.testing.assert_array_equal(forward.response(sys, 7), h[:7])
 
     def test_tau_validation(self, rho_smooth, spec_small):
         with pytest.raises(ValueError):
@@ -136,27 +145,84 @@ class TestBuildSampled:
 
     @pytest.mark.parametrize("n, m", [(4, 2), (8, 4), (16, 8)])
     def test_cells_are_the_single_q_blocks(self, rho_smooth, n, m):
-        # Cell c is the point mass at q1 = nu_c = w1_c / w_c: its modes
-        # are node_modes there, bit for bit, and the cell is read with the
-        # weight w2_c.  A single-q draw at the node reads the response
-        # table, which reproduces the node's response within TABLE_BOUND.
+        # Cell c is the point mass at q1 = nu_c = w1_c / w_c, read with the
+        # weight w2_c: its response is the single-q draw's at the node, bit
+        # for bit (both read the response table), and within TABLE_BOUND
+        # of node_modes there.
         spec = GridSpec(n=n, m1=m, m2=m, tau=1 / 12)
         ops = assemble(spec, rho_smooth)
         sys = build_sampled(ops, spec.tau)
         w, w1, _ = ops.moments
         nodes = w1 / w
-        rates, gamma, _ = node_modes(nodes, n, spec.tau)
         np.testing.assert_array_equal(sys.nodes, nodes)
-        np.testing.assert_array_equal(sys.rates, rates)
-        np.testing.assert_array_equal(sys.gamma, gamma)
         np.testing.assert_array_equal(sys.weights, ops.moments[2])
         count = 120
         impulse = np.eye(count)[0]
         draws = forward.simulate_deterministic_batch(
             np.column_stack([nodes, np.ones_like(nodes)]), n, spec.tau, impulse)
-        want = modal_sums(sys.rates, sys.gamma, spec.tau, count).T
-        err = np.abs(draws[:, 1:] - want).max(axis=1) / np.abs(want).max(axis=1)
+        rows = forward.unit_responses(sys.nodes, sys.n, sys.tau, count)
+        np.testing.assert_array_equal(draws[:, 1:], rows)
+        rates, gamma, _ = node_modes(nodes, n, spec.tau)
+        want = modal_sums(rates, gamma, spec.tau, count).T
+        err = np.abs(rows - want).max(axis=1) / np.abs(want).max(axis=1)
         assert err.max() <= TABLE_BOUND, err.max()
+
+
+class TestNoEigendecomposition:
+    # Modelled on test_uncertainty's test_draws_make_no_eigendecomposition:
+    # with the table pieces cached, the population system reads its nodes
+    # from the table too.
+
+    @staticmethod
+    def counted_eigh(monkeypatch):
+        calls = []
+
+        def counted(a, _real=np.linalg.eigh):
+            calls.append(a.shape)
+            return _real(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        return calls
+
+    def test_fit_and_population_output_make_none(self, rho_smooth, spec_small, monkeypatch):
+        from popdiff.optimizer import FitOptions, fit
+
+        truth = RhoParams(0.25, 1.3, 0.35, 1.9, 0.75, 1.05, 0.16, 0.03, 0.22)
+        u = np.random.default_rng(4).uniform(0.0, 1.0, 30)
+        episodes = [forward.Episode("ep", spec_small.tau, u,
+                                    forward.simulate(forward.population_system(truth, spec_small), u))]
+        options = FitOptions(max_iter=10)
+        first = fit(episodes, spec_small, rho_smooth, options)
+        calls = self.counted_eigh(monkeypatch)
+        again = fit(episodes, spec_small, rho_smooth, options)
+        forward.simulate(forward.population_system(truth, spec_small), u)
+        assert calls == []
+        assert again.cost_trace == first.cost_trace
+        assert first.n_grad_evals > 1
+
+    def test_nodes_outside_the_table_keep_their_node_modes_rows(self):
+        # Nodes above TABLE_TOP (and below Q1_FLOOR) are decomposed, each
+        # with its node_modes rows bit for bit, and the guard still names
+        # the first unresolved node.
+        n, tau, count = 8, 1 / 12, 60
+        nodes = np.array([0.5, 2e3, 1e-7, 30.0, 1e5, 1e12])
+        ones = np.ones_like(nodes)
+        ops = SimpleNamespace(moments=np.stack([ones, nodes, ones]), block_size=n + 1,
+                              ncells=len(nodes))
+        sys = build_sampled(ops, tau)
+        g, dg = forward.unit_slopes(sys.nodes, n, tau, count)
+        outside = (nodes < Q1_FLOOR) | (nodes > TABLE_TOP)
+        for row, slope, q1 in zip(g[outside], dg[outside], nodes[outside]):
+            rates, gamma, _ = node_modes(np.array([q1]), n, tau)
+            np.testing.assert_array_equal(row, modal_sums(rates, gamma, tau, count)[:, 0])
+            _, want = modal_responses(*point_mass_modes(np.array([q1]), n, tau), tau, count)
+            np.testing.assert_array_equal(slope, want[0])
+        h = forward.response(sys, count)
+        assert np.abs(h - sys.weights @ g).max() <= 1e-14 * np.abs(h).max()
+        for bad in (np.nextafter(sampled.largest_node(n), np.inf), np.inf, np.nan):
+            ops.moments[1, 3] = bad
+            with pytest.raises(ConditioningError, match="node 3 at"):
+                build_sampled(ops, tau)
 
 
 class TestNodeModes:
@@ -176,8 +242,8 @@ class TestNodeModes:
 
 
 class TestResponseTable:
-    # forward.unit_responses reads sampled.table_responses for q1 in
-    # [Q1_FLOOR, TABLE_TOP] and node_modes for the other rows.
+    # forward.unit_responses and unit_slopes read sampled.table_rows for q1 in
+    # [Q1_FLOOR, TABLE_TOP] and point_mass_modes for the other rows.
     TAU = 1 / 12
 
     @pytest.mark.parametrize("n", [4, 6, 8, 16])
@@ -192,30 +258,81 @@ class TestResponseTable:
         err = np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)
         assert err.max() <= TABLE_BOUND, err.max()
 
+    @pytest.mark.parametrize("n", [4, 6, 8, 16])
+    def test_slopes_match_point_mass_modes(self, n):
+        # The slopes dg/dq1 on the q1 of test_matches_node_modes: within
+        # TABLE_SLOPE_BOUND of each slope row's largest value.  The g that
+        # comes with them is unit_responses, bit for bit.
+        count = 120
+        q1 = 10 ** np.random.default_rng(27).uniform(-2, 2, 3000)
+        _, want = modal_responses(*point_mass_modes(q1, n, self.TAU), self.TAU, count)
+        g, dg = forward.unit_slopes(q1, n, self.TAU, count)
+        err = np.abs(dg - want).max(axis=1) / np.abs(want).max(axis=1)
+        assert err.max() <= TABLE_SLOPE_BOUND, err.max()
+        np.testing.assert_array_equal(g, forward.unit_responses(q1, n, self.TAU, count))
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 16])
+    def test_slopes_are_the_derivative_of_the_table_rows(self, n):
+        # q1 dg/dq1 against Richardson's extrapolation (4 D(h/2) - D(h)) / 3
+        # of central differences D(h) of the table's own g rows in log q1,
+        # h = 1e-3, on 500 log-uniform q1 in [1e-2, 1e2]: the fit's
+        # gradient is the gradient of the cost it minimises.  Measured at
+        # most 1.5e-10 of each row's largest value (n = 16).
+        count = 120
+        q1 = 10 ** np.random.default_rng(5).uniform(-2, 2, 500)
+        _, dg = forward.unit_slopes(q1, n, self.TAU, count)
+
+        def central(h):
+            return (forward.unit_responses(q1 * np.exp(h), n, self.TAU, count)
+                    - forward.unit_responses(q1 * np.exp(-h), n, self.TAU, count)) / (2 * h)
+
+        oracle = (4 * central(5e-4) - central(1e-3)) / 3
+        err = np.abs(q1[:, None] * dg - oracle).max(axis=1) / np.abs(oracle).max(axis=1)
+        assert err.max() <= 1e-9, err.max()
+
+    @pytest.mark.parametrize("tau", [1 / 60, 1 / 12, 1 / 4, 1.0])
+    def test_other_tau(self, tau):
+        # g and dg/dq1 at other tau against the modal form on the q1 of
+        # test_matches_node_modes, within TABLE_TAU_BOUND per n.
+        count = 120
+        q1 = 10 ** np.random.default_rng(27).uniform(-2, 2, 3000)
+        for n, bound in TABLE_TAU_BOUND.items():
+            got = forward.unit_slopes(q1, n, tau, count)
+            want = modal_responses(*point_mass_modes(q1, n, tau), tau, count)
+            for a, b in zip(got, want):
+                err = np.abs(a - b).max(axis=1) / np.abs(b).max(axis=1)
+                assert err.max() <= bound, (n, err.max())
+
     @pytest.mark.parametrize("n", [4, 8, 16])
     def test_rows_keep_their_bits_across_a_rebuild(self, monkeypatch, n):
         # The table starts empty: every piece is built at 50 steps, then
-        # rebuilt at 300.  A row is the same bits alone, in any stack and
-        # at any count, before and after the rebuild.
+        # rebuilt at 300.  A row and its slope are the same bits alone, in
+        # any stack and at any count, before and after the rebuild.
         monkeypatch.setattr(sampled, "_PIECES", {})
         rng = np.random.default_rng(n)
         q1 = np.concatenate([np.geomspace(Q1_FLOOR, TABLE_TOP, 37),  # every piece end
                              10 ** rng.uniform(-6, 3, 40)])
-        short = forward.unit_responses(q1, n, self.TAU, 50)
+        short = forward.unit_slopes(q1, n, self.TAU, 50)
         assert len(sampled._PIECES) == 18
-        assert {coefs.shape for coefs in sampled._PIECES.values()} == {(50, 29)}
-        full = forward.unit_responses(q1, n, self.TAU, 300)
-        assert {coefs.shape for coefs in sampled._PIECES.values()} == {(300, 29)}
+        assert {coefs.shape for coefs in sampled._PIECES.values()} == {(50, 2, 29)}
+        full = forward.unit_slopes(q1, n, self.TAU, 300)
+        assert {coefs.shape for coefs in sampled._PIECES.values()} == {(300, 2, 29)}
         assert not any(coefs.flags.writeable for coefs in sampled._PIECES.values())
-        np.testing.assert_array_equal(short, full[:, :50])
+        for kind in range(2):
+            np.testing.assert_array_equal(short[kind], full[kind][:, :50])
+        np.testing.assert_array_equal(forward.unit_responses(q1, n, self.TAU, 300), full[0])
         for i in range(len(q1)):
             for count in (0, 1, 49, 300):
                 np.testing.assert_array_equal(
                     forward.unit_responses(q1[i:i + 1], n, self.TAU, count)[0],
-                    full[i, :count])
+                    full[0][i, :count])
+                alone = forward.unit_slopes(q1[i:i + 1], n, self.TAU, count)
+                for kind in range(2):
+                    np.testing.assert_array_equal(alone[kind][0], full[kind][i, :count])
         for lo, hi in ((0, 5), (3, 40), (20, 77)):
-            np.testing.assert_array_equal(forward.unit_responses(q1[lo:hi], n, self.TAU, 120),
-                                          full[lo:hi, :120])
+            part = forward.unit_slopes(q1[lo:hi], n, self.TAU, 120)
+            for kind in range(2):
+                np.testing.assert_array_equal(part[kind], full[kind][lo:hi, :120])
 
     @pytest.mark.parametrize("n", [4, 8, 16])
     def test_rows_outside_are_node_modes(self, n):
@@ -390,7 +507,7 @@ class TestSensitivities:
         s = w2 / w
         ds = (dw2 - s * dw) / w
         count = 24
-        g, dg = modal_responses(sys.rates, sys.coefs, spec.tau, count)
+        g, dg = modal_responses(*point_mass_modes(sys.nodes, n, spec.tau), spec.tau, count)
         galerkin_dg = ds[:, :, None] * g + (s * sys.dnodes)[:, :, None] * dg
         reference_dg = node_derivatives_by_recursion(
             A, Bhat.reshape(sys.ncells, -1), dA, dBhat.reshape(len(ds), sys.ncells, -1), count)
@@ -405,10 +522,12 @@ class TestSensitivities:
     def test_parameters_share_each_solve_call(self, rho_smooth, spec_small,
                                               monkeypatch, n_params):
         # Every parameter moves a cell through its moments alone, so all of
-        # them share one stacked eigendecomposition of all the nodes' blocks,
-        # the one build_sampled makes, and the
-        # parameter count changes no bit of any parameter's result.
+        # them share the nodes' table rows: with the pieces cached,
+        # build_sampled and build_sensitivities decompose nothing at any
+        # parameter count, and the parameter count changes no bit of any
+        # parameter's result.
         ops, full = self.build(rho_smooth, spec_small)
+        forward.unit_slopes(full.nodes, spec_small.n, spec_small.tau, 40)
         sub = dataclasses.replace(ops, dmoments=ops.dmoments[:, :n_params])
         calls = []
 
@@ -418,9 +537,9 @@ class TestSensitivities:
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
         sys = build_sensitivities(sub, build_sampled(sub, spec_small.tau))
-        assert calls == [(sys.ncells, sys.block_size, sys.block_size)]
-        np.testing.assert_array_equal(sys.rates, full.rates)
-        np.testing.assert_array_equal(sys.coefs, full.coefs)
+        forward.unit_slopes(sys.nodes, sys.n, sys.tau, 40)
+        assert calls == []
+        np.testing.assert_array_equal(sys.nodes, full.nodes)
         np.testing.assert_array_equal(sys.dnodes, full.dnodes[:n_params])
         np.testing.assert_array_equal(sys.dweights, full.dweights[:n_params])
 
@@ -436,12 +555,10 @@ class TestSensitivities:
         assert sys.n_params == 9
 
     def test_matches_finite_differences(self, rho_smooth):
-        from popdiff.density import RhoParams
-
         spec = GridSpec(n=3, m1=2, m2=2, tau=1 / 12)
         _, sys = self.build(rho_smooth, spec)
         count = 30
-        _, dg = modal_responses(sys.rates, sys.coefs, spec.tau, count)
+        _, dg = forward.unit_slopes(sys.nodes, spec.n, spec.tau, count)
         base = rho_smooth.as_array()
 
         def node_responses(s):
@@ -507,6 +624,19 @@ class TestPointMassReference:
         q1, modal_errors = self.errors(modal)
         inner = (q1 >= 1e-2) & (q1 <= 1e2)
         for n, err in modal_errors.items():
+            assert err.max() <= MODAL_REFERENCE_BOUND[n], n
+            assert err[inner].max() <= 1e-9, n
+
+
+    def test_table_against_the_reference(self):
+        # The table's rows and slopes (forward.unit_slopes; every q1 of
+        # the file lies in [Q1_FLOOR, TABLE_TOP]) are within
+        # MODAL_REFERENCE_BOUND at every point, and within 1e-9 on q1 in
+        # [1e-2, 1e2].  Measured at n = 16: g 7.2e-8 and 1.7e-7, dg 2.2e-7
+        # and 1.4e-8 at q1 = 1e-6 and 1e-3, as the modal form.
+        q1, table_errors = self.errors(forward.unit_slopes)
+        inner = (q1 >= 1e-2) & (q1 <= 1e2)
+        for n, err in table_errors.items():
             assert err.max() <= MODAL_REFERENCE_BOUND[n], n
             assert err[inner].max() <= 1e-9, n
 

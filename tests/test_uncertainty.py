@@ -4,7 +4,7 @@ import pytest
 from conftest import pulse_input
 
 from popdiff.density import RhoParams, sample_array
-from popdiff.forward import population_system, simulate_deterministic
+from popdiff.forward import simulate_deterministic
 from popdiff.grid import GridSpec
 from popdiff.uncertainty import credible_band, sample_trajectories
 
@@ -97,11 +97,10 @@ class TestCredibleBand:
 
     def test_draws_make_no_eigendecomposition(self, rho_smooth, band_spec, band_input,
                                               monkeypatch):
-        # Once the table pieces its draws touch are cached, a band's 1000
-        # draws are read from the table: the band's one np.linalg.eigh is
-        # the population system's, of its center line's nodes.
+        # Once the table pieces its draws and its center line's nodes
+        # touch are cached, a band's 1000 draws and the population system
+        # of its center line are read from the table: no np.linalg.eigh.
         credible_band(rho_smooth, band_spec, band_input)
-        ncells = population_system(rho_smooth, band_spec).ncells
         calls = []
 
         def counted(a, _real=np.linalg.eigh):
@@ -110,7 +109,7 @@ class TestCredibleBand:
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
         credible_band(rho_smooth, band_spec, band_input)
-        assert calls == [(ncells, band_spec.n + 1, band_spec.n + 1)]
+        assert calls == []
 
     def test_validation(self, rho_smooth, band_spec, band_input):
         with pytest.raises(ValueError):
