@@ -21,9 +21,10 @@ hex digits of ``workloads.digest`` over:
 * the population response ``h`` at ``START`` for the longest episode
   (``forward.response`` of ``build_sampled``), the kernel every cost and
   every data set is convolved with;
-* ``build_sensitivities`` at ``START`` (``dnodes`` and ``dweights``, and
-  the nodes' slopes dg/dq1 from ``forward.unit_slopes`` for the longest
-  episode), so a change in the sensitivity layer is named directly;
+* ``build_sensitivities`` at ``START`` (``dnodes`` and ``dweights`` of
+  the rule it returns, and the nodes' slope rows dg/dq1 from
+  ``sampled.unit_slopes`` for the longest episode), so a change in the
+  sensitivity layer is named directly;
 * ``unit_responses`` at ``optimizer.Q1_GRID`` for the longest fit
   episode, the single-q responses whose profile seeds every
   ``initialize`` search;
@@ -67,9 +68,10 @@ import popdiff  # noqa: E402
 import workloads  # noqa: E402
 from popdiff.density import sample_array  # noqa: E402
 from popdiff.forward import (response, simulate_deterministic_batch,  # noqa: E402
-                             unit_responses, unit_slopes)
+                             unit_responses)
 from popdiff.objective import evaluate, input_gram  # noqa: E402
 from popdiff.optimizer import Q1_GRID  # noqa: E402
+from popdiff.sampled import unit_slopes  # noqa: E402
 
 BAND_SEED = 1
 SINGLE_Q_DRAWS = 200
@@ -108,7 +110,7 @@ def report(w) -> list[tuple[str, str, list]]:
     line("response@START", response(sys, longest))
     sens = popdiff.build_sensitivities(ops, sys)
     line("build_sensitivities@START", sens.dnodes, sens.dweights,
-         unit_slopes(sens.nodes, spec.n, spec.tau, longest)[1])
+         unit_slopes(sens.nodes, spec.n, spec.tau, longest))
     line("unit_responses@Q1_GRID", unit_responses(Q1_GRID, spec.n, spec.tau, longest))
     line("initialize", popdiff.initialize(episodes, spec).as_array())
     at = workloads.RHO if w.band_at_truth else result.rho_hat

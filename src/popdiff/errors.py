@@ -20,7 +20,8 @@ class DegenerateDensityError(PopdiffError):
 
 
 class SingularOperatorError(PopdiffError):
-    """A mass or generator matrix could not be factorized."""
+    """A density cell has no mass, so its node w1/w is undefined
+    (``sampled.build_sampled`` names the first such cell)."""
 
 
 class ConditioningError(PopdiffError):

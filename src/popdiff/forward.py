@@ -1,31 +1,26 @@
 """Forward simulation: the population system and the single-q model.
 
 Both are linear and time-invariant from a zero state: the output is the
-input convolved with an impulse response.  The population system has one
-node per density cell, the point mass at nu_c = w1_c / w_c read at state
-0 with the weight omega_c = w2_c (``sampled.build_sampled``).  Its
-response is the quadrature rule h = sum_c omega_c g_c of single-q
-responses g_c at q2 = 1, one dot of fixed length over the nodes per
-step, so that entry k does not depend on the count asked for.  The cell
-moments come at the quadrature orders fixed in ``assembly``.
+input convolved with an impulse response.  The population system is the
+rule of ``sampled.build_sampled``: one node per density cell, the point
+mass at nu_c = w1_c / w_c read at state 0 with the weight
+omega_c = w2_c.  Its response is the ``quadrature`` h = sum_c omega_c g_c
+of single-q responses g_c at q2 = 1, one dot of fixed length over the
+nodes per step, so that entry k does not depend on the count asked for.
+The cell moments come at the quadrature orders fixed in ``assembly``.
 ``simulate`` convolves one input sequence; a caller with several
 episodes forms ``response`` once and passes it to each call.  The
 single-q model is the same kernel with one point mass per draw.
 
-Every response comes from one place: ``unit_responses`` reads each row
-with q1 in [Q1_FLOOR, TABLE_TOP] from the response table of ``sampled``
-(``table_rows``, Chebyshev pieces in log q1 built from
-``point_mass_modes``), so neither a band's draws nor a fit's nodes make
-an eigendecomposition, and forms any other row from ``point_mass_modes``
-and ``modal_responses``.  Its slope twin ``unit_slopes`` returns the
-same rows with their derivatives dg/dq1, which the objective's
-linearization reads.  A row is the same bits in any stack and at any
-longer count.  ``simulate_deterministic_batch`` serves a block of draws
-with one stack, and ``simulate_deterministic`` is its one-draw case; a
-caller whose draws each have their own input forms their responses in
-one stack (``unit_responses``) and passes each row to
-``simulate_deterministic``.  A Monte Carlo mean over draws converges to
-the population output.
+Every response comes from one place, ``sampled.unit_responses``, which
+reads each row from the response table where it can, so neither a
+band's draws nor a fit's nodes make an eigendecomposition.  A row is the
+same bits in any stack and at any longer count.
+``simulate_deterministic_batch`` serves a block of draws with one stack,
+and ``simulate_deterministic`` is its one-draw case; a caller whose
+draws each have their own input forms their responses in one stack
+(``unit_responses``) and passes each row to ``simulate_deterministic``.
+A Monte Carlo mean over draws converges to the population output.
 """
 
 from __future__ import annotations
@@ -37,9 +32,8 @@ import numpy as np
 from .assembly import assemble
 from .density import RhoParams, _as_point, sample_array
 from .errors import SimulationDivergenceError
-from .grid import Q1_FLOOR, GridSpec
-from .sampled import (TABLE_TOP, SampledSystem, build_sampled, check_nodes, modal_responses,
-                      point_mass_modes, table_rows)
+from .grid import GridSpec
+from .sampled import SampledSystem, build_sampled, unit_responses
 
 # Draws per block of simulate_deterministic_batch.  Table rows form no
 # (mu, draws, n+1) powers; only draws outside the table do.  1000 draws
@@ -99,12 +93,17 @@ def convolve(g: np.ndarray, u: np.ndarray) -> np.ndarray:
     return y
 
 
+def quadrature(weights: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """(count,) sums h[k] = sum_c weights_c g_c[k] of the (C, count) node
+    rows ``g``: one dot of fixed length C per k, so that h[k] does not
+    depend on ``count``."""
+    return np.vecdot(np.ascontiguousarray(g.T), weights)
+
+
 def response(sys: SampledSystem, count: int) -> np.ndarray:
-    """Population response h[k] = sum_c omega_c g_c[k] for k < count, from
-    the nodes' ``unit_responses``: one dot of fixed length ncells per k,
-    so that h[k] does not depend on ``count``."""
-    g = unit_responses(sys.nodes, sys.n, sys.tau, count)
-    return np.vecdot(np.ascontiguousarray(g.T), sys.weights)
+    """Population response h[k] = sum_c omega_c g_c[k] for k < count: the
+    ``quadrature`` of the nodes' ``unit_responses``."""
+    return quadrature(sys.weights, unit_responses(sys.nodes, sys.n, sys.tau, count))
 
 
 def _leading(g: np.ndarray, u: np.ndarray, name: str) -> np.ndarray:
@@ -129,41 +128,6 @@ def simulate(sys: SampledSystem, u: np.ndarray, h: np.ndarray | None = None):
     if not np.all(np.isfinite(y)):
         raise SimulationDivergenceError("output is not finite")
     return y
-
-
-def _node_rows(q1: np.ndarray, n: int, tau: float, count: int, slopes: bool) -> np.ndarray:
-    """(1, len(q1), count) rows g of ``unit_responses``; with ``slopes``,
-    (2, len(q1), count), their derivatives dg/dq1 below them."""
-    q1 = np.asarray(q1, dtype=float)
-    check_nodes(q1, n, tau)
-    inside = (q1 >= Q1_FLOOR) & (q1 <= TABLE_TOP)
-    if inside.all():
-        return table_rows(q1, n, tau, count, slopes)
-    out = np.empty((2 if slopes else 1, len(q1), count))
-    out[:, inside] = table_rows(q1[inside], n, tau, count, slopes)
-    modal = modal_responses(*point_mass_modes(q1[~inside], n, tau), tau, count)
-    out[:, ~inside] = modal[:len(out)]
-    return out
-
-
-def unit_responses(q1: np.ndarray, n: int, tau: float, count: int) -> np.ndarray:
-    """(len(q1), count) impulse responses at q2 = 1 of the point masses at
-    the diffusivities ``q1``.  Rows in [Q1_FLOOR, TABLE_TOP] are read from
-    the response table (``sampled.table_rows``); the others come from one
-    stacked ``point_mass_modes`` and ``modal_responses``.
-    ConditioningError names the first row that is not finite or beyond
-    the ``NODE_ROUNDING`` bound.  A row is the same bits in any stack and
-    at any longer count."""
-    return _node_rows(q1, n, tau, count, slopes=False)[0]
-
-
-def unit_slopes(q1: np.ndarray, n: int, tau: float, count: int):
-    """(g, dg), each (len(q1), count): the ``unit_responses`` of the point
-    masses at ``q1``, bit for bit, and their derivatives dg/dq1, from the
-    same table pieces or the same ``point_mass_modes``.  A row of either
-    is the same bits in any stack and at any longer count."""
-    g, dg = _node_rows(q1, n, tau, count, slopes=True)
-    return g, dg
 
 
 def simulate_deterministic(q, n: int, tau: float, u: np.ndarray,

@@ -4,13 +4,14 @@ The cost is the plain sum of squared residuals between the population
 output and the observations, every sample weighted equally and no
 regularization term (``optimizer.fit`` adds its pull).  An episode's
 output is its input convolved with the population response
-h = sum_c omega_c g_c of the node responses g_c, the point masses at the
-nodes read from the response table (``sampled.build_sampled``,
-``forward.response``).  The parameters reach h only through the nodes
-and weights, so dh/drho = dweights @ g + (dnodes * omega) @ dg/dnu, with
-g_c and dg_c/dnu read for the count at hand from the same table pieces
-(``sampled.build_sensitivities`` and ``forward.unit_slopes``): the slope
-rows are interpolated from the modal derivative, and agree with central
+h = sum_c omega_c g_c over the rule of ``sampled.build_sampled``: the
+node responses g_c are the point masses at the nodes, read from the
+response table (``sampled.unit_responses``).  The parameters reach h
+only through the nodes and weights, so dh/drho = dweights @ g +
+(dnodes * omega) @ dg/dnu, with the rule's derivatives from
+``sampled.build_sensitivities`` and the slopes dg_c/dnu from the same
+table pieces as g (``sampled.unit_slopes``): the slope rows are
+interpolated from the modal derivative, and agree with central
 differences of the table's own g rows, so the gradient is that of the
 cost being minimised.
 
@@ -28,17 +29,19 @@ finite-difference twin serves as the permanent cross-check oracle.
 
 ``evaluate`` is the one evaluation: it applies the density veto,
 assembles and samples the system once (at the quadrature orders fixed in
-``assembly``), forms the population response once, for the longest
-episode, and convolves each episode's input with it, one ``simulate``
-call per episode.  Its ``normal_equations`` and ``gradient`` reuse
-them: they assemble only the derivative tensors (``with_grad`` changes
-no bit of the operators) and add the sensitivities to the same sampled
-system, whose nodes' rows and slopes come from the table pieces
-``evaluate`` read.  With those pieces cached, neither makes an
-eigendecomposition.  An episode's output and cost do not depend, bit for
-bit, on the episodes evaluated with it.  ``cost``, ``gradient_adjoint``
-and ``gradient_fd`` call it; ``optimizer.fit`` calls it directly and
-asks for the normal equations only at accepted points.
+``assembly``), reads the nodes' rows g and forms the population response
+once, for the longest episode, and convolves each episode's input with
+it, one ``simulate`` call per episode.  Its ``normal_equations`` and
+``gradient`` reuse them: they assemble only the derivative tensors
+(``with_grad`` changes no bit of the operators), take the rule with its
+sensitivities that ``build_sensitivities`` returns, and read only the
+nodes' slope rows, from the table pieces ``evaluate`` read; the
+evaluated rule itself never changes.  With those pieces cached, neither
+makes an eigendecomposition.  An episode's output and cost do not
+depend, bit for bit, on the episodes evaluated with it.  ``cost``,
+``gradient_adjoint`` and ``gradient_fd`` call it; ``optimizer.fit``
+calls it directly and asks for the normal equations only at accepted
+points.
 """
 
 from __future__ import annotations
@@ -51,9 +54,10 @@ import numpy as np
 from .assembly import assemble
 from .density import RhoParams, gamma_floor
 from .errors import PopdiffError, SimulationDivergenceError
-from .forward import Episode, response, simulate, unit_slopes
+from .forward import Episode, quadrature, simulate
 from .grid import GridSpec
-from .sampled import SampledSystem, build_sampled, build_sensitivities
+from .sampled import (SampledSystem, build_sampled, build_sensitivities, unit_responses,
+                      unit_slopes)
 
 
 @dataclass
@@ -130,7 +134,8 @@ def evaluate(rho: RhoParams, spec: GridSpec, episodes: list[Episode]) -> Evaluat
     ops = assemble(spec, rho, gamma_floor=gamma_floor(rho.box))
     sys = build_sampled(ops, spec.tau)
     count = max(ep.steps for ep in episodes)
-    h = response(sys, count)
+    g = unit_responses(sys.nodes, sys.n, sys.tau, count)
+    h = quadrature(sys.weights, g)
     resid = []
     for ep in episodes:
         try:
@@ -148,8 +153,7 @@ def evaluate(rho: RhoParams, spec: GridSpec, episodes: list[Episode]) -> Evaluat
 
     def linearize() -> tuple[np.ndarray, np.ndarray]:
         ops = assemble(spec, rho, with_grad=True)
-        build_sensitivities(ops, sys)
-        dh = _response_derivative(sys, count)
+        dh = _response_derivative(build_sensitivities(ops, sys), g)
         xcorr = _input_xcorr([ep.u for ep in episodes], resid, count)
         if not (np.all(np.isfinite(dh)) and np.all(np.isfinite(xcorr))):
             raise PopdiffError("linearization is not finite")
@@ -163,10 +167,11 @@ def cost(rho: RhoParams, spec: GridSpec, episodes: list[Episode]) -> float:
     return evaluate(rho, spec, episodes).cost
 
 
-def _response_derivative(sys: SampledSystem, count: int) -> np.ndarray:
+def _response_derivative(sys: SampledSystem, g: np.ndarray) -> np.ndarray:
     """(P, count) derivative dh = dweights @ g + (dnodes * omega) @ dg/dnu
-    of the population response, from the nodes' ``unit_slopes``."""
-    g, dg = unit_slopes(sys.nodes, sys.n, sys.tau, count)
+    of the population response, from the nodes' (C, count)
+    ``unit_responses`` ``g`` and their ``unit_slopes``."""
+    dg = unit_slopes(sys.nodes, sys.n, sys.tau, g.shape[1])
     return sys.dweights @ g + (sys.dnodes * sys.weights) @ dg
 
 
@@ -192,9 +197,9 @@ def episode_cost_and_gradient(sys: SampledSystem, u: np.ndarray, y_obs: np.ndarr
     if sys.dnodes is None:
         raise ValueError("system has no sensitivities")
     u = np.asarray(u, dtype=float)
-    r = simulate(sys, u) - np.asarray(y_obs, dtype=float)
-    return float(r @ r), 2.0 * (_response_derivative(sys, len(u))
-                                @ _input_xcorr([u], [r], len(u)))
+    g = unit_responses(sys.nodes, sys.n, sys.tau, len(u))
+    r = simulate(sys, u, quadrature(sys.weights, g)) - np.asarray(y_obs, dtype=float)
+    return float(r @ r), 2.0 * (_response_derivative(sys, g) @ _input_xcorr([u], [r], len(u)))
 
 
 def gradient_adjoint(rho: RhoParams, spec: GridSpec, episodes: list[Episode]) -> CostReport:

@@ -1,4 +1,4 @@
-"""Sampled-time system: a point-mass kernel at quadrature nodes.
+"""Sampled-time system: a quadrature rule over one point-mass kernel.
 
 Cell c's Galerkin blocks are M_c = w_c M_eta, K_c = w_c e0 e0^T +
 w1_c K_eta, B_c = w2_c e_n and C_c = w_c e_0, so the cell is exactly the
@@ -6,6 +6,10 @@ single-q system at the node nu_c = w1_c / w_c, read with the weight
 omega_c = w2_c: the population output is the quadrature rule
 y = sum_c omega_c g(nu_c), where g(q1) is state 0 of the point mass
 M_eta x' = -(e0 e0^T + q1 K_eta) x + e_n u at q1, with unit input gain.
+``SampledSystem`` is that rule and nothing more: the depth n, the step
+tau, the nodes and the weights, and, once ``build_sensitivities`` has
+returned it, their parameter derivatives.  It is frozen; its nodes'
+responses are read from the kernel where they are needed.
 
 Modal form.  With M_eta = R^T R, the state y = R x of the point mass at
 q1 obeys y' = -S y + r u, read out as l . y, with the symmetric positive
@@ -32,42 +36,42 @@ eigenvalues:
 ``node_modes`` makes one stacked eigendecomposition of the given q1 and
 keeps the rates w, the row gamma and the projections l.V, r.V and D~V;
 ``derivative_rows`` forms delta and eps from those projections, with no
-second decomposition (``point_mass_modes`` returns both).
-``decay_powers`` forms the factors e^{-w tau k} by doubling,
-``modal_sums`` g and ``modal_responses`` g and dg/dnu for any count,
-each entry one dot of fixed length: no matrix exponential, no solve.  As
-q1 grows, a column mixes at once and its response tends to the
-well-mixed one, (1 - e^{-tau}) e^{-tau k}, until rounding in S(q1)
-itself leaves the slowest rate unresolved; ``node_modes`` raises
-ConditioningError from there (``NODE_ROUNDING``).
+second decomposition.  ``modal_responses``, the kernel's one entry,
+calls both, forms the factors e^{-w tau k} by doubling and returns g and
+dg/dnu for any count, each entry one dot of fixed length: no matrix
+exponential, no solve.  As q1 grows, a column mixes at once and its
+response tends to the well-mixed one, (1 - e^{-tau}) e^{-tau k}, until
+rounding in S(q1) itself leaves the slowest rate unresolved;
+``node_modes`` raises ConditioningError from there (``NODE_ROUNDING``).
 
 Response table.  Every response the package forms, a single-q draw's or
 a population node's, reads g(q1) for q1 in [Q1_FLOOR, TABLE_TOP] from a
 cache of this kernel instead of decomposing S(q1) per call:
 ``table_rows`` evaluates a piecewise Chebyshev interpolant in log10 q1
 of g and of the log-derivative q1 dg/dq1, each piece built on first use
-from one ``point_mass_modes`` at its Chebyshev points (``table_piece``).
+from one ``modal_responses`` at its Chebyshev points (``table_piece``).
 The slope is interpolated from the modal dg/dq1, not differentiated from
 the interpolant of g: at n = 16, on 1000 log-uniform q1 in [1e-6, 1e-2],
 that derivative was off by 4.7e-3 of the slope's largest value, the
 tabled slope by 3.9e-6, the modal form's own noise there.  Every sum
 of both steps is one dot of fixed length, so a row is the same bits in
-any stack and at any longer count.  ``build_sampled`` and
+any stack and at any longer count.  ``unit_responses`` and
+``unit_slopes`` serve any q1: rows inside the table's range from the
+table, the others from ``modal_responses``.  ``build_sampled`` and
 ``build_sensitivities`` decompose nothing: the population response and
-its derivative read their nodes' rows where they need them
-(``forward.unit_responses`` and ``forward.unit_slopes``), and a node
-outside the table's range from ``point_mass_modes``.
+its derivative read their nodes' rows where they need them.
 
 Sensitivities: every parameter reaches the output only through the
-nodes and weights, so the system stores the (P, ncells) Jacobians
-dnu/drho and domega/drho; the nodes' slopes dg/dnu come with their rows.
+nodes and weights, so ``build_sensitivities`` returns the rule with the
+(P, C) Jacobians dnu/drho and domega/drho; the nodes' slopes dg/dnu are
+read with ``unit_slopes``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -76,37 +80,20 @@ from .errors import ConditioningError, SingularOperatorError
 from .grid import Q1_FLOOR, eta_mass_matrix
 
 
-@dataclass
+@dataclass(frozen=True)
 class SampledSystem:
-    """Point-mass nodes with readout weights; the nodes' responses are
-    read from the kernel at ``nodes`` (``forward.unit_responses``)."""
+    """The population system as a quadrature rule: point masses of depth
+    intervals n at the ``nodes``, read with the ``weights``, and their
+    (P, len(nodes)) parameter derivatives once ``build_sensitivities`` has
+    added them.  A node's responses are read from the kernel where they
+    are needed (``unit_responses``, ``unit_slopes``)."""
 
-    block_size: int
-    ncells: int
+    n: int
     tau: float
-    nodes: np.ndarray           # (ncells,) diffusivity nu_c of each node
-    weights: np.ndarray         # (ncells,) readout weight omega_c of each node
-    dnodes: np.ndarray | None = None     # (P, ncells)
-    dweights: np.ndarray | None = None   # (P, ncells)
-
-    @property
-    def n(self) -> int:
-        """Depth intervals of each node's point mass."""
-        return self.block_size - 1
-
-    @property
-    def dim(self) -> int:
-        return self.block_size * self.ncells
-
-    @property
-    def n_params(self) -> int:
-        return 0 if self.dnodes is None else self.dnodes.shape[0]
-
-    def spectral_radius(self) -> float:
-        """The largest decay factor e^{-w tau} of any node's modes, from
-        ``node_modes`` at the nodes."""
-        rates, _, _ = node_modes(self.nodes, self.n, self.tau)
-        return float(np.exp(-self.tau * rates.min()))
+    nodes: np.ndarray           # (C,) diffusivity nu_c of each node
+    weights: np.ndarray         # (C,) readout weight omega_c of each node
+    dnodes: np.ndarray | None = None     # (P, C)
+    dweights: np.ndarray | None = None   # (P, C)
 
 
 @functools.cache
@@ -232,57 +219,36 @@ def derivative_rows(rates: np.ndarray, projections, tau: float):
     return diag * slope + split * phi, diag * phi
 
 
-def point_mass_modes(nodes: np.ndarray, n: int, tau: float):
-    """(rates, coefs) of the point masses at q1 = ``nodes``: the
-    (len(nodes), b) rates of ``node_modes`` and the (len(nodes), 3, b)
-    rows (gamma, delta, eps) from which ``modal_responses`` forms g_k
-    and dg_k/dq1."""
-    rates, gamma, projections = node_modes(nodes, n, tau)
-    return rates, np.stack([gamma, *derivative_rows(rates, projections, tau)], axis=-2)
+def modal_responses(q1: np.ndarray, n: int, tau: float, count: int):
+    """(g, dg), each (len(q1), count): g_k = gamma . e^{-w tau k} and
+    dg_k/dq1 = (delta - tau k eps) . e^{-w tau k}, k < count, of the point
+    masses at ``q1``, from ``node_modes`` and ``derivative_rows``.
 
-
-def decay_powers(z: np.ndarray, count: int) -> np.ndarray:
-    """(count, ...) powers z^k, k < count, of the decay factors ``z``.
-
-    Doubling, elementwise: z^{m+i} = z^i z^m for i < m, with z^m squared
-    from z, so that entry k is the same product at every count."""
-    out = np.empty((count,) + z.shape)
-    out[:1] = 1.0
-    power, m = z, 1
-    with np.errstate(over="ignore"):  # a hand-built growing mode
-        while m < count:
-            end = min(2 * m, count)
-            np.multiply(out[:end - m], power, out=out[m:end])
-            m *= 2
-            if m < count:
-                power = power * power
-    return out
-
-
-def modal_sums(rates: np.ndarray, coef: np.ndarray, tau: float, count: int) -> np.ndarray:
-    """(count, ...) sums sum_i coef_i e^{-w_i tau k} over the last axis of
-    the ``rates`` w and ``coef``, for k < count: the powers by
-    ``decay_powers`` and one dot of fixed length per k and row, so that
+    The powers e^{-w tau k} come by doubling, elementwise, z^{m+i} =
+    z^i z^m for i < m with z^m squared from z, and each entry is one dot
+    of fixed length against the three rows (gamma, delta, eps), so that
     entry k of a row does not depend on ``count`` or on the other rows."""
-    return np.vecdot(decay_powers(np.exp(-tau * rates), count), coef)
-
-
-def modal_responses(rates: np.ndarray, coefs: np.ndarray, tau: float, count: int):
-    """(g, dg), each (..., count): g_k = gamma . e^{-w tau k} and
-    dg_k/dq1 = (delta - tau k eps) . e^{-w tau k} for k < count, from the
-    rates and rows of ``point_mass_modes``: one ``modal_sums`` of the
-    three rows, so that entry k does not depend on ``count`` and g is the
-    bits of ``modal_sums`` of gamma alone."""
-    rows = modal_sums(rates[..., None, :], coefs, tau, count)
-    steps = np.arange(count).reshape((count,) + (1,) * (rates.ndim - 1))
-    return (np.moveaxis(rows[..., 0], 0, -1),
-            np.moveaxis(rows[..., 1] - tau * steps * rows[..., 2], 0, -1))
+    rates, gamma, projections = node_modes(q1, n, tau)
+    coefs = np.stack([gamma, *derivative_rows(rates, projections, tau)], axis=-2)
+    z = np.exp(-tau * rates[:, None, :])
+    powers = np.empty((count,) + z.shape)
+    powers[:1] = 1.0
+    power, m = z, 1
+    while m < count:
+        end = min(2 * m, count)
+        np.multiply(powers[:end - m], power, out=powers[m:end])
+        m *= 2
+        if m < count:
+            power = power * power
+    rows = np.vecdot(powers, coefs)
+    steps = np.arange(count)[:, None]
+    return rows[..., 0].T, (rows[..., 1] - tau * steps * rows[..., 2]).T
 
 
 # The draws and the nodes read g(q1) and q1 dg/dq1 from piecewise
 # Chebyshev interpolants in log10 q1 on [Q1_FLOOR, TABLE_TOP]:
 # PIECES_PER_DECADE pieces per decade, each the interpolant of degree
-# TABLE_DEGREE through ``point_mass_modes`` at its Chebyshev extreme points
+# TABLE_DEGREE through ``modal_responses`` at its Chebyshev extreme points
 # (Trefethen, Approximation Theory and Approximation Practice, SIAM 2013).
 # At 120 steps of tau = 1/12 it is within 5.1e-13 (g) and 5.2e-12
 # (dg/dq1) of the modal form on q1 in [1e-2, 1e2] at n = 4 to 16,
@@ -321,16 +287,16 @@ def table_piece(n: int, tau: float, piece: int, count: int) -> np.ndarray:
     log10 Q1_FLOOR + (piece + (x + 1) / 2) / PIECES_PER_DECADE.
 
     Built on first use, and built again when a larger count is asked for,
-    from one ``point_mass_modes`` and one ``modal_responses`` at the
-    piece's Chebyshev points: the log-derivative is interpolated from the
-    modal dg/dq1, not differentiated from the interpolant of g.
+    from one ``modal_responses`` at the piece's Chebyshev points: the
+    log-derivative is interpolated from the modal dg/dq1, not
+    differentiated from the interpolant of g.
     Coefficient m of either row is one dot of fixed length with its
     values, so it is the same bits at every count.
     """
     coefs = _PIECES.get((n, tau, piece))
     if coefs is None or coefs.shape[0] < count:
         q1 = 10.0 ** (_LOG_FLOOR + (piece + (_CHEBYSHEV + 1) / 2) / PIECES_PER_DECADE)
-        g, dg = modal_responses(*point_mass_modes(q1, n, tau), tau, count)
+        g, dg = modal_responses(q1, n, tau, count)
         values = np.stack([g.T, (q1[:, None] * dg).T])
         # a (count, 2, 29) view of one (2, count, 29) block, so that the
         # draws, which read g alone, read it from contiguous rows
@@ -346,28 +312,57 @@ def chebyshev_basis(x: np.ndarray) -> np.ndarray:
     return np.cos(np.arccos(x)[:, None] * np.arange(TABLE_DEGREE + 1))
 
 
-def table_rows(q1: np.ndarray, n: int, tau: float, count: int, slopes: bool) -> np.ndarray:
-    """(1, len(q1), count) unit responses g_k(q1), k < count, of the point
-    masses at ``q1``, each in [Q1_FLOOR, TABLE_TOP], read from the table;
-    with ``slopes``, (2, len(q1), count), their derivatives dg_k/dq1
-    below them.  T_m at each row's x, then one dot of fixed length
-    TABLE_DEGREE + 1 per row, kind and k against the coefficients of the
-    row's piece: a row is the same bits in any stack and at any longer
-    count."""
+def table_rows(q1: np.ndarray, n: int, tau: float, count: int, kind: int) -> np.ndarray:
+    """(len(q1), count) rows of the point masses at ``q1``, each in
+    [Q1_FLOOR, TABLE_TOP], read from the table: the unit responses
+    g_k(q1), k < count, for ``kind`` 0, and their derivatives dg_k/dq1
+    for ``kind`` 1.  T_m at each row's x, then one dot of fixed length
+    TABLE_DEGREE + 1 per row and k against the coefficients of the row's
+    piece: a row is the same bits in any stack and at any longer count."""
     t = np.minimum(np.maximum((np.log10(q1) - _LOG_FLOOR) * PIECES_PER_DECADE, 0),
                    _TABLE_PIECES)
     piece = np.minimum(t.astype(int), _TABLE_PIECES - 1)
     basis = chebyshev_basis(2 * (t - piece) - 1)[:, None, :]
-    kinds = 2 if slopes else 1
-    out = np.empty((kinds, len(q1), count))
+    out = np.empty((len(q1), count))
     for p in set(piece.tolist()):
         rows = piece == p
-        row_basis, coefs = basis[rows], table_piece(n, tau, p, count)
-        for kind in range(kinds):
-            out[kind, rows] = np.vecdot(row_basis, coefs[:count, kind])
-    if slopes:
-        out[1] /= q1[:, None]
+        out[rows] = np.vecdot(basis[rows], table_piece(n, tau, p, count)[:count, kind])
+    if kind:
+        out /= q1[:, None]
     return out
+
+
+def _kernel_rows(q1: np.ndarray, n: int, tau: float, count: int, kind: int) -> np.ndarray:
+    """(len(q1), count) rows of ``unit_responses`` (``kind`` 0) or of
+    ``unit_slopes`` (``kind`` 1): ``table_rows`` inside [Q1_FLOOR,
+    TABLE_TOP], ``modal_responses`` outside."""
+    q1 = np.asarray(q1, dtype=float)
+    check_nodes(q1, n, tau)
+    inside = (q1 >= Q1_FLOOR) & (q1 <= TABLE_TOP)
+    if inside.all():
+        return table_rows(q1, n, tau, count, kind)
+    out = np.empty((len(q1), count))
+    out[inside] = table_rows(q1[inside], n, tau, count, kind)
+    out[~inside] = modal_responses(q1[~inside], n, tau, count)[kind]
+    return out
+
+
+def unit_responses(q1: np.ndarray, n: int, tau: float, count: int) -> np.ndarray:
+    """(len(q1), count) impulse responses at q2 = 1 of the point masses at
+    the diffusivities ``q1``.  Rows in [Q1_FLOOR, TABLE_TOP] are read from
+    the response table (``table_rows``); the others come from one stacked
+    ``modal_responses``.  ConditioningError names the first row that is
+    not finite or beyond the ``NODE_ROUNDING`` bound.  A row is the same
+    bits in any stack and at any longer count."""
+    return _kernel_rows(q1, n, tau, count, 0)
+
+
+def unit_slopes(q1: np.ndarray, n: int, tau: float, count: int) -> np.ndarray:
+    """(len(q1), count) derivatives dg/dq1 of the ``unit_responses`` of the
+    point masses at ``q1``, from the same table pieces or the same
+    ``modal_responses``.  A row is the same bits in any stack and at any
+    longer count."""
+    return _kernel_rows(q1, n, tau, count, 1)
 
 
 def build_sampled(ops: AssembledOperators, tau: float) -> SampledSystem:
@@ -375,32 +370,28 @@ def build_sampled(ops: AssembledOperators, tau: float) -> SampledSystem:
     tau > 0.
 
     Node c sits at q1 = nu_c = w1_c / w_c and is read with the weight
-    omega_c = w2_c.  The nodes are checked here (``check_nodes``), so a
-    ConditioningError names the first unresolved node; their responses
-    are read where they are needed, from the response table inside
-    [Q1_FLOOR, TABLE_TOP].
+    omega_c = w2_c.  SingularOperatorError names the first cell with no
+    mass, whose node is undefined; the nodes are checked here
+    (``check_nodes``), so a ConditioningError names the first unresolved
+    node.
     """
     w, w1, w2 = ops.moments
-    if not np.all(w > 0):
+    has_mass = w > 0  # false for nan
+    if not has_mass.all():
+        c = int(np.argmin(has_mass))
         raise SingularOperatorError(
-            f"a cell has no mass (smallest cell weight {w.min():.3e}); "
-            "its mass block is singular"
-        )
-    nodes = w1 / w
-    check_nodes(nodes, ops.block_size - 1, tau)
-    return SampledSystem(block_size=ops.block_size, ncells=ops.ncells, tau=tau,
-                         nodes=nodes, weights=w2)
+            f"cell {c} has no mass (w = {w[c]:.3e}), so its node w1/w is undefined")
+    n, nodes = ops.block_size - 1, w1 / w
+    check_nodes(nodes, n, tau)
+    return SampledSystem(n=n, tau=tau, nodes=nodes, weights=w2)
 
 
 def build_sensitivities(ops: AssembledOperators, sys: SampledSystem) -> SampledSystem:
-    """Fill the node and weight sensitivities of ``sys``: per parameter,
-    dnodes = (dw1 - nu dw) / w and dweights = dw2, from the moment
-    derivatives.  The nodes' slopes dg/dq1 are read with their responses
-    (``forward.unit_slopes``)."""
+    """A new rule: ``sys`` with its node and weight sensitivities, per
+    parameter dnodes = (dw1 - nu dw) / w and dweights = dw2, from the
+    moment derivatives.  ``sys`` is left as it is."""
     if ops.dmoments is None:
         raise ValueError("operators were assembled without gradients")
     w = ops.moments[0]
     dw, dw1, dw2 = ops.dmoments
-    sys.dnodes = (dw1 - sys.nodes * dw) / w
-    sys.dweights = dw2
-    return sys
+    return replace(sys, dnodes=(dw1 - sys.nodes * dw) / w, dweights=dw2)

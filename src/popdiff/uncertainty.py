@@ -2,13 +2,13 @@
 
 Bands are pointwise empirical quantiles over single-q trajectories
 simulated at parameter draws from the fitted distribution.  The
-trajectories come from the single-q model itself, not from the
-tensor-basis population state read pointwise in q, which would read a
-mean-square-integrable state at a point.
+trajectories come from the single-q model itself: the population system
+is a quadrature rule over the cells' nodes, which gives the mean output
+(the band's center line), not the trajectory at any one q.
 All draws go through ``forward.simulate_deterministic_batch``, the one
-single-q solver: each draw's response is read from the response table of
-``sampled``, which the center line's population nodes read too, so once
-its pieces are built a band makes no eigendecomposition.
+single-q solver: each draw's response is read by
+``sampled.unit_responses``, as the center line's population nodes are,
+so once the table pieces are built a band makes no eigendecomposition.
 """
 
 from __future__ import annotations

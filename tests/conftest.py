@@ -10,6 +10,7 @@ import scipy.linalg
 
 from popdiff.density import RhoParams
 from popdiff.grid import GridSpec, QBox, eta_mass_matrix, eta_stiffness_matrix
+from popdiff.sampled import node_modes
 
 
 def random_rho(rng: np.random.Generator) -> RhoParams:
@@ -229,7 +230,7 @@ MODAL_REFERENCE_BOUND = {4: 1e-11, 8: 1e-9, 16: 1e-6}
 # 1/12).  Below 1e-2 at n = 16 the gap follows node_modes' own error
 # (MODAL_REFERENCE_BOUND), not the interpolation's.
 TABLE_BOUND = 2e-12
-# The table's slopes dg/dq1 against ``point_mass_modes``' on the same q1,
+# The table's slopes dg/dq1 against ``modal_responses``' on the same q1,
 # relative to each slope row's largest value: at most 3.0e-13, 6.4e-13,
 # 1.5e-12 and 5.2e-12 at n = 4, 6, 8 and 16.
 TABLE_SLOPE_BOUND = 2e-11
@@ -326,7 +327,14 @@ def tangent_responses(nodes, n, tau, count):
 def point_mass_blocks(sys):
     """(Ahat, bhat) stacks of the point masses at the system's nodes
     (``point_mass_hold``)."""
-    return point_mass_hold(sys.nodes, sys.block_size - 1, sys.tau)
+    return point_mass_hold(sys.nodes, sys.n, sys.tau)
+
+
+def spectral_radius(sys):
+    """The largest decay factor e^{-w tau} of any mode of the system's
+    nodes, from ``sampled.node_modes`` at the nodes."""
+    rates, _, _ = node_modes(sys.nodes, sys.n, sys.tau)
+    return float(np.exp(-sys.tau * rates.min()))
 
 
 def loop_simulate(sys, u):
@@ -335,7 +343,7 @@ def loop_simulate(sys, u):
     read at state 0 with the weights; equal to ``forward.simulate`` to
     rounding.  Returns the outputs and the (mu+1, ncells, b) states."""
     ahat, bhat = point_mass_blocks(sys)
-    x = np.zeros((sys.ncells, sys.block_size))
+    x = np.zeros((len(sys.nodes), sys.n + 1))
     states = [x]
     for uj in u:
         x = np.einsum("cij,cj->ci", ahat, x) + bhat * uj
@@ -352,7 +360,7 @@ def loop_cost_and_gradient(sys, u, y_obs):
     r = y - y_obs
     mu = len(u)
     ahat, _ = point_mass_blocks(sys)
-    readout = np.zeros((sys.ncells, sys.block_size))
+    readout = np.zeros((len(sys.nodes), sys.n + 1))
     readout[:, 0] = sys.weights
     zetas = np.empty((mu,) + readout.shape)
     zeta = zetas[mu - 1] = 2.0 * r[mu] * readout
@@ -361,8 +369,8 @@ def loop_cost_and_gradient(sys, u, y_obs):
         zetas[j - 1] = zeta
     outer = np.einsum("jcb,jcd->cbd", zetas, states[:mu])
     input_sum = np.einsum("jcb,j->cb", zetas, u)
-    b = sys.block_size
-    tangent_A, tangent_b = tangent_hold(sys.nodes, b - 1, sys.tau)
+    b = sys.n + 1
+    tangent_A, tangent_b = tangent_hold(sys.nodes, sys.n, sys.tau)
     dA, dbhat = tangent_A[:, :b, b:], tangent_b[:, :b]
     g_node = (np.einsum("cbd,cbd->c", dA, outer)
               + np.einsum("cb,cb->c", dbhat, input_sum))
@@ -380,7 +388,7 @@ def xcorr_gradient(sys, count, episodes):
     for u, r in episodes:
         mu = len(u)
         xcorr[:mu] += np.correlate(2.0 * r[1:], u, "full")[mu - 1:] if mu else 0.0
-    g, dg = tangent_responses(sys.nodes, sys.block_size - 1, sys.tau, count)
+    g, dg = tangent_responses(sys.nodes, sys.n, sys.tau, count)
     g_node = sys.weights * (dg @ xcorr)
     g_weight = g @ xcorr
     return sys.dnodes @ g_node + sys.dweights @ g_weight

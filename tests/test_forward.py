@@ -33,7 +33,8 @@ from popdiff.forward import (
     unit_responses,
 )
 from popdiff.grid import GridSpec, eta_mass_matrix, eta_stiffness_matrix
-from popdiff.sampled import SampledSystem, build_sampled, decay_powers, node_modes
+from popdiff.sampled import (SampledSystem, build_sampled, derivative_rows, modal_responses,
+                             node_modes)
 
 
 @pytest.fixture
@@ -47,8 +48,7 @@ def scalar_system(monkeypatch):
                 return np.full((len(q1), 1), bhat) * ahat ** np.arange(count)
 
         monkeypatch.setattr(forward_mod, "unit_responses", kernel)
-        return SampledSystem(block_size=1, ncells=1, tau=tau, nodes=np.array([1.0]),
-                             weights=np.array([weight]))
+        return SampledSystem(n=0, tau=tau, nodes=np.array([1.0]), weights=np.array([weight]))
 
     return make
 
@@ -59,8 +59,7 @@ def node_system(nodes, n, tau):
     moments w = w2 = 1, w1 = nodes."""
     nodes = np.asarray(nodes, dtype=float)
     ones = np.ones_like(nodes)
-    ops = SimpleNamespace(moments=np.stack([ones, nodes, ones]), block_size=n + 1,
-                          ncells=len(nodes))
+    ops = SimpleNamespace(moments=np.stack([ones, nodes, ones]), block_size=n + 1)
     return build_sampled(ops, tau)
 
 
@@ -110,10 +109,10 @@ class TestSimulate:
         y = simulate(sys, u)
         ahat, bhat = point_mass_blocks(sys)
         A, B = scipy.linalg.block_diag(*ahat), bhat.reshape(-1)
-        C = np.zeros((sys.ncells, sys.block_size))
+        C = np.zeros_like(bhat)
         C[:, 0] = sys.weights
         C = C.reshape(-1)
-        x = np.zeros(sys.dim)
+        x = np.zeros_like(B)
         dense = [C @ x]
         for uj in u:
             x = A @ x + B * uj
@@ -226,17 +225,26 @@ class TestPopulationResponse:
 
     @pytest.mark.parametrize("n, m", [(4, 2), (8, 4), (16, 8)])
     def test_doubling_powers(self, rho_smooth, n, m):
-        # decay_powers gives entry k as the same bits at every count from 0
-        # to 400, and within 1e-14 of np.exp(-w tau k), relative to the
-        # largest term z^0 = 1 (measured 7.2e-16 at n = 16).
+        # modal_responses forms its powers e^{-w tau k} by doubling: g and
+        # dg/dq1 are the same bits at every count from 0 to 400, and within
+        # 1e-14 of the direct exponential sums over the same rows, relative
+        # to each row's largest value (measured 2.1e-15 at n = 16).
         spec = GridSpec(n=n, m1=m, m2=m, tau=1 / 12)
-        rates, _, _ = node_modes(population_system(rho_smooth, spec).nodes, n, spec.tau)
-        z = np.exp(-spec.tau * rates)
-        full = decay_powers(z, 401)
-        assert all(np.array_equal(decay_powers(z, count), full[:count])
-                   for count in range(401))
-        exact = np.exp(-spec.tau * rates * np.arange(401)[:, None, None])
-        assert np.abs(full - exact).max() <= 1e-14
+        nodes = population_system(rho_smooth, spec).nodes
+        full = modal_responses(nodes, n, spec.tau, 401)
+        assert all(np.array_equal(part, whole[:, :count])
+                   for count in range(401)
+                   for part, whole in zip(modal_responses(nodes, n, spec.tau, count), full))
+        rates, gamma, projections = node_modes(nodes, n, spec.tau)
+        delta, eps = derivative_rows(rates, projections, spec.tau)
+        k = np.arange(401)
+        powers = np.exp(-spec.tau * rates[:, None, :] * k[:, None])
+        exact = (np.vecdot(powers, gamma[:, None, :]),
+                 np.vecdot(powers, delta[:, None, :])
+                 - spec.tau * k * np.vecdot(powers, eps[:, None, :]))
+        for got, want in zip(full, exact):
+            err = np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)
+            assert err.max() <= 1e-14, err.max()
 
     @pytest.mark.parametrize("q1", [1e12, 1e16, 1e20])
     def test_huge_q1_tends_to_the_well_mixed_column(self, q1):
@@ -460,7 +468,7 @@ def dense_single_q(q1, q2, n, tau, u, panels=32, nodes=32):
 
 class TestSingleQOracle:
     # simulate_deterministic_batch reads a table built from the modal
-    # kernel (node_modes, modal_sums) and shares the convolution with the
+    # kernel (modal_responses) and shares the convolution with the
     # population path, so the cell mixture does not check them
     # independently; this reference shares neither.
     @pytest.mark.parametrize("n", [4, 8, 16])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from conftest import (
     xcorr_gradient,
 )
 
-from popdiff import forward as forward_mod
 from popdiff import objective as objective_mod
 from popdiff.assembly import assemble
 from popdiff.dataio import PulseSpec, generate_synthetic
@@ -182,8 +183,7 @@ class TestGradientAdjoint:
         sens = build_sensitivities(ops, build_sampled(ops, spec.tau))
         fresh = {name: np.array(getattr(sens, name), order="C")
                  for name in ("nodes", "weights", "dnodes", "dweights")}
-        return sens, SampledSystem(block_size=ops.block_size, ncells=ops.ncells,
-                                   tau=spec.tau, **fresh)
+        return sens, SampledSystem(n=spec.n, tau=spec.tau, **fresh)
 
     def test_gradient_on_fresh_reference_arrays(self, rho_smooth):
         # Fresh C-contiguous copies of the sampled system and its
@@ -226,7 +226,7 @@ class TestGradientAdjoint:
         # One parameter a, the node, entering through Ahat = exp(a tau);
         # input gain and readout weight held fixed.  The node's kernel is
         # replaced by g_k = b e^{a tau k}, with dg_k/da = tau k b e^{a tau k},
-        # in both the response and the slopes the objective reads.
+        # in both the responses and the slopes the objective reads.
         # Three-step episode, closed form.
         tau, a, b = 0.25, -1.3, 0.4
         ahat = np.exp(a * tau)
@@ -236,10 +236,10 @@ class TestGradientAdjoint:
             g = b * np.exp(np.outer(q1, steps))
             return g, steps * g
 
-        monkeypatch.setattr(forward_mod, "unit_responses", lambda *args: kernel(*args)[0])
-        monkeypatch.setattr(objective_mod, "unit_slopes", kernel)
+        monkeypatch.setattr(objective_mod, "unit_responses", lambda *args: kernel(*args)[0])
+        monkeypatch.setattr(objective_mod, "unit_slopes", lambda *args: kernel(*args)[1])
         sys = SampledSystem(
-            block_size=1, ncells=1, tau=tau, nodes=np.array([a]),
+            n=0, tau=tau, nodes=np.array([a]),
             weights=np.array([1.0]), dnodes=np.array([[1.0]]), dweights=np.array([[0.0]]),
         )
         u = np.array([1.0, 0.6, 0.2])
@@ -262,8 +262,9 @@ class TestGradientAdjoint:
         spec, rho, episodes = fit_setup
         ops = assemble(spec, rho, with_grad=True)
         sys = build_sensitivities(ops, build_sampled(ops, spec.tau))
-        sys.dnodes = np.vstack([sys.dnodes, np.zeros(sys.ncells)])
-        sys.dweights = np.vstack([sys.dweights, np.zeros(sys.ncells)])
+        zero = np.zeros(len(sys.nodes))
+        sys = dataclasses.replace(sys, dnodes=np.vstack([sys.dnodes, zero]),
+                                  dweights=np.vstack([sys.dweights, zero]))
         _, g = episode_cost_and_gradient(sys, episodes[0].u, episodes[0].y_obs)
         assert g.shape == (10,)
         assert g[9] == 0.0
@@ -313,6 +314,22 @@ class TestJacobian:
         pairs = [(ep.u, r) for ep, r in zip(episodes, np.split(at.residuals, splits))]
         oracle = xcorr_gradient(sys, 40, pairs)
         assert np.abs(grad - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+    def test_linearization_holds_no_state(self, rho_smooth):
+        # The evaluated rule holds no hidden state: the normal equations
+        # are the same bits when asked for twice, and again after the
+        # gradient.
+        spec = GridSpec(8, 4, 4, 1 / 12)
+        episodes = self.setup(spec, 40)
+        at = evaluate(rho_smooth, spec, episodes)
+        gram = input_gram(episodes)
+        first = at.normal_equations(gram)
+        again = at.normal_equations(gram)
+        at.gradient()
+        after = at.normal_equations(gram)
+        for got in (again, after):
+            for a, b in zip(got, first, strict=True):
+                np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("n_episodes", [1, 4, 9])
     def test_linearization_convolves_nothing(self, rho_smooth, monkeypatch, n_episodes):
@@ -405,7 +422,8 @@ class TestNodeWeightContract:
         w, w1, w2 = ops.moments
         sys = build_sensitivities(ops, build_sampled(ops, spec.tau))
         eye, zero = np.eye(spec.ncells), np.zeros((spec.ncells,) * 2)
-        sys.dnodes, sys.dweights = (eye, zero) if moved == "nodes" else (zero, eye)
+        dnodes, dweights = (eye, zero) if moved == "nodes" else (zero, eye)
+        sys = dataclasses.replace(sys, dnodes=dnodes, dweights=dweights)
         _, g = episode_cost_and_gradient(sys, ep.u, ep.y_obs)
 
         def cost_at(point):

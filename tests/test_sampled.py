@@ -20,6 +20,7 @@ from conftest import (
     per_cell_reference,
     point_mass_blocks,
     random_rho,
+    spectral_radius,
     tangent_hold,
     tangent_responses,
     zero_order_hold,
@@ -36,11 +37,12 @@ from popdiff.sampled import (
     _phi_and_slope,
     build_sampled,
     build_sensitivities,
+    derivative_rows,
     eta_symmetric_operators,
     modal_responses,
-    modal_sums,
     node_modes,
-    point_mass_modes,
+    unit_responses,
+    unit_slopes,
 )
 
 
@@ -61,7 +63,8 @@ class TestBuildSampled:
         ops = assemble(spec_small, rho_smooth)
         sys = build_sampled(ops, tau=1e-10)
         ahat, bhat = point_mass_blocks(sys)
-        np.testing.assert_allclose(block_diag(*ahat), np.eye(sys.dim), atol=1e-8)
+        A = block_diag(*ahat)
+        np.testing.assert_allclose(A, np.eye(len(A)), atol=1e-8)
         np.testing.assert_allclose(bhat, 0.0, atol=1e-8)
 
     def test_bhat_matches_quadrature(self, rho_smooth, spec_small):
@@ -96,12 +99,16 @@ class TestBuildSampled:
         spec = GridSpec(n=8, m1=3, m2=3, tau=1 / 12)
         for _ in range(20):
             sys = build_sampled(assemble(spec, random_rho(rng)), spec.tau)
-            assert sys.spectral_radius() < 1.0
+            assert spectral_radius(sys) < 1.0
 
     def test_zero_mass_block_raises(self, rho_smooth, spec_small):
         ops = assemble(spec_small, rho_smooth)
-        ops.moments[0, 1] = 0.0
-        with pytest.raises(SingularOperatorError):
+        # The first cell with no mass is named: its node w1/w is undefined.
+        ops.moments[0, [1, 3]] = 0.0
+        with pytest.raises(SingularOperatorError, match=r"cell 1 has no mass .* undefined"):
+            build_sampled(ops, tau=0.5)
+        ops.moments[0, 1] = np.nan
+        with pytest.raises(SingularOperatorError, match="cell 1 has no mass"):
             build_sampled(ops, tau=0.5)
 
     def test_non_finite_node_raises(self, rho_smooth, spec_small):
@@ -115,12 +122,11 @@ class TestBuildSampled:
         # With the table pieces of its nodes cached, build_sampled, the
         # population response, build_sensitivities and the nodes' slopes
         # make no eigendecomposition.  The response is the weighted sum of
-        # the nodes' unit_responses, and the slopes come with those rows,
-        # bit for bit.
+        # the nodes' unit_responses.
         ops = assemble(spec_small, rho_smooth, with_grad=True)
         count = 40
-        forward.unit_slopes(build_sampled(ops, spec_small.tau).nodes, spec_small.n,
-                            spec_small.tau, count)
+        unit_slopes(build_sampled(ops, spec_small.tau).nodes, spec_small.n, spec_small.tau,
+                    count)
         calls = []
 
         def counted(a, _real=np.linalg.eigh):
@@ -131,11 +137,10 @@ class TestBuildSampled:
         sys = build_sampled(ops, spec_small.tau)
         h = forward.response(sys, count)
         build_sensitivities(ops, sys)
-        g, dg = forward.unit_slopes(sys.nodes, sys.n, sys.tau, count)
+        g = unit_responses(sys.nodes, sys.n, sys.tau, count)
+        unit_slopes(sys.nodes, sys.n, sys.tau, count)
         assert calls == []
         monkeypatch.undo()
-        np.testing.assert_array_equal(g, forward.unit_responses(sys.nodes, sys.n, sys.tau,
-                                                                count))
         assert np.abs(h - sys.weights @ g).max() <= 1e-14 * np.abs(h).max()
         np.testing.assert_array_equal(forward.response(sys, 7), h[:7])
 
@@ -160,10 +165,9 @@ class TestBuildSampled:
         impulse = np.eye(count)[0]
         draws = forward.simulate_deterministic_batch(
             np.column_stack([nodes, np.ones_like(nodes)]), n, spec.tau, impulse)
-        rows = forward.unit_responses(sys.nodes, sys.n, sys.tau, count)
+        rows = unit_responses(sys.nodes, sys.n, sys.tau, count)
         np.testing.assert_array_equal(draws[:, 1:], rows)
-        rates, gamma, _ = node_modes(nodes, n, spec.tau)
-        want = modal_sums(rates, gamma, spec.tau, count).T
+        want, _ = modal_responses(nodes, n, spec.tau, count)
         err = np.abs(rows - want).max(axis=1) / np.abs(want).max(axis=1)
         assert err.max() <= TABLE_BOUND, err.max()
 
@@ -207,16 +211,15 @@ class TestNoEigendecomposition:
         n, tau, count = 8, 1 / 12, 60
         nodes = np.array([0.5, 2e3, 1e-7, 30.0, 1e5, 1e12])
         ones = np.ones_like(nodes)
-        ops = SimpleNamespace(moments=np.stack([ones, nodes, ones]), block_size=n + 1,
-                              ncells=len(nodes))
+        ops = SimpleNamespace(moments=np.stack([ones, nodes, ones]), block_size=n + 1)
         sys = build_sampled(ops, tau)
-        g, dg = forward.unit_slopes(sys.nodes, n, tau, count)
+        g = unit_responses(sys.nodes, n, tau, count)
+        dg = unit_slopes(sys.nodes, n, tau, count)
         outside = (nodes < Q1_FLOOR) | (nodes > TABLE_TOP)
         for row, slope, q1 in zip(g[outside], dg[outside], nodes[outside]):
-            rates, gamma, _ = node_modes(np.array([q1]), n, tau)
-            np.testing.assert_array_equal(row, modal_sums(rates, gamma, tau, count)[:, 0])
-            _, want = modal_responses(*point_mass_modes(np.array([q1]), n, tau), tau, count)
-            np.testing.assert_array_equal(slope, want[0])
+            want = modal_responses(np.array([q1]), n, tau, count)
+            np.testing.assert_array_equal(row, want[0][0])
+            np.testing.assert_array_equal(slope, want[1][0])
         h = forward.response(sys, count)
         assert np.abs(h - sys.weights @ g).max() <= 1e-14 * np.abs(h).max()
         for bad in (np.nextafter(sampled.largest_node(n), np.inf), np.inf, np.nan):
@@ -242,8 +245,8 @@ class TestNodeModes:
 
 
 class TestResponseTable:
-    # forward.unit_responses and unit_slopes read sampled.table_rows for q1 in
-    # [Q1_FLOOR, TABLE_TOP] and point_mass_modes for the other rows.
+    # unit_responses and unit_slopes read table_rows for q1 in
+    # [Q1_FLOOR, TABLE_TOP] and modal_responses for the other rows.
     TAU = 1 / 12
 
     @pytest.mark.parametrize("n", [4, 6, 8, 16])
@@ -252,24 +255,22 @@ class TestResponseTable:
         # TABLE_BOUND of each response's largest value.
         count = 120
         q1 = 10 ** np.random.default_rng(27).uniform(-2, 2, 3000)
-        rates, gamma, _ = node_modes(q1, n, self.TAU)
-        want = modal_sums(rates, gamma, self.TAU, count).T
-        got = forward.unit_responses(q1, n, self.TAU, count)
+        want, _ = modal_responses(q1, n, self.TAU, count)
+        got = unit_responses(q1, n, self.TAU, count)
         err = np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)
         assert err.max() <= TABLE_BOUND, err.max()
 
     @pytest.mark.parametrize("n", [4, 6, 8, 16])
     def test_slopes_match_point_mass_modes(self, n):
-        # The slopes dg/dq1 on the q1 of test_matches_node_modes: within
-        # TABLE_SLOPE_BOUND of each slope row's largest value.  The g that
-        # comes with them is unit_responses, bit for bit.
+        # The slopes dg/dq1 on the q1 of test_matches_node_modes, against
+        # modal_responses: within TABLE_SLOPE_BOUND of each slope row's
+        # largest value.
         count = 120
         q1 = 10 ** np.random.default_rng(27).uniform(-2, 2, 3000)
-        _, want = modal_responses(*point_mass_modes(q1, n, self.TAU), self.TAU, count)
-        g, dg = forward.unit_slopes(q1, n, self.TAU, count)
+        _, want = modal_responses(q1, n, self.TAU, count)
+        dg = unit_slopes(q1, n, self.TAU, count)
         err = np.abs(dg - want).max(axis=1) / np.abs(want).max(axis=1)
         assert err.max() <= TABLE_SLOPE_BOUND, err.max()
-        np.testing.assert_array_equal(g, forward.unit_responses(q1, n, self.TAU, count))
 
     @pytest.mark.parametrize("n", [4, 6, 8, 16])
     def test_slopes_are_the_derivative_of_the_table_rows(self, n):
@@ -280,11 +281,11 @@ class TestResponseTable:
         # most 1.5e-10 of each row's largest value (n = 16).
         count = 120
         q1 = 10 ** np.random.default_rng(5).uniform(-2, 2, 500)
-        _, dg = forward.unit_slopes(q1, n, self.TAU, count)
+        dg = unit_slopes(q1, n, self.TAU, count)
 
         def central(h):
-            return (forward.unit_responses(q1 * np.exp(h), n, self.TAU, count)
-                    - forward.unit_responses(q1 * np.exp(-h), n, self.TAU, count)) / (2 * h)
+            return (unit_responses(q1 * np.exp(h), n, self.TAU, count)
+                    - unit_responses(q1 * np.exp(-h), n, self.TAU, count)) / (2 * h)
 
         oracle = (4 * central(5e-4) - central(1e-3)) / 3
         err = np.abs(q1[:, None] * dg - oracle).max(axis=1) / np.abs(oracle).max(axis=1)
@@ -297,8 +298,8 @@ class TestResponseTable:
         count = 120
         q1 = 10 ** np.random.default_rng(27).uniform(-2, 2, 3000)
         for n, bound in TABLE_TAU_BOUND.items():
-            got = forward.unit_slopes(q1, n, tau, count)
-            want = modal_responses(*point_mass_modes(q1, n, tau), tau, count)
+            got = unit_responses(q1, n, tau, count), unit_slopes(q1, n, tau, count)
+            want = modal_responses(q1, n, tau, count)
             for a, b in zip(got, want):
                 err = np.abs(a - b).max(axis=1) / np.abs(b).max(axis=1)
                 assert err.max() <= bound, (n, err.max())
@@ -312,60 +313,60 @@ class TestResponseTable:
         rng = np.random.default_rng(n)
         q1 = np.concatenate([np.geomspace(Q1_FLOOR, TABLE_TOP, 37),  # every piece end
                              10 ** rng.uniform(-6, 3, 40)])
-        short = forward.unit_slopes(q1, n, self.TAU, 50)
+
+        def rows(q, count):
+            return unit_responses(q, n, self.TAU, count), unit_slopes(q, n, self.TAU, count)
+
+        short = rows(q1, 50)
         assert len(sampled._PIECES) == 18
         assert {coefs.shape for coefs in sampled._PIECES.values()} == {(50, 2, 29)}
-        full = forward.unit_slopes(q1, n, self.TAU, 300)
+        full = rows(q1, 300)
         assert {coefs.shape for coefs in sampled._PIECES.values()} == {(300, 2, 29)}
         assert not any(coefs.flags.writeable for coefs in sampled._PIECES.values())
         for kind in range(2):
             np.testing.assert_array_equal(short[kind], full[kind][:, :50])
-        np.testing.assert_array_equal(forward.unit_responses(q1, n, self.TAU, 300), full[0])
         for i in range(len(q1)):
             for count in (0, 1, 49, 300):
-                np.testing.assert_array_equal(
-                    forward.unit_responses(q1[i:i + 1], n, self.TAU, count)[0],
-                    full[0][i, :count])
-                alone = forward.unit_slopes(q1[i:i + 1], n, self.TAU, count)
+                alone = rows(q1[i:i + 1], count)
                 for kind in range(2):
                     np.testing.assert_array_equal(alone[kind][0], full[kind][i, :count])
         for lo, hi in ((0, 5), (3, 40), (20, 77)):
-            part = forward.unit_slopes(q1[lo:hi], n, self.TAU, 120)
+            part = rows(q1[lo:hi], 120)
             for kind in range(2):
                 np.testing.assert_array_equal(part[kind], full[kind][lo:hi, :120])
 
     @pytest.mark.parametrize("n", [4, 8, 16])
     def test_rows_outside_are_node_modes(self, n):
-        # A row below Q1_FLOOR or above TABLE_TOP is its node_modes
-        # response alone, bit for bit, in a stack mixed with table rows,
+        # A row below Q1_FLOOR or above TABLE_TOP is its modal_responses
+        # row alone, bit for bit, in a stack mixed with table rows,
         # and the guard names its row in the stack it came in.
         count = 80
         stack = np.array([Q1_FLOOR, 1e-9, 0.3, np.nextafter(Q1_FLOOR, 0), 2.0,
                           np.nextafter(TABLE_TOP, np.inf), TABLE_TOP, 1e4, 1e12, 1e20])
         outside = (stack < Q1_FLOOR) | (stack > TABLE_TOP)
-        got = forward.unit_responses(stack, n, self.TAU, count)
+        got = unit_responses(stack, n, self.TAU, count)
         for row, q1 in zip(got[outside], stack[outside]):
-            rates, gamma, _ = node_modes(np.array([q1]), n, self.TAU)
-            np.testing.assert_array_equal(row, modal_sums(rates, gamma, self.TAU, count)[:, 0])
+            np.testing.assert_array_equal(row, modal_responses(np.array([q1]), n, self.TAU,
+                                                               count)[0][0])
         np.testing.assert_array_equal(
-            got[~outside], forward.unit_responses(stack[~outside], n, self.TAU, count))
+            got[~outside], unit_responses(stack[~outside], n, self.TAU, count))
         largest = sampled.largest_node(n)
-        forward.unit_responses(np.append(stack, largest), n, self.TAU, count)
+        unit_responses(np.append(stack, largest), n, self.TAU, count)
         for bad in (np.nextafter(largest, np.inf), np.inf, np.nan):
             with pytest.raises(ConditioningError, match="node 4 at"):
-                forward.unit_responses(np.where(np.arange(10) == 4, bad, stack), n,
+                unit_responses(np.where(np.arange(10) == 4, bad, stack), n,
                                        self.TAU, count)
 
     def test_empty_stack_and_zero_count(self):
         stack = np.array([1e-9, 0.3, 2.0, 1e4])
         for n in (4, 8):
-            assert forward.unit_responses(np.empty(0), n, self.TAU, 30).shape == (0, 30)
-            assert forward.unit_responses(np.empty(0), n, self.TAU, 0).shape == (0, 0)
-            assert forward.unit_responses(stack, n, self.TAU, 0).shape == (4, 0)
+            assert unit_responses(np.empty(0), n, self.TAU, 30).shape == (0, 30)
+            assert unit_responses(np.empty(0), n, self.TAU, 0).shape == (0, 0)
+            assert unit_responses(stack, n, self.TAU, 0).shape == (4, 0)
             y = forward.simulate_deterministic_batch(np.empty((0, 2)), n, self.TAU, np.ones(5))
             assert y.shape == (0, 6)
         with pytest.raises(ValueError, match="tau"):
-            forward.unit_responses(np.empty(0), 4, 0.0, 30)
+            unit_responses(np.empty(0), 4, 0.0, 30)
 
 
 class TestNodeGuard:
@@ -421,7 +422,7 @@ class TestEtaOperators:
 
 
 class TestTangentHold:
-    # The Van Loan tangent hold, the node kernel that point_mass_modes
+    # The Van Loan tangent hold, the node kernel that modal_responses
     # replaced, is the test oracle conftest.tangent_hold.
 
     @staticmethod
@@ -444,7 +445,7 @@ class TestTangentHold:
         # The diagonal blocks and the lower input half repeat the forward
         # hold, to rounding: one exponential of twice the size.
         sys, (tangent_A, tangent_b) = self.build(rho_smooth, spec_small)
-        b = sys.block_size
+        b = sys.n + 1
         ahat, bhat = point_mass_blocks(sys)
         scale = max(np.abs(ahat).max(), np.abs(bhat).max())
         for got, want in ((tangent_A[:, :b, :b], ahat),
@@ -457,7 +458,7 @@ class TestTangentHold:
         # All nodes are held in one stacked call; each node must come out
         # bit for bit as held alone.
         sys, (tangent_A, tangent_b) = self.build(rho_smooth, spec_small)
-        for c in range(sys.ncells):
+        for c in range(len(sys.nodes)):
             alone_A, alone_b = tangent_hold(sys.nodes[c:c + 1], spec_small.n, spec_small.tau)
             np.testing.assert_array_equal(tangent_A[c], alone_A[0])
             np.testing.assert_array_equal(tangent_b[c], alone_b[0])
@@ -468,7 +469,7 @@ class TestTangentHold:
         ops = assemble(spec_small, rho_smooth)
         sys = build_sampled(ops, spec_small.tau)
         tangent_A, _ = tangent_hold(sys.nodes, spec_small.n, spec_small.tau)
-        b = sys.block_size
+        b = sys.n + 1
         g1 = -np.linalg.solve(eta_mass_matrix(spec_small.n), eta_stiffness_matrix(spec_small.n))
         for gen, upper in zip(galerkin_generator(ops), tangent_A[:, :b, b:]):
             _, frechet = scipy.linalg.expm_frechet(gen * sys.tau, g1 * sys.tau)
@@ -507,10 +508,10 @@ class TestSensitivities:
         s = w2 / w
         ds = (dw2 - s * dw) / w
         count = 24
-        g, dg = modal_responses(*point_mass_modes(sys.nodes, n, spec.tau), spec.tau, count)
+        g, dg = modal_responses(sys.nodes, n, spec.tau, count)
         galerkin_dg = ds[:, :, None] * g + (s * sys.dnodes)[:, :, None] * dg
         reference_dg = node_derivatives_by_recursion(
-            A, Bhat.reshape(sys.ncells, -1), dA, dBhat.reshape(len(ds), sys.ncells, -1), count)
+            A, Bhat.reshape(len(w), -1), dA, dBhat.reshape(len(ds), len(w), -1), count)
         gen = g0 + sys.nodes[:, None, None] * g1
         ahat, bhat = point_mass_blocks(sys)
         for got, want in ((ahat, A), (gen, Agen),
@@ -527,7 +528,7 @@ class TestSensitivities:
         # parameter count, and the parameter count changes no bit of any
         # parameter's result.
         ops, full = self.build(rho_smooth, spec_small)
-        forward.unit_slopes(full.nodes, spec_small.n, spec_small.tau, 40)
+        unit_slopes(full.nodes, spec_small.n, spec_small.tau, 40)
         sub = dataclasses.replace(ops, dmoments=ops.dmoments[:, :n_params])
         calls = []
 
@@ -537,7 +538,7 @@ class TestSensitivities:
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
         sys = build_sensitivities(sub, build_sampled(sub, spec_small.tau))
-        forward.unit_slopes(sys.nodes, sys.n, sys.tau, 40)
+        unit_slopes(sys.nodes, sys.n, sys.tau, 40)
         assert calls == []
         np.testing.assert_array_equal(sys.nodes, full.nodes)
         np.testing.assert_array_equal(sys.dnodes, full.dnodes[:n_params])
@@ -552,17 +553,17 @@ class TestSensitivities:
         dw, dw1, dw2 = ops.dmoments
         np.testing.assert_array_equal(sys.dweights, dw2)
         np.testing.assert_array_equal(sys.dnodes, (dw1 - (w1 / w) * dw) / w)
-        assert sys.n_params == 9
+        assert sys.dnodes.shape == sys.dweights.shape == (9, len(sys.nodes))
 
     def test_matches_finite_differences(self, rho_smooth):
         spec = GridSpec(n=3, m1=2, m2=2, tau=1 / 12)
         _, sys = self.build(rho_smooth, spec)
         count = 30
-        _, dg = forward.unit_slopes(sys.nodes, spec.n, spec.tau, count)
+        dg = unit_slopes(sys.nodes, spec.n, spec.tau, count)
         base = rho_smooth.as_array()
 
         def node_responses(s):
-            return forward.unit_responses(s.nodes, spec.n, spec.tau, count)
+            return unit_responses(s.nodes, spec.n, spec.tau, count)
 
         for k in range(9):
             h = 1e-6 * (1 + abs(base[k]))
@@ -578,6 +579,25 @@ class TestSensitivities:
             errW = np.linalg.norm(sys.dweights[k] - fdW) / max(np.linalg.norm(fdW), 1e-10)
             assert errG < 1e-5, k
             assert errW < 1e-5, k
+
+    def test_returns_a_new_rule_and_leaves_its_argument(self, rho_smooth, spec_small):
+        # The rule holds no hidden state: build_sensitivities returns a new
+        # rule carrying the derivatives and leaves the one it was given as
+        # it was; no field of a rule can be reassigned.
+        ops = assemble(spec_small, rho_smooth, with_grad=True)
+        sys = build_sampled(ops, spec_small.tau)
+        before = dataclasses.astuple(sys)
+        sens = build_sensitivities(ops, sys)
+        assert sens is not sys
+        assert sys.dnodes is None and sys.dweights is None
+        for kept, now in zip(before, dataclasses.astuple(sys), strict=True):
+            np.testing.assert_array_equal(now, kept)
+        for field in ("n", "tau", "nodes", "weights"):
+            assert getattr(sens, field) is getattr(sys, field)
+        assert sens.dnodes.shape == sens.dweights.shape == (9, len(sys.nodes))
+        for field in ("nodes", "dnodes", "tau"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(sens, field, None)
 
     def test_requires_gradient_tensors(self, rho_smooth, spec_small):
         ops = assemble(spec_small, rho_smooth)
@@ -616,12 +636,9 @@ class TestPointMassReference:
             assert np.all(err <= 1e-3), n
 
     def test_modal_form_against_the_reference(self):
-        # point_mass_modes is within MODAL_REFERENCE_BOUND at every point,
+        # modal_responses is within MODAL_REFERENCE_BOUND at every point,
         # and within 1e-9 on q1 in [1e-2, 1e2].
-        def modal(q1, n, tau, steps):
-            return modal_responses(*point_mass_modes(q1, n, tau), tau, steps)
-
-        q1, modal_errors = self.errors(modal)
+        q1, modal_errors = self.errors(modal_responses)
         inner = (q1 >= 1e-2) & (q1 <= 1e2)
         for n, err in modal_errors.items():
             assert err.max() <= MODAL_REFERENCE_BOUND[n], n
@@ -629,12 +646,15 @@ class TestPointMassReference:
 
 
     def test_table_against_the_reference(self):
-        # The table's rows and slopes (forward.unit_slopes; every q1 of
-        # the file lies in [Q1_FLOOR, TABLE_TOP]) are within
+        # The table's rows and slopes (unit_responses and unit_slopes; every
+        # q1 of the file lies in [Q1_FLOOR, TABLE_TOP]) are within
         # MODAL_REFERENCE_BOUND at every point, and within 1e-9 on q1 in
         # [1e-2, 1e2].  Measured at n = 16: g 7.2e-8 and 1.7e-7, dg 2.2e-7
         # and 1.4e-8 at q1 = 1e-6 and 1e-3, as the modal form.
-        q1, table_errors = self.errors(forward.unit_slopes)
+        def table(q1, n, tau, steps):
+            return unit_responses(q1, n, tau, steps), unit_slopes(q1, n, tau, steps)
+
+        q1, table_errors = self.errors(table)
         inner = (q1 >= 1e-2) & (q1 <= 1e2)
         for n, err in table_errors.items():
             assert err.max() <= MODAL_REFERENCE_BOUND[n], n
@@ -648,19 +668,25 @@ class TestPointMassModes:
         # response, to rounding.
         spec = GridSpec(n=n, m1=m, m2=m, tau=1 / 12)
         sys = build_sampled(assemble(spec, rho_smooth), spec.tau)
-        g, _ = modal_responses(*point_mass_modes(sys.nodes, n, spec.tau), spec.tau, 120)
+        g, _ = modal_responses(sys.nodes, n, spec.tau, 120)
         want = impulse_response(*point_mass_blocks(sys), 120)[..., 0]
         assert np.abs(g - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_stack_matches_node_by_node(self):
-        # One stacked eigh for all nodes; each node's rates and rows come
-        # out bit for bit as from that node alone.
+        # One stacked eigh for all nodes; each node's derivative rows
+        # (delta, eps) and its g and dg/dq1 come out bit for bit as from
+        # that node alone.
         nodes = np.geomspace(1e-6, 1e3, 13)
-        rates, coefs = point_mass_modes(nodes, 8, 1 / 12)
+
+        def rows(q1):
+            rates, _, projections = node_modes(q1, 8, 1 / 12)
+            return (*derivative_rows(rates, projections, 1 / 12),
+                    *modal_responses(q1, 8, 1 / 12, 60))
+
+        stacked = rows(nodes)
         for c in range(len(nodes)):
-            alone = point_mass_modes(nodes[c:c + 1], 8, 1 / 12)
-            np.testing.assert_array_equal(rates[c], alone[0][0])
-            np.testing.assert_array_equal(coefs[c], alone[1][0])
+            for whole, one in zip(stacked, rows(nodes[c:c + 1]), strict=True):
+                np.testing.assert_array_equal(whole[c], one[0])
 
     def test_against_independent_frechet(self):
         # scipy's Frechet derivative of the hold as a second path:
@@ -675,23 +701,23 @@ class TestPointMassModes:
             bhat = (ahat - np.eye(n + 1)) @ x
             dbhat = dahat @ x - (ahat - np.eye(n + 1)) @ np.linalg.solve(gen, g1 @ x)
             want = node_derivatives_by_recursion(ahat, bhat, dahat, dbhat, count)
-            _, dg = modal_responses(*point_mass_modes(np.array([q1]), n, tau), tau, count)
+            _, dg = modal_responses(np.array([q1]), n, tau, count)
             assert np.abs(dg[0] - want).max() <= 1e-12 * np.abs(want).max(), q1
 
     @pytest.mark.parametrize("n", [4, 8, 16])
     def test_derivative_matches_richardson_differences(self, n):
         # dg/dq1 against Richardson's extrapolation (4 D(h/2) - D(h)) / 3
-        # of central differences D(h) of forward.unit_responses in q1, at
+        # of central differences D(h) of unit_responses in q1, at
         # h = 1e-2 q1.  The oracle's own error (its truncation, and the
         # responses' rounding divided by h) sets the bound: the worst error
         # measured is 2.5e-9, at q1 = 40.
         tau, count = 1 / 12, 120
         q1 = np.array([0.02, 0.3, 1.0, 5.0, 40.0])
-        _, dg = modal_responses(*point_mass_modes(q1, n, tau), tau, count)
+        _, dg = modal_responses(q1, n, tau, count)
 
         def central(h):
-            return (forward.unit_responses(q1 + h, n, tau, count)
-                    - forward.unit_responses(q1 - h, n, tau, count)) / (2 * h[:, None])
+            return (unit_responses(q1 + h, n, tau, count)
+                    - unit_responses(q1 - h, n, tau, count)) / (2 * h[:, None])
 
         h = 1e-2 * q1
         oracle = (4 * central(h / 2) - central(h)) / 3
@@ -734,10 +760,10 @@ class TestPointMassModes:
             left = np.array([delta, 2 * delta, 1.0])
             ops = (left, right, dfac, dfac.T @ dfac)
             monkeypatch.setattr(sampled, "eta_symmetric_operators", lambda n: ops)
-            rates, coefs = point_mass_modes(np.array([q1]), 2, tau)
+            rates, _, _ = node_modes(np.array([q1]), 2, tau)
             slow = np.sort(rates[0])[:2]
             assert (slow[1] - slow[0]) / slow[0] <= 1e-5
-            _, dg = modal_responses(rates, coefs, tau, count)
+            _, dg = modal_responses(np.array([q1]), 2, tau, count)
             want = reference(left)
             assert np.abs(dg[0] - want).max() <= 1e-12 * np.abs(want).max(), delta
 
