@@ -32,7 +32,13 @@ hex digits of ``workloads.digest`` over:
 * ``credible_band`` on the band input of seed 1, at ``RHO`` or at the
   fit's ``rho_hat`` as the workload's rounds place it;
 * ``simulate_deterministic_batch`` on that input for a fixed set of
-  draws from ``RHO``, so the single-q path is seen apart from the fit.
+  draws from ``RHO``, so the single-q path is seen apart from the fit;
+  and on the same draws for the input's first 8 steps from its onset
+  (its first nonzero entry) and for the input repeated to as many steps
+  as draws.  The band input's stack, of more draws than steps, is
+  convolved one step at a time, and these two one draw at a time
+  (``forward._by_steps``), so a change in that choice, or a path whose
+  bits depend on the stack, shows here.
 
 A refactoring that must not change one bit of output leaves every digest
 unchanged.  Digests depend on the BLAS kernel, so compare two commits on
@@ -118,8 +124,10 @@ def report(w) -> list[tuple[str, str, list]]:
     band = popdiff.credible_band(at, w.band_spec, u, w.level, w.nsamples, BAND_SEED)
     line(f"credible_band@seed{BAND_SEED}", band.lower, band.upper, band.mean_output)
     draws = sample_array(workloads.RHO, SINGLE_Q_DRAWS, BAND_SEED)
-    line("single_q@RHO", simulate_deterministic_batch(draws, w.band_spec.n,
-                                                      w.band_spec.tau, u))
+    onset = np.flatnonzero(u)[0]
+    for what, steps in (("single_q@RHO", u), ("single_q_8_steps@RHO", u[onset:onset + 8]),
+                        ("single_q_square@RHO", np.resize(u, SINGLE_Q_DRAWS))):
+        line(what, simulate_deterministic_batch(draws, w.band_spec.n, w.band_spec.tau, steps))
     return lines
 
 

@@ -9,6 +9,8 @@ All draws go through ``forward.simulate_deterministic_batch``, the one
 single-q solver: each draw's response is read by
 ``sampled.unit_responses``, as the center line's population nodes are,
 so once the table pieces are built a band makes no eigendecomposition.
+A band of more draws than steps is convolved one step at a time across
+all its draws, so its one ``np.convolve`` call is the center line's.
 """
 
 from __future__ import annotations

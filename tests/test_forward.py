@@ -24,6 +24,7 @@ from popdiff.errors import ConditioningError, SimulationDivergenceError
 from popdiff.forward import (
     BATCH_DRAWS,
     Episode,
+    convolve,
     population_system,
     population_vs_montecarlo,
     response,
@@ -185,6 +186,53 @@ class TestSimulate:
             simulate(scalar_system(2.0, 1.0), np.ones(1200))
 
 
+def per_row_convolve(g, u):
+    """The reference of ``convolve``: one ``np.convolve`` per row."""
+    mu = len(u)
+    y = np.zeros((len(g), mu + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for out, gr in zip(y[:, 1:], g) if mu else ():
+            out[:] = np.convolve(gr[:mu], u)[:mu]
+    return y
+
+
+class TestConvolve:
+    @pytest.mark.parametrize("mu", [*range(41), 60, 120])
+    def test_every_path_gives_the_bits_of_np_convolve(self, mu):
+        # A stack of more rows than steps and more than 11 steps is
+        # convolved one step at a time across its rows; any other takes
+        # one np.convolve per row.  Either way each row is the bits of its
+        # own np.convolve: at row counts on both sides of the step count,
+        # for rows cut from a longer count (as initialize cuts its grid
+        # responses), and with nan and inf entries in the responses and
+        # the input.
+        rng = np.random.default_rng(mu)
+        clean = rng.uniform(0.0, 2.0, mu)
+        spoilt = clean.copy()
+        if mu > 1:
+            spoilt[rng.integers(mu // 2, mu, size=2)] = np.inf, np.nan
+        for rows in sorted({1, mu - 1, mu, mu + 1, 3 * mu} - {0, -1}):
+            longer = rng.normal(size=(rows, mu + 7)) * 10.0 ** rng.integers(-8, 9, (rows, 1))
+            if mu > 1 and rows > 3:
+                longer[rng.integers(rows, size=3), rng.integers(mu, size=3)] = (
+                    np.nan, np.inf, -np.inf)
+            for u in (clean, spoilt):
+                want = per_row_convolve(longer[:, :mu].copy(), u)
+                for g in (longer[:, :mu], np.ascontiguousarray(longer[:, :mu]), longer):
+                    got = convolve(g, u)
+                    assert got.shape == (rows, mu + 1)
+                    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64),
+                                                  err_msg=f"{rows} rows")
+
+    @pytest.mark.parametrize("rows, mu", [(2, 5), (40, 13)])
+    def test_short_response_is_rejected(self, rows, mu):
+        # np.convolve would read the missing tail as zeros; both paths
+        # (2 rows of 5 steps one row at a time, 40 of 13 one step at a time)
+        # refuse it.
+        with pytest.raises(ValueError, match=f"response has {mu - 2} steps"):
+            convolve(np.ones((rows, mu - 2)), np.ones(mu))
+
+
 class TestPopulationResponse:
     @pytest.mark.parametrize("n, m", [(4, 2), (8, 4), (16, 8)])
     def test_matches_the_hold(self, rho_smooth, n, m):
@@ -322,6 +370,14 @@ class TestDeterministic:
         np.testing.assert_array_equal(simulate_deterministic(q, 4, tau, u, g),
                                       simulate_deterministic(q, 4, tau, u))
 
+    @pytest.mark.parametrize("u", [np.ones((2, 12)), np.float64(1.0)])
+    def test_rejects_input_that_is_not_one_sequence(self, u):
+        g = np.ones(12)
+        with pytest.raises(ValueError, match="one input sequence"):
+            simulate_deterministic((0.8, 1.2), 4, 1 / 12, u)
+        with pytest.raises(ValueError, match="one input sequence"):
+            simulate_deterministic((0.8, 1.2), 4, 1 / 12, u, g)
+
     def test_qpoint_and_tuple_agree(self):
         u = pulse_input(36, 1 / 12)
         np.testing.assert_array_equal(
@@ -398,6 +454,11 @@ class TestDeterministicBatch:
         bad[BATCH_DRAWS + 5, 0] = np.inf
         with pytest.raises(ConditioningError, match="node 5 at q1 = inf"):
             simulate_deterministic_batch(bad, 4, 0.1, np.ones(3))
+
+    @pytest.mark.parametrize("u", [np.ones((2, 12)), np.float64(1.0)])
+    def test_rejects_input_that_is_not_one_sequence(self, draws, u):
+        with pytest.raises(ValueError, match="one input sequence"):
+            simulate_deterministic_batch(draws, 4, 1 / 12, u)
 
     @pytest.mark.parametrize("n", [4, 8, 16])
     def test_unit_responses_against_the_reference(self, n):

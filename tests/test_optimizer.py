@@ -523,6 +523,29 @@ class TestInitialize:
         assert rho.mu1 == pytest.approx(0.71, abs=0.05)
         assert rho.l21 == 0.0
 
+    def test_one_np_convolve_per_grid_row_and_per_trial(self, spec_small, monkeypatch):
+        # Each episode has more steps than Q1_GRID has points, so its grid
+        # profile and each Brent trial convolve one response at a time.
+        episodes = self.episodes_from_points([(0.5, 0.9), (0.9, 1.3), (0.7, 1.1)],
+                                             spec_small)
+        assert min(ep.steps for ep in episodes) > len(Q1_GRID)
+        real = optimizer_mod.simulate_deterministic
+        calls = {"convolve": 0, "trials": 0}
+
+        def trial(*args, **kwargs):
+            calls["trials"] += 1
+            return real(*args, **kwargs)
+
+        def counted(*args, _real=np.convolve, **kwargs):
+            calls["convolve"] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer_mod, "simulate_deterministic", trial)
+        monkeypatch.setattr(np, "convolve", counted)
+        initialize(episodes, spec_small)
+        assert calls["trials"] > 0
+        assert calls["convolve"] == len(episodes) * len(Q1_GRID) + calls["trials"]
+
     def ragged_episodes(self, spec):
         return [self.episodes_from_points([q], spec, steps)[0]
                 for q, steps in (((0.5, 0.9), 24), ((0.9, 1.3), 41), ((0.7, 1.1), 36))]

@@ -111,6 +111,27 @@ class TestCredibleBand:
         credible_band(rho_smooth, band_spec, band_input)
         assert calls == []
 
+    def test_draws_convolve_one_step_at_a_time(self, rho_smooth, monkeypatch):
+        # 1000 draws of 120 steps are one stack of more rows than steps,
+        # convolved one step at a time: the band's one np.convolve call is
+        # its center line's.
+        spec = GridSpec(n=8, m1=2, m2=2, tau=1 / 12)
+        u = pulse_input(120, spec.tau)
+        calls = []
+
+        def counted(*args, _real=np.convolve, **kwargs):
+            calls.append(len(args[0]))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "convolve", counted)
+        credible_band(rho_smooth, spec, u, nsamples=1000)
+        assert calls == [120]
+
+    @pytest.mark.parametrize("u", [np.ones((2, 12)), np.float64(1.0)])
+    def test_rejects_input_that_is_not_one_sequence(self, rho_smooth, band_spec, u):
+        with pytest.raises(ValueError, match="one input sequence"):
+            credible_band(rho_smooth, band_spec, u)
+
     def test_validation(self, rho_smooth, band_spec, band_input):
         with pytest.raises(ValueError):
             credible_band(rho_smooth, band_spec, band_input, level=1.2)
