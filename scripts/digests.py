@@ -18,6 +18,9 @@ hex digits of ``workloads.digest`` over:
 * the cell moments' nine parameter derivatives at ``START``
   (``assemble(..., with_grad=True).dmoments``), the layer every
   derivative above starts from;
+* the law's mass at ``START``: the sum of the cell weights w_c and of
+  their nine derivatives dw_c, one and zero up to rounding, so a change
+  in how the law is normalized is named directly;
 * the population response ``h`` at ``START`` for the longest episode
   (``forward.response`` of ``build_sampled``), the kernel every cost and
   every data set is convolved with;
@@ -111,6 +114,7 @@ def report(w) -> list[tuple[str, str, list]]:
          *evaluate(workloads.START, spec, episodes).normal_equations(input_gram(episodes)))
     ops = popdiff.assemble(spec, workloads.START, with_grad=True)
     line("dmoments@START", ops.dmoments)
+    line("mass@START", ops.moments[0].sum(), ops.dmoments[0].sum(axis=1))
     sys = popdiff.build_sampled(ops, spec.tau)
     longest = max(ep.steps for ep in episodes)
     line("response@START", response(sys, longest))

@@ -11,27 +11,29 @@ one (n+1) x (n+1) block per cell.  Within cell c the blocks reduce to
 
 with the density moments w_c = int_c f, w1_c = int_c q1 f and
 w2_c = int_c q2 f over the cell, computed with per-cell Gauss-Legendre
-quadrature.  The moments fix every block, so they are all that
-``assemble`` returns; ``sampled.build_sampled`` turns them into the
-sampled system without forming the blocks.
+quadrature.  Here f = phi / N with phi the untruncated pdf and N the
+box's mass by the same cells, N = sum_c u0_c with u0_c = int_c phi, so
+the weights sum to one to rounding.  The moments fix every block, so
+they are all that ``assemble`` returns; ``sampled.build_sampled`` turns
+them into the sampled system without forming the blocks.
 
 Parameter derivatives of the moments.  Each cell axis is the affine
-image q = lo + (hi - lo) s of a fixed reference interval, so a moment is
-the quadrature sum  sum W1 W2 G f  (G one of 1, q1, q2; f = phi / N)
-with no moving limits, and the product rule differentiates it term by
-term.  For each of the nine parameters p:
+image q = lo + (hi - lo) s of a fixed reference interval, so an
+unnormalized moment u is the quadrature sum  sum W1 W2 G phi  (G one of
+1, q1, q2) with no moving limits, and the product rule differentiates it
+term by term.  The weights W of an axis share the factor hi - lo, which
+cancels in u / N, so only two parts move the moments:
 
-* weight motion: W is proportional to hi - lo, so the four bounds add
-  -moment / (b - a) (lower bound) or +moment / (b - a) (upper bound);
 * node motion: a bound moves the nodes by dq/dlo = 1 - s or
-  dq/dhi = s; d(G f)/dq = G df/dq + f dG/dq is reduced per bound with
-  that factor folded into the axis' weights;
-* density motion: at fixed q, one reduction of G dphi/dtheta / N over the
-  five shape parameters, and the rank-one term -(dN/dp / N) * moment
-  over all nine.
+  dq/dhi = s; d(G phi)/dq = G dphi/dq + phi dG/dq is reduced per bound
+  with that factor folded into the axis' weights;
+* density motion: at fixed q, one reduction of G dphi/dtheta over the
+  five shape parameters.
 
-Each G is a product G1(q1) G2(q2), so the derivative reductions fold it
-into the axis weights too and never form it on the node grid.
+With du these two parts, dmoments = du / N - (dN / N) * moments and
+dN = sum_c du0_c.  Each G is a product G1(q1) G2(q2), so the derivative
+reductions fold it into the axis weights too and never form it on the
+node grid.
 """
 
 from __future__ import annotations
@@ -40,21 +42,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import (
-    DEFAULT_NORM_QUAD_ORDER,
-    RhoParams,
-    gauss_legendre,
-    normalization,
-    normalization_grad,
-    phi_values,
-    phi_with_grads,
-)
+from .density import RhoParams, gauss_legendre, phi_values, phi_with_grads, require_mass
 from .errors import DegenerateDensityError
 from .grid import GridSpec, eta_mass_matrix
 
-# Gauss-Legendre nodes per cell and axis.  This constant and
-# density.DEFAULT_NORM_QUAD_ORDER fix the quadrature of every layer above;
-# the order parameters of assemble and normalization serve reference values.
+# Gauss-Legendre nodes per cell and axis.  This constant fixes the
+# quadrature of every layer above; assemble's order parameter serves
+# reference values.
 DEFAULT_CELL_QUAD_ORDER = 8
 
 
@@ -62,9 +56,9 @@ DEFAULT_CELL_QUAD_ORDER = 8
 class AssembledOperators:
     """The cell moments that fix every Galerkin block.
 
-    ``moments`` holds (w, w1, w2) per cell and ``f_min`` the smallest
-    density value at a quadrature node.  The derivatives are present
-    only when assembled with ``with_grad=True``.
+    ``moments`` holds (w, w1, w2) per cell, with sum w = 1, and ``f_min``
+    the smallest density value at a quadrature node.  The derivatives are
+    present only when assembled with ``with_grad=True``.
     """
 
     block_size: int
@@ -103,8 +97,7 @@ def _axis_nodes(lo: float, hi: float, m: int, order: int):
     return q, W, s
 
 
-def _cell_moments(spec: GridSpec, rho: RhoParams, quad_order: int,
-                  norm_quad_order: int, with_grad: bool):
+def _cell_moments(spec: GridSpec, rho: RhoParams, quad_order: int, with_grad: bool):
     """Density moments (1, q1, q2) over every cell, optionally with all
     nine parameter derivatives.  Shapes: moments (3, m1, m2), derivative
     stack (3, 9, m1, m2)."""
@@ -114,18 +107,20 @@ def _cell_moments(spec: GridSpec, rho: RhoParams, quad_order: int,
     q2, W2, s2 = _axis_nodes(box.a2, box.b2, m2, quad_order)
     g = quad_order
 
-    norm = normalization(rho, norm_quad_order)
     Q1 = q1.reshape(-1)[:, None]
     Q2 = q2.reshape(-1)[None, :]
     if with_grad:
         phi, dphi_dq, dphi_dtheta = phi_with_grads(Q1, Q2, rho)
     else:
         phi = phi_values(Q1, Q2, rho)
-    F = (phi / norm).reshape(m1, g, m2, g)
-    f_min = float(F.min())
+    P = phi.reshape(m1, g, m2, g)
 
+    # Moments of the untruncated pdf; the cells' mass N normalizes them.
     integrands = (1.0, q1.reshape(m1, g, 1, 1), q2.reshape(1, 1, m2, g))
-    moments = np.stack([np.einsum("ag,bh,agbh->ab", W1, W2, G * F) for G in integrands])
+    u = np.stack([np.einsum("ag,bh,agbh->ab", W1, W2, G * P) for G in integrands])
+    norm = require_mass(float(u[0].sum()), rho)
+    moments = u / norm
+    f_min = float(P.min()) / norm
     if not with_grad:
         return moments, None, f_min
 
@@ -133,27 +128,25 @@ def _cell_moments(spec: GridSpec, rho: RhoParams, quad_order: int,
     G1 = np.stack(np.broadcast_arrays(1.0, q1, 1.0))
     G2 = np.stack(np.broadcast_arrays(1.0, 1.0, q2))
     V1, V2 = W1 * G1, W2 * G2
-    # Node motion: d(G f)/dq = G df/dq + f dG/dq per axis, reduced with
-    # dq/d(bound) = (1 - s, s) folded into that axis' weights.
+    # Node motion: d(G phi)/dq = G dphi/dq + phi dG/dq per axis, reduced
+    # with dq/d(bound) = (1 - s, s) folded into that axis' weights.
     ends1 = W1 * np.stack([1 - s1, s1])
     ends2 = W2 * np.stack([1 - s2, s2])
-    Fq = (dphi_dq / norm).reshape(2, m1, g, m2, g)
+    Pq = dphi_dq.reshape(2, m1, g, m2, g)
     # Density motion at fixed q: G dphi/dtheta over the shape parameters.
-    Ftheta = (dphi_dtheta / norm).reshape(5, m1, g, m2, g)
-    grads = np.concatenate([
-        np.einsum("kiag,ibh,agbh->ikab", ends1[:, None] * G1, V2, Fq[0]),
-        np.einsum("iag,kibh,agbh->ikab", V1, ends2[:, None] * G2, Fq[1]),
-        np.einsum("iag,ibh,tagbh->itab", V1, V2, Ftheta),
+    Ptheta = dphi_dtheta.reshape(5, m1, g, m2, g)
+    du = np.concatenate([
+        np.einsum("kiag,ibh,agbh->ikab", ends1[:, None] * G1, V2, Pq[0]),
+        np.einsum("iag,kibh,agbh->ikab", V1, ends2[:, None] * G2, Pq[1]),
+        np.einsum("iag,ibh,tagbh->itab", V1, V2, Ptheta),
     ], axis=1)
-    # f dG/dq: only the q1 moment's G has a q1 slope, the q2 moment's a q2 one.
-    grads[1, :2] += np.einsum("kag,bh,agbh->kab", ends1, W2, F)
-    grads[2, 2:4] += np.einsum("ag,kbh,agbh->kab", W1, ends2, F)
-    # Weight motion (W scales with b - a) and the normalization's
-    # derivative each add a multiple of the moments themselves.
-    width1, width2 = box.b1 - box.a1, box.b2 - box.a2
-    rank_one = -normalization_grad(rho, norm_quad_order) / norm
-    rank_one[:4] += [-1 / width1, 1 / width1, -1 / width2, 1 / width2]
-    grads += rank_one[:, None, None] * moments[:, None]
+    # phi dG/dq: only the q1 moment's G has a q1 slope, the q2 moment's a q2 one.
+    du[1, :2] += np.einsum("kag,bh,agbh->kab", ends1, W2, P)
+    du[2, 2:4] += np.einsum("ag,kbh,agbh->kab", W1, ends2, P)
+    # The quotient rule through N = sum_c u0_c, in which the weights'
+    # common factor hi - lo, and so its motion, cancels.
+    dnorm = du[0].sum(axis=(1, 2))
+    grads = du / norm - (dnorm / norm)[:, None, None] * moments[:, None]
     return moments, grads, f_min
 
 
@@ -161,19 +154,18 @@ def assemble(
     spec: GridSpec,
     rho: RhoParams,
     quad_order: int = DEFAULT_CELL_QUAD_ORDER,
-    norm_quad_order: int = DEFAULT_NORM_QUAD_ORDER,
     with_grad: bool = False,
     gamma_floor: float | None = None,
 ) -> AssembledOperators:
     """Assemble the weighted operators for the given grid and parameters.
 
-    ``gamma_floor``, when given, enforces the operational lower bound on
-    the density at the quadrature nodes (the objective layer passes it;
-    direct callers inspecting near-degenerate densities leave it None).
+    Raises ``DegenerateDensityError`` when the cells hold less than
+    ``density.NORMALIZATION_FLOOR`` of the pdf's mass.  ``gamma_floor``,
+    when given, enforces the operational lower bound on the density at
+    the quadrature nodes (the objective layer passes it; direct callers
+    inspecting near-degenerate densities leave it None).
     """
-    moments, grads, f_min = _cell_moments(
-        spec, rho, quad_order, norm_quad_order, with_grad
-    )
+    moments, grads, f_min = _cell_moments(spec, rho, quad_order, with_grad)
     if gamma_floor is not None and f_min < gamma_floor:
         raise DegenerateDensityError(
             f"density {f_min:.3e} at a quadrature node is below the "

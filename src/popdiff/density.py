@@ -129,13 +129,10 @@ def _sigma_inverse(rho: RhoParams) -> tuple[np.ndarray, float]:
     return inv, det
 
 
-def phi_values(q1, q2, rho: RhoParams) -> np.ndarray:
-    """Untruncated bivariate normal pdf at (q1, q2); broadcasts.
-
-    Shares the exact floating-point formulation of
-    :func:`phi_with_grads` so value-only and gradient assemblies agree
-    bit for bit.
-    """
+def _pdf(q1, q2, rho: RhoParams):
+    """Untruncated bivariate normal pdf phi at (q1, q2), with Sigma^{-1}
+    and u = Sigma^{-1} (q - mu); broadcasts.  Its one formulation makes
+    value-only and gradient assemblies agree bit for bit."""
     sinv, det = _sigma_inverse(rho)
     d1 = np.asarray(q1, dtype=float) - rho.mu1
     d2 = np.asarray(q2, dtype=float) - rho.mu2
@@ -145,7 +142,13 @@ def phi_values(q1, q2, rho: RhoParams) -> np.ndarray:
         u1 = sinv[0, 0] * d1 + sinv[0, 1] * d2
         u2 = sinv[0, 1] * d1 + sinv[1, 1] * d2
         quad = d1 * u1 + d2 * u2
-        return np.exp(-0.5 * quad) / (2 * np.pi * np.sqrt(det))
+        phi = np.exp(-0.5 * quad) / (2 * np.pi * np.sqrt(det))
+    return phi, sinv, u1, u2
+
+
+def phi_values(q1, q2, rho: RhoParams) -> np.ndarray:
+    """Untruncated bivariate normal pdf at (q1, q2); broadcasts."""
+    return _pdf(q1, q2, rho)[0]
 
 
 def phi_with_grads(q1, q2, rho: RhoParams):
@@ -155,14 +158,7 @@ def phi_with_grads(q1, q2, rho: RhoParams):
     spatial derivatives and dphi_dtheta the five derivatives with respect
     to (mu1, mu2, l11, l21, l22), each along a new leading axis.
     """
-    sinv, det = _sigma_inverse(rho)
-    d1 = np.asarray(q1, dtype=float) - rho.mu1
-    d2 = np.asarray(q2, dtype=float) - rho.mu2
-    u1 = sinv[0, 0] * d1 + sinv[0, 1] * d2
-    u2 = sinv[0, 1] * d1 + sinv[1, 1] * d2
-    quad = d1 * u1 + d2 * u2
-    phi = np.exp(-0.5 * quad) / (2 * np.pi * np.sqrt(det))
-
+    phi, sinv, u1, u2 = _pdf(q1, q2, rho)
     dphi_dq = np.stack([-phi * u1, -phi * u2])
 
     # d log phi / d Sigma = G = (u u^T - Sigma^{-1}) / 2, and the chain
@@ -199,7 +195,12 @@ def normalization(rho: RhoParams, quad_order: int = DEFAULT_NORM_QUAD_ORDER) -> 
     x1, w1 = _interval_nodes(rho.a1, rho.b1, quad_order)
     x2, w2 = _interval_nodes(rho.a2, rho.b2, quad_order)
     phi = phi_values(x1[:, None], x2[None, :], rho)
-    total = float(w1 @ phi @ w2)
+    return require_mass(float(w1 @ phi @ w2), rho)
+
+
+def require_mass(total: float, rho: RhoParams) -> float:
+    """``total``, the pdf's mass in the support box by the caller's rule;
+    raises if that mass has effectively escaped the box."""
     if total < NORMALIZATION_FLOOR:
         raise DegenerateDensityError(
             f"normalization {total:.3e} below floor {NORMALIZATION_FLOOR:.0e}; "

@@ -12,10 +12,11 @@ class InvalidParameterError(PopdiffError, ValueError):
 class DegenerateDensityError(PopdiffError):
     """The parameter density has (numerically) no mass where it is needed.
 
-    Raised when the normalization over the support box underflows, when
-    rejection sampling cannot find the box, or when the density at the
-    quadrature nodes falls below the operational lower bound.  The
-    optimizer treats this as a rejected trial step rather than abort.
+    Raised when the pdf's mass in the support box (by the assembly's
+    cells or by ``density.normalization``) underflows, when rejection
+    sampling cannot find the box, or when the density at the quadrature
+    nodes falls below the operational lower bound.  The optimizer treats
+    this as a rejected trial step rather than abort.
     """
 
 

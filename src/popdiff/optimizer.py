@@ -525,10 +525,7 @@ def initialize(
             f"falling back to default box {default_box}"
         )
         a1, b1, a2, b2 = default_box
-        return RhoParams(
-            a1, b1, a2, b2, 0.5 * (a1 + b1), 0.5 * (a2 + b2),
-            max((b1 - a1) / 6, L_FLOOR), 0.0, max((b2 - a2) / 6, L_FLOOR),
-        )
+        return _start_in(a1, b1, a2, b2, 0.5 * (a1 + b1), 0.5 * (a2 + b2))
 
     q = np.array(fitted)
     lo = q.min(axis=0)
@@ -539,7 +536,11 @@ def initialize(
     b1 = hi[0] + margin[0]
     b2 = hi[1] + margin[1]
     mu = q.mean(axis=0)
-    return RhoParams(
-        a1, b1, a2, b2, float(mu[0]), float(mu[1]),
-        max((b1 - a1) / 6, L_FLOOR), 0.0, max((b2 - a2) / 6, L_FLOOR),
-    )
+    return _start_in(a1, b1, a2, b2, float(mu[0]), float(mu[1]))
+
+
+def _start_in(a1, b1, a2, b2, mu1, mu2) -> RhoParams:
+    """The start at (mu1, mu2) in the box: independent spreads with
+    standard deviation one sixth of each edge, at least ``L_FLOOR``."""
+    return RhoParams(a1, b1, a2, b2, mu1, mu2,
+                     max((b1 - a1) / 6, L_FLOOR), 0.0, max((b2 - a2) / 6, L_FLOOR))

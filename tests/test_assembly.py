@@ -5,10 +5,13 @@ from scipy.linalg import block_diag
 from conftest import flat_index, galerkin_blocks, qcell_bounds, random_rho, truncated_moments
 
 from popdiff.assembly import assemble
-from popdiff.density import RhoParams, normalization, phi_values
+from popdiff.density import RhoParams, normalization, normalization_grad, phi_values
 from popdiff.errors import DegenerateDensityError
 from popdiff.grid import GridSpec, eta_mass_matrix, eta_stiffness_matrix
 from popdiff.sampled import build_sampled
+
+
+START = RhoParams(0.15, 1.6, 0.25, 2.1, 0.9, 0.9, 0.22, 0.0, 0.27)
 
 
 def nearly_uniform_rho(box=(1.5, 2.5, 0.5, 1.5), sigma=1e3):
@@ -37,7 +40,7 @@ class TestAssembleValues:
         spec = GridSpec(n=2, m1=2, m2=2, tau=0.1)
         rho = RhoParams(0.5, 1.5, 0.5, 1.5, 0.75, 0.75, 0.02, 0.0, 0.02)
         M_blocks, K_blocks, _, Cvec = galerkin_blocks(
-            assemble(spec, rho, quad_order=48, norm_quad_order=96))
+            assemble(spec, rho, quad_order=48))
         w = Cvec[::spec.block_size]
         assert w[0] == pytest.approx(1.0, abs=1e-9)
         assert np.abs(w[1:]).max() < 1e-10
@@ -184,20 +187,34 @@ class TestAssembleGrad:
                 np.testing.assert_array_equal(getattr(full, name), getattr(plain, name),
                                               err_msg=f"{name} at {rho}")
 
-    def test_mass_derivative_zero_for_whole_box_cell(self):
-        # Single cell spanning the box: its weight is identically one, so
-        # matched quadrature orders give an exactly zero mu-derivative.
-        spec = GridSpec(n=2, m1=1, m2=1, tau=0.1)
-        rho = RhoParams(0.3, 1.1, 0.3, 1.1, 0.7, 0.7, 0.15, 0.0, 0.15)
-        ops = assemble(spec, rho, quad_order=24, norm_quad_order=24, with_grad=True)
-        np.testing.assert_allclose(ops.dmoments[0, 4:6], 0.0, atol=1e-12)
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 8])
+    def test_law_has_unit_mass(self, m):
+        # The cell weights are normalized by their own sum, so they form a
+        # probability law to rounding: sum_c w_c = 1 and sum_c dw_c = 0 in
+        # every parameter, within a few ulps.  A single cell spanning the
+        # box (m = 1) holds weight one exactly.  The derivative's ulps are
+        # those of its terms: sum_c |dw_c| and d log N (N the box's mass).
+        spec = GridSpec(n=2, m1=m, m2=m, tau=0.1)
+        rng = np.random.default_rng(m)
+        rhos = [START, RhoParams(0.3, 1.1, 0.3, 1.1, 0.7, 0.7, 0.15, 0.0, 0.15),
+                RhoParams(0.5, 1.1, 0.6, 1.6, 0.7, 1.1, 0.18, 0.05, 0.25)]
+        rhos += [random_rho(rng) for _ in range(10)]
+        ulps = 4 * np.finfo(float).eps
+        for rho in rhos:
+            ops = assemble(spec, rho, with_grad=True)
+            w, dw = ops.moments[0], ops.dmoments[0]
+            assert abs(w.sum() - 1) <= ulps, rho
+            scale = np.abs(dw).sum(axis=1) + np.abs(normalization_grad(rho) / normalization(rho))
+            assert np.all(np.abs(dw.sum(axis=1)) <= ulps * scale), rho
+            if m == 1:
+                assert w[0] == 1 and np.all(dw == 0), rho
 
     def test_stiffness_derivative_tracks_truncated_mean(self):
         # For one cell w = 1, so dK/dmu1 = dw e0 e0^T + dw1 K_eta is
         # K_eta * d E[q1] / dmu1.
         spec = GridSpec(n=2, m1=1, m2=1, tau=0.1)
         rho = RhoParams(0.3, 1.1, 0.3, 1.1, 0.7, 0.7, 0.15, 0.0, 0.15)
-        ops = assemble(spec, rho, quad_order=24, norm_quad_order=24, with_grad=True)
+        ops = assemble(spec, rho, quad_order=24, with_grad=True)
         h = 1e-6
         up = RhoParams.from_array(rho.as_array() + h * np.eye(9)[4])
         dn = RhoParams.from_array(rho.as_array() - h * np.eye(9)[4])

@@ -230,6 +230,41 @@ class TestPull:
             pulled.least_squares, plain.least_squares, plain.status)
 
 
+# How the fit ends on the fit set-ups of the benchmark workloads fit-n8m4,
+# fit-n16m8 and bands-n8, on data seeds 0-11, from a fixed start: (status,
+# iterations, cost evaluations) per seed.  A change to the fit's
+# termination moves these pins on purpose.
+SWEEP_TRUTH = RhoParams(0.2, 1.4, 0.3, 2.0, 0.7, 1.1, 0.18, 0.05, 0.25)
+SWEEP_START = RhoParams(0.15, 1.6, 0.25, 2.1, 0.9, 0.9, 0.22, 0.0, 0.27)
+C, S, X = "converged", "stalled-step", "max-iterations"
+SWEEP = {
+    # (n, m, episodes, duration_h): pins for data seeds 0-11
+    (8, 4, 10, 10.0): [(C, 10, 10), (S, 24, 55), (C, 7, 7), (S, 41, 89),
+                       (C, 10, 10), (C, 6, 6), (S, 35, 77), (C, 6, 6),
+                       (C, 6, 6), (C, 12, 12), (C, 6, 6), (C, 9, 9)],
+    (16, 8, 4, 5.0): [(C, 6, 6), (C, 10, 10), (C, 5, 5), (C, 5, 5),
+                      (C, 7, 7), (C, 5, 5), (S, 25, 57), (C, 6, 6),
+                      (X, 200, 401), (C, 5, 5), (C, 8, 9), (C, 8, 8)],
+    (4, 2, 4, 5.0): [(C, 8, 8), (C, 5, 5), (C, 4, 4), (C, 5, 5),
+                     (C, 5, 5), (C, 5, 5), (C, 12, 23), (C, 6, 6),
+                     (X, 200, 400), (C, 9, 9), (C, 9, 9), (C, 17, 32)],
+}
+
+
+class TestSweep:
+    @pytest.mark.parametrize("setup", list(SWEEP), ids=["fit-n8m4", "fit-n16m8", "bands-n8"])
+    def test_endings_are_pinned(self, setup):
+        n, m, n_episodes, duration_h = setup
+        spec = GridSpec(n=n, m1=m, m2=m, tau=1 / 12)
+        endings = []
+        for seed in range(12):
+            episodes = generate_synthetic(SWEEP_TRUTH, spec, n_episodes, 0.01, seed=seed,
+                                          pulse_spec=PulseSpec(duration_h=duration_h))
+            result = fit(episodes, spec, SWEEP_START, FitOptions(max_iter=200))
+            endings.append((result.status, len(result.cost_trace) - 1, result.n_cost_evals))
+        assert endings == SWEEP[setup]
+
+
 class TestRoundingRobustness:
     """The fit's end point must not follow the last bits of its normal
     equations."""
